@@ -1,130 +1,83 @@
-"""Hot Monte Carlo kernels for segment-by-segment channel sampling.
+"""Hot Monte Carlo kernel for segment-by-segment channel sampling.
 
-Randomness is a counter-based hash: every (seed, sample, segment) triple is
-mixed through two splitmix64 finalizer rounds into a uniform in [0, 1).
-Draws therefore depend only on their key, so tallies are bit-identical
-across execution orders, thread counts, and backends.
+Randomness is a counter-based hash: every (seed, sample, segment) key
+seed*K0 + sample*K1 + segment*K2 (mod 2**64) is mixed by the splitmix64
+finalizer into z, and the draw is the uniform u = (z >> 11) * 2**-53.  A draw
+depends only on its key, so tallies do not depend on how the work is split.
 
-Two backends compute the same function:
+The kernel computes exactly these draws without forming u:
 
-* ``numba``  - @njit kernel, parallel over samples (default when importable)
-* ``numpy``  - chunked vectorized evaluation, used as fallback
+* u < t is the integer test z >> 11 < ceil(t * 2**53).
+* The finalizer's last step z ^= z >> 31 leaves bits 33..63 unchanged, so only
+  keys whose pre-image passes the same test on those bits (about a t3 share)
+  can flip; the last step runs on those candidates only.
+* XOR is associative, so each sample folds its error indices over all
+  n1 + n2 segments at once.
 
-Selection: the ``EPRLINK_BACKEND`` environment variable (``auto`` | ``numba``
-| ``numpy``), overridable per call.  ``benchmarks/bench_mc.py`` compares both.
+Keys are processed in blocks of about ``_BLOCK_KEYS`` so that the working
+buffers stay in cache.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
+import math
 
 import numpy as np
 
-from .errors import ValidationError
-
-__all__ = ["HAS_NUMBA", "active_backend", "bell_outcome_counts"]
+__all__ = ["bell_outcome_counts"]
 
 # splitmix64 increment and finalizer multipliers
-_K0 = np.uint64(0x9E3779B97F4A7C15)
+_K0 = 0x9E3779B97F4A7C15
 _K1 = np.uint64(0xBF58476D1CE4E5B9)
 _K2 = np.uint64(0x94D049BB133111EB)
-_INV53 = 1.0 / 9007199254740992.0  # 2**-53
 
-# Old TBB versions make numba emit a benign threading-layer warning at
-# decoration/first-call time; numba silently falls back to another layer.
-warnings.filterwarnings("ignore", message=".*TBB.*")
-
-try:
-    from numba import njit, prange
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
+_BLOCK_KEYS = 1 << 16  # 512 KiB per uint64 buffer
+_LOW33 = (1 << 33) - 1
 
 
-def _outcomes_numpy(seed, samples, n1, n2, t1, t2, t3):
-    """Vectorized backend: per-sample XOR-folded error index, chunked over samples."""
-    out = np.empty(samples, dtype=np.uint8)
-    ntot = n1 + n2
-    jkey = np.arange(ntot, dtype=np.uint64) * _K2
-    chunk = max(1, 2_000_000 // max(ntot, 1))
-    with np.errstate(over="ignore"):
-        for lo in range(0, samples, chunk):
-            hi = min(lo + chunk, samples)
-            ikey = np.uint64(seed) * _K0 + np.arange(lo, hi, dtype=np.uint64) * _K1
-            z = ikey[:, None] + jkey[None, :]
-            z = (z ^ (z >> np.uint64(30))) * _K1
-            z = (z ^ (z >> np.uint64(27))) * _K2
-            z ^= z >> np.uint64(31)
-            u = (z >> np.uint64(11)).astype(np.float64) * _INV53
-            e = np.zeros(u.shape, dtype=np.uint8)
-            e[u < t3] = 3
-            e[u < t2] = 2
-            e[u < t1] = 1
-            k = np.bitwise_xor.reduce(e[:, :n1], axis=1)
-            l = np.bitwise_xor.reduce(e[:, n1:], axis=1)
-            out[lo:hi] = k ^ l
-    return out
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True, parallel=True)
-    def _outcomes_numba(seed, samples, n1, n2, t1, t2, t3):  # pragma: no cover - jitted
-        out = np.empty(samples, dtype=np.uint8)
-        ntot = n1 + n2
-        for i in prange(samples):
-            base = seed * _K0 + np.uint64(i) * _K1
-            k = np.uint64(0)
-            l = np.uint64(0)
-            for j in range(ntot):
-                z = base + np.uint64(j) * _K2
-                z = (z ^ (z >> np.uint64(30))) * _K1
-                z = (z ^ (z >> np.uint64(27))) * _K2
-                z = z ^ (z >> np.uint64(31))
-                u = np.float64(z >> np.uint64(11)) * _INV53
-                if u < t1:
-                    e = np.uint64(1)
-                elif u < t2:
-                    e = np.uint64(2)
-                elif u < t3:
-                    e = np.uint64(3)
-                else:
-                    e = np.uint64(0)
-                if j < n1:
-                    k ^= e
-                else:
-                    l ^= e
-            out[i] = np.uint8(k ^ l)
-        return out
-
-
-def active_backend(override: str | None = None) -> str:
-    """Resolve the backend name: explicit override, else EPRLINK_BACKEND, else auto."""
-    name = override or os.environ.get("EPRLINK_BACKEND", "auto")
-    if name == "auto":
-        return "numba" if HAS_NUMBA else "numpy"
-    if name == "numba":
-        if not HAS_NUMBA:
-            raise ValidationError("numba backend requested but numba is not importable")
-        return "numba"
-    if name == "numpy":
-        return "numpy"
-    raise ValidationError(f"unknown backend {name!r}; expected 'auto', 'numba' or 'numpy'")
-
-
-def bell_outcome_counts(seed, samples, n1, n2, t1, t2, t3, backend=None) -> np.ndarray:
+def bell_outcome_counts(seed, samples, n1, n2, t1, t2, t3) -> np.ndarray:
     """Tally of the folded two-arm error index over all samples.
 
     Walks ``n1`` segments on one arm and ``n2`` on the other, drawing error
     index 1, 2, 3 with probabilities ``t1``, ``t2 - t1``, ``t3 - t2`` per
-    segment (0 otherwise), XOR-folds each arm and the pair.  Returns int64
-    counts indexed by the folded index m = k XOR l in {0, 1, 2, 3}.
+    segment (0 otherwise; 0 <= t1 <= t2 <= t3 <= 1), and XOR-folds the
+    indices of each sample.  Returns int64 counts indexed by the folded index
+    m = k XOR l in {0, 1, 2, 3}.
     """
-    seed_u = np.uint64(int(seed) % (1 << 64))
-    if active_backend(backend) == "numba":
-        outcomes = _outcomes_numba(seed_u, samples, n1, n2, t1, t2, t3)
-    else:
-        outcomes = _outcomes_numpy(seed_u, samples, n1, n2, t1, t2, t3)
-    return np.bincount(outcomes, minlength=4).astype(np.int64)
+    counts = np.zeros(4, dtype=np.int64)
+    ntot = n1 + n2
+    # u < t exactly when z >> 11 < ceil(t * 2**53); the scaling is exact
+    c1, c2, c3 = (np.uint64(math.ceil(t * 2.0**53)) for t in (t1, t2, t3))
+    if ntot == 0 or c3 == 0:
+        counts[0] = samples
+        return counts
+    # A flip needs z <= L = (c3 << 11) - 1.  The last finalizer step keeps
+    # bits 33..63, so its input then passes the same test on those bits.
+    candidate = np.uint64(((int(c3) << 11) - 1) | _LOW33)
+    rows = max(1, min(samples, _BLOCK_KEYS // ntot))
+    z = np.empty((rows, ntot), dtype=np.uint64)
+    tmp = np.empty_like(z)
+    hit = np.empty(z.shape, dtype=bool)
+    jkey = np.arange(ntot, dtype=np.uint64) * _K2
+    base = np.uint64(int(seed) * _K0 % (1 << 64))
+    for lo in range(0, samples, rows):
+        r = min(rows, samples - lo)
+        zb, tb, hb = z[:r], tmp[:r], hit[:r]
+        ikey = np.arange(lo, lo + r, dtype=np.uint64) * _K1 + base
+        np.add(ikey[:, None], jkey, out=zb)
+        np.right_shift(zb, 30, out=tb)
+        np.bitwise_xor(zb, tb, out=zb)
+        np.multiply(zb, _K1, out=zb)
+        np.right_shift(zb, 27, out=tb)
+        np.bitwise_xor(zb, tb, out=zb)
+        np.multiply(zb, _K2, out=zb)
+        np.less_equal(zb, candidate, out=hb)
+        idx = np.flatnonzero(hb)
+        zc = zb.ravel()[idx]
+        m = (zc ^ (zc >> 31)) >> 11
+        # 3, 2, 1 below c3, c2, c1 (0 for candidates that do not flip)
+        e = 3 * (m < c3) - (m < c2) - (m < c1)
+        parity = np.bincount(idx // ntot * 4 + e, minlength=4 * r).reshape(r, 4) & 1
+        fold = parity[:, 1] ^ (parity[:, 2] << 1) ^ (parity[:, 3] * 3)
+        counts += np.bincount(fold, minlength=4)
+    return counts

@@ -36,7 +36,9 @@ __all__ = [
 QBER_FLOOR_LIMIT = 0.75
 
 _BISECT_TOL_KM = 1e-10
-_MAX_DOUBLINGS = 60
+# Brackets start at 1 and double or halve; 1024 steps span the float range
+# (2**1023 is the largest finite power of two).
+_MAX_DOUBLINGS = 1024
 
 
 @dataclass(frozen=True)
@@ -141,8 +143,9 @@ def threshold_generic(mu: ErrorDensities) -> ThresholdResult:
     every finite length (single-flip regime), so the result is
     never-vanishes.  Otherwise the unclamped concurrence is strictly
     decreasing; the bracket doubles from 1 km until it turns negative and is
-    then bisected to 1e-10 km.  The returned length is the upper bracket end,
-    so the clamped concurrence at the threshold is exactly zero.
+    then bisected to 1e-10 km, or to adjacent floats where their spacing is
+    wider.  The returned length is the upper bracket end, so the clamped
+    concurrence at the threshold is exactly zero.
     """
     if sum(1 for m in mu.as_tuple() if m > 0.0) < 2:
         return ThresholdResult(None)
@@ -152,11 +155,13 @@ def threshold_generic(mu: ErrorDensities) -> ThresholdResult:
             break
         lo, hi = hi, 2.0 * hi
     else:
-        # ~1e18 km without a sign change: numerically indistinguishable
+        # ~9e307 km without a sign change: numerically indistinguishable
         # from a non-vanishing concurrence.
         return ThresholdResult(None)
     while hi - lo > _BISECT_TOL_KM:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if _raw_concurrence(mu, mid) > 0.0:
             lo = mid
         else:
@@ -209,9 +214,15 @@ def fit_mu(points) -> tuple[float, float]:
 
     lo, hi = 0.0, 1.0
     for _ in range(_MAX_DOUBLINGS):
-        if derivative(hi) > 0.0:
+        slope = derivative(hi)
+        if slope > 0.0:
             break
-        lo, hi = hi, 2.0 * hi
+        if slope == 0.0 and _rms_residual(hi, points) > 0.0:
+            # The model misses the data, yet every term of the slope
+            # underflowed (exp(-4 mu L) ~ 0): the optimum lies below hi.
+            hi = 0.5 * hi
+        else:
+            lo, hi = hi, 2.0 * hi
     else:
         raise NumericError("could not bracket the least-squares optimum")
     # Bisect until the bracket collapses to adjacent floats; each halving is

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 from . import analysis, epr, oracle
@@ -341,13 +342,14 @@ def cmd_montecarlo(args) -> str:
         segments_per_km=args.segments_per_km,
         samples=args.samples,
         seed=args.seed,
-        backend=args.backend,
     )
     reference = epr.transmit_at_length(mu, geom)
     est = estimate.bell_diagonal.as_tuple()
     ref = reference.as_tuple()
+    # A tally of 0 or of every sample has a zero standard error; z then uses
+    # the binomial standard error of the reference weight instead.
     zscores = tuple(
-        0.0 if e == r else (e - r) / se
+        0.0 if e == r else (e - r) / (se or math.sqrt(r * (1.0 - r) / estimate.samples))
         for e, r, se in zip(est, ref, estimate.standard_errors)
     )
     inputs = {
@@ -450,10 +452,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--segments-per-km", type=int, default=100, dest="segments_per_km")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument(
-        "--backend", choices=("auto", "numba", "numpy"), default=None,
-        help="sampling backend (default: EPRLINK_BACKEND or auto)",
-    )
     _add_common(p)
     p.set_defaults(handler=cmd_montecarlo)
 

@@ -285,16 +285,15 @@ def monte_carlo_transmit(
     segments_per_km: int,
     samples: int,
     seed: int,
-    backend: str | None = None,
 ) -> McEstimate:
     """Stochastic two-arm transmission: per-segment error draws, tallied in the Bell basis.
 
-    Each arm is discretized into ``length * segments_per_km`` segments of
-    delta = 1/segments_per_km km; a segment applies error i with probability
-    mu_i * delta.  Error indices fold through the Klein four-group, and the
-    folded pair index selects the received Bell state.  Randomness is keyed
-    by (seed, sample, segment), so identical seeds give identical tallies no
-    matter how the work is split; see ``eprlink._mc`` for the backends.
+    Each arm is discretized into ``round(length * segments_per_km)`` segments
+    of delta = 1/segments_per_km km; a segment applies error i with
+    probability mu_i * delta.  Error indices fold through the Klein
+    four-group over both arms, and the folded index selects the received Bell
+    state.  Randomness is a splitmix64 hash of (seed, sample, segment), so a
+    seed fixes the tallies; see ``eprlink._mc`` for the stream and the kernel.
 
     Raises
     ------
@@ -315,7 +314,7 @@ def monte_carlo_transmit(
         )
     n1 = round(geom.l1_km * segments_per_km)
     n2 = round(geom.l2_km * segments_per_km)
-    counts = _mc.bell_outcome_counts(seed, samples, n1, n2, t1, t2, t3, backend=backend)
+    counts = _mc.bell_outcome_counts(seed, samples, n1, n2, t1, t2, t3)
     freq = [0.0, 0.0, 0.0, 0.0]
     for m, count in enumerate(counts):
         freq[_OUTCOME_TO_WEIGHT[m]] = count / samples

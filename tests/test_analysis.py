@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -107,6 +108,26 @@ class TestThresholdGeneric:
             assert concurrence_vs_length(mu, result.length_km - 1e-6) > 0.0
             assert concurrence_vs_length(mu, result.length_km) <= 1e-12
 
+    def test_matches_closed_forms_over_float_range(self):
+        # Float spacing exceeds the 1e-10 km tolerance above ~1e6 km; the
+        # bisection must still stop, and the bracket must reach 1e29 km.
+        for mu in np.logspace(-30.0, 3.0, 67):
+            mu = float(mu)
+            for densities, closed in (
+                (ErrorDensities(mu, mu, mu), threshold_depolarizing),
+                (ErrorDensities(mu, mu, 0.0), threshold_double_flip),
+                (ErrorDensities(0.0, mu, mu), threshold_double_flip),
+            ):
+                start = time.perf_counter()
+                got = threshold_generic(densities).length_km
+                assert time.perf_counter() - start < 1.0
+                want = closed(mu).length_km
+                assert abs(got - want) <= max(1e-10, 1e-12 * want)
+
+    def test_low_density_terminates(self):
+        got = threshold_generic(ErrorDensities(1e-9, 1e-9, 1e-9)).length_km
+        assert math.isclose(got, threshold_depolarizing(1e-9).length_km, rel_tol=1e-12)
+
 
 class TestEstimateMu:
     def test_drift_observation(self):
@@ -158,6 +179,16 @@ class TestFitMu:
         mu, _ = fit_mu(points)
         lo, hi = sorted(estimate_mu(p) for p in points)
         assert lo <= mu <= hi
+
+    def test_points_beyond_decay_underflow(self):
+        # exp(-4 mu L) underflows at the first bracket end, mu = 1/km
+        true_mu = 1e-3
+        points = [
+            MeasurementPoint(0.75 * (1.0 - math.exp(-4.0 * true_mu * length)), length)
+            for length in (200.0, 300.0, 400.0)
+        ]
+        mu, _ = fit_mu(points)
+        assert math.isclose(mu, true_mu, rel_tol=1e-9)
 
     def test_all_zero_qber(self):
         mu, rms = fit_mu([MeasurementPoint(0.0, 1.0), MeasurementPoint(0.0, 2.0)])

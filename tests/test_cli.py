@@ -298,6 +298,25 @@ class TestMonteCarlo:
         doc = json.loads(out)
         assert all(abs(z) <= 4.0 for z in doc["results"]["z_scores"])
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_empty_tally_gives_finite_z(self, capsys, fmt):
+        # 200 samples of 200 segments at 3e-6 flips each: every tally but a's is 0
+        code, out, err = run(
+            capsys, "montecarlo", "--mu", "0.0001,0.0001,0.0001", "--l1", "1", "--l2", "1",
+            "--samples", "200", "--format", fmt,
+        )
+        assert code == 0, err
+        if fmt == "json":
+            doc = json.loads(out)
+            assert doc["results"]["standard_errors"] == [0.0, 0.0, 0.0, 0.0]
+            zscores = doc["results"]["z_scores"]
+        elif fmt == "csv":
+            zscores = [float(line.split(",")[-1]) for line in out.strip().split("\n")[1:]]
+        else:
+            zscores = [float(line.split()[-1]) for line in out.strip().split("\n")[2:]]
+        assert len(zscores) == 4
+        assert all(math.isfinite(z) and z != 0.0 for z in zscores)
+
     def test_infeasible_segmentation_exits_3(self, capsys):
         code, _, err = run(
             capsys, "montecarlo", "--mu", "0.5,0.5,0.5", "--l1", "1", "--l2", "1",

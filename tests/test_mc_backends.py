@@ -1,3 +1,6 @@
+import warnings
+
+import numpy as np
 import pytest
 
 from eprlink import (
@@ -13,7 +16,43 @@ from eprlink import _mc
 DEPOL = ErrorDensities(0.008, 0.008, 0.008)
 GEOM = LinkGeometry(5.0, 5.0)
 
-needs_numba = pytest.mark.skipif(not _mc.HAS_NUMBA, reason="numba not installed")
+_K0 = np.uint64(0x9E3779B97F4A7C15)
+_K1 = np.uint64(0xBF58476D1CE4E5B9)
+_K2 = np.uint64(0x94D049BB133111EB)
+
+
+def reference_counts(seed, samples, n1, n2, t1, t2, t3):
+    """Dense per-key sampler: a float uniform for every (sample, segment) key."""
+    with np.errstate(over="ignore"):
+        ikey = np.uint64(seed % (1 << 64)) * _K0 + np.arange(samples, dtype=np.uint64) * _K1
+        z = ikey[:, None] + np.arange(n1 + n2, dtype=np.uint64)[None, :] * _K2
+        z = (z ^ (z >> np.uint64(30))) * _K1
+        z = (z ^ (z >> np.uint64(27))) * _K2
+        z ^= z >> np.uint64(31)
+    u = (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    e = np.zeros(u.shape, dtype=np.uint8)
+    e[u < t3] = 3
+    e[u < t2] = 2
+    e[u < t1] = 1
+    k = np.bitwise_xor.reduce(e[:, :n1], axis=1)
+    l = np.bitwise_xor.reduce(e[:, n1:], axis=1)
+    return np.bincount(k ^ l, minlength=4)
+
+
+def reference_draw(seed, sample, segment):
+    """Hash of one key before the last finalizer step, and the 53-bit draw."""
+    mask = (1 << 64) - 1
+    z = (seed * int(_K0) + sample * int(_K1) + segment * int(_K2)) & mask
+    z = ((z ^ (z >> 30)) * int(_K1)) & mask
+    z = ((z ^ (z >> 27)) * int(_K2)) & mask
+    return z, (z ^ (z >> 31)) >> 11
+
+
+def assert_matches_reference(seed, samples, n1, n2, t1, t2, t3):
+    got = _mc.bell_outcome_counts(seed, samples, n1, n2, t1, t2, t3)
+    want = reference_counts(seed, samples, n1, n2, t1, t2, t3)
+    assert got.dtype == np.int64
+    assert got.tolist() == want.tolist(), (seed, samples, n1, n2, t1, t2, t3)
 
 
 def test_noiseless_channel_is_exact():
@@ -43,18 +82,8 @@ def test_different_seeds_differ():
     assert a != b
 
 
-@needs_numba
-def test_backends_bit_identical():
-    kwargs = dict(segments_per_km=25, samples=30_000, seed=42)
-    fast = monte_carlo_transmit(DEPOL, GEOM, backend="numba", **kwargs)
-    slow = monte_carlo_transmit(DEPOL, GEOM, backend="numpy", **kwargs)
-    assert fast == slow
-
-
-def test_numpy_backend_matches_closed_form():
-    est = monte_carlo_transmit(
-        DEPOL, GEOM, segments_per_km=50, samples=100_000, seed=5, backend="numpy"
-    )
+def test_matches_closed_form():
+    est = monte_carlo_transmit(DEPOL, GEOM, segments_per_km=50, samples=100_000, seed=5)
     reference = transmit_at_length(DEPOL, GEOM)
     for got, want, se in zip(
         est.bell_diagonal.as_tuple(), reference.as_tuple(), est.standard_errors
@@ -100,16 +129,79 @@ def test_rejects_bad_counts():
         monte_carlo_transmit(DEPOL, GEOM, segments_per_km=10, samples=0, seed=0)
 
 
-def test_backend_resolution(monkeypatch):
-    monkeypatch.delenv("EPRLINK_BACKEND", raising=False)
-    assert _mc.active_backend("numpy") == "numpy"
-    assert _mc.active_backend() in ("numba", "numpy")
-    monkeypatch.setenv("EPRLINK_BACKEND", "numpy")
-    assert _mc.active_backend() == "numpy"
-    with pytest.raises(ValidationError):
-        _mc.active_backend("vectorized")
-
-
 def test_negative_seed_is_wrapped():
-    counts = _mc.bell_outcome_counts(-1, 1000, 10, 10, 0.01, 0.02, 0.03, backend="numpy")
+    counts = _mc.bell_outcome_counts(-1, 1000, 10, 10, 0.01, 0.02, 0.03)
+    wrapped = _mc.bell_outcome_counts(2**64 - 1, 1000, 10, 10, 0.01, 0.02, 0.03)
     assert counts.sum() == 1000
+    assert counts.tolist() == wrapped.tolist()
+
+
+def test_bit_identical_to_reference_on_random_configs():
+    rng = np.random.default_rng(20261018)
+    for _ in range(40):
+        t1, t2, t3 = sorted(rng.uniform(0.0, 10.0 ** rng.uniform(-4.0, 0.0), 3).tolist())
+        seed = int(rng.integers(-(2**63), 2**63)) * int(rng.integers(1, 4))
+        assert_matches_reference(
+            seed, int(rng.integers(1, 1500)), int(rng.integers(0, 300)),
+            int(rng.integers(0, 300)), t1, t2, t3,
+        )
+
+
+@pytest.mark.parametrize("n1, n2", [(0, 37), (37, 0), (0, 0), (1, 1)])
+def test_bit_identical_with_an_empty_arm(n1, n2):
+    assert_matches_reference(5, 2000, n1, n2, 0.01, 0.03, 0.05)
+
+
+@pytest.mark.parametrize(
+    "t1, t2, t3",
+    [
+        (0.0, 0.0, 0.0),
+        (0.0, 0.0, 0.02),
+        (0.0, 0.02, 0.02),
+        (0.01, 0.01, 0.01),
+        (0.2, 0.5, 1.0),
+        (1.0, 1.0, 1.0),
+        (0.5, 0.75, 1.0 - 2.0**-53),
+    ],
+)
+def test_bit_identical_at_extreme_probabilities(t1, t2, t3):
+    assert_matches_reference(11, 700, 40, 23, t1, t2, t3)
+
+
+def test_bit_identical_when_draws_sit_on_the_threshold():
+    # u < t fails exactly at u == t: put every threshold on a drawn value
+    seed, samples, n1, n2 = 2**63 + 12345, 300, 20, 30
+    keys = [reference_draw(seed, i, j) for i in range(samples) for j in range(n1 + n2)]
+    draws = sorted(m for _, m in keys)
+    for k in (0, 1, len(draws) // 3):
+        t1, t2, t3 = (draws[k + d] * 2.0**-53 for d in (0, 40, 900))
+        assert_matches_reference(seed, samples, n1, n2, t1, t2, t3)
+    # The last finalizer step lowers these draws below the threshold while
+    # their pre-image stays above it; they must still flip.
+    lowered = [m for pre, m in keys if pre >> 11 > m]
+    for m in lowered[:20]:
+        t3 = (m + 1) * 2.0**-53
+        assert_matches_reference(seed, samples, n1, n2, t3 / 4, t3 / 2, t3)
+
+
+@pytest.mark.parametrize("seed", [0, -1, -(2**63), 2**63, 2**64 - 1, 2**64 + 7, 3**50])
+def test_bit_identical_across_seed_range(seed):
+    assert_matches_reference(seed, 500, 60, 60, 0.02, 0.04, 0.06)
+
+
+def test_bit_identical_across_block_boundaries():
+    ntot = 1000
+    rows = _mc._BLOCK_KEYS // ntot
+    for samples in (1, rows - 1, rows, rows + 1, 2 * rows + 1):
+        assert_matches_reference(3, samples, 400, ntot - 400, 0.002, 0.004, 0.006)
+    # a single sample wider than one block
+    assert_matches_reference(3, 3, _mc._BLOCK_KEYS, 5, 0.002, 0.004, 0.006)
+
+
+def test_no_runtime_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in (-(2**63), 2**64 - 1, 3**50):
+            _mc.bell_outcome_counts(seed, 2000, 300, 300, 0.1, 0.2, 1.0)
+            _mc.bell_outcome_counts(seed, 50, 0, 0, 0.0, 0.0, 0.0)
+        monte_carlo_transmit(DEPOL, GEOM, segments_per_km=20, samples=5000, seed=-9)
