@@ -11,11 +11,10 @@ model: qber = 3/4 * (1 - exp(-4 mu L)).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
-from .channel import ErrorDensities, _as_length
-from .epr import LinkGeometry, _raw_concurrence, concurrence_vs_length, transmit_at_length
+from .channel import ErrorDensities, _as_count, _as_length
+from .epr import LinkGeometry, _raw_concurrence, concurrence, transmit_at_length
 from .errors import DomainError, NumericError, ValidationError
 
 __all__ = [
@@ -39,6 +38,10 @@ _BISECT_TOL_KM = 1e-10
 # Brackets start at 1 and double or halve; 1024 steps span the float range
 # (2**1023 is the largest finite power of two).
 _MAX_DOUBLINGS = 1024
+# The largest bracket end the bisection reaches.  A closed-form threshold
+# beyond it, or one that overflows to inf, is never-vanishes, so the closed
+# forms and the bisection give the same answer.
+_MAX_THRESHOLD_KM = 2.0 ** (_MAX_DOUBLINGS - 1)
 
 
 @dataclass(frozen=True)
@@ -110,23 +113,32 @@ class SweepTable:
 
 
 def threshold_depolarizing(mu: float) -> ThresholdResult:
-    """Threshold length ln(3) / (4 mu) of the depolarizing channel."""
+    """Threshold length ln(3) / (4 mu) of the depolarizing channel.
+
+    Never-vanishes for mu = 0, and where the length exceeds 2**1023 km (the
+    bisection's reach in `threshold_generic`) or overflows.
+    """
     _check_mu(mu)
     if mu == 0.0:
         return ThresholdResult(None)
-    return ThresholdResult(math.log(3.0) / (4.0 * mu))
+    return _closed_form_result(math.log(3.0) / (4.0 * mu))
 
 
 def threshold_double_flip(mu: float) -> ThresholdResult:
     """Threshold length when exactly two flips occur at equal rate ``mu``.
 
     The root of e^2 + 2e - 1 in e = exp(-2 mu L), i.e.
-    ln(1/(sqrt(2) - 1)) / (2 mu).
+    ln(1/(sqrt(2) - 1)) / (2 mu).  Never-vanishes for mu = 0 and beyond
+    2**1023 km, as in `threshold_depolarizing`.
     """
     _check_mu(mu)
     if mu == 0.0:
         return ThresholdResult(None)
-    return ThresholdResult(math.log(1.0 / (math.sqrt(2.0) - 1.0)) / (2.0 * mu))
+    return _closed_form_result(math.log(1.0 / (math.sqrt(2.0) - 1.0)) / (2.0 * mu))
+
+
+def _closed_form_result(length_km: float) -> ThresholdResult:
+    return ThresholdResult(length_km if length_km <= _MAX_THRESHOLD_KM else None)
 
 
 def _check_mu(mu: float) -> None:
@@ -254,12 +266,7 @@ def sweep(mu: ErrorDensities, l_max_km: float, steps) -> SweepTable:
     l_max_km = _as_length(l_max_km)
     if l_max_km <= 0.0:
         raise ValidationError(f"maximum sweep length must be > 0 km, got {l_max_km!r}")
-    try:
-        steps = operator.index(steps)
-    except TypeError as exc:
-        raise ValidationError(f"steps must be an integer, got {steps!r}") from exc
-    if steps < 2:
-        raise ValidationError(f"steps must be >= 2, got {steps}")
+    steps = _as_count(steps, "steps", minimum=2)
     rows = []
     for i in range(steps + 1):
         length = l_max_km * (i / steps)
@@ -267,7 +274,7 @@ def sweep(mu: ErrorDensities, l_max_km: float, steps) -> SweepTable:
         rows.append(
             SweepRow(
                 length_km=length,
-                concurrence=concurrence_vs_length(mu, length),
+                concurrence=concurrence(state),
                 fidelity=state.a,
             )
         )

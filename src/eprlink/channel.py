@@ -21,8 +21,6 @@ import math
 import operator
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ValidationError
 
 __all__ = [
@@ -91,9 +89,6 @@ class PauliProbs:
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.p0, self.p1, self.p2, self.p3)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.as_tuple(), dtype=np.float64)
 
     @classmethod
     def identity(cls) -> "PauliProbs":
@@ -165,13 +160,13 @@ def _from_lambdas(l1: float, l2: float, l3: float) -> PauliProbs:
     )
 
 
-def _as_count(n, what: str) -> int:
+def _as_count(n, what: str, minimum: int = 0) -> int:
     try:
         n = operator.index(n)
     except TypeError as exc:
         raise ValidationError(f"{what} must be an integer, got {n!r}") from exc
-    if n < 0:
-        raise ValidationError(f"{what} must be >= 0, got {n}")
+    if n < minimum:
+        raise ValidationError(f"{what} must be >= {minimum}, got {n}")
     return n
 
 

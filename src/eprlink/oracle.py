@@ -1,9 +1,10 @@
 """Ground-truth engines that validate the closed forms.
 
 Everything here works on dense complex matrices: explicit Kraus sums for the
-one- and two-qubit Pauli channels, a cyclic Jacobi eigensolver for Hermitian
-matrices, the general Wootters concurrence, and a Monte Carlo sampler that
-draws segment errors stochastically instead of evaluating the closed form.
+one- and two-qubit Pauli channels, Hermitian eigensolves by LAPACK
+(``numpy.linalg.eigh``), the general Wootters concurrence, and a Monte Carlo
+sampler that draws segment errors stochastically instead of evaluating the
+closed form.
 States are plain ``numpy.ndarray`` density matrices (Hermitian, unit trace,
 positive semidefinite up to float noise).
 """
@@ -11,15 +12,14 @@ positive semidefinite up to float noise).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _mc
-from .channel import ErrorDensities, PauliProbs
-from .epr import BellDiagonal, LinkGeometry
-from .errors import DomainError, NumericError, ValidationError
+from .channel import ErrorDensities, PauliProbs, _as_count
+from .epr import BELL_LABELS, BellDiagonal, LinkGeometry
+from .errors import DomainError, ValidationError
 
 __all__ = [
     "PAULI",
@@ -62,7 +62,6 @@ _BELL_VECTORS = {
     "phi+": np.array([0.0, _SQRT_HALF, _SQRT_HALF, 0.0], dtype=np.complex128),
     "phi-": np.array([0.0, _SQRT_HALF, -_SQRT_HALF, 0.0], dtype=np.complex128),
 }
-_BELL_ORDER = ("psi+", "psi-", "phi+", "phi-")
 
 # Folded two-arm error index m = k XOR l -> position in the (a, b, c, d) weights.
 _OUTCOME_TO_WEIGHT = (0, 2, 3, 1)  # 0 -> psi+ (a), 1 -> phi+ (c), 2 -> phi- (d), 3 -> psi- (b)
@@ -70,8 +69,6 @@ _OUTCOME_TO_WEIGHT = (0, 2, 3, 1)  # 0 -> psi+ (a), 1 -> phi+ (c), 2 -> phi- (d)
 _HERMITICITY_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _EIG_FLOOR = -1e-10
-_JACOBI_TOL = 1e-14
-_JACOBI_MAX_SWEEPS = 100
 
 
 def bell_vector(kind: str) -> np.ndarray:
@@ -80,7 +77,7 @@ def bell_vector(kind: str) -> np.ndarray:
         return _BELL_VECTORS[kind].copy()
     except KeyError:
         raise ValidationError(
-            f"unknown Bell state {kind!r}; expected one of {_BELL_ORDER}"
+            f"unknown Bell state {kind!r}; expected one of {BELL_LABELS}"
         ) from None
 
 
@@ -94,7 +91,7 @@ def _check_square(m, dim, what: str) -> np.ndarray:
     m = np.asarray(m, dtype=np.complex128)
     if m.shape != (dim, dim):
         raise ValidationError(f"{what} must be {dim}x{dim}, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.all(np.isfinite(m)):
         raise ValidationError(f"{what} has non-finite entries")
     return m
 
@@ -115,9 +112,9 @@ def validate_density_matrix(rho, dim: int = 4) -> np.ndarray:
     tr = rho.trace()
     if abs(tr - 1.0) > _TRACE_TOL:
         raise ValidationError(f"density matrix trace must be 1, got {tr!r}")
-    eig, _ = _jacobi_eigh(0.5 * (rho + rho.conj().T))
-    if eig.min() < _EIG_FLOOR:
-        raise ValidationError(f"density matrix has negative eigenvalue {eig.min():.3e}")
+    lowest = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0]
+    if lowest < _EIG_FLOOR:
+        raise ValidationError(f"density matrix has negative eigenvalue {lowest:.3e}")
     return rho
 
 
@@ -137,7 +134,7 @@ def apply_two_sided(r: PauliProbs, s: PauliProbs, rho) -> np.ndarray:
     of a shared pair; Hermiticity and trace are preserved exactly.
     """
     rho = validate_density_matrix(rho, dim=4)
-    weights = np.outer(r.as_array(), s.as_array()).ravel()
+    weights = np.outer(r.as_tuple(), s.as_tuple()).ravel()
     out = np.zeros((4, 4), dtype=np.complex128)
     for weight, op in zip(weights, _PAULI2):
         if weight != 0.0:
@@ -145,84 +142,35 @@ def apply_two_sided(r: PauliProbs, s: PauliProbs, rho) -> np.ndarray:
     return out
 
 
-def _jacobi_rotation(a: np.ndarray, p: int, q: int) -> np.ndarray:
-    """Unitary (identity except the p,q block) that zeroes a[p, q] under J^H a J."""
-    apq = a[p, q]
-    phase = apq / abs(apq)
-    tau = (a[q, q].real - a[p, p].real) / (2.0 * abs(apq))
-    t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
-    j = np.eye(a.shape[0], dtype=np.complex128)
-    j[p, p] = c
-    j[q, q] = c
-    j[p, q] = s * phase
-    j[q, p] = -s * np.conj(phase)
-    return j
-
-
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
-def _jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi diagonalization of a Hermitian matrix.
-
-    Sweeps the upper triangle with complex plane rotations until the
-    off-diagonal Frobenius norm drops below 1e-14 of the matrix norm.
-    Returns (eigenvalues unsorted, unitary V) with a = V diag V^H.
-    """
-    a = np.array(a, dtype=np.complex128)
-    n = a.shape[0]
-    v = np.eye(n, dtype=np.complex128)
-    scale = float(np.linalg.norm(a))
-    if scale == 0.0:
-        return np.zeros(n), v
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        if _offdiag_norm(a) <= _JACOBI_TOL * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(a[p, q]) == 0.0:
-                    continue
-                j = _jacobi_rotation(a, p, q)
-                a = j.conj().T @ a @ j
-                v = v @ j
-    else:
-        raise NumericError(f"Jacobi eigensolver did not converge in {_JACOBI_MAX_SWEEPS} sweeps")
-    return np.diag(a).real.copy(), v
-
-
-def hermitian_eigenvalues(m) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix by cyclic Jacobi rotations, descending.
-
-    The input must be Hermitian within 1e-10; non-convergence after 100
-    sweeps raises ``NumericError`` (never observed for well-posed input).
-    """
+def _hermitian_part(m) -> np.ndarray:
+    """0.5 (m + m^H) of a finite square matrix, Hermitian within 1e-10 relative."""
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.all(np.isfinite(m)):
         raise ValidationError("matrix has non-finite entries")
     _check_hermitian(m, 1e-10 * max(1.0, float(np.linalg.norm(m))), "matrix")
-    eig, _ = _jacobi_eigh(0.5 * (m + m.conj().T))
-    return np.sort(eig)[::-1].copy()
+    return 0.5 * (m + m.conj().T)
+
+
+def hermitian_eigenvalues(m) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix by LAPACK (``numpy.linalg.eigvalsh``), descending.
+
+    The input must be finite and Hermitian within 1e-10.
+    """
+    return np.linalg.eigvalsh(_hermitian_part(m))[::-1].copy()
 
 
 def psd_sqrt(m) -> np.ndarray:
     """Hermitian square root V sqrt(diag) V^H of a positive semidefinite matrix.
 
-    Eigenvalues below -1e-8 are rejected; small negatives (float noise) are
-    clamped to zero before the root.
+    The input must be finite and Hermitian within 1e-10.  Eigenvalues below
+    -1e-8 are rejected; small negatives (float noise) are clamped to zero
+    before the root.
     """
-    m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {m.shape}")
-    _check_hermitian(m, 1e-10 * max(1.0, float(np.linalg.norm(m))), "matrix")
-    eig, v = _jacobi_eigh(0.5 * (m + m.conj().T))
-    if eig.min() < -1e-8:
-        raise ValidationError(f"matrix is not PSD: eigenvalue {eig.min():.3e}")
+    eig, v = np.linalg.eigh(_hermitian_part(m))
+    if eig[0] < -1e-8:
+        raise ValidationError(f"matrix is not PSD: eigenvalue {eig[0]:.3e}")
     roots = np.sqrt(np.clip(eig, 0.0, None))
     out = (v * roots) @ v.conj().T
     return 0.5 * (out + out.conj().T)
@@ -256,7 +204,7 @@ def bell_diagonal_project(rho) -> tuple[BellDiagonal, float]:
     rho = validate_density_matrix(rho, dim=4)
     weights = []
     diag_part = np.zeros((4, 4), dtype=np.complex128)
-    for kind in _BELL_ORDER:
+    for kind in BELL_LABELS:
         v = _BELL_VECTORS[kind]
         w = float(np.real(v.conj() @ rho @ v))
         weights.append(w)
@@ -301,8 +249,8 @@ def monte_carlo_transmit(
         If ``sum(mu) / segments_per_km`` exceeds 1, i.e. the discretization
         is too coarse for the requested error densities.
     """
-    segments_per_km = _as_positive_count(segments_per_km, "segments_per_km")
-    samples = _as_positive_count(samples, "samples")
+    segments_per_km = _as_count(segments_per_km, "segments_per_km", minimum=1)
+    samples = _as_count(samples, "samples", minimum=1)
     delta = 1.0 / segments_per_km
     t1 = mu.mu1 * delta
     t2 = t1 + mu.mu2 * delta
@@ -322,13 +270,3 @@ def monte_carlo_transmit(
     return McEstimate(
         bell_diagonal=BellDiagonal(*freq), samples=samples, standard_errors=errors
     )
-
-
-def _as_positive_count(n, what: str) -> int:
-    try:
-        n = operator.index(n)
-    except TypeError as exc:
-        raise ValidationError(f"{what} must be an integer, got {n!r}") from exc
-    if n < 1:
-        raise ValidationError(f"{what} must be >= 1, got {n}")
-    return n

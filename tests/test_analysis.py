@@ -124,6 +124,24 @@ class TestThresholdGeneric:
                 want = closed(mu).length_km
                 assert abs(got - want) <= max(1e-10, 1e-12 * want)
 
+    def test_matches_closed_forms_at_subnormal_densities(self):
+        # ln(3)/(4 mu) passes the bisection's 2**1023 km reach near mu = 3e-309
+        # and overflows below ~1e-309; there both routes answer never-vanishes.
+        grid = np.concatenate(
+            [np.geomspace(5e-324, 1e-290, 800), np.linspace(1e-309, 8e-309, 36)]
+        )
+        for mu in map(float, grid):
+            for densities, closed in (
+                (ErrorDensities(mu, mu, mu), threshold_depolarizing),
+                (ErrorDensities(mu, mu, 0.0), threshold_double_flip),
+            ):
+                got = threshold_generic(densities).length_km
+                want = closed(mu).length_km
+                if want is None:
+                    assert got is None, mu
+                else:
+                    assert got is not None and abs(got - want) <= 1e-12 * want, mu
+
     def test_low_density_terminates(self):
         got = threshold_generic(ErrorDensities(1e-9, 1e-9, 1e-9)).length_km
         assert math.isclose(got, threshold_depolarizing(1e-9).length_km, rel_tol=1e-12)

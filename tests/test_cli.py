@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -139,6 +140,20 @@ class TestThreshold:
         )
         assert code == 3
         assert "closed-form" in err
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_subnormal_density_never_vanishes(self, capsys, fmt):
+        # ln(3) / (4 * 5e-324) overflows; beyond 2**1023 km both routes say never-vanishes
+        code, out, err = run(
+            capsys, "threshold", "--mu", "5e-324,5e-324,5e-324", "--format", fmt
+        )
+        assert code == 0, err
+        if fmt == "json":
+            assert json.loads(out)["results"]["kind"] == "never-vanishes"
+        elif fmt == "csv":
+            assert out.strip().split("\n")[1] == "never-vanishes,"
+        else:
+            assert out.strip() == "threshold: never vanishes"
 
     def test_general_pattern_bisects(self, capsys):
         code, out, _ = run(
@@ -353,6 +368,53 @@ class TestFormats:
             header, *rows = out.strip().split("\n")
             assert "," in header
             assert all(len(r.split(",")) == len(header.split(",")) for r in rows)
+
+
+class TestGoldenOutput:
+    """Stdout is byte-identical to the recorded output of each subcommand.
+
+    ``--verify-oracle`` is left out: its deviation digits depend on the BLAS
+    build.  A deliberate output change updates the digest here.
+    """
+
+    COMMANDS = {
+        "compose": ("compose", "--mu", "0.01,0.02,0.03", "--length", "5", "--iterate", "3"),
+        "transmit": ("transmit", "--mu", "0.01,0.005,0.002", "--l1", "4", "--l2", "7"),
+        "threshold": ("threshold", "--mu", "0.008,0.004,0.002"),
+        "estimate-mu": ("estimate-mu", "--qber", "0.043", "--length", "1.45"),
+        "sweep": ("sweep", "--steps", "2"),
+        "montecarlo": (
+            "montecarlo", "--mu", "0.008,0.008,0.008", "--l1", "3", "--l2", "2",
+            "--samples", "2000",
+        ),
+    }
+    SHA256 = {
+        ("compose", "table"): "7e7760ddf708e3cbc5d48c873c8205f2ff0e0a9793a59b792b8d6c34a6662830",
+        ("compose", "csv"): "83666771eb4731e84fc5d63e3588eae289168c28321061f548b2b0fe7f58c3f9",
+        ("compose", "json"): "817b74cc7cc10b99c03a838de29a586dc820fd5765e4781c41e9eaf6785d15cc",
+        ("transmit", "table"): "4e3f0208876b6eb26297ff0f4735e600109499fa85b6ae08620cce5a4fe558e0",
+        ("transmit", "csv"): "3268e4442c6323496a36c7b84c6a16eb21771c707f490b26a1aca7ef97b2a10b",
+        ("transmit", "json"): "e66fd53f70e6b74d17c1c0439f41e137991745144b723b35a8244e2ea8673355",
+        ("threshold", "table"): "982c9da97d9efb87622f3381cd9645f61317152d6dd1478d576e33795dab9e14",
+        ("threshold", "csv"): "4d6e569b87d18d36017fe99b66a5df363fbed2053f447d63ff9131e25fc9078f",
+        ("threshold", "json"): "a3897f56621a62956bbca03d18737f3c7a518dad9d14143bdd90b15d9938a23f",
+        ("estimate-mu", "table"): "9aad03db567e7109527f9fa5db7a3b38dec888bacdd2b3824252e876cd75a36f",
+        ("estimate-mu", "csv"): "31758104c7ede81b9491afca56a98fefa18166a40145b3f862cd96abfbab720e",
+        ("estimate-mu", "json"): "c08952e2d6806a5aa58e99a680917fad40933a6bf0cebc294df854be495dfa8e",
+        ("sweep", "table"): "5a957845bd74162884f46b4a585f37045d634c8e6ae5a06a1504b5f2f2b41ed0",
+        ("sweep", "csv"): "4fafdb32fd0932c378a058dd30f0dc2dec759e71be377490532b479b3551e566",
+        ("sweep", "json"): "6ac5be44cc8ac0901b3ca4dd529ea52fad21d288db3b49ee9e8922ff7bbd6508",
+        ("montecarlo", "table"): "652f0de53b473cded8705efdc7cb9d2c28167f61ea2e8fef17feb534185aa2a3",
+        ("montecarlo", "csv"): "a1ce432be5d80cd1106978edca72c679eff640a109b2b2e078e1c141e1c25fd7",
+        ("montecarlo", "json"): "5bf4bfbd827d16500e2214eb89785e054f59ed28798fff14a4afa24e07908273",
+    }
+
+    @pytest.mark.parametrize("command, fmt", sorted(SHA256))
+    def test_stdout_digest(self, capsys, command, fmt):
+        code, out, err = run(capsys, *self.COMMANDS[command], "--format", fmt)
+        assert code == 0, err
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == self.SHA256[command, fmt], f"stdout changed:\n{out}"
 
 
 class TestOutputContract:
