@@ -5,6 +5,8 @@ and Monte Carlo oracles that validate them, and derived quantities: threshold
 lengths and per-km error densities estimated from experimental QBER.
 """
 
+import importlib
+
 from .analysis import (
     MeasurementPoint,
     SweepRow,
@@ -41,21 +43,39 @@ from .epr import (
     transmit_at_length,
 )
 from .errors import DomainError, NumericError, ValidationError
-from .oracle import (
-    McEstimate,
-    apply_single_qubit_pauli,
-    apply_two_sided,
-    bell_diagonal_project,
-    bell_state,
-    bell_vector,
-    hermitian_eigenvalues,
-    monte_carlo_transmit,
-    psd_sqrt,
-    validate_density_matrix,
-    wootters_concurrence,
-)
 
 __version__ = "0.1.0"
+
+# The oracle and the sampler need numpy, which is most of the import time;
+# their names load it on first access.
+_ORACLE_NAMES = frozenset(
+    {
+        "McEstimate",
+        "apply_single_qubit_pauli",
+        "apply_two_sided",
+        "bell_diagonal_project",
+        "bell_state",
+        "bell_vector",
+        "hermitian_eigenvalues",
+        "monte_carlo_transmit",
+        "psd_sqrt",
+        "validate_density_matrix",
+        "wootters_concurrence",
+    }
+)
+
+
+def __getattr__(name):
+    if name == "oracle" or name in _ORACLE_NAMES:
+        oracle = importlib.import_module(".oracle", __name__)
+        value = oracle if name == "oracle" else getattr(oracle, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _ORACLE_NAMES | {"oracle"})
 
 __all__ = [
     "BellDiagonal",

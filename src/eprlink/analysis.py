@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .channel import ErrorDensities, _as_count, _as_length
-from .epr import LinkGeometry, _raw_concurrence, concurrence, transmit_at_length
+from .epr import _bell_weights, _decay_rates, _raw_concurrence, concurrence
 from .errors import DomainError, NumericError, ValidationError
 
 __all__ = [
@@ -187,7 +187,10 @@ def estimate_mu(point: MeasurementPoint) -> float:
     Inverts qber = 3/4 * (1 - exp(-4 mu L)) for the depolarizing model:
     mu = -ln((3 - 4 qber) / 3) / (4 L), in 1/km.
     """
-    return -math.log((3.0 - 4.0 * point.qber) / 3.0) / (4.0 * point.total_length_km)
+    # The logarithm is 0 or at least 1.1e-16 in magnitude, so quartering it is
+    # exact: this rounds the quotient by 4 L once, as before, but 4 L can no
+    # longer overflow (L above ~4.5e307 km gave mu = 0).
+    return -math.log((3.0 - 4.0 * point.qber) / 3.0) / 4.0 / point.total_length_km
 
 
 def _qber_model(mu: float, length_km: float) -> float:
@@ -267,15 +270,13 @@ def sweep(mu: ErrorDensities, l_max_km: float, steps) -> SweepTable:
     if l_max_km <= 0.0:
         raise ValidationError(f"maximum sweep length must be > 0 km, got {l_max_km!r}")
     steps = _as_count(steps, "steps", minimum=2)
+    # Each row equals transmit_at_length(mu, LinkGeometry(length, 0)) bit for
+    # bit; the grid lengths are finite and >= 0 by construction, so they skip
+    # the geometry's checks, while every row's weights are still validated.
+    rates = _decay_rates(mu)
     rows = []
     for i in range(steps + 1):
         length = l_max_km * (i / steps)
-        state = transmit_at_length(mu, LinkGeometry(length, 0.0))
-        rows.append(
-            SweepRow(
-                length_km=length,
-                concurrence=concurrence(state),
-                fidelity=state.a,
-            )
-        )
+        state = _bell_weights(rates, length)
+        rows.append(SweepRow(length, concurrence(state), state.a))
     return SweepTable(tuple(rows))

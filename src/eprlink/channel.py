@@ -40,20 +40,27 @@ __all__ = [
 # components, so validation admits a 1e-12 slack and clamps tiny negatives.
 _ENTRY_TOL = 1e-12
 _SUM_TOL = 1e-12
+_ENTRY_MIN = -_ENTRY_TOL
+_ENTRY_MAX = 1.0 + _ENTRY_TOL
+_REAL = (int, float)
 
 # Keeps the brute-force oracle desk-scale; the closed form has no cap.
 _BRUTEFORCE_CAP = 10**9
 
 _FLIP_AXES = {"x": 1, "y": 2, "z": 3}
 
+_PROB_NAMES = ("p0", "p1", "p2", "p3")
+
 
 def _validate_distribution(kind: str, names, values) -> None:
     total = 0.0
-    for name, value in zip(names, values):
-        if not isinstance(value, (int, float)) or not math.isfinite(value):
-            raise ValidationError(f"{kind} {name} must be a finite number, got {value!r}")
-        if value < -_ENTRY_TOL or value > 1.0 + _ENTRY_TOL:
-            raise ValidationError(f"{kind} {name}={value!r} is outside [0, 1]")
+    for i, value in enumerate(values):
+        # The chained comparison is False for NaN and +-inf too; isfinite
+        # only picks the message.
+        if not (isinstance(value, _REAL) and _ENTRY_MIN <= value <= _ENTRY_MAX):
+            if not isinstance(value, _REAL) or not math.isfinite(value):
+                raise ValidationError(f"{kind} {names[i]} must be a finite number, got {value!r}")
+            raise ValidationError(f"{kind} {names[i]}={value!r} is outside [0, 1]")
         total += value
     if abs(total - 1.0) > _SUM_TOL:
         raise ValidationError(f"{kind} probabilities must sum to 1, got {total!r}")
@@ -65,6 +72,19 @@ def _clamp01(value: float) -> float:
     if value > 1.0:
         return 1.0
     return float(value)
+
+
+def _store_unit_floats(obj, names, values) -> None:
+    # Rewrites the fields only when one is not already a float in [0, 1]:
+    # ints, bools and numpy scalars are stored as floats, and the
+    # sub-tolerance overshoot that validation admits is clamped.
+    for value in values:
+        if type(value) is not float or not 0.0 <= value <= 1.0:
+            break
+    else:
+        return
+    for name, value in zip(names, values):
+        object.__setattr__(obj, name, _clamp01(value))
 
 
 @dataclass(frozen=True)
@@ -81,11 +101,9 @@ class PauliProbs:
     p3: float
 
     def __post_init__(self):
-        _validate_distribution(
-            "channel", ("p0", "p1", "p2", "p3"), (self.p0, self.p1, self.p2, self.p3)
-        )
-        for name in ("p0", "p1", "p2", "p3"):
-            object.__setattr__(self, name, _clamp01(getattr(self, name)))
+        values = (self.p0, self.p1, self.p2, self.p3)
+        _validate_distribution("channel", _PROB_NAMES, values)
+        _store_unit_floats(self, _PROB_NAMES, values)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.p0, self.p1, self.p2, self.p3)

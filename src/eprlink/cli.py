@@ -14,7 +14,7 @@ import json
 import math
 import sys
 
-from . import analysis, epr, oracle
+from . import analysis, epr
 from .channel import ErrorDensities, PauliProbs, at_length, decay_factors, iterate
 from .errors import DomainError, NumericError, ValidationError
 
@@ -165,6 +165,8 @@ def cmd_transmit(args) -> str:
         f"dominant_bell_state: {epr.dominant_bell_state(state)}",
     ]
     if args.verify_oracle:
+        from . import oracle
+
         rho = oracle.apply_two_sided(r, s, oracle.bell_state("psi+"))
         projected, residual = oracle.bell_diagonal_project(rho)
         deviation = max(
@@ -334,6 +336,8 @@ def cmd_sweep(args) -> str:
 
 
 def cmd_montecarlo(args) -> str:
+    from . import oracle
+
     mu = _parse_mu(args.mu)
     geom = epr.LinkGeometry(args.l1, args.l2)
     estimate = oracle.monte_carlo_transmit(

@@ -17,7 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import ErrorDensities, PauliProbs, _as_length, _validate_distribution, _clamp01
+from .channel import (
+    ErrorDensities,
+    PauliProbs,
+    _as_length,
+    _store_unit_floats,
+    _validate_distribution,
+)
 from .errors import ValidationError
 
 __all__ = [
@@ -35,6 +41,8 @@ __all__ = [
 
 BELL_LABELS = ("psi+", "psi-", "phi+", "phi-")
 
+_WEIGHT_NAMES = ("a", "b", "c", "d")
+
 
 @dataclass(frozen=True)
 class BellDiagonal:
@@ -50,9 +58,9 @@ class BellDiagonal:
     d: float
 
     def __post_init__(self):
-        _validate_distribution("Bell weight", ("a", "b", "c", "d"), (self.a, self.b, self.c, self.d))
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, _clamp01(getattr(self, name)))
+        values = (self.a, self.b, self.c, self.d)
+        _validate_distribution("Bell weight", _WEIGHT_NAMES, values)
+        _store_unit_floats(self, _WEIGHT_NAMES, values)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.a, self.b, self.c, self.d)
@@ -91,12 +99,27 @@ def transmit(r: PauliProbs, s: PauliProbs) -> BellDiagonal:
     )
 
 
-def _exponents(mu: ErrorDensities, total_km: float) -> tuple[float, float, float]:
+def _decay_rates(mu: ErrorDensities) -> tuple[float, float, float]:
+    # -2 (mu_i + mu_j) per km; Python evaluates -2.0 * (m1 + m2) * L left to
+    # right, so exp(rate * L) is bit-identical to the expression written out.
     m1, m2, m3 = mu.as_tuple()
-    x = math.exp(-2.0 * (m1 + m2) * total_km)
-    y = math.exp(-2.0 * (m1 + m3) * total_km)
-    z = math.exp(-2.0 * (m2 + m3) * total_km)
-    return x, y, z
+    return -2.0 * (m1 + m2), -2.0 * (m1 + m3), -2.0 * (m2 + m3)
+
+
+def _exponents(rates: tuple[float, float, float], total_km: float) -> tuple[float, float, float]:
+    rx, ry, rz = rates
+    return math.exp(rx * total_km), math.exp(ry * total_km), math.exp(rz * total_km)
+
+
+def _bell_weights(rates: tuple[float, float, float], total_km: float) -> BellDiagonal:
+    # The (1 +- x +- y +- z)/4 closed form at one total length.
+    x, y, z = _exponents(rates, total_km)
+    return BellDiagonal(
+        0.25 * (1.0 + x + y + z),
+        0.25 * (1.0 + x - y - z),
+        0.25 * (1.0 - x - y + z),
+        0.25 * (1.0 - x + y - z),
+    )
 
 
 def transmit_at_length(mu: ErrorDensities, geom: LinkGeometry) -> BellDiagonal:
@@ -108,13 +131,7 @@ def transmit_at_length(mu: ErrorDensities, geom: LinkGeometry) -> BellDiagonal:
     z = exp(-2 (mu2 + mu3) L).  Equal to
     ``transmit(at_length(mu, L1), at_length(mu, L2))``.
     """
-    x, y, z = _exponents(mu, geom.total_km)
-    return BellDiagonal(
-        a=0.25 * (1.0 + x + y + z),
-        b=0.25 * (1.0 + x - y - z),
-        c=0.25 * (1.0 - x - y + z),
-        d=0.25 * (1.0 - x + y - z),
-    )
+    return _bell_weights(_decay_rates(mu), geom.total_km)
 
 
 def concurrence(state: BellDiagonal) -> float:
@@ -136,7 +153,7 @@ def fidelity_psi_plus(state: BellDiagonal) -> float:
 def _raw_concurrence(mu: ErrorDensities, total_length_km: float) -> float:
     # Unclamped (x + y + z - 1)/2; negative beyond the threshold length.
     # Root-finding in `analysis` needs the sign, which the clamp destroys.
-    x, y, z = _exponents(mu, total_length_km)
+    x, y, z = _exponents(_decay_rates(mu), total_length_km)
     return 0.5 * (x + y + z - 1.0)
 
 

@@ -237,7 +237,8 @@ def monte_carlo_transmit(
     """Stochastic two-arm transmission: per-segment error draws, tallied in the Bell basis.
 
     Each arm is discretized into ``round(length * segments_per_km)`` segments
-    of delta = 1/segments_per_km km; a segment applies error i with
+    of delta = 1/segments_per_km km (an arm of positive length must round to
+    at least one segment); a segment applies error i with
     probability mu_i * delta.  Error indices fold through the Klein
     four-group over both arms, and the folded index selects the received Bell
     state.  Randomness is a splitmix64 hash of (seed, sample, segment), so a
@@ -245,6 +246,9 @@ def monte_carlo_transmit(
 
     Raises
     ------
+    ValidationError
+        If an arm has a positive length that rounds to zero segments, i.e. it
+        is no longer than half a segment and would be sampled as noiseless.
     DomainError
         If ``sum(mu) / segments_per_km`` exceeds 1, i.e. the discretization
         is too coarse for the requested error densities.
@@ -262,6 +266,12 @@ def monte_carlo_transmit(
         )
     n1 = round(geom.l1_km * segments_per_km)
     n2 = round(geom.l2_km * segments_per_km)
+    for length, n in ((geom.l1_km, n1), (geom.l2_km, n2)):
+        if length > 0.0 and n == 0:
+            raise ValidationError(
+                f"arm length {length!r} km rounds to 0 segments at "
+                f"{segments_per_km} segments/km; increase segments_per_km"
+            )
     counts = _mc.bell_outcome_counts(seed, samples, n1, n2, t1, t2, t3)
     freq = [0.0, 0.0, 0.0, 0.0]
     for m, count in enumerate(counts):

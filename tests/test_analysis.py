@@ -1,14 +1,17 @@
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
 from eprlink import (
     DomainError,
     ErrorDensities,
+    LinkGeometry,
     MeasurementPoint,
     ValidationError,
+    concurrence,
     concurrence_vs_length,
     estimate_mu,
     fit_mu,
@@ -16,6 +19,7 @@ from eprlink import (
     threshold_depolarizing,
     threshold_double_flip,
     threshold_generic,
+    transmit_at_length,
 )
 
 rng = np.random.default_rng(20240504)
@@ -170,6 +174,30 @@ class TestEstimateMu:
             recovered = estimate_mu(MeasurementPoint(qber, length))
             assert math.isclose(recovered, mu, rel_tol=1e-12)
 
+    @pytest.mark.parametrize(
+        "qber, length", [(0.5, 1e308), (0.5, 4.5e307), (0.01, 1.7976931348623157e308), (0.7, 6e307)]
+    )
+    def test_lengths_where_4l_overflows(self, qber, length):
+        # 4 L is inf here; the estimate used to collapse to mu = 0
+        assert math.isinf(4.0 * length)
+        with mpmath.workdps(50):
+            want = -mpmath.log((3 - 4 * mpmath.mpf(qber)) / 3) / (4 * mpmath.mpf(length))
+        got = estimate_mu(MeasurementPoint(qber, length))
+        assert got > 0.0
+        assert abs(got - want) <= 1e-12 * want
+
+    def test_unchanged_where_4l_is_finite(self):
+        # the overflow-safe division rounds exactly as -ln(...) / (4 L) does
+        gen = np.random.default_rng(20261018)
+        for _ in range(2000):
+            qber = float(gen.choice([gen.uniform(0.0, 0.75), 10.0 ** gen.uniform(-320.0, -0.2)]))
+            length = float(10.0 ** gen.uniform(-323.0, math.log10(4.4e307)))
+            if length == 0.0:
+                continue
+            point = MeasurementPoint(qber, length)
+            direct = -math.log((3.0 - 4.0 * qber) / 3.0) / (4.0 * length)
+            assert estimate_mu(point).hex() == direct.hex()
+
 
 class TestFitMu:
     def test_empty_input(self):
@@ -246,3 +274,25 @@ class TestSweep:
             sweep(mu, 0.0, 10)
         with pytest.raises(ValidationError):
             sweep(mu, 10.0, 1)
+
+    def test_rows_equal_transmit_at_length_bit_for_bit(self):
+        # log-uniform densities over 1e-30..1e3 /km, plus subnormal ones;
+        # grids reach from well inside to far beyond the decay length
+        gen = np.random.default_rng(20261019)
+        mus = [ErrorDensities(*(10.0 ** gen.uniform(-30.0, 3.0, 3))) for _ in range(30)]
+        mus += [ErrorDensities(*(10.0 ** gen.uniform(-30.0, 3.0, 2)), 0.0) for _ in range(10)]
+        mus += [
+            ErrorDensities(5e-324, 5e-324, 5e-324),
+            ErrorDensities(2.2250738585072014e-308, 1e-310, 0.0),
+            ErrorDensities(1e-320, 0.0, 3e-322),
+        ]
+        for mu in mus:
+            for l_max in (min(1e308, 10.0 ** gen.uniform(-2.0, 1.0) / sum(mu.as_tuple())), 1e308):
+                steps = int(gen.integers(2, 80))
+                table = sweep(mu, l_max, steps)
+                assert len(table.rows) == steps + 1
+                for i, row in enumerate(table.rows):
+                    state = transmit_at_length(mu, LinkGeometry(row.length_km, 0.0))
+                    got = (row.length_km, row.concurrence, row.fidelity)
+                    want = (l_max * (i / steps), concurrence(state), state.a)
+                    assert [v.hex() for v in got] == [v.hex() for v in want], (mu, l_max, i)

@@ -19,6 +19,8 @@ from eprlink.channel import _convolve
 
 rng = np.random.default_rng(20240501)
 
+NP_NAN = np.float64("nan")
+
 
 def random_probs():
     return PauliProbs(*rng.dirichlet([1.0, 1.0, 1.0, 1.0]))
@@ -51,6 +53,42 @@ class TestPauliProbs:
         assert p.p1 == 0.0
         assert p.p3 == 0.0
         assert p.p0 == 1.0
+
+    @pytest.mark.parametrize(
+        "values, stored",
+        [
+            ((1, 0, 0, 0), (1.0, 0.0, 0.0, 0.0)),
+            ((True, False, False, False), (1.0, 0.0, 0.0, 0.0)),
+            ((np.float64(0.25),) * 4, (0.25, 0.25, 0.25, 0.25)),
+            ((1.0, -1e-13, 0.0, 1e-13), (1.0, 0.0, 0.0, 1e-13)),
+            ((1.0 + 1e-13, np.float64(-1e-13), 0, 0.0), (1.0, 0.0, 0.0, 0.0)),
+            ((0.5, -0.0, 0.5, 0.0), (0.5, -0.0, 0.5, 0.0)),
+        ],
+    )
+    def test_stores_python_floats(self, values, stored):
+        p = PauliProbs(*values)
+        assert [type(v) for v in p.as_tuple()] == [float] * 4
+        assert [v.hex() for v in p.as_tuple()] == [v.hex() for v in stored]
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ((math.nan, 0.0, 0.0, 1.0), "channel p0 must be a finite number, got nan"),
+            ((0.0, 0.0, math.inf, 1.0), "channel p2 must be a finite number, got inf"),
+            ((1.0, -math.inf, 0.0, 0.0), "channel p1 must be a finite number, got -inf"),
+            ((np.float64("nan"), 0, 0, 1), f"channel p0 must be a finite number, got {NP_NAN!r}"),
+            ((np.int64(1), 0, 0, 0), f"channel p0 must be a finite number, got {np.int64(1)!r}"),
+            (("1", 0, 0, 0), "channel p0 must be a finite number, got '1'"),
+            ((None, 0, 0, 1), "channel p0 must be a finite number, got None"),
+            ((1.0, -1e-11, 0.0, 0.0), "channel p1=-1e-11 is outside [0, 1]"),
+            ((2, -1, 0, 0), "channel p0=2 is outside [0, 1]"),
+            ((1.0, 0.0, 0.0, 1e-11), "channel probabilities must sum to 1, got 1.00000000001"),
+        ],
+    )
+    def test_rejection_messages(self, values, message):
+        with pytest.raises(ValidationError) as info:
+            PauliProbs(*values)
+        assert str(info.value) == message
 
 
 class TestErrorDensities:

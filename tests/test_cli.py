@@ -214,6 +214,13 @@ class TestEstimateMu:
         assert [(p.qber, p.total_length_km) for p in points] == [(0.01, 0.4), (0.043, 1.45)]
         assert [row[2] for row in parsed] == [analysis.estimate_mu(p) for p in points]
 
+    def test_length_beyond_4l_overflow(self, capsys):
+        # 4 L overflows; mu = ln(3) / 4e308 is subnormal but not zero
+        code, out, _ = run(capsys, "estimate-mu", "--qber", "0.5", "--length", "1e308")
+        assert code == 0
+        assert "-> mu = 2.74653e-309 /km" in out
+        assert "fitted mu: 2.74653e-309 /km" in out
+
     def test_qber_above_floor_exits_3(self, capsys):
         code, _, err = run(capsys, "estimate-mu", "--qber", "0.8", "--length", "1.0")
         assert code == 3
@@ -275,6 +282,13 @@ class TestSweep:
         assert code == 0
         assert len(out.strip().split("\n")) == 1 + 2 * 11
 
+    def test_overflowing_density_sum_exits_2(self, capsys):
+        # mu1 + mu2 overflows to inf, and inf * 0 km is nan in the first row
+        code, out, err = run(capsys, "sweep", "--mu", "1e308,1e308,1e308")
+        assert code == 2
+        assert out == ""
+        assert err == "error: Bell weight a must be a finite number, got nan\n"
+
     def test_unwritable_output_exits_4(self, tmp_path, capsys):
         code, _, _ = run(
             capsys, "sweep", "--lmax", "10", "--steps", "5",
@@ -332,6 +346,18 @@ class TestMonteCarlo:
         assert len(zscores) == 4
         assert all(math.isfinite(z) and z != 0.0 for z in zscores)
 
+    def test_sub_half_segment_arm_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "montecarlo", "--mu", "0.008,0.008,0.008", "--l1", "0.004", "--l2", "0",
+            "--samples", "100",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: arm length 0.004 km rounds to 0 segments at 100 segments/km;"
+            " increase segments_per_km\n"
+        )
+
     def test_infeasible_segmentation_exits_3(self, capsys):
         code, _, err = run(
             capsys, "montecarlo", "--mu", "0.5,0.5,0.5", "--l1", "1", "--l2", "1",
@@ -383,6 +409,7 @@ class TestGoldenOutput:
         "threshold": ("threshold", "--mu", "0.008,0.004,0.002"),
         "estimate-mu": ("estimate-mu", "--qber", "0.043", "--length", "1.45"),
         "sweep": ("sweep", "--steps", "2"),
+        "sweep-120": ("sweep", "--mu", "0.011,0.007,0.003", "--lmax", "200", "--steps", "120"),
         "montecarlo": (
             "montecarlo", "--mu", "0.008,0.008,0.008", "--l1", "3", "--l2", "2",
             "--samples", "2000",
@@ -404,6 +431,9 @@ class TestGoldenOutput:
         ("sweep", "table"): "5a957845bd74162884f46b4a585f37045d634c8e6ae5a06a1504b5f2f2b41ed0",
         ("sweep", "csv"): "4fafdb32fd0932c378a058dd30f0dc2dec759e71be377490532b479b3551e566",
         ("sweep", "json"): "6ac5be44cc8ac0901b3ca4dd529ea52fad21d288db3b49ee9e8922ff7bbd6508",
+        ("sweep-120", "table"): "b7679141addb84e1e6b5dc61f60a3a5904e36120437d4c8fd54dc26f6662407f",
+        ("sweep-120", "csv"): "07caee37817adfb8559f80e841f579cc2947984d7687482428fc74ca9423af2e",
+        ("sweep-120", "json"): "241ce4745c4e5deec0d1574c1632f1a9bcbc37d6e710ca95739c5ec8627c06cb",
         ("montecarlo", "table"): "652f0de53b473cded8705efdc7cb9d2c28167f61ea2e8fef17feb534185aa2a3",
         ("montecarlo", "csv"): "a1ce432be5d80cd1106978edca72c679eff640a109b2b2e078e1c141e1c25fd7",
         ("montecarlo", "json"): "5bf4bfbd827d16500e2214eb89785e054f59ed28798fff14a4afa24e07908273",
@@ -467,3 +497,59 @@ class TestSubprocess:
     def test_domain_failure(self):
         proc = self.invoke("estimate-mu", "--qber", "0.8", "--length", "1")
         assert proc.returncode == 3
+
+
+class TestLazyNumpy:
+    """numpy loads only with the oracle and the sampler, each check in a fresh interpreter."""
+
+    def python(self, code):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_closed_forms_and_cli_leave_numpy_unloaded(self):
+        self.python(
+            "import sys\n"
+            "import eprlink\n"
+            "from eprlink import cli\n"
+            "mu = eprlink.ErrorDensities(0.008, 0.004, 0.002)\n"
+            "eprlink.sweep(mu, 60.0, 10)\n"
+            "eprlink.threshold_generic(mu)\n"
+            "points = [eprlink.MeasurementPoint(0.01, 0.4), eprlink.MeasurementPoint(0.04, 1.5)]\n"
+            "eprlink.fit_mu(points)\n"
+            "eprlink.transmit_at_length(mu, eprlink.LinkGeometry(3.0, 4.0))\n"
+            "for argv in (['compose', '--p', '0.7,0.3,0,0'], ['transmit', '--mu', '0.01,0,0',\n"
+            "             '--l1', '1', '--l2', '2'], ['threshold', '--mu', '0.01,0.01,0'],\n"
+            "             ['estimate-mu', '--qber', '0.02', '--length', '1.5'], ['sweep']):\n"
+            "    assert cli.main(argv) == 0\n"
+            "assert 'numpy' not in sys.modules\n"
+        )
+
+    def test_oracle_names_resolve_on_first_use(self):
+        self.python(
+            "import sys\n"
+            "import eprlink\n"
+            "from eprlink import oracle\n"
+            "assert eprlink.monte_carlo_transmit is oracle.monte_carlo_transmit\n"
+            "assert eprlink.McEstimate is oracle.McEstimate\n"
+            "assert 'numpy' in sys.modules\n"
+        )
+
+    def test_star_import(self):
+        self.python(
+            "import eprlink\n"
+            "from eprlink import *\n"
+            "missing = [n for n in eprlink.__all__ if n not in globals()]\n"
+            "assert not missing, missing\n"
+            "assert monte_carlo_transmit is eprlink.oracle.monte_carlo_transmit\n"
+        )
+
+    def test_dir_lists_every_name(self):
+        self.python(
+            "import sys\n"
+            "import eprlink\n"
+            "names = dir(eprlink)\n"
+            "missing = [n for n in eprlink.__all__ + ['oracle'] if n not in names]\n"
+            "assert not missing, missing\n"
+            "assert 'numpy' not in sys.modules\n"
+        )

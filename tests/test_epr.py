@@ -21,6 +21,8 @@ from eprlink import (
 
 rng = np.random.default_rng(20240502)
 
+NP_NEG_INF = np.float64("-inf")
+
 
 def random_probs():
     return PauliProbs(*rng.dirichlet([1.0] * 4))
@@ -38,6 +40,38 @@ class TestBellDiagonal:
     def test_rejects_negative(self):
         with pytest.raises(ValidationError):
             BellDiagonal(1.2, -0.2, 0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "values, stored",
+        [
+            ((0, 1, 0, 0), (0.0, 1.0, 0.0, 0.0)),
+            ((False, False, True, False), (0.0, 0.0, 1.0, 0.0)),
+            ((np.float64(0.7), 0.1, np.float64(0.1), 0.1), (0.7, 0.1, 0.1, 0.1)),
+            ((1.0, -1e-13, 0.0, 1e-13), (1.0, 0.0, 0.0, 1e-13)),
+            ((np.float64(1.0 + 1e-13), -1e-13, 0, 0.0), (1.0, 0.0, 0.0, 0.0)),
+        ],
+    )
+    def test_stores_python_floats(self, values, stored):
+        state = BellDiagonal(*values)
+        assert [type(v) for v in state.as_tuple()] == [float] * 4
+        assert [v.hex() for v in state.as_tuple()] == [v.hex() for v in stored]
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ((math.nan, 0.0, 0.0, 1.0), "Bell weight a must be a finite number, got nan"),
+            ((0.0, 0.0, 0.0, math.inf), "Bell weight d must be a finite number, got inf"),
+            ((1.0, -math.inf, 0.0, 0.0), "Bell weight b must be a finite number, got -inf"),
+            ((0, 0, NP_NEG_INF, 1), f"Bell weight c must be a finite number, got {NP_NEG_INF!r}"),
+            ((1.0, 0.0, 0.0, "0"), "Bell weight d must be a finite number, got '0'"),
+            ((1.0, -1e-11, 0.0, 0.0), "Bell weight b=-1e-11 is outside [0, 1]"),
+            ((0.5, 0.5, 0.5, 0.0), "Bell weight probabilities must sum to 1, got 1.5"),
+        ],
+    )
+    def test_rejection_messages(self, values, message):
+        with pytest.raises(ValidationError) as info:
+            BellDiagonal(*values)
+        assert str(info.value) == message
 
 
 class TestLinkGeometry:

@@ -122,6 +122,21 @@ def test_rejects_coarse_segmentation():
         )
 
 
+@pytest.mark.parametrize("l1, l2", [(0.004, 0.0), (0.0, 0.004), (0.005, 3.0), (2.0, 1e-300)])
+def test_rejects_arms_shorter_than_half_a_segment(l1, l2):
+    # round(L * 100) == 0: the arm would be sampled as noiseless, while the
+    # closed form gives a = 0.99990 at L = 0.004 km
+    with pytest.raises(ValidationError, match="rounds to 0 segments"):
+        monte_carlo_transmit(DEPOL, LinkGeometry(l1, l2), segments_per_km=100, samples=10, seed=0)
+
+
+def test_accepts_an_arm_of_just_over_half_a_segment():
+    est = monte_carlo_transmit(
+        DEPOL, LinkGeometry(0.006, 0.0), segments_per_km=100, samples=10, seed=0
+    )
+    assert est.samples == 10
+
+
 def test_rejects_bad_counts():
     with pytest.raises(ValidationError):
         monte_carlo_transmit(DEPOL, GEOM, segments_per_km=0, samples=10, seed=0)
