@@ -15,6 +15,7 @@ from .analysis import (
     estimate_mu,
     fit_mu,
     sweep,
+    threshold,
     threshold_depolarizing,
     threshold_double_flip,
     threshold_generic,
@@ -114,6 +115,7 @@ __all__ = [
     "monte_carlo_transmit",
     "psd_sqrt",
     "sweep",
+    "threshold",
     "threshold_depolarizing",
     "threshold_double_flip",
     "threshold_generic",

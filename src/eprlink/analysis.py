@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import ErrorDensities, _as_count, _as_length
-from .epr import _bell_weights, _decay_rates, _raw_concurrence, concurrence
+from .channel import ErrorDensities, _as_count, _as_length, _is_unit_distribution
+from .epr import BellDiagonal, _bell_weights, _concurrence_of_max, _decay_rates, _raw_concurrence
 from .errors import DomainError, NumericError, ValidationError
 
 __all__ = [
@@ -25,6 +25,7 @@ __all__ = [
     "threshold_depolarizing",
     "threshold_double_flip",
     "threshold_generic",
+    "threshold",
     "estimate_mu",
     "fit_mu",
     "sweep",
@@ -161,9 +162,10 @@ def threshold_generic(mu: ErrorDensities) -> ThresholdResult:
     """
     if sum(1 for m in mu.as_tuple() if m > 0.0) < 2:
         return ThresholdResult(None)
+    rates = _decay_rates(mu)
     lo, hi = 0.0, 1.0
     for _ in range(_MAX_DOUBLINGS):
-        if _raw_concurrence(mu, hi) <= 0.0:
+        if _raw_concurrence(rates, hi) <= 0.0:
             break
         lo, hi = hi, 2.0 * hi
     else:
@@ -174,11 +176,49 @@ def threshold_generic(mu: ErrorDensities) -> ThresholdResult:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if _raw_concurrence(mu, mid) > 0.0:
+        if _raw_concurrence(rates, mid) > 0.0:
             lo = mid
         else:
             hi = mid
     return ThresholdResult(hi)
+
+
+def threshold(mu: ErrorDensities, method: str = "auto") -> tuple[ThresholdResult, str]:
+    """Threshold length by closed form, by bisection, or closed form where one exists.
+
+    ``method`` is "closed", "bisect" or "auto".  The closed forms cover fewer
+    than two positive densities (never-vanishes), three equal densities
+    (`threshold_depolarizing`) and two equal ones (`threshold_double_flip`);
+    "auto" bisects (`threshold_generic`) every other pattern, and "closed"
+    raises `DomainError` there.  Returns the result and the method used,
+    "closed" or "bisect".
+    """
+    if method not in ("auto", "closed", "bisect"):
+        raise ValidationError(
+            f"threshold method must be one of 'auto', 'closed', 'bisect', got {method!r}"
+        )
+    if method != "bisect":
+        result = _closed_threshold(mu)
+        if result is not None:
+            return result, "closed"
+        if method == "closed":
+            raise DomainError(
+                "no closed-form threshold for this density pattern; use --method bisect"
+            )
+    return threshold_generic(mu), "bisect"
+
+
+def _closed_threshold(mu: ErrorDensities) -> ThresholdResult | None:
+    # The closed-form threshold when the density pattern admits one, else None.
+    values = mu.as_tuple()
+    positive = [v for v in values if v > 0.0]
+    if len(positive) < 2:
+        return ThresholdResult(None)
+    if len(positive) == 3 and values[0] == values[1] == values[2]:
+        return threshold_depolarizing(values[0])
+    if len(positive) == 2 and positive[0] == positive[1]:
+        return threshold_double_flip(positive[0])
+    return None
 
 
 def estimate_mu(point: MeasurementPoint) -> float:
@@ -214,17 +254,16 @@ def fit_mu(points) -> tuple[float, float]:
     if all(p.qber == 0.0 for p in points):
         return 0.0, 0.0
 
+    data = [(p.qber, p.total_length_km) for p in points]
+
     def derivative(mu: float) -> float:
+        # -4.0 * mu * length is (-4.0 * mu) * length, and 0.75 * (1.0 - decay)
+        # is _qber_model's float: the same arithmetic, one exponential a point.
+        rate = -4.0 * mu
         total = 0.0
-        for p in points:
-            decay = math.exp(-4.0 * mu * p.total_length_km)
-            total += (
-                2.0
-                * (_qber_model(mu, p.total_length_km) - p.qber)
-                * 3.0
-                * p.total_length_km
-                * decay
-            )
+        for qber, length in data:
+            decay = math.exp(rate * length)
+            total += 2.0 * (0.75 * (1.0 - decay) - qber) * 3.0 * length * decay
         return total
 
     lo, hi = 0.0, 1.0
@@ -272,11 +311,15 @@ def sweep(mu: ErrorDensities, l_max_km: float, steps) -> SweepTable:
     steps = _as_count(steps, "steps", minimum=2)
     # Each row equals transmit_at_length(mu, LinkGeometry(length, 0)) bit for
     # bit; the grid lengths are finite and >= 0 by construction, so they skip
-    # the geometry's checks, while every row's weights are still validated.
+    # the geometry's checks.  Every row's weights pass BellDiagonal's check:
+    # those outside its fast path go through BellDiagonal itself, which raises
+    # or clamps as transmit_at_length would.
     rates = _decay_rates(mu)
     rows = []
     for i in range(steps + 1):
         length = l_max_km * (i / steps)
-        state = _bell_weights(rates, length)
-        rows.append(SweepRow(length, concurrence(state), state.a))
+        weights = _bell_weights(rates, length)
+        if not _is_unit_distribution(*weights):
+            weights = BellDiagonal(*weights).as_tuple()
+        rows.append(SweepRow(length, _concurrence_of_max(max(weights)), weights[0]))
     return SweepTable(tuple(rows))

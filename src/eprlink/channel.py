@@ -52,6 +52,24 @@ _FLIP_AXES = {"x": 1, "y": 2, "z": 3}
 _PROB_NAMES = ("p0", "p1", "p2", "p3")
 
 
+def _is_unit_distribution(a, b, c, d) -> bool:
+    # Every value is a float in [0, 1] and the four sum to 1 within _SUM_TOL:
+    # the common case, which needs no rewrite.  The sum is taken in the order
+    # of _validate_distribution's loop, so this accepts only what that loop
+    # accepts.
+    return (
+        type(a) is float
+        and type(b) is float
+        and type(c) is float
+        and type(d) is float
+        and 0.0 <= a <= 1.0
+        and 0.0 <= b <= 1.0
+        and 0.0 <= c <= 1.0
+        and 0.0 <= d <= 1.0
+        and abs(a + b + c + d - 1.0) <= _SUM_TOL
+    )
+
+
 def _validate_distribution(kind: str, names, values) -> None:
     total = 0.0
     for i, value in enumerate(values):
@@ -74,15 +92,14 @@ def _clamp01(value: float) -> float:
     return float(value)
 
 
-def _store_unit_floats(obj, names, values) -> None:
-    # Rewrites the fields only when one is not already a float in [0, 1]:
-    # ints, bools and numpy scalars are stored as floats, and the
-    # sub-tolerance overshoot that validation admits is clamped.
-    for value in values:
-        if type(value) is not float or not 0.0 <= value <= 1.0:
-            break
-    else:
+def _init_distribution(obj, kind: str, names, values) -> None:
+    # Fields that pass _is_unit_distribution are stored as given.  Any other
+    # input takes the full check, and then every field is rewritten: ints,
+    # bools and numpy scalars become floats, and the sub-tolerance overshoot
+    # that validation admits is clamped.
+    if _is_unit_distribution(*values):
         return
+    _validate_distribution(kind, names, values)
     for name, value in zip(names, values):
         object.__setattr__(obj, name, _clamp01(value))
 
@@ -101,9 +118,7 @@ class PauliProbs:
     p3: float
 
     def __post_init__(self):
-        values = (self.p0, self.p1, self.p2, self.p3)
-        _validate_distribution("channel", _PROB_NAMES, values)
-        _store_unit_floats(self, _PROB_NAMES, values)
+        _init_distribution(self, "channel", _PROB_NAMES, (self.p0, self.p1, self.p2, self.p3))
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.p0, self.p1, self.p2, self.p3)

@@ -183,34 +183,9 @@ def cmd_transmit(args) -> str:
 # ---------------------------------------------------------------- threshold
 
 
-def _closed_threshold(mu: ErrorDensities):
-    """Closed-form threshold when the density pattern admits one, else None."""
-    values = mu.as_tuple()
-    positive = [v for v in values if v > 0.0]
-    if len(positive) < 2:
-        return analysis.ThresholdResult(None)
-    if len(positive) == 3 and values[0] == values[1] == values[2]:
-        return analysis.threshold_depolarizing(values[0])
-    if len(positive) == 2 and positive[0] == positive[1]:
-        return analysis.threshold_double_flip(positive[0])
-    return None
-
-
 def cmd_threshold(args) -> str:
     mu = _parse_mu(args.mu)
-    method = args.method
-    if method in ("auto", "closed"):
-        result = _closed_threshold(mu)
-        if result is None:
-            if method == "closed":
-                raise DomainError(
-                    "no closed-form threshold for this density pattern; use --method bisect"
-                )
-            method = "bisect"
-        else:
-            method = "closed"
-    if method == "bisect":
-        result = analysis.threshold_generic(mu)
+    result, method = analysis.threshold(mu, args.method)
     inputs = {"mu": _mu_dict(mu), "method": args.method}
     results = {"kind": result.kind, "length_km": result.length_km, "method": method}
     if result.is_finite:
@@ -347,7 +322,9 @@ def cmd_montecarlo(args) -> str:
         samples=args.samples,
         seed=args.seed,
     )
-    reference = epr.transmit_at_length(mu, geom)
+    # The reference is taken at the lengths the sampler discretized, which
+    # differ from the requested ones where L * segments_per_km is not an integer.
+    reference = epr.transmit_at_length(mu, estimate.geometry)
     est = estimate.bell_diagonal.as_tuple()
     ref = reference.as_tuple()
     # A tally of 0 or of every sample has a zero standard error; z then uses

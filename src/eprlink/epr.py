@@ -17,13 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import (
-    ErrorDensities,
-    PauliProbs,
-    _as_length,
-    _store_unit_floats,
-    _validate_distribution,
-)
+from .channel import ErrorDensities, PauliProbs, _as_length, _init_distribution
 from .errors import ValidationError
 
 __all__ = [
@@ -58,9 +52,7 @@ class BellDiagonal:
     d: float
 
     def __post_init__(self):
-        values = (self.a, self.b, self.c, self.d)
-        _validate_distribution("Bell weight", _WEIGHT_NAMES, values)
-        _store_unit_floats(self, _WEIGHT_NAMES, values)
+        _init_distribution(self, "Bell weight", _WEIGHT_NAMES, (self.a, self.b, self.c, self.d))
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.a, self.b, self.c, self.d)
@@ -106,15 +98,15 @@ def _decay_rates(mu: ErrorDensities) -> tuple[float, float, float]:
     return -2.0 * (m1 + m2), -2.0 * (m1 + m3), -2.0 * (m2 + m3)
 
 
-def _exponents(rates: tuple[float, float, float], total_km: float) -> tuple[float, float, float]:
+def _bell_weights(
+    rates: tuple[float, float, float], total_km: float
+) -> tuple[float, float, float, float]:
+    # The (1 +- x +- y +- z)/4 closed form at one total length, unvalidated.
     rx, ry, rz = rates
-    return math.exp(rx * total_km), math.exp(ry * total_km), math.exp(rz * total_km)
-
-
-def _bell_weights(rates: tuple[float, float, float], total_km: float) -> BellDiagonal:
-    # The (1 +- x +- y +- z)/4 closed form at one total length.
-    x, y, z = _exponents(rates, total_km)
-    return BellDiagonal(
+    x = math.exp(rx * total_km)
+    y = math.exp(ry * total_km)
+    z = math.exp(rz * total_km)
+    return (
         0.25 * (1.0 + x + y + z),
         0.25 * (1.0 + x - y - z),
         0.25 * (1.0 - x - y + z),
@@ -131,7 +123,7 @@ def transmit_at_length(mu: ErrorDensities, geom: LinkGeometry) -> BellDiagonal:
     z = exp(-2 (mu2 + mu3) L).  Equal to
     ``transmit(at_length(mu, L1), at_length(mu, L2))``.
     """
-    return _bell_weights(_decay_rates(mu), geom.total_km)
+    return BellDiagonal(*_bell_weights(_decay_rates(mu), geom.total_km))
 
 
 def concurrence(state: BellDiagonal) -> float:
@@ -140,8 +132,11 @@ def concurrence(state: BellDiagonal) -> float:
     Zero for separable states, 1 for a pure Bell state; positive exactly when
     one weight exceeds 1/2.  Clamped to [0, 1] to absorb float overshoot.
     """
-    value = 2.0 * max(state.as_tuple()) - 1.0
-    return min(1.0, max(0.0, value))
+    return _concurrence_of_max(max(state.as_tuple()))
+
+
+def _concurrence_of_max(largest: float) -> float:
+    return min(1.0, max(0.0, 2.0 * largest - 1.0))
 
 
 def fidelity_psi_plus(state: BellDiagonal) -> float:
@@ -150,10 +145,14 @@ def fidelity_psi_plus(state: BellDiagonal) -> float:
     return state.a
 
 
-def _raw_concurrence(mu: ErrorDensities, total_length_km: float) -> float:
-    # Unclamped (x + y + z - 1)/2; negative beyond the threshold length.
-    # Root-finding in `analysis` needs the sign, which the clamp destroys.
-    x, y, z = _exponents(_decay_rates(mu), total_length_km)
+def _raw_concurrence(rates: tuple[float, float, float], total_length_km: float) -> float:
+    # Unclamped (x + y + z - 1)/2 over `_decay_rates`; negative beyond the
+    # threshold length.  Root-finding in `analysis` needs the sign, which the
+    # clamp destroys.
+    rx, ry, rz = rates
+    x = math.exp(rx * total_length_km)
+    y = math.exp(ry * total_length_km)
+    z = math.exp(rz * total_length_km)
     return 0.5 * (x + y + z - 1.0)
 
 

@@ -219,12 +219,16 @@ class McEstimate:
 
     ``bell_diagonal`` holds the sample frequencies (integer tallies over the
     total, so they sum to 1 exactly); ``standard_errors`` are the binomial
-    standard errors of (a, b, c, d).
+    standard errors of (a, b, c, d).  ``geometry`` holds the arm lengths
+    actually sampled, n1 / segments_per_km and n2 / segments_per_km km, which
+    differ from the requested ones where length * segments_per_km is not an
+    integer.
     """
 
     bell_diagonal: BellDiagonal
     samples: int
     standard_errors: tuple[float, float, float, float]
+    geometry: LinkGeometry
 
 
 def monte_carlo_transmit(
@@ -278,5 +282,8 @@ def monte_carlo_transmit(
         freq[_OUTCOME_TO_WEIGHT[m]] = count / samples
     errors = tuple(math.sqrt(f * (1.0 - f) / samples) for f in freq)
     return McEstimate(
-        bell_diagonal=BellDiagonal(*freq), samples=samples, standard_errors=errors
+        bell_diagonal=BellDiagonal(*freq),
+        samples=samples,
+        standard_errors=errors,
+        geometry=LinkGeometry(n1 / segments_per_km, n2 / segments_per_km),
     )

@@ -10,12 +10,14 @@ from eprlink import (
     ErrorDensities,
     LinkGeometry,
     MeasurementPoint,
+    ThresholdResult,
     ValidationError,
     concurrence,
     concurrence_vs_length,
     estimate_mu,
     fit_mu,
     sweep,
+    threshold,
     threshold_depolarizing,
     threshold_double_flip,
     threshold_generic,
@@ -23,6 +25,122 @@ from eprlink import (
 )
 
 rng = np.random.default_rng(20240504)
+
+
+# Reference forms of the two solvers, one closed-form evaluation per step as
+# written out in their docstrings; the library's loops must return the same
+# floats bit for bit.
+
+
+def _reference_threshold_generic(mu):
+    m1, m2, m3 = mu.as_tuple()
+
+    def raw(length):
+        x = math.exp(-2.0 * (m1 + m2) * length)
+        y = math.exp(-2.0 * (m1 + m3) * length)
+        z = math.exp(-2.0 * (m2 + m3) * length)
+        return 0.5 * (x + y + z - 1.0)
+
+    if sum(1 for m in (m1, m2, m3) if m > 0.0) < 2:
+        return None
+    lo, hi = 0.0, 1.0
+    for _ in range(1024):
+        if raw(hi) <= 0.0:
+            break
+        lo, hi = hi, 2.0 * hi
+    else:
+        return None
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if raw(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _reference_fit_mu(points):
+    def model(mu, length):
+        return 0.75 * (1.0 - math.exp(-4.0 * mu * length))
+
+    def rms(mu):
+        sse = sum((p.qber - model(mu, p.total_length_km)) ** 2 for p in points)
+        return math.sqrt(sse / len(points))
+
+    def derivative(mu):
+        total = 0.0
+        for p in points:
+            decay = math.exp(-4.0 * mu * p.total_length_km)
+            total += (
+                2.0 * (model(mu, p.total_length_km) - p.qber) * 3.0 * p.total_length_km * decay
+            )
+        return total
+
+    if all(p.qber == 0.0 for p in points):
+        return 0.0, 0.0
+    lo, hi = 0.0, 1.0
+    for _ in range(1024):
+        slope = derivative(hi)
+        if slope > 0.0:
+            break
+        if slope == 0.0 and rms(hi) > 0.0:
+            hi = 0.5 * hi
+        else:
+            lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if derivative(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    mu = 0.5 * (lo + hi)
+    return mu, rms(mu)
+
+
+def _density_corpus(gen):
+    """Depolarizing, double-flip, single-flip and generic triples over 1e-30..1e3 /km,
+    plus subnormal ones."""
+    corpus = []
+    for m in list(10.0 ** gen.uniform(-30.0, 3.0, 60)) + [5e-324, 1e-310, 2e-308, 3e-309]:
+        m = float(m)
+        corpus += [(m, m, m), (m, m, 0.0), (0.0, m, m), (m, 0.0, m), (0.0, 0.0, m), (m, 0.0, 0.0)]
+    for _ in range(60):
+        corpus.append(tuple(float(v) for v in 10.0 ** gen.uniform(-30.0, 3.0, 3)))
+    for _ in range(20):
+        corpus.append((float(gen.choice([5e-324, 1e-315, 2e-310])),) + tuple(
+            float(v) for v in 10.0 ** gen.uniform(-30.0, 3.0, 2)
+        ))
+    return [ErrorDensities(*m) for m in corpus]
+
+
+def _campaign_corpus(gen):
+    """QBER campaigns of 2 to 6 points: noisy model data over 1e-30..1e3 /km at
+    lengths near the decay length, subnormal densities, and 200-400 km links."""
+    campaigns = []
+    for mu in _density_corpus(gen):
+        total = sum(mu.as_tuple())
+        if total == 0.0:
+            continue
+        for span in ((200.0, 400.0), None):
+            count = int(gen.integers(2, 7))
+            if span:
+                lengths = [float(v) for v in gen.uniform(*span, count)]
+            else:
+                lengths = [10.0 ** float(v) / total for v in gen.uniform(-2.0, 1.0, count)]
+            points = []
+            for length in lengths:
+                if not 0.0 < length < 1e300:
+                    continue
+                qber = 0.75 * (1.0 - math.exp(-4.0 * total / 3.0 * length))
+                qber *= 1.0 + float(gen.uniform(-0.05, 0.05))
+                points.append(MeasurementPoint(min(qber, 0.7499), length))
+            if len(points) >= 2:
+                campaigns.append(points)
+    return campaigns
 
 
 class TestMeasurementPoint:
@@ -146,9 +264,42 @@ class TestThresholdGeneric:
                 else:
                     assert got is not None and abs(got - want) <= 1e-12 * want, mu
 
+    def test_bit_identical_to_reference_bisection(self):
+        for mu in _density_corpus(np.random.default_rng(20261021)):
+            got = threshold_generic(mu).length_km
+            want = _reference_threshold_generic(mu)
+            assert (got.hex() if got else got) == (want.hex() if want else want), mu
+
     def test_low_density_terminates(self):
         got = threshold_generic(ErrorDensities(1e-9, 1e-9, 1e-9)).length_km
         assert math.isclose(got, threshold_depolarizing(1e-9).length_km, rel_tol=1e-12)
+
+
+class TestThresholdDispatch:
+    @pytest.mark.parametrize(
+        "densities, closed",
+        [
+            ((0.008, 0.008, 0.008), threshold_depolarizing(0.008)),
+            ((0.008, 0.008, 0.0), threshold_double_flip(0.008)),
+            ((0.0, 0.003, 0.003), threshold_double_flip(0.003)),
+            ((0.008, 0.0, 0.0), ThresholdResult(None)),
+            ((0.0, 0.0, 0.0), ThresholdResult(None)),
+        ],
+    )
+    def test_closed_patterns(self, densities, closed):
+        mu = ErrorDensities(*densities)
+        assert threshold(mu) == threshold(mu, "closed") == (closed, "closed")
+        assert threshold(mu, "bisect") == (threshold_generic(mu), "bisect")
+
+    def test_other_patterns_bisect(self):
+        mu = ErrorDensities(0.008, 0.004, 0.002)
+        assert threshold(mu) == threshold(mu, "bisect") == (threshold_generic(mu), "bisect")
+        with pytest.raises(DomainError, match="no closed-form threshold"):
+            threshold(mu, "closed")
+
+    def test_rejects_unknown_method(self):
+        with pytest.raises(ValidationError, match="threshold method"):
+            threshold(ErrorDensities(0.008, 0.008, 0.008), "newton")
 
 
 class TestEstimateMu:
@@ -235,6 +386,13 @@ class TestFitMu:
         ]
         mu, _ = fit_mu(points)
         assert math.isclose(mu, true_mu, rel_tol=1e-9)
+
+    def test_bit_identical_to_reference_fit(self):
+        campaigns = _campaign_corpus(np.random.default_rng(20261022))
+        assert len(campaigns) > 300
+        for points in campaigns:
+            got = fit_mu(points)
+            assert [v.hex() for v in got] == [v.hex() for v in _reference_fit_mu(points)], points
 
     def test_all_zero_qber(self):
         mu, rms = fit_mu([MeasurementPoint(0.0, 1.0), MeasurementPoint(0.0, 2.0)])

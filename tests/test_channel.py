@@ -15,7 +15,8 @@ from eprlink import (
     iterate,
     iterate_bruteforce,
 )
-from eprlink.channel import _convolve
+from eprlink.channel import _convolve, _is_unit_distribution
+from eprlink.epr import BellDiagonal
 
 rng = np.random.default_rng(20240501)
 
@@ -89,6 +90,112 @@ class TestPauliProbs:
         with pytest.raises(ValidationError) as info:
             PauliProbs(*values)
         assert str(info.value) == message
+
+
+def _reference_distribution(kind, names, values):
+    """The field-by-field check and store of a distribution, without a fast path.
+
+    Returns the stored (type, hex) pairs, or the ValidationError message.
+    """
+    total = 0.0
+    for name, value in zip(names, values):
+        if not isinstance(value, (int, float)) or not math.isfinite(value):
+            return f"{kind} {name} must be a finite number, got {value!r}"
+        if not -1e-12 <= value <= 1.0 + 1e-12:
+            return f"{kind} {name}={value!r} is outside [0, 1]"
+        total += value
+    if abs(total - 1.0) > 1e-12:
+        return f"{kind} probabilities must sum to 1, got {total!r}"
+    if not all(type(v) is float and 0.0 <= v <= 1.0 for v in values):
+        values = [0.0 if v < 0.0 else 1.0 if v > 1.0 else float(v) for v in values]
+    return [(type(v), float(v).hex()) for v in values]
+
+
+def _constructed(cls, values):
+    try:
+        obj = cls(*values)
+    except ValidationError as exc:
+        return str(exc)
+    return [(type(v), float(v).hex()) for v in obj.as_tuple()]
+
+
+class TestUnitDistributionPredicate:
+    """The fast path of PauliProbs and BellDiagonal stores and rejects exactly
+    what the field-by-field check does, with the same messages."""
+
+    ODD_VALUES = (
+        0, 1, True, False, np.float64(0.25), np.float32(0.25), np.float64(1.0),
+        math.nan, math.inf, -math.inf, NP_NAN, -1e-13, 1.0 + 1e-13, -0.0, 0.0, 1.0, 0.25, 0.5,
+    )
+
+    def corpus(self):
+        gen = np.random.default_rng(20261020)
+        cases = [
+            (1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0), (0.25,) * 4,
+            (0.25, 0.25, 0.25, 0.25 + 2e-12), (0.25, 0.25, 0.25 - 2e-12, 0.25),
+            (0.25, 0.25, 0.25, 0.25 + 5e-13), (1.0 + 1e-13, -1e-13, 0.0, 0.0),
+        ]
+        for _ in range(3000):
+            weights = list(gen.dirichlet([0.5] * 4))
+            if gen.random() < 0.3:
+                weights[int(gen.integers(0, 4))] += float(gen.choice([2e-12, -2e-12, 5e-13]))
+            weights = [float(w) for w in weights]
+            if gen.random() < 0.2:
+                i = int(gen.integers(0, 4))
+                weights[i] = np.float64(weights[i])
+            for _ in range(int(gen.integers(0, 3))):
+                weights[int(gen.integers(0, 4))] = self.ODD_VALUES[
+                    int(gen.integers(0, len(self.ODD_VALUES)))
+                ]
+            cases.append(tuple(weights))
+        return cases
+
+    def test_matches_field_by_field_check(self):
+        for values in self.corpus():
+            for cls, kind, names in (
+                (PauliProbs, "channel", ("p0", "p1", "p2", "p3")),
+                (BellDiagonal, "Bell weight", ("a", "b", "c", "d")),
+            ):
+                want = _reference_distribution(kind, names, values)
+                assert _constructed(cls, values) == want, values
+                if _is_unit_distribution(*values):
+                    assert want == [(float, v.hex()) for v in values], values
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (1.0, 0.0, 0.0, 0.0),
+            (0.0, 1.0, 0.0, 0.0),
+            (0.0, 0.0, 1.0, 0.0),
+            (0.0, 0.0, 0.0, 1.0),
+            (0.25, 0.25, 0.25, 0.25),
+            (0.25, 0.25, 0.25, 0.25 + 5e-13),
+        ],
+    )
+    def test_accepts_floats_in_the_unit_interval(self, values):
+        assert _is_unit_distribution(*values)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (1, 0.0, 0.0, 0.0),
+            (0.0, True, 0.0, 1.0),
+            (np.float64(0.25), 0.25, 0.25, 0.25),
+            (0.25, np.float64(0.25), 0.25, 0.25),
+            (0.25, 0.25, np.float64(0.25), 0.25),
+            (0.25, 0.25, 0.25, np.float64(0.25)),
+            (0.25, 0.25, np.float32(0.25), 0.25),
+            (math.nan, 0.0, 0.0, 1.0),
+            (0.0, 0.0, math.inf, 1.0),
+            (1.0, -math.inf, 0.0, 0.0),
+            (1.0, -1e-13, 0.0, 1e-13),
+            (1.0 + 1e-13, 0.0, 0.0, 0.0),
+            (0.25, 0.25, 0.25, 0.25 + 2e-12),
+            (0.25, 0.25, 0.25 - 2e-12, 0.25),
+        ],
+    )
+    def test_rejects_everything_else(self, values):
+        assert not _is_unit_distribution(*values)
 
 
 class TestErrorDensities:

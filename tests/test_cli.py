@@ -1,13 +1,24 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from eprlink import ErrorDensities, LinkGeometry, analysis, cli
 from eprlink.epr import transmit_at_length
+
+
+def child_env() -> dict:
+    """Environment for child interpreters: this checkout's ``src`` first on the path."""
+    env = dict(os.environ)
+    old = env.get("PYTHONPATH")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + (os.pathsep + old if old else "")
+    return env
 
 
 def run(capsys, *argv):
@@ -358,6 +369,20 @@ class TestMonteCarlo:
             " increase segments_per_km\n"
         )
 
+    def test_reference_at_the_sampled_lengths(self, capsys):
+        # 0.015 km at 100 segments/km rounds to 2 segments: 0.02 km is sampled
+        code, out, _ = run(
+            capsys, "montecarlo", "--mu", "0.5,0.5,0.5", "--l1", "0.015", "--l2", "0.015",
+            "--samples", "200000", "--seed", "4", "--format", "json",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["inputs"]["l1_km"] == doc["inputs"]["l2_km"] == 0.015
+        mu = ErrorDensities(0.5, 0.5, 0.5)
+        sampled = transmit_at_length(mu, LinkGeometry(0.02, 0.02)).as_tuple()
+        assert tuple(doc["results"]["reference"].values()) == sampled
+        assert all(abs(z) <= 4.0 for z in doc["results"]["z_scores"])
+
     def test_infeasible_segmentation_exits_3(self, capsys):
         code, _, err = run(
             capsys, "montecarlo", "--mu", "0.5,0.5,0.5", "--l1", "1", "--l2", "1",
@@ -477,7 +502,8 @@ class TestSubprocess:
 
     def invoke(self, *argv):
         return subprocess.run(
-            [sys.executable, "-m", "eprlink", *argv], capture_output=True, text=True
+            [sys.executable, "-m", "eprlink", *argv],
+            capture_output=True, text=True, env=child_env(),
         )
 
     def test_success(self):
@@ -503,7 +529,9 @@ class TestLazyNumpy:
     """numpy loads only with the oracle and the sampler, each check in a fresh interpreter."""
 
     def python(self, code):
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+        )
         assert proc.returncode == 0, proc.stderr
         return proc.stdout
 

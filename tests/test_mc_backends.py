@@ -137,6 +137,25 @@ def test_accepts_an_arm_of_just_over_half_a_segment():
     assert est.samples == 10
 
 
+@pytest.mark.parametrize(
+    "l1, l2, segments_per_km, sampled",
+    [
+        (5.0, 5.0, 20, (5.0, 5.0)),
+        (3.0, 2.0, 100, (3.0, 2.0)),
+        (0.1, 0.3, 10, (0.1, 0.3)),
+        # round() takes halves to even: 1.5 -> 2 segments, 2.5 -> 2 segments
+        (0.015, 0.015, 100, (0.02, 0.02)),
+        (0.025, 0.0, 100, (0.02, 0.0)),
+        (0.006, 1.234, 100, (0.01, 1.23)),
+    ],
+)
+def test_reports_the_sampled_arm_lengths(l1, l2, segments_per_km, sampled):
+    est = monte_carlo_transmit(
+        DEPOL, LinkGeometry(l1, l2), segments_per_km=segments_per_km, samples=10, seed=0
+    )
+    assert (est.geometry.l1_km, est.geometry.l2_km) == sampled
+
+
 def test_rejects_bad_counts():
     with pytest.raises(ValidationError):
         monte_carlo_transmit(DEPOL, GEOM, segments_per_km=0, samples=10, seed=0)
