@@ -14,13 +14,25 @@ The kernel computes exactly these draws without forming u:
 * XOR is associative, so each sample folds its error indices over all
   n1 + n2 segments at once.
 
-Keys are processed in blocks of about ``_BLOCK_KEYS`` so that the working
-buffers stay in cache.
+Keys are hashed in blocks of at most ``_BLOCK_KEYS`` so that the working
+buffers stay in cache: a block is a group of whole samples, or one slice of
+a sample wider than a block, whose fold then carries across its slices.
+
+Every CPU in the process's affinity mask runs one worker (the calling thread
+and daemon helper threads; numpy releases the GIL inside each pass).  Workers
+claim groups of samples from one shared counter, so a core slowed by other
+load takes fewer of them, and their integer tallies are summed at the end.
+No flag, environment variable or parameter sets the number of workers.  Each
+worker keeps one set of block buffers for the life of the process, and one
+module lock guards them, so concurrent calls run one after another.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -33,6 +45,64 @@ _K2 = np.uint64(0x94D049BB133111EB)
 
 _BLOCK_KEYS = 1 << 16  # 512 KiB per uint64 buffer
 _LOW33 = (1 << 33) - 1
+_MASK64 = (1 << 64) - 1
+
+# Per-worker (z, tmp, hit) block buffers, reused across calls (allocating
+# them on every call in helper threads grows glibc's per-thread arenas).
+_LOCK = threading.Lock()
+_BUFFERS: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _worker_buffers(count: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The first ``count`` buffer sets, allocated on first use; call under _LOCK."""
+    for k in range(count):
+        if k == len(_BUFFERS) or _BUFFERS[k][0].size < _BLOCK_KEYS:
+            buffers = (
+                np.empty(_BLOCK_KEYS, dtype=np.uint64),
+                np.empty(_BLOCK_KEYS, dtype=np.uint64),
+                np.empty(_BLOCK_KEYS, dtype=bool),
+            )
+            _BUFFERS[k:k + 1] = [buffers]
+    return _BUFFERS[:count]
+
+
+def _folds(template, offset, rows, ntot, cols, thresholds, buffers) -> np.ndarray:
+    """Folded error index of ``rows`` consecutive samples.
+
+    ``offset`` is the key of the group's first sample at segment 0, and
+    ``template`` holds i*K1 + j*K2 for a block of ``rows`` x ``cols`` keys.
+    """
+    candidate, c1, c2, c3 = thresholds
+    z, tmp, hit = buffers
+    parity = None
+    for c0 in range(0, ntot, cols):
+        width = min(cols, ntot - c0)
+        n = rows * width
+        zb, tb, hb = z[:n], tmp[:n], hit[:n]
+        np.add(template[:n], np.uint64((offset + c0 * int(_K2)) & _MASK64), out=zb)
+        np.right_shift(zb, 30, out=tb)
+        np.bitwise_xor(zb, tb, out=zb)
+        np.multiply(zb, _K1, out=zb)
+        np.right_shift(zb, 27, out=tb)
+        np.bitwise_xor(zb, tb, out=zb)
+        np.multiply(zb, _K2, out=zb)
+        np.less_equal(zb, candidate, out=hb)
+        idx = np.flatnonzero(hb)
+        zc = zb[idx]
+        m = (zc ^ (zc >> 31)) >> 11
+        # 3, 2, 1 below c3, c2, c1 (0 for candidates that do not flip)
+        e = 3 * (m < c3) - (m < c2) - (m < c1)
+        flips = np.bincount(idx // width * 4 + e, minlength=4 * rows)
+        parity = flips if parity is None else parity + flips
+    parity = parity.reshape(rows, 4) & 1
+    return parity[:, 1] ^ (parity[:, 2] << 1) ^ (parity[:, 3] * 3)
 
 
 def bell_outcome_counts(seed, samples, n1, n2, t1, t2, t3) -> np.ndarray:
@@ -54,30 +124,51 @@ def bell_outcome_counts(seed, samples, n1, n2, t1, t2, t3) -> np.ndarray:
     # A flip needs z <= L = (c3 << 11) - 1.  The last finalizer step keeps
     # bits 33..63, so its input then passes the same test on those bits.
     candidate = np.uint64(((int(c3) << 11) - 1) | _LOW33)
+    thresholds = (candidate, c1, c2, c3)
+    cols = min(ntot, _BLOCK_KEYS)
     rows = max(1, min(samples, _BLOCK_KEYS // ntot))
-    z = np.empty((rows, ntot), dtype=np.uint64)
-    tmp = np.empty_like(z)
-    hit = np.empty(z.shape, dtype=bool)
-    jkey = np.arange(ntot, dtype=np.uint64) * _K2
-    base = np.uint64(int(seed) * _K0 % (1 << 64))
-    for lo in range(0, samples, rows):
-        r = min(rows, samples - lo)
-        zb, tb, hb = z[:r], tmp[:r], hit[:r]
-        ikey = np.arange(lo, lo + r, dtype=np.uint64) * _K1 + base
-        np.add(ikey[:, None], jkey, out=zb)
-        np.right_shift(zb, 30, out=tb)
-        np.bitwise_xor(zb, tb, out=zb)
-        np.multiply(zb, _K1, out=zb)
-        np.right_shift(zb, 27, out=tb)
-        np.bitwise_xor(zb, tb, out=zb)
-        np.multiply(zb, _K2, out=zb)
-        np.less_equal(zb, candidate, out=hb)
-        idx = np.flatnonzero(hb)
-        zc = zb.ravel()[idx]
-        m = (zc ^ (zc >> 31)) >> 11
-        # 3, 2, 1 below c3, c2, c1 (0 for candidates that do not flip)
-        e = 3 * (m < c3) - (m < c2) - (m < c1)
-        parity = np.bincount(idx // ntot * 4 + e, minlength=4 * r).reshape(r, 4) & 1
-        fold = parity[:, 1] ^ (parity[:, 2] << 1) ^ (parity[:, 3] * 3)
-        counts += np.bincount(fold, minlength=4)
+    # key(lo + i, c0 + j) = template[i*width + j] + key(lo, c0)
+    ikey = np.arange(rows, dtype=np.uint64) * _K1
+    template = (ikey[:, None] + np.arange(cols, dtype=np.uint64) * _K2).ravel()
+    base = seed * _K0
+    groups = itertools.count()  # next() on it is atomic under the GIL
+    failures: list[BaseException] = []
+
+    def work(buffers):
+        part = np.zeros(4, dtype=np.int64)
+        while not failures:
+            lo = next(groups) * rows
+            if lo >= samples:
+                break
+            r = min(rows, samples - lo)
+            folds = _folds(template, base + lo * int(_K1), r, ntot, cols, thresholds, buffers)
+            part += np.bincount(folds, minlength=4)
+        return part
+
+    def helper(buffers, parts):
+        try:
+            parts.append(work(buffers))
+        except BaseException as exc:
+            failures.append(exc)
+
+    with _LOCK:
+        buffers = _worker_buffers(min(_usable_cpus(), -(-samples // rows)))
+        parts: list[np.ndarray] = []
+        threads = [
+            threading.Thread(target=helper, args=(b, parts), daemon=True) for b in buffers[1:]
+        ]
+        for thread in threads:
+            thread.start()
+        try:
+            counts += work(buffers[0])
+        except BaseException as exc:
+            failures.append(exc)  # stops the helpers
+            raise
+        finally:
+            for thread in threads:
+                thread.join()
+    if failures:
+        raise failures[0]
+    for part in parts:
+        counts += part
     return counts

@@ -193,11 +193,15 @@ def _from_lambdas(l1: float, l2: float, l3: float) -> PauliProbs:
     )
 
 
-def _as_count(n, what: str, minimum: int = 0) -> int:
+def _as_int(n, what: str) -> int:
     try:
-        n = operator.index(n)
+        return operator.index(n)
     except TypeError as exc:
         raise ValidationError(f"{what} must be an integer, got {n!r}") from exc
+
+
+def _as_count(n, what: str, minimum: int = 0) -> int:
+    n = _as_int(n, what)
     if n < minimum:
         raise ValidationError(f"{what} must be >= {minimum}, got {n}")
     return n

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _mc
-from .channel import ErrorDensities, PauliProbs, _as_count
+from .channel import ErrorDensities, PauliProbs, _as_count, _as_int
 from .epr import BELL_LABELS, BellDiagonal, LinkGeometry
 from .errors import DomainError, ValidationError
 
@@ -246,19 +246,24 @@ def monte_carlo_transmit(
     probability mu_i * delta.  Error indices fold through the Klein
     four-group over both arms, and the folded index selects the received Bell
     state.  Randomness is a splitmix64 hash of (seed, sample, segment), so a
-    seed fixes the tallies; see ``eprlink._mc`` for the stream and the kernel.
+    seed fixes the tallies; ``seed`` is any integer, taken mod 2**64.  See
+    ``eprlink._mc`` for the stream and the kernel.  The sampler runs on every
+    CPU in the process's affinity mask; no flag, environment variable or
+    parameter sets that, and the tallies do not depend on it.
 
     Raises
     ------
     ValidationError
-        If an arm has a positive length that rounds to zero segments, i.e. it
-        is no longer than half a segment and would be sampled as noiseless.
+        If ``seed`` is not an integer (``operator.index`` fails), or if an arm
+        has a positive length that rounds to zero segments, i.e. it is no
+        longer than half a segment and would be sampled as noiseless.
     DomainError
         If ``sum(mu) / segments_per_km`` exceeds 1, i.e. the discretization
         is too coarse for the requested error densities.
     """
     segments_per_km = _as_count(segments_per_km, "segments_per_km", minimum=1)
     samples = _as_count(samples, "samples", minimum=1)
+    seed = _as_int(seed, "seed")
     delta = 1.0 / segments_per_km
     t1 = mu.mu1 * delta
     t2 = t1 + mu.mu2 * delta

@@ -1,3 +1,5 @@
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -239,3 +241,120 @@ def test_no_runtime_warnings():
             _mc.bell_outcome_counts(seed, 2000, 300, 300, 0.1, 0.2, 1.0)
             _mc.bell_outcome_counts(seed, 50, 0, 0, 0.0, 0.0, 0.0)
         monte_carlo_transmit(DEPOL, GEOM, segments_per_km=20, samples=5000, seed=-9)
+
+
+@pytest.mark.parametrize("ntot", [40, 63, 64, 65, 200, 257])
+def test_bit_identical_with_samples_wider_than_a_block(monkeypatch, ntot):
+    monkeypatch.setattr(_mc, "_BLOCK_KEYS", 64)
+    rows = max(1, 64 // ntot)
+    for samples in (1, 2, rows, rows + 1, 3 * rows + 2):
+        assert_matches_reference(9, samples, ntot // 3, ntot - ntot // 3, 0.05, 0.1, 0.2)
+
+
+def test_memory_does_not_grow_with_sample_width():
+    tracemalloc = pytest.importorskip("tracemalloc")
+
+    def peak(ntot):
+        tracemalloc.start()
+        try:
+            _mc.bell_outcome_counts(4, 1, ntot // 2, ntot - ntot // 2, 0.2, 0.5, 1.0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    block = _mc._BLOCK_KEYS
+    _mc.bell_outcome_counts(4, 1, block, block, 0.2, 0.5, 1.0)  # allocate the buffers
+    narrow, wide = peak(2 * block), peak(16 * block)
+    assert wide <= narrow + 4096, (narrow, wide)
+    assert wide < 8 * block * 8  # a few block-sized temporaries, not the sample width
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_tallies_do_not_depend_on_the_worker_count(monkeypatch, workers):
+    monkeypatch.setattr(_mc, "_BLOCK_KEYS", 256)
+    monkeypatch.setattr(_mc, "_usable_cpus", lambda: workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed, samples in ((3, 4001), (-8, 1000), (2**64 - 5, 257)):
+            assert_matches_reference(seed, samples, 17, 30, 0.01, 0.03, 0.06)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_no_thread_outlives_a_call():
+    before = threading.active_count()
+    _mc.bell_outcome_counts(1, 20_000, 300, 300, 0.01, 0.02, 0.03)
+    assert threading.active_count() == before
+
+
+def test_helper_failure_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(_mc, "_BLOCK_KEYS", 256)
+    monkeypatch.setattr(_mc, "_usable_cpus", lambda: 2)
+    folds = _mc._folds
+    helper_started = threading.Event()
+
+    def failing_in_helper(*args):
+        if threading.current_thread() is threading.main_thread():
+            helper_started.wait(timeout=10.0)  # let the helper claim a group
+            return folds(*args)
+        helper_started.set()
+        raise RuntimeError("helper failed")
+
+    monkeypatch.setattr(_mc, "_folds", failing_in_helper)
+    with pytest.raises(RuntimeError, match="helper failed"):
+        _mc.bell_outcome_counts(2, 1000, 20, 20, 0.01, 0.02, 0.03)
+    assert helper_started.is_set()
+    assert not _mc._LOCK.locked()
+    monkeypatch.setattr(_mc, "_folds", folds)
+    assert_matches_reference(2, 1000, 20, 20, 0.01, 0.02, 0.03)
+
+
+def test_caller_failure_stops_the_helpers(monkeypatch):
+    monkeypatch.setattr(_mc, "_usable_cpus", lambda: 2)
+    folds = _mc._folds
+    helper_started = threading.Event()
+    helper_groups = []
+
+    def failing_in_caller(*args):
+        if threading.current_thread() is threading.main_thread():
+            helper_started.wait(timeout=10.0)
+            raise KeyboardInterrupt
+        helper_groups.append(args[2])
+        helper_started.set()
+        return folds(*args)
+
+    monkeypatch.setattr(_mc, "_folds", failing_in_caller)
+    with pytest.raises(KeyboardInterrupt):
+        _mc.bell_outcome_counts(2, 20_000, 300, 300, 0.01, 0.02, 0.03)  # 184 groups
+    assert 1 <= len(helper_groups) < 92
+    assert not _mc._LOCK.locked()
+
+
+def test_concurrent_callers_get_sequential_tallies():
+    configs = [(5, 30_000, 100, 120, 0.01, 0.02, 0.03), (6, 20_000, 7, 300, 0.002, 0.02, 0.05)]
+    sequential = [_mc.bell_outcome_counts(*c).tolist() for c in configs]
+    results = [None, None]
+
+    def call(k):
+        results[k] = _mc.bell_outcome_counts(*configs[k]).tolist()
+
+    threads = [threading.Thread(target=call, args=(k,)) for k in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60.0)
+        assert not thread.is_alive()
+    assert results == sequential
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, "1", None, float("nan"), b"1"])
+def test_rejects_non_integer_seeds(seed):
+    with pytest.raises(ValidationError, match="seed must be an integer"):
+        monte_carlo_transmit(DEPOL, GEOM, segments_per_km=10, samples=10, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [True, np.int64(-3), np.uint64(2**64 - 1)])
+def test_accepts_integer_like_seeds(seed):
+    want = monte_carlo_transmit(DEPOL, GEOM, segments_per_km=10, samples=500, seed=int(seed))
+    assert monte_carlo_transmit(DEPOL, GEOM, segments_per_km=10, samples=500, seed=seed) == want
