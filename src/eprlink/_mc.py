@@ -16,15 +16,26 @@ The kernel computes exactly these draws without forming u:
 
 Keys are hashed in blocks of at most ``_BLOCK_KEYS`` so that the working
 buffers stay in cache: a block is a group of whole samples, or one slice of
-a sample wider than a block, whose fold then carries across its slices.
+a sample wider than a block.  A block runs only the hash passes and the
+candidate search; it queues each candidate's finalizer input and sample
+index.  When the queue of ``_TAIL_KEYS`` fills, or the worker is done, one
+vectorized pass finishes the last step, XOR-folds the error indices per
+sample and tallies the folds.  A sample whose candidates span two flushes
+carries its partial fold into the next, so memory does not grow with the
+sample width.  Samples without a nonzero fold are tallied as 0.
 
-Every CPU in the process's affinity mask runs one worker (the calling thread
-and daemon helper threads; numpy releases the GIL inside each pass).  Workers
-claim groups of samples from one shared counter, so a core slowed by other
-load takes fewer of them, and their integer tallies are summed at the end.
-No flag, environment variable or parameter sets the number of workers.  Each
-worker keeps one set of block buffers for the life of the process, and one
-module lock guards them, so concurrent calls run one after another.
+Every CPU in the calling thread's affinity mask runs one worker (the calling
+thread and daemon helper threads; numpy releases the GIL inside each pass).
+With more than one worker, worker k pins itself to the k-th CPU of the mask
+for the call, and the caller gets its own mask back when the call ends: an
+unbound worker often shares one CPU with another, as every GIL hand-off is a
+wake-up.  Where the affinity calls do not exist or fail, workers run unbound.
+Workers claim groups of samples from one shared counter, so a core slowed by
+other load takes fewer of them, and their integer tallies are summed at the
+end.  No flag, environment variable or parameter sets the number of workers
+or their CPUs.  Each worker keeps one set of block buffers and one queue for
+the life of the process, and one module lock guards them, so concurrent calls
+run one after another.
 """
 
 from __future__ import annotations
@@ -44,44 +55,122 @@ _K1 = np.uint64(0xBF58476D1CE4E5B9)
 _K2 = np.uint64(0x94D049BB133111EB)
 
 _BLOCK_KEYS = 1 << 16  # 512 KiB per uint64 buffer
+_TAIL_KEYS = 1 << 14  # candidates a worker queues before it tallies them
 _LOW33 = (1 << 33) - 1
 _MASK64 = (1 << 64) - 1
 
-# Per-worker (z, tmp, hit) block buffers, reused across calls (allocating
-# them on every call in helper threads grows glibc's per-thread arenas).
+# Per-worker (z, tmp, hit) block buffers and (zc, sample) candidate queue,
+# reused across calls (allocating them on every call in helper threads grows
+# glibc's per-thread arenas).
 _LOCK = threading.Lock()
-_BUFFERS: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+_BUFFERS: list[tuple[np.ndarray, ...]] = []
 
 
-def _usable_cpus() -> int:
+def _affinity() -> list[int]:
+    """The calling thread's CPUs in ascending order; empty where they cannot be read."""
     try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+        return sorted(os.sched_getaffinity(0))
+    except (AttributeError, OSError):  # no affinity call here, or it failed
+        return []
 
 
-def _worker_buffers(count: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _usable_cpus(cpus: list[int]) -> int:
+    return len(cpus) or os.cpu_count() or 1
+
+
+def _pin(cpus) -> None:
+    """Set the calling thread's CPU mask; leave it as it is where that fails."""
+    try:
+        os.sched_setaffinity(0, cpus)  # pid 0 is the calling thread
+    except (AttributeError, OSError):
+        pass
+
+
+def _worker_buffers(count: int) -> list[tuple[np.ndarray, ...]]:
     """The first ``count`` buffer sets, allocated on first use; call under _LOCK."""
     for k in range(count):
-        if k == len(_BUFFERS) or _BUFFERS[k][0].size < _BLOCK_KEYS:
+        if (
+            k == len(_BUFFERS)
+            or _BUFFERS[k][0].size < _BLOCK_KEYS
+            or _BUFFERS[k][3].size < _TAIL_KEYS
+        ):
             buffers = (
                 np.empty(_BLOCK_KEYS, dtype=np.uint64),
                 np.empty(_BLOCK_KEYS, dtype=np.uint64),
                 np.empty(_BLOCK_KEYS, dtype=bool),
+                np.empty(_TAIL_KEYS, dtype=np.uint64),
+                np.empty(_TAIL_KEYS, dtype=np.int64),
             )
             _BUFFERS[k:k + 1] = [buffers]
     return _BUFFERS[:count]
 
 
-def _folds(template, offset, rows, ntot, cols, thresholds, buffers) -> np.ndarray:
-    """Folded error index of ``rows`` consecutive samples.
+class _Tail:
+    """One worker's queued candidates, and the folds of the samples it has finished.
 
-    ``offset`` is the key of the group's first sample at segment 0, and
-    ``template`` holds i*K1 + j*K2 for a block of ``rows`` x ``cols`` keys.
+    Candidates arrive in increasing sample order.  A flush gives each its error
+    index, XOR-folds the indices per sample and tallies the folds; the last
+    sample of a flush may go on in the next, so its partial fold is carried.
     """
-    candidate, c1, c2, c3 = thresholds
-    z, tmp, hit = buffers
-    parity = None
+
+    __slots__ = ("zc", "sample", "thresholds", "fill", "carry", "flips")
+
+    def __init__(self, zc, sample, thresholds):
+        self.zc = zc  # finalizer input of each candidate
+        self.sample = sample  # and its sample index
+        self.thresholds = thresholds
+        self.fill = 0
+        self.carry = (-1, 0)  # sample open across flushes, and its fold so far
+        self.flips = np.zeros(4, dtype=np.int64)  # samples by fold; [0] is not kept
+
+    def push(self, zb, idx, width, first):
+        """Queue candidates ``idx`` of a block of ``width``-key rows from sample ``first``."""
+        start = 0
+        while start < idx.size:
+            end = min(idx.size, start + self.zc.size - self.fill)
+            stop = self.fill + end - start
+            chunk = idx[start:end]
+            np.take(zb, chunk, out=self.zc[self.fill:stop], mode="clip")
+            sample = self.sample[self.fill:stop]
+            np.floor_divide(chunk, width, out=sample)
+            sample += first
+            self.fill, start = stop, end
+            if stop == self.zc.size:
+                self.flush()
+
+    def flush(self):
+        fill, self.fill = self.fill, 0
+        if not fill:
+            return
+        c1, c2, c3 = self.thresholds
+        zc, sample = self.zc[:fill], self.sample[:fill]
+        m = (zc ^ (zc >> 31)) >> 11
+        # 3, 2, 1 below c3, c2, c1 (0 for candidates that do not flip)
+        e = 3 * (m < c3) - (m < c2) - (m < c1)
+        folds = np.bitwise_xor.reduceat(e, np.flatnonzero(np.diff(sample, prepend=-1)))
+        open_sample, fold = self.carry
+        if sample[0] == open_sample:
+            folds[0] ^= fold
+        else:
+            self.flips[fold] += 1
+        self.flips += np.bincount(folds[:-1], minlength=4)
+        self.carry = (int(sample[-1]), int(folds[-1]))
+
+    def counts(self, claimed):
+        """Tally of ``claimed`` samples; those without a nonzero fold count as 0."""
+        self.flush()
+        self.flips[self.carry[1]] += 1
+        self.flips[0] = claimed - self.flips[1:].sum()
+        return self.flips
+
+
+def _scan(template, offset, rows, first, ntot, cols, candidate, buffers, tail):
+    """Hash samples ``first`` to ``first + rows - 1`` and queue their candidates.
+
+    ``offset`` is the key of sample ``first`` at segment 0, and ``template``
+    holds i*K1 + j*K2 for a block of ``rows`` x ``cols`` keys.
+    """
+    z, tmp, hit = buffers[:3]
     for c0 in range(0, ntot, cols):
         width = min(cols, ntot - c0)
         n = rows * width
@@ -94,15 +183,7 @@ def _folds(template, offset, rows, ntot, cols, thresholds, buffers) -> np.ndarra
         np.bitwise_xor(zb, tb, out=zb)
         np.multiply(zb, _K2, out=zb)
         np.less_equal(zb, candidate, out=hb)
-        idx = np.flatnonzero(hb)
-        zc = zb[idx]
-        m = (zc ^ (zc >> 31)) >> 11
-        # 3, 2, 1 below c3, c2, c1 (0 for candidates that do not flip)
-        e = 3 * (m < c3) - (m < c2) - (m < c1)
-        flips = np.bincount(idx // width * 4 + e, minlength=4 * rows)
-        parity = flips if parity is None else parity + flips
-    parity = parity.reshape(rows, 4) & 1
-    return parity[:, 1] ^ (parity[:, 2] << 1) ^ (parity[:, 3] * 3)
+        tail.push(zb, np.flatnonzero(hb), width, first)
 
 
 def bell_outcome_counts(seed, samples, n1, n2, t1, t2, t3) -> np.ndarray:
@@ -124,7 +205,6 @@ def bell_outcome_counts(seed, samples, n1, n2, t1, t2, t3) -> np.ndarray:
     # A flip needs z <= L = (c3 << 11) - 1.  The last finalizer step keeps
     # bits 33..63, so its input then passes the same test on those bits.
     candidate = np.uint64(((int(c3) << 11) - 1) | _LOW33)
-    thresholds = (candidate, c1, c2, c3)
     cols = min(ntot, _BLOCK_KEYS)
     rows = max(1, min(samples, _BLOCK_KEYS // ntot))
     # key(lo + i, c0 + j) = template[i*width + j] + key(lo, c0)
@@ -135,36 +215,48 @@ def bell_outcome_counts(seed, samples, n1, n2, t1, t2, t3) -> np.ndarray:
     failures: list[BaseException] = []
 
     def work(buffers):
-        part = np.zeros(4, dtype=np.int64)
+        tail = _Tail(buffers[3][:_TAIL_KEYS], buffers[4][:_TAIL_KEYS], (c1, c2, c3))
+        claimed = 0
         while not failures:
             lo = next(groups) * rows
             if lo >= samples:
                 break
             r = min(rows, samples - lo)
-            folds = _folds(template, base + lo * int(_K1), r, ntot, cols, thresholds, buffers)
-            part += np.bincount(folds, minlength=4)
-        return part
+            _scan(template, base + lo * int(_K1), r, lo, ntot, cols, candidate, buffers, tail)
+            claimed += r
+        return tail.counts(claimed)
 
-    def helper(buffers, parts):
+    def helper(k, buffers, parts):
         try:
+            if bound:
+                _pin({cpus[k % len(cpus)]})
             parts.append(work(buffers))
         except BaseException as exc:
             failures.append(exc)
 
+    cpus = _affinity()
     with _LOCK:
-        buffers = _worker_buffers(min(_usable_cpus(), -(-samples // rows)))
+        buffers = _worker_buffers(min(_usable_cpus(cpus), -(-samples // rows)))
+        # Worker k runs on the k-th CPU: unbound workers often share one CPU,
+        # since every GIL hand-off wakes the other thread.
+        bound = len(buffers) > 1 and bool(cpus)
         parts: list[np.ndarray] = []
         threads = [
-            threading.Thread(target=helper, args=(b, parts), daemon=True) for b in buffers[1:]
+            threading.Thread(target=helper, args=(k, b, parts), daemon=True)
+            for k, b in enumerate(buffers[1:], 1)
         ]
         for thread in threads:
             thread.start()
         try:
+            if bound:
+                _pin({cpus[0]})
             counts += work(buffers[0])
         except BaseException as exc:
             failures.append(exc)  # stops the helpers
             raise
         finally:
+            if bound:
+                _pin(cpus)
             for thread in threads:
                 thread.join()
     if failures:

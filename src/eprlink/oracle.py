@@ -12,6 +12,7 @@ positive semidefinite up to float noise).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -247,19 +248,24 @@ def monte_carlo_transmit(
     four-group over both arms, and the folded index selects the received Bell
     state.  Randomness is a splitmix64 hash of (seed, sample, segment), so a
     seed fixes the tallies; ``seed`` is any integer, taken mod 2**64.  See
-    ``eprlink._mc`` for the stream and the kernel.  The sampler runs on every
-    CPU in the process's affinity mask; no flag, environment variable or
-    parameter sets that, and the tallies do not depend on it.
+    ``eprlink._mc`` for the stream and the kernel.  The sampler runs one
+    worker on every CPU in the calling thread's affinity mask, each pinned to
+    its own CPU for the call; the calling thread gets its mask back before
+    this returns or raises.  No flag, environment variable or parameter sets
+    that, and the tallies do not depend on it.
 
     Raises
     ------
     ValidationError
-        If ``seed`` is not an integer (``operator.index`` fails), or if an arm
+        If ``seed`` is not an integer (``operator.index`` fails); if an arm
         has a positive length that rounds to zero segments, i.e. it is no
-        longer than half a segment and would be sampled as noiseless.
+        longer than half a segment and would be sampled as noiseless; or if
+        the two arms hold 2**64 or more segments, past which a sample's
+        segment keys repeat.
     DomainError
         If ``sum(mu) / segments_per_km`` exceeds 1, i.e. the discretization
-        is too coarse for the requested error densities.
+        is too coarse for the requested error densities, or if ``sum(mu)``
+        overflows, so that no ``segments_per_km`` is fine enough.
     """
     segments_per_km = _as_count(segments_per_km, "segments_per_km", minimum=1)
     samples = _as_count(samples, "samples", minimum=1)
@@ -268,13 +274,28 @@ def monte_carlo_transmit(
     t1 = mu.mu1 * delta
     t2 = t1 + mu.mu2 * delta
     t3 = t2 + mu.mu3 * delta
+    total = mu.mu1 + mu.mu2 + mu.mu3
+    if not math.isfinite(total):
+        # segments_per_km would have to pass the largest float
+        raise DomainError(
+            f"per-segment error probability exceeds 1 at every segments_per_km: "
+            f"the error densities sum to more than {sys.float_info.max:.4g} /km"
+        )
     if t3 > 1.0:
         raise DomainError(
             f"per-segment error probability {t3:.4g} exceeds 1; "
-            f"increase segments_per_km above {math.ceil(mu.mu1 + mu.mu2 + mu.mu3)}"
+            f"increase segments_per_km above {math.ceil(total)}"
         )
-    n1 = round(geom.l1_km * segments_per_km)
-    n2 = round(geom.l2_km * segments_per_km)
+    n1, n2 = (
+        round(x) if math.isfinite(x) else 1 << 64
+        for x in (geom.l1_km * segments_per_km, geom.l2_km * segments_per_km)
+    )
+    # Past 2**64 segments a sample's keys j*K2 mod 2**64 repeat.
+    if n1 + n2 >= 1 << 64:
+        raise ValidationError(
+            f"arms of {geom.l1_km!r} and {geom.l2_km!r} km hold 2**64 or more segments "
+            f"at {segments_per_km} segments/km; the sampler's segment keys would repeat"
+        )
     for length, n in ((geom.l1_km, n1), (geom.l2_km, n2)):
         if length > 0.0 and n == 0:
             raise ValidationError(

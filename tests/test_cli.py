@@ -392,6 +392,30 @@ class TestMonteCarlo:
         assert "segments_per_km" in err
 
 
+    def test_overflowing_error_densities_exit_3(self, capsys):
+        code, out, err = run(
+            capsys, "montecarlo", "--mu", "1e308,1e308,1e308", "--l1", "1", "--l2", "1",
+            "--segments-per-km", "1",
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: per-segment error probability exceeds 1 at every segments_per_km:"
+            " the error densities sum to more than 1.798e+308 /km\n"
+        )
+
+    @pytest.mark.parametrize(
+        "mu, l1, l2, per_km",
+        [("0,0,0", "1e308", "1e308", "10"), ("0.1,0.1,0.1", "1e300", "0", "1")],
+    )
+    def test_2_64_segments_or_more_exit_2(self, capsys, mu, l1, l2, per_km):
+        code, out, err = run(
+            capsys, "montecarlo", "--mu", mu, "--l1", l1, "--l2", l2,
+            "--segments-per-km", per_km, "--samples", "1",
+        )
+        assert (code, out) == (2, "")
+        assert "2**64 or more segments" in err
+
+
 class TestFormats:
     COMMANDS = {
         "compose": ("compose", "--p", "0.7,0.3,0,0"),

@@ -1,3 +1,6 @@
+import contextlib
+import errno
+import os
 import sys
 import threading
 import warnings
@@ -122,6 +125,43 @@ def test_rejects_coarse_segmentation():
         monte_carlo_transmit(
             ErrorDensities(0.5, 0.5, 0.5), GEOM, segments_per_km=1, samples=10, seed=0
         )
+
+
+def test_overflowing_error_densities_raise_a_finite_domain_error():
+    # mu1 + mu2 + mu3 overflows: no segments_per_km brings the probability under 1
+    with pytest.raises(DomainError, match="every segments_per_km") as info:
+        monte_carlo_transmit(
+            ErrorDensities(1e308, 1e308, 1e308), LinkGeometry(1.0, 1.0),
+            segments_per_km=1, samples=10, seed=0,
+        )
+    assert "inf" not in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "mu, l1, l2, segments_per_km",
+    [
+        (0.0, 1e308, 1e308, 10),  # L * segments_per_km overflows to inf
+        (0.1, 1e300, 0.0, 1),  # would walk about 1e295 column tiles
+        (0.1, 2.0**63, 2.0**63, 1),  # exactly 2**64 segments
+        (0.1, 0.0, 2.0**64, 1),
+    ],
+)
+def test_rejects_2_64_segments_or_more(mu, l1, l2, segments_per_km):
+    # past 2**64 segments, keys j*K2 mod 2**64 repeat within a sample
+    with pytest.raises(ValidationError, match=r"2\*\*64 or more segments"):
+        monte_carlo_transmit(
+            ErrorDensities(mu, mu, mu), LinkGeometry(l1, l2),
+            segments_per_km=segments_per_km, samples=1, seed=0,
+        )
+
+
+def test_accepts_just_under_2_64_segments():
+    # noiseless, so the kernel returns without walking the segments
+    est = monte_carlo_transmit(
+        ErrorDensities(0.0, 0.0, 0.0), LinkGeometry(2.0**63, 2.0**63 - 1024),
+        segments_per_km=1, samples=10, seed=0,
+    )
+    assert est.bell_diagonal.as_tuple() == (1.0, 0.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("l1, l2", [(0.004, 0.0), (0.0, 0.004), (0.005, 3.0), (2.0, 1e-300)])
@@ -272,7 +312,7 @@ def test_memory_does_not_grow_with_sample_width():
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_tallies_do_not_depend_on_the_worker_count(monkeypatch, workers):
     monkeypatch.setattr(_mc, "_BLOCK_KEYS", 256)
-    monkeypatch.setattr(_mc, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(_mc, "_usable_cpus", lambda cpus: workers)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -280,6 +320,94 @@ def test_tallies_do_not_depend_on_the_worker_count(monkeypatch, workers):
             assert_matches_reference(seed, samples, 17, 30, 0.01, 0.03, 0.06)
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("tail", [1, 7, None])
+def test_bit_identical_for_any_candidate_queue_length(monkeypatch, tail):
+    # Samples of 257 and 20000 keys span 2 and 79 blocks; at t3 = 1 every key
+    # is a candidate, so a sample's fold carries across queue flushes.
+    monkeypatch.setattr(_mc, "_BLOCK_KEYS", 256)
+    configs = [(9, 1000, 17, 30, 0.01, 0.03, 0.06), (9, 3, 100, 157, 0.2, 0.5, 1.0)]
+    if tail is None:
+        configs.append((9, 2, 9000, 11000, 0.05, 0.1, 1.0))  # > _TAIL_KEYS per sample
+    else:
+        monkeypatch.setattr(_mc, "_TAIL_KEYS", tail)
+    for config in configs:
+        assert_matches_reference(*config)
+
+
+def pin_calls(monkeypatch):
+    """Record each (called from the main thread, mask) pin, then apply it."""
+    calls = []
+    pin = os.sched_setaffinity
+
+    def record(pid, cpus):
+        calls.append((threading.current_thread() is threading.main_thread(), set(cpus)))
+        pin(pid, cpus)
+
+    monkeypatch.setattr(os, "sched_setaffinity", record)
+    return calls
+
+
+needs_affinity = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls on this platform"
+)
+
+
+@needs_affinity
+@pytest.mark.parametrize("failure", [None, "helper", "caller"])
+def test_workers_are_pinned_and_the_callers_mask_restored(monkeypatch, failure):
+    monkeypatch.setattr(_mc, "_usable_cpus", lambda cpus: 2)
+    before = os.sched_getaffinity(0)
+    cpus = sorted(before)
+    calls = pin_calls(monkeypatch)
+    scan = _mc._scan
+    helper_started = threading.Event()
+
+    def failing(*args):
+        if threading.current_thread() is not threading.main_thread():
+            helper_started.set()
+            if failure == "helper":
+                raise RuntimeError("helper failed")
+        elif failure == "caller":
+            raise KeyboardInterrupt
+        elif failure == "helper":
+            helper_started.wait(timeout=10.0)  # let the helper claim a group
+        return scan(*args)
+
+    monkeypatch.setattr(_mc, "_scan", failing)
+    expected = {
+        None: contextlib.nullcontext(),
+        "helper": pytest.raises(RuntimeError, match="helper failed"),
+        "caller": pytest.raises(KeyboardInterrupt),
+    }[failure]
+    with expected:
+        _mc.bell_outcome_counts(2, 20_000, 300, 300, 0.01, 0.02, 0.03)
+    assert os.sched_getaffinity(0) == before
+    assert [mask for main, mask in calls if main] == [{cpus[0]}, before]
+    assert [mask for main, mask in calls if not main] == [{cpus[1 % len(cpus)]}]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("affinity", ["refused", "no setter", "no calls"])
+def test_tallies_match_when_workers_cannot_be_pinned(monkeypatch, workers, affinity):
+    monkeypatch.setattr(_mc, "_BLOCK_KEYS", 256)
+    monkeypatch.setattr(_mc, "_usable_cpus", lambda cpus: workers)
+    refused = []
+
+    def refuse(pid, cpus):
+        refused.append(cpus)
+        raise OSError(errno.EINVAL, "Invalid argument")
+
+    if affinity == "refused":
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    else:
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        if affinity == "no calls":
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for seed, samples in ((3, 4001), (-8, 1000)):
+        assert_matches_reference(seed, samples, 17, 30, 0.01, 0.03, 0.06)
+    assert bool(refused) == (affinity == "refused" and workers > 1)
 
 
 def test_no_thread_outlives_a_call():
@@ -290,29 +418,29 @@ def test_no_thread_outlives_a_call():
 
 def test_helper_failure_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(_mc, "_BLOCK_KEYS", 256)
-    monkeypatch.setattr(_mc, "_usable_cpus", lambda: 2)
-    folds = _mc._folds
+    monkeypatch.setattr(_mc, "_usable_cpus", lambda cpus: 2)
+    scan = _mc._scan
     helper_started = threading.Event()
 
     def failing_in_helper(*args):
         if threading.current_thread() is threading.main_thread():
             helper_started.wait(timeout=10.0)  # let the helper claim a group
-            return folds(*args)
+            return scan(*args)
         helper_started.set()
         raise RuntimeError("helper failed")
 
-    monkeypatch.setattr(_mc, "_folds", failing_in_helper)
+    monkeypatch.setattr(_mc, "_scan", failing_in_helper)
     with pytest.raises(RuntimeError, match="helper failed"):
         _mc.bell_outcome_counts(2, 1000, 20, 20, 0.01, 0.02, 0.03)
     assert helper_started.is_set()
     assert not _mc._LOCK.locked()
-    monkeypatch.setattr(_mc, "_folds", folds)
+    monkeypatch.setattr(_mc, "_scan", scan)
     assert_matches_reference(2, 1000, 20, 20, 0.01, 0.02, 0.03)
 
 
 def test_caller_failure_stops_the_helpers(monkeypatch):
-    monkeypatch.setattr(_mc, "_usable_cpus", lambda: 2)
-    folds = _mc._folds
+    monkeypatch.setattr(_mc, "_usable_cpus", lambda cpus: 2)
+    scan = _mc._scan
     helper_started = threading.Event()
     helper_groups = []
 
@@ -322,9 +450,9 @@ def test_caller_failure_stops_the_helpers(monkeypatch):
             raise KeyboardInterrupt
         helper_groups.append(args[2])
         helper_started.set()
-        return folds(*args)
+        return scan(*args)
 
-    monkeypatch.setattr(_mc, "_folds", failing_in_caller)
+    monkeypatch.setattr(_mc, "_scan", failing_in_caller)
     with pytest.raises(KeyboardInterrupt):
         _mc.bell_outcome_counts(2, 20_000, 300, 300, 0.01, 0.02, 0.03)  # 184 groups
     assert 1 <= len(helper_groups) < 92
