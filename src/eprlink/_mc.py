@@ -24,18 +24,15 @@ sample and tallies the folds.  A sample whose candidates span two flushes
 carries its partial fold into the next, so memory does not grow with the
 sample width.  Samples without a nonzero fold are tallied as 0.
 
-Every CPU in the calling thread's affinity mask runs one worker (the calling
-thread and daemon helper threads; numpy releases the GIL inside each pass).
-With more than one worker, worker k pins itself to the k-th CPU of the mask
-for the call, and the caller gets its own mask back when the call ends: an
-unbound worker often shares one CPU with another, as every GIL hand-off is a
-wake-up.  Where the affinity calls do not exist or fail, workers run unbound.
-Workers claim groups of samples from one shared counter, so a core slowed by
-other load takes fewer of them, and their integer tallies are summed at the
-end.  No flag, environment variable or parameter sets the number of workers
-or their CPUs.  Each worker keeps one set of block buffers and one queue for
-the life of the process, and one module lock guards them, so concurrent calls
-run one after another.
+Every CPU in the process's affinity mask runs one worker (the calling thread
+and daemon helper threads; numpy releases the GIL inside each pass, and the
+queued tail keeps GIL-bound numpy calls out of the per-block loop).  Workers
+claim groups of samples from one shared counter, so a core slowed by other
+load takes fewer of them, and their integer tallies are summed at the end.
+No flag, environment variable or parameter sets the number of workers.  Each
+worker keeps one set of block buffers and one queue for the life of the
+process, and one module lock guards them, so concurrent calls run one after
+another.
 """
 
 from __future__ import annotations
@@ -66,24 +63,11 @@ _LOCK = threading.Lock()
 _BUFFERS: list[tuple[np.ndarray, ...]] = []
 
 
-def _affinity() -> list[int]:
-    """The calling thread's CPUs in ascending order; empty where they cannot be read."""
+def _usable_cpus() -> int:
     try:
-        return sorted(os.sched_getaffinity(0))
-    except (AttributeError, OSError):  # no affinity call here, or it failed
-        return []
-
-
-def _usable_cpus(cpus: list[int]) -> int:
-    return len(cpus) or os.cpu_count() or 1
-
-
-def _pin(cpus) -> None:
-    """Set the calling thread's CPU mask; leave it as it is where that fails."""
-    try:
-        os.sched_setaffinity(0, cpus)  # pid 0 is the calling thread
-    except (AttributeError, OSError):
-        pass
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _worker_buffers(count: int) -> list[tuple[np.ndarray, ...]]:
@@ -226,37 +210,26 @@ def bell_outcome_counts(seed, samples, n1, n2, t1, t2, t3) -> np.ndarray:
             claimed += r
         return tail.counts(claimed)
 
-    def helper(k, buffers, parts):
+    def helper(buffers, parts):
         try:
-            if bound:
-                _pin({cpus[k % len(cpus)]})
             parts.append(work(buffers))
         except BaseException as exc:
             failures.append(exc)
 
-    cpus = _affinity()
     with _LOCK:
-        buffers = _worker_buffers(min(_usable_cpus(cpus), -(-samples // rows)))
-        # Worker k runs on the k-th CPU: unbound workers often share one CPU,
-        # since every GIL hand-off wakes the other thread.
-        bound = len(buffers) > 1 and bool(cpus)
+        buffers = _worker_buffers(min(_usable_cpus(), -(-samples // rows)))
         parts: list[np.ndarray] = []
         threads = [
-            threading.Thread(target=helper, args=(k, b, parts), daemon=True)
-            for k, b in enumerate(buffers[1:], 1)
+            threading.Thread(target=helper, args=(b, parts), daemon=True) for b in buffers[1:]
         ]
         for thread in threads:
             thread.start()
         try:
-            if bound:
-                _pin({cpus[0]})
             counts += work(buffers[0])
         except BaseException as exc:
             failures.append(exc)  # stops the helpers
             raise
         finally:
-            if bound:
-                _pin(cpus)
             for thread in threads:
                 thread.join()
     if failures:

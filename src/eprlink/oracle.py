@@ -248,11 +248,9 @@ def monte_carlo_transmit(
     four-group over both arms, and the folded index selects the received Bell
     state.  Randomness is a splitmix64 hash of (seed, sample, segment), so a
     seed fixes the tallies; ``seed`` is any integer, taken mod 2**64.  See
-    ``eprlink._mc`` for the stream and the kernel.  The sampler runs one
-    worker on every CPU in the calling thread's affinity mask, each pinned to
-    its own CPU for the call; the calling thread gets its mask back before
-    this returns or raises.  No flag, environment variable or parameter sets
-    that, and the tallies do not depend on it.
+    ``eprlink._mc`` for the stream and the kernel.  The sampler runs on every
+    CPU in the process's affinity mask; no flag, environment variable or
+    parameter sets that, and the tallies do not depend on it.
 
     Raises
     ------

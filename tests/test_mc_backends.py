@@ -1,6 +1,3 @@
-import contextlib
-import errno
-import os
 import sys
 import threading
 import warnings
@@ -312,7 +309,7 @@ def test_memory_does_not_grow_with_sample_width():
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_tallies_do_not_depend_on_the_worker_count(monkeypatch, workers):
     monkeypatch.setattr(_mc, "_BLOCK_KEYS", 256)
-    monkeypatch.setattr(_mc, "_usable_cpus", lambda cpus: workers)
+    monkeypatch.setattr(_mc, "_usable_cpus", lambda: workers)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -336,80 +333,6 @@ def test_bit_identical_for_any_candidate_queue_length(monkeypatch, tail):
         assert_matches_reference(*config)
 
 
-def pin_calls(monkeypatch):
-    """Record each (called from the main thread, mask) pin, then apply it."""
-    calls = []
-    pin = os.sched_setaffinity
-
-    def record(pid, cpus):
-        calls.append((threading.current_thread() is threading.main_thread(), set(cpus)))
-        pin(pid, cpus)
-
-    monkeypatch.setattr(os, "sched_setaffinity", record)
-    return calls
-
-
-needs_affinity = pytest.mark.skipif(
-    not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls on this platform"
-)
-
-
-@needs_affinity
-@pytest.mark.parametrize("failure", [None, "helper", "caller"])
-def test_workers_are_pinned_and_the_callers_mask_restored(monkeypatch, failure):
-    monkeypatch.setattr(_mc, "_usable_cpus", lambda cpus: 2)
-    before = os.sched_getaffinity(0)
-    cpus = sorted(before)
-    calls = pin_calls(monkeypatch)
-    scan = _mc._scan
-    helper_started = threading.Event()
-
-    def failing(*args):
-        if threading.current_thread() is not threading.main_thread():
-            helper_started.set()
-            if failure == "helper":
-                raise RuntimeError("helper failed")
-        elif failure == "caller":
-            raise KeyboardInterrupt
-        elif failure == "helper":
-            helper_started.wait(timeout=10.0)  # let the helper claim a group
-        return scan(*args)
-
-    monkeypatch.setattr(_mc, "_scan", failing)
-    expected = {
-        None: contextlib.nullcontext(),
-        "helper": pytest.raises(RuntimeError, match="helper failed"),
-        "caller": pytest.raises(KeyboardInterrupt),
-    }[failure]
-    with expected:
-        _mc.bell_outcome_counts(2, 20_000, 300, 300, 0.01, 0.02, 0.03)
-    assert os.sched_getaffinity(0) == before
-    assert [mask for main, mask in calls if main] == [{cpus[0]}, before]
-    assert [mask for main, mask in calls if not main] == [{cpus[1 % len(cpus)]}]
-
-
-@pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("affinity", ["refused", "no setter", "no calls"])
-def test_tallies_match_when_workers_cannot_be_pinned(monkeypatch, workers, affinity):
-    monkeypatch.setattr(_mc, "_BLOCK_KEYS", 256)
-    monkeypatch.setattr(_mc, "_usable_cpus", lambda cpus: workers)
-    refused = []
-
-    def refuse(pid, cpus):
-        refused.append(cpus)
-        raise OSError(errno.EINVAL, "Invalid argument")
-
-    if affinity == "refused":
-        monkeypatch.setattr(os, "sched_setaffinity", refuse)
-    else:
-        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
-        if affinity == "no calls":
-            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    for seed, samples in ((3, 4001), (-8, 1000)):
-        assert_matches_reference(seed, samples, 17, 30, 0.01, 0.03, 0.06)
-    assert bool(refused) == (affinity == "refused" and workers > 1)
-
-
 def test_no_thread_outlives_a_call():
     before = threading.active_count()
     _mc.bell_outcome_counts(1, 20_000, 300, 300, 0.01, 0.02, 0.03)
@@ -418,7 +341,7 @@ def test_no_thread_outlives_a_call():
 
 def test_helper_failure_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(_mc, "_BLOCK_KEYS", 256)
-    monkeypatch.setattr(_mc, "_usable_cpus", lambda cpus: 2)
+    monkeypatch.setattr(_mc, "_usable_cpus", lambda: 2)
     scan = _mc._scan
     helper_started = threading.Event()
 
@@ -439,7 +362,7 @@ def test_helper_failure_reaches_the_caller(monkeypatch):
 
 
 def test_caller_failure_stops_the_helpers(monkeypatch):
-    monkeypatch.setattr(_mc, "_usable_cpus", lambda cpus: 2)
+    monkeypatch.setattr(_mc, "_usable_cpus", lambda: 2)
     scan = _mc._scan
     helper_started = threading.Event()
     helper_groups = []
