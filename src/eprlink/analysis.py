@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .channel import ErrorDensities, _as_count, _as_length, _is_unit_distribution
-from .epr import BellDiagonal, _bell_weights, _concurrence_of_max, _decay_rates, _raw_concurrence
+from .channel import _SUM_TOL, ErrorDensities, _as_count, _as_length
+from .epr import BellDiagonal, _bell_weights, _decay_rates, _raw_concurrence
 from .errors import DomainError, NumericError, ValidationError
 
 __all__ = [
@@ -90,8 +91,9 @@ class ThresholdResult:
         return "finite" if self.is_finite else "never-vanishes"
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
+    """One sweep grid point: total length (km), concurrence and psi+ fidelity."""
+
     length_km: float
     concurrence: float
     fidelity: float
@@ -106,10 +108,10 @@ class SweepTable:
     def __post_init__(self):
         rows = tuple(self.rows)
         object.__setattr__(self, "rows", rows)
-        for prev, cur in zip(rows, rows[1:]):
-            if cur.length_km <= prev.length_km:
+        for (prev_length, prev_conc, _), (length, conc, _) in zip(rows, rows[1:]):
+            if length <= prev_length:
                 raise ValidationError("sweep lengths must be strictly increasing")
-            if cur.concurrence > prev.concurrence + 1e-12:
+            if conc > prev_conc + 1e-12:
                 raise ValidationError("sweep concurrence must be non-increasing")
 
 
@@ -225,7 +227,8 @@ def estimate_mu(point: MeasurementPoint) -> float:
     """Per-km error density implied by one QBER observation.
 
     Inverts qber = 3/4 * (1 - exp(-4 mu L)) for the depolarizing model:
-    mu = -ln((3 - 4 qber) / 3) / (4 L), in 1/km.
+    mu = -ln((3 - 4 qber) / 3) / (4 L), in 1/km.  inf where that passes the
+    float range (qber near 0.75 over a subnormal length).
     """
     # The logarithm is 0 or at least 1.1e-16 in magnitude, so quartering it is
     # exact: this rounds the quotient by 4 L once, as before, but 4 L can no
@@ -311,15 +314,35 @@ def sweep(mu: ErrorDensities, l_max_km: float, steps) -> SweepTable:
     steps = _as_count(steps, "steps", minimum=2)
     # Each row equals transmit_at_length(mu, LinkGeometry(length, 0)) bit for
     # bit; the grid lengths are finite and >= 0 by construction, so they skip
-    # the geometry's checks.  Every row's weights pass BellDiagonal's check:
-    # those outside its fast path go through BellDiagonal itself, which raises
-    # or clamps as transmit_at_length would.
+    # the geometry's checks.  The weights come from the one closed form,
+    # `_bell_weights`, and pass BellDiagonal's check inline: the range and sum
+    # test of `channel._is_unit_distribution`, same comparisons and summation
+    # order, without its `type(x) is float` tests, which math.exp and float
+    # arithmetic make true.  A row that fails the test goes through
+    # BellDiagonal itself, which raises or clamps as transmit_at_length would.
     rates = _decay_rates(mu)
     rows = []
+    append = rows.append
     for i in range(steps + 1):
         length = l_max_km * (i / steps)
-        weights = _bell_weights(rates, length)
-        if not _is_unit_distribution(*weights):
-            weights = BellDiagonal(*weights).as_tuple()
-        rows.append(SweepRow(length, _concurrence_of_max(max(weights)), weights[0]))
+        a, b, c, d = _bell_weights(rates, length)
+        if not (
+            0.0 <= a <= 1.0
+            and 0.0 <= b <= 1.0
+            and 0.0 <= c <= 1.0
+            and 0.0 <= d <= 1.0
+            and abs(a + b + c + d - 1.0) <= _SUM_TOL
+        ):
+            a = BellDiagonal(a, b, c, d).a
+        # epr.concurrence is min(1, max(0, 2 max(a, b, c, d) - 1)); here it is
+        # 2a - 1 floored at 0, bit for bit.  x, y and z are exp values in
+        # [0, 1], and b, c and d are a's left-to-right sum (1 + x) + y + z with
+        # the signs of some of x, y and z flipped; float rounding is monotone,
+        # so no flipped sum rounds above a's, and BellDiagonal's clamp keeps
+        # that order: a is the largest weight.  a <= 1/4 * 4 = 1, so the
+        # min(1, ...) never binds, and 2a - 1 is never -0.0.
+        conc = 2.0 * a - 1.0
+        if conc < 0.0:
+            conc = 0.0
+        append(SweepRow(length, conc, a))
     return SweepTable(tuple(rows))

@@ -255,7 +255,8 @@ def monte_carlo_transmit(
     Raises
     ------
     ValidationError
-        If ``seed`` is not an integer (``operator.index`` fails); if an arm
+        If ``seed`` is not an integer (``operator.index`` fails); if
+        ``segments_per_km`` is past the largest float; if an arm
         has a positive length that rounds to zero segments, i.e. it is no
         longer than half a segment and would be sampled as noiseless; or if
         the two arms hold 2**64 or more segments, past which a sample's
@@ -266,6 +267,11 @@ def monte_carlo_transmit(
         overflows, so that no ``segments_per_km`` is fine enough.
     """
     segments_per_km = _as_count(segments_per_km, "segments_per_km", minimum=1)
+    if segments_per_km > sys.float_info.max:
+        # 1/segments_per_km and L * segments_per_km take it as a float
+        raise ValidationError(
+            f"segments_per_km must be at most {sys.float_info.max:.4g}, the largest float"
+        )
     samples = _as_count(samples, "samples", minimum=1)
     seed = _as_int(seed, "seed")
     delta = 1.0 / segments_per_km

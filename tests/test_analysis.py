@@ -10,6 +10,8 @@ from eprlink import (
     ErrorDensities,
     LinkGeometry,
     MeasurementPoint,
+    SweepRow,
+    SweepTable,
     ThresholdResult,
     ValidationError,
     concurrence,
@@ -432,6 +434,30 @@ class TestSweep:
             sweep(mu, 0.0, 10)
         with pytest.raises(ValidationError):
             sweep(mu, 10.0, 1)
+
+    def test_rows_are_named_tuples(self):
+        row = sweep(ErrorDensities(0.008, 0.008, 0.008), 60.0, 120).rows[60]
+        assert SweepRow._fields == ("length_km", "concurrence", "fidelity")
+        assert row == (row.length_km, row.concurrence, row.fidelity)
+        assert repr(row) == (
+            "SweepRow(length_km=30.0, concurrence=0.07433932896266793,"
+            " fidelity=0.537169664481334)"
+        )
+        assert [v.hex() for v in row] == [
+            "0x1.e000000000000p+4", "0x1.307e6fab384c0p-4", "0x1.1307e6fab384cp-1"
+        ]
+        with pytest.raises(AttributeError):
+            row.concurrence = 0.5
+
+    def test_lengths_that_round_together_are_rejected(self):
+        # 5e-324 * (i / 4) rounds to 0 km for i = 0, 1, 2
+        with pytest.raises(ValidationError, match="sweep lengths must be strictly increasing"):
+            sweep(ErrorDensities(0.01, 0.02, 0.03), 5e-324, 4)
+
+    def test_table_rejects_rising_concurrence(self):
+        rows = (SweepRow(0.0, 0.5, 0.75), SweepRow(1.0, 0.6, 0.8))
+        with pytest.raises(ValidationError, match="sweep concurrence must be non-increasing"):
+            SweepTable(rows)
 
     def test_rows_equal_transmit_at_length_bit_for_bit(self):
         # log-uniform densities over 1e-30..1e3 /km, plus subnormal ones;

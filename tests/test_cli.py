@@ -232,6 +232,19 @@ class TestEstimateMu:
         assert "-> mu = 2.74653e-309 /km" in out
         assert "fitted mu: 2.74653e-309 /km" in out
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_overflowing_estimate_exits_3(self, capsys, fmt):
+        # a valid point whose implied mu passes the float range
+        code, out, err = run(
+            capsys, "estimate-mu", "--qber", "0.7499999999", "--length", "1e-320",
+            "--format", fmt,
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: implied error density overflows: qber 0.7499999999 at 1e-320 km"
+            " needs more than 1.798e+308 /km\n"
+        )
+
     def test_qber_above_floor_exits_3(self, capsys):
         code, _, err = run(capsys, "estimate-mu", "--qber", "0.8", "--length", "1.0")
         assert code == 3
@@ -299,6 +312,13 @@ class TestSweep:
         assert code == 2
         assert out == ""
         assert err == "error: Bell weight a must be a finite number, got nan\n"
+
+    def test_lengths_that_round_together_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "sweep", "--mu", "0.01,0.02,0.03", "--lmax", "5e-324", "--steps", "4"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: sweep lengths must be strictly increasing\n"
 
     def test_unwritable_output_exits_4(self, tmp_path, capsys):
         code, _, _ = run(
@@ -414,6 +434,15 @@ class TestMonteCarlo:
         )
         assert (code, out) == (2, "")
         assert "2**64 or more segments" in err
+
+
+    def test_segments_per_km_past_the_float_range_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "montecarlo", "--mu", "0.1,0.1,0.1", "--l1", "1", "--l2", "1",
+            "--segments-per-km", "1" + "0" * 320,
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: segments_per_km must be at most 1.798e+308, the largest float\n"
 
 
 class TestFormats:

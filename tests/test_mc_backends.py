@@ -134,6 +134,15 @@ def test_overflowing_error_densities_raise_a_finite_domain_error():
     assert "inf" not in str(info.value)
 
 
+@pytest.mark.parametrize("segments_per_km", [10**320, 2**1024], ids=["10**320", "2**1024"])
+def test_rejects_segments_per_km_past_the_float_range(segments_per_km):
+    # 1/segments_per_km used to raise OverflowError
+    with pytest.raises(ValidationError, match="segments_per_km must be at most 1.798e"):
+        monte_carlo_transmit(
+            DEPOL, GEOM, segments_per_km=segments_per_km, samples=1, seed=0
+        )
+
+
 @pytest.mark.parametrize(
     "mu, l1, l2, segments_per_km",
     [
