@@ -11,10 +11,21 @@ model: qber = 3/4 * (1 - exp(-4 mu L)).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .channel import _SUM_TOL, ErrorDensities, _as_count, _as_length
+from .channel import (
+    _ENTRY_MAX,
+    _ENTRY_MIN,
+    _FLOAT_MAX,
+    _SUM_TOL,
+    ErrorDensities,
+    _as_count,
+    _as_length,
+    _is_finite,
+    _shown,
+)
 from .epr import BellDiagonal, _bell_weights, _decay_rates, _raw_concurrence
 from .errors import DomainError, NumericError, ValidationError
 
@@ -54,18 +65,26 @@ class MeasurementPoint:
     total_length_km: float
 
     def __post_init__(self):
-        if not isinstance(self.qber, (int, float)) or not math.isfinite(self.qber):
-            raise ValidationError(f"qber must be a finite number, got {self.qber!r}")
-        if self.qber < 0.0:
-            raise ValidationError(f"qber must be >= 0, got {self.qber!r}")
-        if self.qber >= QBER_FLOOR_LIMIT:
+        qber, length = self.qber, self.total_length_km
+        if (
+            type(qber) is float
+            and 0.0 <= qber < QBER_FLOOR_LIMIT
+            and type(length) is float
+            and 0.0 < length <= _FLOAT_MAX
+        ):
+            return
+        if not isinstance(qber, (int, float)) or not _is_finite(qber):
+            raise ValidationError(f"qber must be a finite number, got {_shown(qber)}")
+        if qber < 0.0:
+            raise ValidationError(f"qber must be >= 0, got {qber!r}")
+        if qber >= QBER_FLOOR_LIMIT:
             raise DomainError(
-                f"qber {self.qber!r} exceeds the depolarizing fidelity floor (must be < 0.75)"
+                f"qber {qber!r} exceeds the depolarizing fidelity floor (must be < 0.75)"
             )
-        length = _as_length(self.total_length_km)
+        length = _as_length(length)
         if length <= 0.0:
             raise ValidationError(f"total length must be > 0 km, got {length!r}")
-        object.__setattr__(self, "qber", float(self.qber))
+        object.__setattr__(self, "qber", float(qber))
         object.__setattr__(self, "total_length_km", length)
 
 
@@ -145,8 +164,8 @@ def _closed_form_result(length_km: float) -> ThresholdResult:
 
 
 def _check_mu(mu: float) -> None:
-    if not isinstance(mu, (int, float)) or not math.isfinite(mu):
-        raise ValidationError(f"error density must be a finite number, got {mu!r}")
+    if not isinstance(mu, (int, float)) or not _is_finite(mu):
+        raise ValidationError(f"error density must be a finite number, got {_shown(mu)}")
     if mu < 0.0:
         raise ValidationError(f"error density must be >= 0, got {mu!r}")
 
@@ -236,6 +255,17 @@ def estimate_mu(point: MeasurementPoint) -> float:
     return -math.log((3.0 - 4.0 * point.qber) / 3.0) / 4.0 / point.total_length_km
 
 
+def _finite_estimate(point: MeasurementPoint) -> float:
+    # `estimate_mu`, or DomainError where the density passes the float range.
+    mu = estimate_mu(point)
+    if math.isinf(mu):
+        raise DomainError(
+            f"implied error density overflows: qber {point.qber!r} at "
+            f"{point.total_length_km!r} km needs more than {sys.float_info.max:.4g} /km"
+        )
+    return mu
+
+
 def _qber_model(mu: float, length_km: float) -> float:
     return 0.75 * (1.0 - math.exp(-4.0 * mu * length_km))
 
@@ -246,13 +276,14 @@ def fit_mu(points) -> tuple[float, float]:
     Minimizes sum_i (qber_i - 3/4 (1 - exp(-4 mu L_i)))^2 by bisecting the
     objective's derivative in mu (the model is monotone in mu per point, so
     the objective is unimodal).  A single point reduces exactly to
-    `estimate_mu`.  Returns (mu, rms residual).
+    `estimate_mu`, except that a density past the float range raises
+    `DomainError` instead of returning inf.  Returns (mu, rms residual).
     """
     points = list(points)
     if not points:
         raise ValidationError("at least one measurement point is required")
     if len(points) == 1:
-        mu = estimate_mu(points[0])
+        mu = _finite_estimate(points[0])
         return mu, _rms_residual(mu, points)
     if all(p.qber == 0.0 for p in points):
         return 0.0, 0.0
@@ -313,36 +344,39 @@ def sweep(mu: ErrorDensities, l_max_km: float, steps) -> SweepTable:
         raise ValidationError(f"maximum sweep length must be > 0 km, got {l_max_km!r}")
     steps = _as_count(steps, "steps", minimum=2)
     # Each row equals transmit_at_length(mu, LinkGeometry(length, 0)) bit for
-    # bit; the grid lengths are finite and >= 0 by construction, so they skip
-    # the geometry's checks.  The weights come from the one closed form,
-    # `_bell_weights`, and pass BellDiagonal's check inline: the range and sum
-    # test of `channel._is_unit_distribution`, same comparisons and summation
-    # order, without its `type(x) is float` tests, which math.exp and float
-    # arithmetic make true.  A row that fails the test goes through
-    # BellDiagonal itself, which raises or clamps as transmit_at_length would.
-    rates = _decay_rates(mu)
+    # bit.  The grid lengths are finite and >= 0 by construction, so they skip
+    # the geometry's checks, and the weights come from `_bell_weights`, the
+    # one closed form, as one generator over the whole grid.  A row only needs
+    # a, so the test below accepts exactly the weights that BellDiagonal
+    # accepts (each within its 1e-12 tolerance of [0, 1], the sum within 1e-12
+    # of 1, summed in its order) and whose a it keeps as given (a in [0, 1]).
+    # That admits the -1e-17 noise on b, c and d that BellDiagonal would clamp.
+    # Any other row goes through BellDiagonal itself, which raises or clamps
+    # as transmit_at_length would.
+    #
+    # epr.concurrence is min(1, max(0, 2 max(a, b, c, d) - 1)); here it is
+    # 2a - 1 floored at 0, bit for bit.  x, y and z are exp values in [0, 1],
+    # and b, c and d are a's left-to-right sum (1 + x) + y + z with the signs
+    # of some of x, y and z flipped; float rounding is monotone, so no flipped
+    # sum rounds above a's, and BellDiagonal's clamp keeps that order: a is the
+    # largest weight.  a <= 1/4 * 4 = 1, so the min(1, ...) never binds, and
+    # 2a - 1 is never -0.0.  Rows are built with tuple.__new__, which is what
+    # SweepRow's generated __new__ does, less its Python frame.
+    lengths = [l_max_km * (i / steps) for i in range(steps + 1)]
+    new_row = tuple.__new__
     rows = []
     append = rows.append
-    for i in range(steps + 1):
-        length = l_max_km * (i / steps)
-        a, b, c, d = _bell_weights(rates, length)
+    for length, (a, b, c, d) in zip(lengths, _bell_weights(_decay_rates(mu), lengths)):
         if not (
             0.0 <= a <= 1.0
-            and 0.0 <= b <= 1.0
-            and 0.0 <= c <= 1.0
-            and 0.0 <= d <= 1.0
+            and _ENTRY_MIN <= b <= _ENTRY_MAX
+            and _ENTRY_MIN <= c <= _ENTRY_MAX
+            and _ENTRY_MIN <= d <= _ENTRY_MAX
             and abs(a + b + c + d - 1.0) <= _SUM_TOL
         ):
             a = BellDiagonal(a, b, c, d).a
-        # epr.concurrence is min(1, max(0, 2 max(a, b, c, d) - 1)); here it is
-        # 2a - 1 floored at 0, bit for bit.  x, y and z are exp values in
-        # [0, 1], and b, c and d are a's left-to-right sum (1 + x) + y + z with
-        # the signs of some of x, y and z flipped; float rounding is monotone,
-        # so no flipped sum rounds above a's, and BellDiagonal's clamp keeps
-        # that order: a is the largest weight.  a <= 1/4 * 4 = 1, so the
-        # min(1, ...) never binds, and 2a - 1 is never -0.0.
         conc = 2.0 * a - 1.0
         if conc < 0.0:
             conc = 0.0
-        append(SweepRow(length, conc, a))
+        append(new_row(SweepRow, (length, conc, a)))
     return SweepTable(tuple(rows))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -43,6 +44,8 @@ _SUM_TOL = 1e-12
 _ENTRY_MIN = -_ENTRY_TOL
 _ENTRY_MAX = 1.0 + _ENTRY_TOL
 _REAL = (int, float)
+# `0.0 <= x <= _FLOAT_MAX` holds exactly for the finite non-negative floats.
+_FLOAT_MAX = sys.float_info.max
 
 # Keeps the brute-force oracle desk-scale; the closed form has no cap.
 _BRUTEFORCE_CAP = 10**9
@@ -50,13 +53,14 @@ _BRUTEFORCE_CAP = 10**9
 _FLIP_AXES = {"x": 1, "y": 2, "z": 3}
 
 _PROB_NAMES = ("p0", "p1", "p2", "p3")
+_MU_NAMES = ("mu1", "mu2", "mu3")
 
 
 def _is_unit_distribution(a, b, c, d) -> bool:
     # Every value is a float in [0, 1] and the four sum to 1 within _SUM_TOL:
     # the common case, which needs no rewrite.  The sum is taken in the order
     # of _validate_distribution's loop, so this accepts only what that loop
-    # accepts.
+    # accepts.  `_distribution_check` runs this same test in its own frame.
     return (
         type(a) is float
         and type(b) is float
@@ -70,14 +74,34 @@ def _is_unit_distribution(a, b, c, d) -> bool:
     )
 
 
+def _is_finite(value) -> bool:
+    # math.isfinite for a real number, False for an int past the float range,
+    # on which math.isfinite raises OverflowError.
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _shown(value) -> str:
+    # repr for a message; Python refuses to print ints of more than
+    # sys.get_int_max_str_digits() digits, so those are described instead.
+    try:
+        return repr(value)
+    except ValueError:
+        return f"an integer of {value.bit_length()} bits"
+
+
 def _validate_distribution(kind: str, names, values) -> None:
     total = 0.0
     for i, value in enumerate(values):
-        # The chained comparison is False for NaN and +-inf too; isfinite
+        # The chained comparison is False for NaN and +-inf too; _is_finite
         # only picks the message.
         if not (isinstance(value, _REAL) and _ENTRY_MIN <= value <= _ENTRY_MAX):
-            if not isinstance(value, _REAL) or not math.isfinite(value):
-                raise ValidationError(f"{kind} {names[i]} must be a finite number, got {value!r}")
+            if not isinstance(value, _REAL) or not _is_finite(value):
+                raise ValidationError(
+                    f"{kind} {names[i]} must be a finite number, got {_shown(value)}"
+                )
             raise ValidationError(f"{kind} {names[i]}={value!r} is outside [0, 1]")
         total += value
     if abs(total - 1.0) > _SUM_TOL:
@@ -92,16 +116,54 @@ def _clamp01(value: float) -> float:
     return float(value)
 
 
-def _init_distribution(obj, kind: str, names, values) -> None:
-    # Fields that pass _is_unit_distribution are stored as given.  Any other
-    # input takes the full check, and then every field is rewritten: ints,
-    # bools and numpy scalars become floats, and the sub-tolerance overshoot
-    # that validation admits is clamped.
-    if _is_unit_distribution(*values):
-        return
-    _validate_distribution(kind, names, values)
-    for name, value in zip(names, values):
-        object.__setattr__(obj, name, _clamp01(value))
+def _distribution_check(kind: str, names):
+    """The ``__post_init__`` of a frozen dataclass of four probabilities.
+
+    Fields that pass `_is_unit_distribution`'s test, run here in the
+    caller's frame, are stored as given.  Any other input takes the full
+    check, and then every field is rewritten: ints, bools and numpy scalars
+    become floats, and the sub-tolerance overshoot that validation admits is
+    clamped.
+    """
+    fields = operator.attrgetter(*names)
+
+    def __post_init__(self):
+        a, b, c, d = values = fields(self)
+        if (
+            type(a) is float
+            and type(b) is float
+            and type(c) is float
+            and type(d) is float
+            and 0.0 <= a <= 1.0
+            and 0.0 <= b <= 1.0
+            and 0.0 <= c <= 1.0
+            and 0.0 <= d <= 1.0
+            and abs(a + b + c + d - 1.0) <= _SUM_TOL
+        ):
+            return
+        _validate_distribution(kind, names, values)
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, _clamp01(value))
+
+    return __post_init__
+
+
+def _nonnegative_check(names, check):
+    """The ``__post_init__`` of a frozen dataclass of finite non-negative floats.
+
+    Fields that are floats in [0, max float], tested here in the caller's
+    frame, are stored as given; otherwise ``check(self)``, the class's own
+    field-by-field check, raises or rewrites them.
+    """
+    fields = operator.attrgetter(*names)
+
+    def __post_init__(self):
+        for value in fields(self):
+            if not (type(value) is float and 0.0 <= value <= _FLOAT_MAX):
+                check(self)
+                return
+
+    return __post_init__
 
 
 @dataclass(frozen=True)
@@ -117,8 +179,7 @@ class PauliProbs:
     p2: float
     p3: float
 
-    def __post_init__(self):
-        _init_distribution(self, "channel", _PROB_NAMES, (self.p0, self.p1, self.p2, self.p3))
+    __post_init__ = _distribution_check("channel", _PROB_NAMES)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.p0, self.p1, self.p2, self.p3)
@@ -136,14 +197,16 @@ class ErrorDensities:
     mu2: float
     mu3: float
 
-    def __post_init__(self):
-        for name in ("mu1", "mu2", "mu3"):
+    def _check(self):
+        for name in _MU_NAMES:
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise ValidationError(f"error density {name} must be finite, got {value!r}")
+            if not isinstance(value, (int, float)) or not _is_finite(value):
+                raise ValidationError(f"error density {name} must be finite, got {_shown(value)}")
             if value < 0:
                 raise ValidationError(f"error density {name} must be >= 0, got {value!r}")
             object.__setattr__(self, name, float(value))
+
+    __post_init__ = _nonnegative_check(_MU_NAMES, _check)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.mu1, self.mu2, self.mu3)
@@ -165,8 +228,8 @@ class Lambdas:
     def __post_init__(self):
         for name in ("lambda1", "lambda2", "lambda3"):
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise ValidationError(f"decay factor {name} must be finite, got {value!r}")
+            if not isinstance(value, (int, float)) or not _is_finite(value):
+                raise ValidationError(f"decay factor {name} must be finite, got {_shown(value)}")
             object.__setattr__(self, name, float(value))
 
     def as_tuple(self) -> tuple[float, float, float]:
@@ -203,7 +266,7 @@ def _as_int(n, what: str) -> int:
 def _as_count(n, what: str, minimum: int = 0) -> int:
     n = _as_int(n, what)
     if n < minimum:
-        raise ValidationError(f"{what} must be >= {minimum}, got {n}")
+        raise ValidationError(f"{what} must be >= {minimum}, got {_shown(n)}")
     return n
 
 
@@ -312,8 +375,10 @@ def at_length(mu: ErrorDensities, length_km: float) -> PauliProbs:
 
 
 def _as_length(length_km) -> float:
-    if not isinstance(length_km, (int, float)) or not math.isfinite(length_km):
-        raise ValidationError(f"length must be a finite number, got {length_km!r}")
+    if type(length_km) is float and 0.0 <= length_km <= _FLOAT_MAX:
+        return length_km
+    if not isinstance(length_km, (int, float)) or not _is_finite(length_km):
+        raise ValidationError(f"length must be a finite number, got {_shown(length_km)}")
     if length_km < 0:
         raise ValidationError(f"length must be >= 0 km, got {length_km!r}")
     return float(length_km)
@@ -337,8 +402,8 @@ def flip_at_length(mu_i: float, axis: str, length_km: float) -> PauliProbs:
     """
     if axis not in _FLIP_AXES:
         raise ValidationError(f"flip axis must be one of 'x', 'y', 'z', got {axis!r}")
-    if not isinstance(mu_i, (int, float)) or not math.isfinite(mu_i) or mu_i < 0:
-        raise ValidationError(f"error density must be finite and >= 0, got {mu_i!r}")
+    if not isinstance(mu_i, (int, float)) or not _is_finite(mu_i) or mu_i < 0:
+        raise ValidationError(f"error density must be finite and >= 0, got {_shown(mu_i)}")
     length_km = _as_length(length_km)
     q = 0.5 * (1.0 - math.exp(-2.0 * mu_i * length_km))
     probs = [1.0 - q, 0.0, 0.0, 0.0]
@@ -352,6 +417,6 @@ def depolarizing_probs(p: float) -> PauliProbs:
     Returns (1 - 3p/4, p/4, p/4, p/4): the channel that replaces the state by
     the maximally mixed state with probability p.
     """
-    if not isinstance(p, (int, float)) or not math.isfinite(p) or not 0.0 <= p <= 1.0:
-        raise ValidationError(f"depolarizing probability must be in [0, 1], got {p!r}")
+    if not isinstance(p, (int, float)) or not _is_finite(p) or not 0.0 <= p <= 1.0:
+        raise ValidationError(f"depolarizing probability must be in [0, 1], got {_shown(p)}")
     return PauliProbs(1.0 - 0.75 * p, 0.25 * p, 0.25 * p, 0.25 * p)

@@ -219,17 +219,6 @@ def _read_measurements(path) -> list[analysis.MeasurementPoint]:
     return points
 
 
-def _estimate_mu(point: analysis.MeasurementPoint) -> float:
-    # a valid point can imply a density past the float range
-    mu = analysis.estimate_mu(point)
-    if math.isinf(mu):
-        raise DomainError(
-            f"implied error density overflows: qber {point.qber!r} at "
-            f"{point.total_length_km!r} km needs more than {sys.float_info.max:.4g} /km"
-        )
-    return mu
-
-
 def cmd_estimate_mu(args) -> str:
     inline = args.qber is not None or args.length is not None
     if inline and args.input:
@@ -247,7 +236,7 @@ def cmd_estimate_mu(args) -> str:
     else:
         raise ValidationError("provide --qber with --length, or --input CSV")
     per_point = [
-        {"qber": p.qber, "total_length_km": p.total_length_km, "mu": _estimate_mu(p)}
+        {"qber": p.qber, "total_length_km": p.total_length_km, "mu": analysis._finite_estimate(p)}
         for p in points
     ]
     mu_fit, rms = analysis.fit_mu(points)

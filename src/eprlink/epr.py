@@ -16,8 +16,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
-from .channel import ErrorDensities, PauliProbs, _as_length, _init_distribution
+from .channel import (
+    ErrorDensities,
+    PauliProbs,
+    _as_length,
+    _distribution_check,
+    _is_finite,
+    _nonnegative_check,
+    _shown,
+)
 from .errors import ValidationError
 
 __all__ = [
@@ -36,6 +45,7 @@ __all__ = [
 BELL_LABELS = ("psi+", "psi-", "phi+", "phi-")
 
 _WEIGHT_NAMES = ("a", "b", "c", "d")
+_weights_of = attrgetter(*_WEIGHT_NAMES)
 
 
 @dataclass(frozen=True)
@@ -51,8 +61,7 @@ class BellDiagonal:
     c: float
     d: float
 
-    def __post_init__(self):
-        _init_distribution(self, "Bell weight", _WEIGHT_NAMES, (self.a, self.b, self.c, self.d))
+    __post_init__ = _distribution_check("Bell weight", _WEIGHT_NAMES)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.a, self.b, self.c, self.d)
@@ -65,9 +74,11 @@ class LinkGeometry:
     l1_km: float
     l2_km: float
 
-    def __post_init__(self):
+    def _check(self):
         object.__setattr__(self, "l1_km", _as_length(self.l1_km))
         object.__setattr__(self, "l2_km", _as_length(self.l2_km))
+
+    __post_init__ = _nonnegative_check(("l1_km", "l2_km"), _check)
 
     @property
     def total_km(self) -> float:
@@ -98,20 +109,21 @@ def _decay_rates(mu: ErrorDensities) -> tuple[float, float, float]:
     return -2.0 * (m1 + m2), -2.0 * (m1 + m3), -2.0 * (m2 + m3)
 
 
-def _bell_weights(
-    rates: tuple[float, float, float], total_km: float
-) -> tuple[float, float, float, float]:
-    # The (1 +- x +- y +- z)/4 closed form at one total length, unvalidated.
+def _bell_weights(rates: tuple[float, float, float], lengths):
+    # The (1 +- x +- y +- z)/4 closed form, unvalidated: one (a, b, c, d)
+    # tuple per total length, so a grid of lengths costs no call per point.
     rx, ry, rz = rates
-    x = math.exp(rx * total_km)
-    y = math.exp(ry * total_km)
-    z = math.exp(rz * total_km)
-    return (
-        0.25 * (1.0 + x + y + z),
-        0.25 * (1.0 + x - y - z),
-        0.25 * (1.0 - x - y + z),
-        0.25 * (1.0 - x + y - z),
-    )
+    exp = math.exp
+    for length in lengths:
+        x = exp(rx * length)
+        y = exp(ry * length)
+        z = exp(rz * length)
+        yield (
+            0.25 * (1.0 + x + y + z),
+            0.25 * (1.0 + x - y - z),
+            0.25 * (1.0 - x - y + z),
+            0.25 * (1.0 - x + y - z),
+        )
 
 
 def transmit_at_length(mu: ErrorDensities, geom: LinkGeometry) -> BellDiagonal:
@@ -123,7 +135,8 @@ def transmit_at_length(mu: ErrorDensities, geom: LinkGeometry) -> BellDiagonal:
     z = exp(-2 (mu2 + mu3) L).  Equal to
     ``transmit(at_length(mu, L1), at_length(mu, L2))``.
     """
-    return BellDiagonal(*_bell_weights(_decay_rates(mu), geom.total_km))
+    (weights,) = _bell_weights(_decay_rates(mu), (geom.total_km,))
+    return BellDiagonal(*weights)
 
 
 def concurrence(state: BellDiagonal) -> float:
@@ -132,11 +145,12 @@ def concurrence(state: BellDiagonal) -> float:
     Zero for separable states, 1 for a pure Bell state; positive exactly when
     one weight exceeds 1/2.  Clamped to [0, 1] to absorb float overshoot.
     """
-    return _concurrence_of_max(max(state.as_tuple()))
-
-
-def _concurrence_of_max(largest: float) -> float:
-    return min(1.0, max(0.0, 2.0 * largest - 1.0))
+    # min(1, max(0, conc)), written out: max keeps 0.0 unless conc > 0 (so
+    # -0.0 and nan give 0.0), and min keeps conc only below 1.
+    conc = 2.0 * max(_weights_of(state)) - 1.0
+    if conc > 0.0:
+        return conc if conc < 1.0 else 1.0
+    return 0.0
 
 
 def fidelity_psi_plus(state: BellDiagonal) -> float:
@@ -174,8 +188,8 @@ def doubleflip_coefficients(mu: float, total_length_km: float) -> BellDiagonal:
     e = exp(-2 mu L).  The concurrence max(0, (e^2 + 2e - 1)/2) vanishes
     beyond a finite threshold length, unlike the single-flip case.
     """
-    if not isinstance(mu, (int, float)) or not math.isfinite(mu) or mu < 0:
-        raise ValidationError(f"error density must be finite and >= 0, got {mu!r}")
+    if not isinstance(mu, (int, float)) or not _is_finite(mu) or mu < 0:
+        raise ValidationError(f"error density must be finite and >= 0, got {_shown(mu)}")
     total_length_km = _as_length(total_length_km)
     e = math.exp(-2.0 * mu * total_length_km)
     return BellDiagonal(

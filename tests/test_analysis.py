@@ -25,6 +25,7 @@ from eprlink import (
     threshold_generic,
     transmit_at_length,
 )
+from eprlink.epr import _bell_weights, _decay_rates
 
 rng = np.random.default_rng(20240504)
 
@@ -396,6 +397,17 @@ class TestFitMu:
             got = fit_mu(points)
             assert [v.hex() for v in got] == [v.hex() for v in _reference_fit_mu(points)], points
 
+    def test_single_point_past_the_float_range_raises(self):
+        # estimate_mu answers inf here; fit_mu raises as the CLI does
+        point = MeasurementPoint(0.7499999999, 1e-320)
+        assert estimate_mu(point) == math.inf
+        with pytest.raises(DomainError) as info:
+            fit_mu([point])
+        assert str(info.value) == (
+            "implied error density overflows: qber 0.7499999999 at 1e-320 km"
+            " needs more than 1.798e+308 /km"
+        )
+
     def test_all_zero_qber(self):
         mu, rms = fit_mu([MeasurementPoint(0.0, 1.0), MeasurementPoint(0.0, 2.0)])
         assert mu == 0.0 and rms == 0.0
@@ -480,3 +492,24 @@ class TestSweep:
                     got = (row.length_km, row.concurrence, row.fidelity)
                     want = (l_max * (i / steps), concurrence(state), state.a)
                     assert [v.hex() for v in got] == [v.hex() for v in want], (mu, l_max, i)
+
+    def test_rows_with_clamped_noise_equal_transmit_at_length_bit_for_bit(self):
+        # One density, two equal ones, or three equal ones: weights that are
+        # 0 in exact arithmetic come out of the closed form as +-1e-17 noise,
+        # which BellDiagonal clamps.  The sweep keeps a without building one.
+        gen = np.random.default_rng(20261024)
+        noisy = 0
+        for _ in range(40):
+            m = float(10.0 ** gen.uniform(-4.0, 1.0))
+            for densities in ((m, 0.0, 0.0), (0.0, m, m), (m, 0.0, m), (m, m, m)):
+                mu = ErrorDensities(*densities)
+                l_max = float(10.0 ** gen.uniform(-1.0, 1.0)) / m
+                table = sweep(mu, l_max, 60)
+                for row in table.rows:
+                    weights = next(_bell_weights(_decay_rates(mu), (row.length_km,)))
+                    noisy += min(weights) < 0.0
+                    state = transmit_at_length(mu, LinkGeometry(row.length_km, 0.0))
+                    got = (row.concurrence, row.fidelity)
+                    want = (concurrence(state), state.a)
+                    assert [v.hex() for v in got] == [v.hex() for v in want], (mu, row)
+        assert noisy > 500
