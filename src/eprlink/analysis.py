@@ -16,17 +16,14 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .channel import (
-    _ENTRY_MAX,
-    _ENTRY_MIN,
     _FLOAT_MAX,
-    _SUM_TOL,
     ErrorDensities,
     _as_count,
     _as_length,
     _is_finite,
     _shown,
 )
-from .epr import BellDiagonal, _bell_weights, _decay_rates, _raw_concurrence
+from .epr import LinkGeometry, _decay_rates, _raw_concurrence, transmit_at_length
 from .errors import DomainError, NumericError, ValidationError
 
 __all__ = [
@@ -132,6 +129,13 @@ class SweepTable:
                 raise ValidationError("sweep lengths must be strictly increasing")
             if conc > prev_conc + 1e-12:
                 raise ValidationError("sweep concurrence must be non-increasing")
+
+    @classmethod
+    def _checked(cls, rows: tuple) -> "SweepTable":
+        # A table of rows that `sweep` has already put through both checks.
+        table = object.__new__(cls)
+        object.__setattr__(table, "rows", rows)
+        return table
 
 
 def threshold_depolarizing(mu: float) -> ThresholdResult:
@@ -338,45 +342,50 @@ def sweep(mu: ErrorDensities, l_max_km: float, steps) -> SweepTable:
 
     ``steps`` is the number of grid intervals, so the table has steps + 1
     rows; the first row is always (0, 1, 1).
+
+    Raises
+    ------
+    ValidationError
+        If ``l_max_km`` is not a finite number > 0 km; if ``steps`` is not an
+        integer >= 2; if grid lengths round together ("sweep lengths must be
+        strictly increasing", e.g. a subnormal ``l_max_km``); or if a decay
+        rate -2 (mu_i + mu_j) overflows, where the first row is 0 * inf = nan
+        ("Bell weight a must be a finite number, got nan").
     """
     l_max_km = _as_length(l_max_km)
     if l_max_km <= 0.0:
         raise ValidationError(f"maximum sweep length must be > 0 km, got {l_max_km!r}")
     steps = _as_count(steps, "steps", minimum=2)
+    rates = _decay_rates(mu)
+    if -math.inf in rates:
+        # Row 0 is 0 * -inf = nan: raise BellDiagonal's error for it.
+        transmit_at_length(mu, LinkGeometry(0.0, 0.0))
     # Each row equals transmit_at_length(mu, LinkGeometry(length, 0)) bit for
-    # bit.  The grid lengths are finite and >= 0 by construction, so they skip
-    # the geometry's checks, and the weights come from `_bell_weights`, the
-    # one closed form, as one generator over the whole grid.  A row only needs
-    # a, so the test below accepts exactly the weights that BellDiagonal
-    # accepts (each within its 1e-12 tolerance of [0, 1], the sum within 1e-12
-    # of 1, summed in its order) and whose a it keeps as given (a in [0, 1]).
-    # That admits the -1e-17 noise on b, c and d that BellDiagonal would clamp.
-    # Any other row goes through BellDiagonal itself, which raises or clamps
-    # as transmit_at_length would.
-    #
-    # epr.concurrence is min(1, max(0, 2 max(a, b, c, d) - 1)); here it is
-    # 2a - 1 floored at 0, bit for bit.  x, y and z are exp values in [0, 1],
-    # and b, c and d are a's left-to-right sum (1 + x) + y + z with the signs
-    # of some of x, y and z flipped; float rounding is monotone, so no flipped
-    # sum rounds above a's, and BellDiagonal's clamp keeps that order: a is the
-    # largest weight.  a <= 1/4 * 4 = 1, so the min(1, ...) never binds, and
-    # 2a - 1 is never -0.0.  Rows are built with tuple.__new__, which is what
+    # bit.  With finite rates <= 0, x, y and z lie in [0, 1] and a, written as
+    # in `_bell_weights`, in [1/4, 1]; b, c and d are >= 0 up to rounding (x >=
+    # yz gives 1 + x - y - z >= (1 - y)(1 - z), and so on), so BellDiagonal
+    # keeps a as given, and a is the largest weight (rounding is monotone), so
+    # the concurrence is 2a - 1 floored at 0.  No row needs a check of its own;
+    # SweepTable's two checks run here, in its order.  tuple.__new__ is what
     # SweepRow's generated __new__ does, less its Python frame.
-    lengths = [l_max_km * (i / steps) for i in range(steps + 1)]
+    rx, ry, rz = rates
+    exp = math.exp
     new_row = tuple.__new__
     rows = []
     append = rows.append
-    for length, (a, b, c, d) in zip(lengths, _bell_weights(_decay_rates(mu), lengths)):
-        if not (
-            0.0 <= a <= 1.0
-            and _ENTRY_MIN <= b <= _ENTRY_MAX
-            and _ENTRY_MIN <= c <= _ENTRY_MAX
-            and _ENTRY_MIN <= d <= _ENTRY_MAX
-            and abs(a + b + c + d - 1.0) <= _SUM_TOL
-        ):
-            a = BellDiagonal(a, b, c, d).a
+    prev_length, prev_conc = -math.inf, math.inf
+    for length in [l_max_km * (i / steps) for i in range(steps + 1)]:
+        x = exp(rx * length)
+        y = exp(ry * length)
+        z = exp(rz * length)
+        a = 0.25 * (1.0 + x + y + z)
         conc = 2.0 * a - 1.0
         if conc < 0.0:
             conc = 0.0
+        if length <= prev_length:
+            raise ValidationError("sweep lengths must be strictly increasing")
+        if conc > prev_conc + 1e-12:
+            raise ValidationError("sweep concurrence must be non-increasing")
         append(new_row(SweepRow, (length, conc, a)))
-    return SweepTable(tuple(rows))
+        prev_length, prev_conc = length, conc
+    return SweepTable._checked(tuple(rows))

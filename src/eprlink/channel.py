@@ -49,6 +49,10 @@ _FLOAT_MAX = sys.float_info.max
 
 # Keeps the brute-force oracle desk-scale; the closed form has no cap.
 _BRUTEFORCE_CAP = 10**9
+# float(n) is n below _EXACT_POWER; exponents at or past _POWER_CAP leave
+# every decay factor of magnitude < 1 at 0.
+_EXACT_POWER = 2**53
+_POWER_CAP = 2**64
 
 _FLIP_AXES = {"x": 1, "y": 2, "z": 3}
 
@@ -296,8 +300,8 @@ def iterate(p: PauliProbs, n) -> PauliProbs:
 
     Computes the three decay factors raised to the n-th power and maps them
     back to probabilities.  ``n == 0`` returns the identity channel.  Negative
-    decay factors (legal for strongly flipping channels) are handled exactly
-    by the integer power.
+    decay factors (legal for strongly flipping channels) keep the sign of
+    n's parity for every n, also past 2**53 and past the float range.
 
     Parameters
     ----------
@@ -335,14 +339,33 @@ def iterate_bruteforce(p: PauliProbs, n) -> PauliProbs:
 def decay_factors(p: PauliProbs, n=1) -> Lambdas:
     """Decay factors of the n-fold concatenation of `p`.
 
-    lambda_i = (1 - 2 p_j - 2 p_k)^n for the two flip indices j, k != i.
+    lambda_i = (1 - 2 p_j - 2 p_k)^n for the two flip indices j, k != i,
+    with 1 - 2 p_j - 2 p_k clamped to [-1, 1]: probabilities that overshoot
+    the sum 1 within its 1e-12 tolerance put it just past -1.
     """
     n = _as_count(n, "segment count")
     return Lambdas(
-        (1.0 - 2.0 * (p.p2 + p.p3)) ** n,
-        (1.0 - 2.0 * (p.p1 + p.p3)) ** n,
-        (1.0 - 2.0 * (p.p1 + p.p2)) ** n,
+        _power(1.0 - 2.0 * (p.p2 + p.p3), n),
+        _power(1.0 - 2.0 * (p.p1 + p.p3), n),
+        _power(1.0 - 2.0 * (p.p1 + p.p2), n),
     )
+
+
+def _power(lam: float, n: int) -> float:
+    # lam ** n with lam clamped to [-1, 1], where the factors of every Pauli
+    # channel lie (1 - 2 (p_j + p_k) <= 1, but the sum tolerance lets it
+    # reach -1 - 2e-12, which a large n would blow up).  float ** int
+    # converts n to a float, exact below 2**53; past that it is even and
+    # past the float range it overflows, so the sign comes from n's parity
+    # and the magnitude from n capped at 2**64, where (1 - 2**-53) ** n, the
+    # largest power below 1, has underflowed to 0.  CPython's float ** int
+    # also raises |lam| and negates for odd n, so the two branches agree.
+    if lam < -1.0:
+        lam = -1.0
+    if n < _EXACT_POWER:
+        return lam ** n
+    magnitude = abs(lam) ** min(n, _POWER_CAP)
+    return -magnitude if lam < 0.0 and n & 1 else magnitude
 
 
 def at_length(mu: ErrorDensities, length_km: float) -> PauliProbs:

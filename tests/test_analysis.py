@@ -4,6 +4,8 @@ import time
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from eprlink import (
     DomainError,
@@ -25,7 +27,7 @@ from eprlink import (
     threshold_generic,
     transmit_at_length,
 )
-from eprlink.epr import _bell_weights, _decay_rates
+from eprlink.epr import BellDiagonal, _bell_weights, _decay_rates
 
 rng = np.random.default_rng(20240504)
 
@@ -413,7 +415,67 @@ class TestFitMu:
         assert mu == 0.0 and rms == 0.0
 
 
+def _reference_sweep(mu, l_max, steps):
+    # Every row through transmit_at_length and concurrence, then SweepTable's
+    # own check: a BellDiagonal error in any row comes before a grid error.
+    rows = []
+    for i in range(steps + 1):
+        length = l_max * (i / steps)
+        state = transmit_at_length(mu, LinkGeometry(length, 0.0))
+        rows.append(SweepRow(length, concurrence(state), state.a))
+    return SweepTable(tuple(rows))
+
+
+def _sweep_outcome(build, *args):
+    try:
+        table = build(*args)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    return [tuple(v.hex() for v in row) for row in table.rows]
+
+
+_densities = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=5e-324, max_value=2.2250738585072014e-308),
+    st.floats(min_value=-30.0, max_value=3.0).map(lambda e: 10.0**e),
+    st.floats(min_value=8.9e307, max_value=9.1e307),
+)
+_sweep_lengths = st.one_of(
+    st.floats(min_value=5e-324, max_value=1e308),
+    st.floats(min_value=-323.0, max_value=308.0).map(lambda e: 10.0**e),
+)
+
+
 class TestSweep:
+    @given(st.tuples(_densities, _densities, _densities), _sweep_lengths, st.integers(2, 200))
+    @example((0.0, 0.0, 1e308), 5e-324, 4)
+    @example((9e307, 0.0, 0.0), 1e308, 2)
+    @example((0.01, 0.02, 0.03), 5e-324, 4)
+    @example((5e-324, 5e-324, 5e-324), 1e308, 200)
+    def test_matches_per_row_checks(self, densities, l_max, steps):
+        # The per-curve check gives what checking every row gave: the same
+        # rows bit for bit, or the same exception and message.
+        mu = ErrorDensities(*densities)
+        got = _sweep_outcome(sweep, mu, l_max, steps)
+        assert got == _sweep_outcome(_reference_sweep, mu, l_max, steps)
+        if isinstance(got, list):
+            table = sweep(mu, l_max, steps)
+            assert SweepTable(table.rows) == table
+            rates = _decay_rates(mu)
+            for row in table.rows:
+                assert BellDiagonal(*next(_bell_weights(rates, (row.length_km,)))).a == row.fidelity
+
+    @pytest.mark.parametrize(
+        "densities", [(1e308, 1e308, 1e308), (5e307, 5e307, 0.0), (0.0, 0.0, 1e308)]
+    )
+    @pytest.mark.parametrize("l_max", [60.0, 5e-324])
+    def test_overflowing_decay_rates_are_rejected(self, densities, l_max):
+        # one, two or three of the rates -2 (mu_i + mu_j) overflow to -inf,
+        # and row 0 is 0 * -inf = nan, before any grid length is compared
+        with pytest.raises(ValidationError) as info:
+            sweep(ErrorDensities(*densities), l_max, 4)
+        assert str(info.value) == "Bell weight a must be a finite number, got nan"
+
     def test_grid_contract(self):
         mu = ErrorDensities(0.008, 0.008, 0.008)
         table = sweep(mu, 60.0, 120)

@@ -284,6 +284,38 @@ class TestIterate:
         p = PauliProbs(0.85, 0.05, 0.05, 0.05)
         assert_close4(iterate(p, 10**12), (0.25, 0.25, 0.25, 0.25), tol=1e-15)
 
+    @pytest.mark.parametrize(
+        "n", [2**53 + 1, 2**60 + 1, 10**400 + 1], ids=["2**53+1", "2**60+1", "10**400+1"]
+    )
+    def test_odd_counts_past_2_53_keep_their_parity(self, n):
+        # sigma_z squares to the identity; float(n) would round n to even
+        sigma_z = PauliProbs(0.0, 0.0, 0.0, 1.0)
+        assert iterate(sigma_z, n).as_tuple() == (0.0, 0.0, 0.0, 1.0)
+        assert iterate(sigma_z, n - 1).as_tuple() == (1.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "n", [10**308, 10**400, 3**2000], ids=["10**308", "10**400", "3**2000"]
+    )
+    def test_counts_past_the_float_range_reach_the_fixed_point(self, n):
+        p = PauliProbs(0.85, 0.05, 0.05, 0.05)
+        assert iterate(p, n).as_tuple() == (0.25, 0.25, 0.25, 0.25)
+
+    @pytest.mark.parametrize(
+        "n, want",
+        [
+            (3, (0.0, 0.0, 0.5, 0.5)),
+            (10**12, (0.5, 0.5, 0.0, 0.0)),
+            (10**15, (0.5, 0.5, 0.0, 0.0)),
+            (10**400 + 1, (0.0, 0.0, 0.5, 0.5)),
+        ],
+        ids=["3", "10**12", "10**15", "10**400+1"],
+    )
+    def test_decay_factor_just_past_minus_one(self, n, want):
+        # p2 + p3 overshoots 1 within the sum tolerance, so 1 - 2 (p2 + p3) is
+        # -1 - 1.6e-12; its n-th power used to leave [0, 1] or overflow
+        p = PauliProbs(0.0, 0.0, 0.5000000000004, 0.5000000000004)
+        assert_close4(iterate(p, n), want, tol=1e-12)
+
 
 class TestAtLength:
     def test_zero_length_is_identity(self):
@@ -373,6 +405,33 @@ class TestDecayFactors:
         lam = decay_factors(p, 3)
         assert lam.lambda1 == 1.0
         assert math.isclose(lam.lambda2, 0.8**3, rel_tol=1e-15)
+
+    def test_power_is_float_power_where_the_count_is_a_float(self):
+        # lambda ** n, as float ** int computes it, bit for bit wherever
+        # float(n) == n: every n below 2**53, and some even n past it.
+        # Negative factors come from channels that flip more often than not.
+        gen = np.random.default_rng(20261101)
+        counts = [0, 1, 2, 3, 1023, 1024, 1075, 2**52 + 1, 2**53 - 1]
+        counts += [2**53, 2**53 + 2, 10**20, 2**64, 2**70, 2**1023]
+        counts += [int(v) for v in 2.0 ** gen.uniform(0.0, 53.0, 40)]
+        for alpha in ([1.0, 1.0, 1.0, 1.0], [0.1, 1.0, 1.0, 1.0], [0.05, 0.05, 3.0, 3.0]):
+            for _ in range(25):
+                p = PauliProbs(*gen.dirichlet(alpha))
+                factors = (
+                    1.0 - 2.0 * (p.p2 + p.p3),
+                    1.0 - 2.0 * (p.p1 + p.p3),
+                    1.0 - 2.0 * (p.p1 + p.p2),
+                )
+                if max(map(abs, factors)) > 1.0:
+                    continue
+                for n in counts:
+                    got = decay_factors(p, n).as_tuple()
+                    assert [v.hex() for v in got] == [(f**n).hex() for f in factors], (p, n)
+
+    def test_factors_are_clamped_to_minus_one(self):
+        p = PauliProbs(0.0, 0.0, 0.5000000000004, 0.5000000000004)
+        assert decay_factors(p).lambda1 == -1.0
+        assert decay_factors(p, 2**53 + 1).lambda1 == -1.0
 
 
 class TestDepolarizingProbs:

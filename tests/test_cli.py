@@ -63,6 +63,15 @@ class TestCompose:
         assert math.isclose(doc["results"]["probs"]["p0"], 0.58, rel_tol=1e-12)
         assert math.isclose(doc["results"]["decay_factors"]["lambda2"], 0.16, rel_tol=1e-12)
 
+    def test_iterate_past_the_float_range(self, capsys):
+        # 10**400 segments: float(10**400) overflows, the power must not
+        code, out, err = run(
+            capsys, "compose", "--mu", "0.01,0.02,0.03", "--length", "1",
+            "--iterate", "1" + "0" * 400,
+        )
+        assert (code, err) == (0, "")
+        assert out.split("\n")[:4] == ["p0: 0.25", "p1: 0.25", "p2: 0.25", "p3: 0.25"]
+
 
 class TestTransmit:
     def test_depolarizing_concurrence(self, capsys):
@@ -306,9 +315,11 @@ class TestSweep:
         assert code == 0
         assert len(out.strip().split("\n")) == 1 + 2 * 11
 
-    def test_overflowing_density_sum_exits_2(self, capsys):
-        # mu1 + mu2 overflows to inf, and inf * 0 km is nan in the first row
-        code, out, err = run(capsys, "sweep", "--mu", "1e308,1e308,1e308")
+    @pytest.mark.parametrize("mu", ["1e308,1e308,1e308", "5e307,5e307,0", "0,0,1e308"])
+    def test_overflowing_density_sum_exits_2(self, capsys, mu):
+        # -2 (mu_i + mu_j) overflows to -inf for one or more rates, and
+        # -inf * 0 km is nan in the first row
+        code, out, err = run(capsys, "sweep", "--mu", mu)
         assert code == 2
         assert out == ""
         assert err == "error: Bell weight a must be a finite number, got nan\n"
