@@ -23,7 +23,7 @@ from .channel import (
     _is_finite,
     _shown,
 )
-from .epr import LinkGeometry, _decay_rates, _raw_concurrence, transmit_at_length
+from .epr import _decay_rates, _raw_concurrence
 from .errors import DomainError, NumericError, ValidationError
 
 __all__ = [
@@ -358,8 +358,8 @@ def sweep(mu: ErrorDensities, l_max_km: float, steps) -> SweepTable:
     steps = _as_count(steps, "steps", minimum=2)
     rates = _decay_rates(mu)
     if -math.inf in rates:
-        # Row 0 is 0 * -inf = nan: raise BellDiagonal's error for it.
-        transmit_at_length(mu, LinkGeometry(0.0, 0.0))
+        # Row 0 is 0 * -inf = nan: the error BellDiagonal raises for it.
+        raise ValidationError("Bell weight a must be a finite number, got nan")
     # Each row equals transmit_at_length(mu, LinkGeometry(length, 0)) bit for
     # bit.  With finite rates <= 0, x, y and z lie in [0, 1] and a, written as
     # in `_bell_weights`, in [1/4, 1]; b, c and d are >= 0 up to rounding (x >=

@@ -49,9 +49,8 @@ _FLOAT_MAX = sys.float_info.max
 
 # Keeps the brute-force oracle desk-scale; the closed form has no cap.
 _BRUTEFORCE_CAP = 10**9
-# float(n) is n below _EXACT_POWER; exponents at or past _POWER_CAP leave
-# every decay factor of magnitude < 1 at 0.
-_EXACT_POWER = 2**53
+# Exponents at or past _POWER_CAP leave every decay factor of magnitude < 1
+# at 0.
 _POWER_CAP = 2**64
 
 _FLIP_AXES = {"x": 1, "y": 2, "z": 3}
@@ -355,15 +354,14 @@ def _power(lam: float, n: int) -> float:
     # lam ** n with lam clamped to [-1, 1], where the factors of every Pauli
     # channel lie (1 - 2 (p_j + p_k) <= 1, but the sum tolerance lets it
     # reach -1 - 2e-12, which a large n would blow up).  float ** int
-    # converts n to a float, exact below 2**53; past that it is even and
-    # past the float range it overflows, so the sign comes from n's parity
-    # and the magnitude from n capped at 2**64, where (1 - 2**-53) ** n, the
-    # largest power below 1, has underflowed to 0.  CPython's float ** int
-    # also raises |lam| and negates for odd n, so the two branches agree.
+    # converts n to a float, exact only below 2**53: past that it may round
+    # to even, and past the float range it overflows.  So the sign comes from
+    # n's parity and the magnitude from n capped at 2**64, where
+    # (1 - 2**-53) ** n, the largest power below 1, has underflowed to 0.
+    # CPython's float ** int also raises |lam| and negates for odd n, so
+    # below 2**53 this is lam ** n bit for bit (lam is never -0.0).
     if lam < -1.0:
         lam = -1.0
-    if n < _EXACT_POWER:
-        return lam ** n
     magnitude = abs(lam) ** min(n, _POWER_CAP)
     return -magnitude if lam < 0.0 and n & 1 else magnitude
 
