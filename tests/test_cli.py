@@ -536,6 +536,97 @@ class TestGoldenOutput:
         assert digest == self.SHA256[command, fmt], f"stdout changed:\n{out}"
 
 
+class TestCliErrorMessages:
+    """The exact stderr of every error that only the CLI raises: exit 2, empty stdout.
+
+    Cases that read ``pts.csv`` run in a directory holding that file with
+    the given contents.
+    """
+
+    CASES = {
+        "compose-p-with-mu": (
+            ("compose", "--p", "1,0,0,0", "--mu", "0.1,0.1,0.1"),
+            None,
+            "--p cannot be combined with --mu/--length",
+        ),
+        "compose-mu-without-length": (
+            ("compose", "--mu", "0.1,0.1,0.1"),
+            None,
+            "--mu requires --length",
+        ),
+        "compose-no-channel": (
+            ("compose", "--length", "1"),
+            None,
+            "provide either --p or --mu with --length",
+        ),
+        "transmit-explicit-with-mu": (
+            ("transmit", "--r", "1,0,0,0", "--l1", "1"),
+            None,
+            "--r/--s cannot be combined with --mu/--l1/--l2",
+        ),
+        "transmit-r-without-s": (
+            ("transmit", "--r", "1,0,0,0"),
+            None,
+            "explicit channels need both --r and --s",
+        ),
+        "transmit-mu-without-l2": (
+            ("transmit", "--mu", "0.1,0.1,0.1", "--l1", "1"),
+            None,
+            "provide --mu with --l1 and --l2 (or --r and --s)",
+        ),
+        "estimate-inline-with-input": (
+            ("estimate-mu", "--length", "1", "--input", "pts.csv"),
+            None,
+            "--qber/--length cannot be combined with --input",
+        ),
+        "estimate-qber-without-length": (
+            ("estimate-mu", "--qber", "0.1"),
+            None,
+            "inline estimation needs both --qber and --length",
+        ),
+        "estimate-no-points": (
+            ("estimate-mu",),
+            None,
+            "provide --qber with --length, or --input CSV",
+        ),
+        "float-list-count": (
+            ("transmit", "--r", "0.9,0.1,0", "--s", "1,0,0,0"),
+            None,
+            "--r needs 4 comma-separated values, got 3",
+        ),
+        "float-list-non-numeric": (
+            ("threshold", "--mu", "0.1,x, 0"),
+            None,
+            "--mu has a non-numeric entry: '0.1,x, 0'",
+        ),
+        "csv-header": (
+            ("estimate-mu", "--input", "pts.csv"),
+            "x,y\n0.01,0.4\n",
+            "measurement CSV must start with header qber,total_length_km",
+        ),
+        "csv-bad-row": (
+            ("estimate-mu", "--input", "pts.csv"),
+            "qber,total_length_km\n0.01,0.4\n0.02\n",
+            "bad measurement row: ['0.02']",
+        ),
+        "csv-no-rows": (
+            ("estimate-mu", "--input", "pts.csv"),
+            "qber,total_length_km\n\n , \n",
+            "no measurement rows in pts.csv",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_exact_stderr(self, tmp_path, monkeypatch, capsys, case, fmt):
+        argv, csv_text, message = self.CASES[case]
+        monkeypatch.chdir(tmp_path)
+        if csv_text is not None:
+            (tmp_path / "pts.csv").write_text(csv_text, encoding="utf-8")
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 class TestOutputContract:
     def test_json_reference_matches_library(self, capsys):
         _, out, _ = run(
