@@ -20,8 +20,7 @@ from .channel import (
     ErrorDensities,
     _as_count,
     _as_length,
-    _is_finite,
-    _shown,
+    _check_finite,
 )
 from .epr import _decay_rates, _raw_concurrence
 from .errors import DomainError, NumericError, ValidationError
@@ -70,8 +69,7 @@ class MeasurementPoint:
             and 0.0 < length <= _FLOAT_MAX
         ):
             return
-        if not isinstance(qber, (int, float)) or not _is_finite(qber):
-            raise ValidationError(f"qber must be a finite number, got {_shown(qber)}")
+        _check_finite(qber, "qber must be a finite number, got ")
         if qber < 0.0:
             raise ValidationError(f"qber must be >= 0, got {qber!r}")
         if qber >= QBER_FLOOR_LIMIT:
@@ -168,8 +166,7 @@ def _closed_form_result(length_km: float) -> ThresholdResult:
 
 
 def _check_mu(mu: float) -> None:
-    if not isinstance(mu, (int, float)) or not _is_finite(mu):
-        raise ValidationError(f"error density must be a finite number, got {_shown(mu)}")
+    _check_finite(mu, "error density must be a finite number, got ")
     if mu < 0.0:
         raise ValidationError(f"error density must be >= 0, got {mu!r}")
 

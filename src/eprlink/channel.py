@@ -77,15 +77,6 @@ def _is_unit_distribution(a, b, c, d) -> bool:
     )
 
 
-def _is_finite(value) -> bool:
-    # math.isfinite for a real number, False for an int past the float range,
-    # on which math.isfinite raises OverflowError.
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
 def _shown(value) -> str:
     # repr for a message; Python refuses to print ints of more than
     # sys.get_int_max_str_digits() digits, so those are described instead.
@@ -98,13 +89,10 @@ def _shown(value) -> str:
 def _validate_distribution(kind: str, names, values) -> None:
     total = 0.0
     for i, value in enumerate(values):
-        # The chained comparison is False for NaN and +-inf too; _is_finite
+        # The chained comparison is False for NaN and +-inf too; _check_finite
         # only picks the message.
         if not (isinstance(value, _REAL) and _ENTRY_MIN <= value <= _ENTRY_MAX):
-            if not isinstance(value, _REAL) or not _is_finite(value):
-                raise ValidationError(
-                    f"{kind} {names[i]} must be a finite number, got {_shown(value)}"
-                )
+            _check_finite(value, f"{kind} {names[i]} must be a finite number, got ")
             raise ValidationError(f"{kind} {names[i]}={value!r} is outside [0, 1]")
         total += value
     if abs(total - 1.0) > _SUM_TOL:
@@ -203,8 +191,7 @@ class ErrorDensities:
     def _check(self):
         for name in _MU_NAMES:
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not _is_finite(value):
-                raise ValidationError(f"error density {name} must be finite, got {_shown(value)}")
+            _check_finite(value, f"error density {name} must be finite, got ")
             if value < 0:
                 raise ValidationError(f"error density {name} must be >= 0, got {value!r}")
             object.__setattr__(self, name, float(value))
@@ -231,8 +218,7 @@ class Lambdas:
     def __post_init__(self):
         for name in ("lambda1", "lambda2", "lambda3"):
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not _is_finite(value):
-                raise ValidationError(f"decay factor {name} must be finite, got {_shown(value)}")
+            _check_finite(value, f"decay factor {name} must be finite, got ")
             object.__setattr__(self, name, float(value))
 
     def as_tuple(self) -> tuple[float, float, float]:
@@ -271,6 +257,26 @@ def _as_count(n, what: str, minimum: int = 0) -> int:
     if n < minimum:
         raise ValidationError(f"{what} must be >= {minimum}, got {_shown(n)}")
     return n
+
+
+def _check_finite(value, message: str) -> None:
+    # Raises `message` followed by the value unless the value is a finite
+    # int or float; math.isfinite raises OverflowError on an int past the
+    # float range.
+    try:
+        if isinstance(value, _REAL) and math.isfinite(value):
+            return
+    except OverflowError:
+        pass
+    raise ValidationError(message + _shown(value))
+
+
+def _check_density(mu) -> None:
+    # The error density of a single or double flip: finite and >= 0.
+    message = "error density must be finite and >= 0, got "
+    _check_finite(mu, message)
+    if mu < 0:
+        raise ValidationError(message + _shown(mu))
 
 
 def compose(first: PauliProbs, second: PauliProbs) -> PauliProbs:
@@ -398,8 +404,7 @@ def at_length(mu: ErrorDensities, length_km: float) -> PauliProbs:
 def _as_length(length_km) -> float:
     if type(length_km) is float and 0.0 <= length_km <= _FLOAT_MAX:
         return length_km
-    if not isinstance(length_km, (int, float)) or not _is_finite(length_km):
-        raise ValidationError(f"length must be a finite number, got {_shown(length_km)}")
+    _check_finite(length_km, "length must be a finite number, got ")
     if length_km < 0:
         raise ValidationError(f"length must be >= 0 km, got {length_km!r}")
     return float(length_km)
@@ -423,8 +428,7 @@ def flip_at_length(mu_i: float, axis: str, length_km: float) -> PauliProbs:
     """
     if axis not in _FLIP_AXES:
         raise ValidationError(f"flip axis must be one of 'x', 'y', 'z', got {axis!r}")
-    if not isinstance(mu_i, (int, float)) or not _is_finite(mu_i) or mu_i < 0:
-        raise ValidationError(f"error density must be finite and >= 0, got {_shown(mu_i)}")
+    _check_density(mu_i)
     length_km = _as_length(length_km)
     q = 0.5 * (1.0 - math.exp(-2.0 * mu_i * length_km))
     probs = [1.0 - q, 0.0, 0.0, 0.0]
@@ -438,6 +442,8 @@ def depolarizing_probs(p: float) -> PauliProbs:
     Returns (1 - 3p/4, p/4, p/4, p/4): the channel that replaces the state by
     the maximally mixed state with probability p.
     """
-    if not isinstance(p, (int, float)) or not _is_finite(p) or not 0.0 <= p <= 1.0:
-        raise ValidationError(f"depolarizing probability must be in [0, 1], got {_shown(p)}")
+    message = "depolarizing probability must be in [0, 1], got "
+    _check_finite(p, message)
+    if not 0.0 <= p <= 1.0:
+        raise ValidationError(message + _shown(p))
     return PauliProbs(1.0 - 0.75 * p, 0.25 * p, 0.25 * p, 0.25 * p)

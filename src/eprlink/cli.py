@@ -4,6 +4,9 @@ Subcommands: compose | transmit | threshold | estimate-mu | sweep | montecarlo.
 Each accepts ``--format {table,csv,json}`` and ``--output PATH`` (default
 stdout).  Exit codes: 0 success, 2 argument/validation, 3 numeric/domain,
 4 I/O.
+
+Each ``cmd_*`` handler returns its answer as one `Report`, and `main`
+renders that in the requested format with `_render`.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import csv
 import json
 import math
 import sys
+from typing import NamedTuple
 
 from . import analysis, epr
 from .channel import ErrorDensities, PauliProbs, at_length, decay_factors, iterate
@@ -25,12 +29,33 @@ SWEEP_HEADER = ("mu1", "mu2", "mu3", "length_km", "concurrence", "fidelity")
 DEFAULT_SWEEP_MUS = (0.008, 0.016)
 
 
+class Report(NamedTuple):
+    """One command's answer: the json document, the table lines and the csv rows."""
+
+    command: str
+    inputs: dict
+    results: dict
+    lines: list
+    header: tuple
+    rows: list
+
+
+def _render(report: Report, fmt: str) -> str:
+    if fmt == "json":
+        doc = {"command": report.command, "inputs": report.inputs, "results": report.results}
+        return json.dumps(doc, indent=2)
+    if fmt == "csv":
+        lines = [",".join(report.header)]
+        lines.extend(
+            ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
+            for row in report.rows
+        )
+        return "\n".join(lines)
+    return "\n".join(report.lines)
+
+
 def _g6(x: float) -> str:
     return f"{x:.6g}"
-
-
-def _g17(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _parse_float_list(text: str, n: int, what: str) -> list[float]:
@@ -51,20 +76,6 @@ def _parse_mu(text: str) -> ErrorDensities:
     return ErrorDensities(*_parse_float_list(text, 3, "--mu"))
 
 
-def _csv_text(header, rows) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_g17(v) if isinstance(v, float) else str(v) for v in row) for row in rows)
-    return "\n".join(lines)
-
-
-def _render(args, command, inputs, results, table_lines, csv_header, csv_rows) -> str:
-    if args.format == "json":
-        return json.dumps({"command": command, "inputs": inputs, "results": results}, indent=2)
-    if args.format == "csv":
-        return _csv_text(csv_header, csv_rows)
-    return "\n".join(table_lines)
-
-
 def _write_output(text: str, path) -> None:
     if path:
         with open(path, "w", encoding="utf-8") as fh:
@@ -77,14 +88,10 @@ def _mu_dict(mu: ErrorDensities) -> dict:
     return {"mu1": mu.mu1, "mu2": mu.mu2, "mu3": mu.mu3}
 
 
-def _weights_dict(state: epr.BellDiagonal) -> dict:
-    return {"a": state.a, "b": state.b, "c": state.c, "d": state.d}
-
-
 # ---------------------------------------------------------------- compose
 
 
-def cmd_compose(args) -> str:
+def cmd_compose(args) -> Report:
     if args.p is not None and (args.mu is not None or args.length is not None):
         raise ValidationError("--p cannot be combined with --mu/--length")
     if args.p is not None:
@@ -103,31 +110,18 @@ def cmd_compose(args) -> str:
         inputs["iterate"] = args.iterate
     lam = decay_factors(probs)
     results = {
-        "probs": {"p0": probs.p0, "p1": probs.p1, "p2": probs.p2, "p3": probs.p3},
-        "decay_factors": {
-            "lambda1": lam.lambda1,
-            "lambda2": lam.lambda2,
-            "lambda3": lam.lambda3,
-        },
+        "probs": dict(zip(("p0", "p1", "p2", "p3"), probs.as_tuple())),
+        "decay_factors": dict(zip(("lambda1", "lambda2", "lambda3"), lam.as_tuple())),
     }
-    table = [
-        f"p0: {_g6(probs.p0)}",
-        f"p1: {_g6(probs.p1)}",
-        f"p2: {_g6(probs.p2)}",
-        f"p3: {_g6(probs.p3)}",
-        f"lambda1: {_g6(lam.lambda1)}",
-        f"lambda2: {_g6(lam.lambda2)}",
-        f"lambda3: {_g6(lam.lambda3)}",
-    ]
-    header = ("p0", "p1", "p2", "p3", "lambda1", "lambda2", "lambda3")
-    row = [probs.p0, probs.p1, probs.p2, probs.p3, lam.lambda1, lam.lambda2, lam.lambda3]
-    return _render(args, "compose", inputs, results, table, header, [row])
+    values = results["probs"] | results["decay_factors"]
+    lines = [f"{name}: {_g6(v)}" for name, v in values.items()]
+    return Report("compose", inputs, results, lines, tuple(values), [values.values()])
 
 
 # ---------------------------------------------------------------- transmit
 
 
-def cmd_transmit(args) -> str:
+def cmd_transmit(args) -> Report:
     explicit = args.r is not None or args.s is not None
     parametric = args.mu is not None or args.l1 is not None or args.l2 is not None
     if explicit and parametric:
@@ -148,21 +142,23 @@ def cmd_transmit(args) -> str:
         s = at_length(mu, geom.l2_km)
         state = epr.transmit_at_length(mu, geom)
         inputs = {"mu": _mu_dict(mu), "l1_km": geom.l1_km, "l2_km": geom.l2_km}
+    weights = dict(zip("abcd", state.as_tuple()))
+    fidelity = epr.fidelity_psi_plus(state)
     conc = epr.concurrence(state)
+    dominant = epr.dominant_bell_state(state)
     results = {
-        "weights": _weights_dict(state),
-        "fidelity_psi_plus": epr.fidelity_psi_plus(state),
+        "weights": weights,
+        "fidelity_psi_plus": fidelity,
         "concurrence": conc,
-        "dominant_bell_state": epr.dominant_bell_state(state),
+        "dominant_bell_state": dominant,
     }
-    table = [
-        f"a (psi+): {_g6(state.a)}",
-        f"b (psi-): {_g6(state.b)}",
-        f"c (phi+): {_g6(state.c)}",
-        f"d (phi-): {_g6(state.d)}",
-        f"fidelity_psi_plus: {_g6(state.a)}",
+    lines = [
+        f"{name} ({label}): {_g6(w)}" for (name, w), label in zip(weights.items(), epr.BELL_LABELS)
+    ]
+    lines += [
+        f"fidelity_psi_plus: {_g6(fidelity)}",
         f"concurrence: {_g6(conc)}",
-        f"dominant_bell_state: {epr.dominant_bell_state(state)}",
+        f"dominant_bell_state: {dominant}",
     ]
     if args.verify_oracle:
         from . import oracle
@@ -173,27 +169,26 @@ def cmd_transmit(args) -> str:
             abs(x - y) for x, y in zip(projected.as_tuple(), state.as_tuple())
         )
         results["oracle"] = {"max_weight_deviation": deviation, "bell_residual": residual}
-        table.append(f"oracle max weight deviation: {deviation:.3e}")
-        table.append(f"oracle Bell-basis residual: {residual:.3e}")
+        lines.append(f"oracle max weight deviation: {deviation:.3e}")
+        lines.append(f"oracle Bell-basis residual: {residual:.3e}")
     header = ("a", "b", "c", "d", "fidelity", "concurrence")
-    row = [state.a, state.b, state.c, state.d, state.a, conc]
-    return _render(args, "transmit", inputs, results, table, header, [row])
+    return Report("transmit", inputs, results, lines, header, [(*weights.values(), fidelity, conc)])
 
 
 # ---------------------------------------------------------------- threshold
 
 
-def cmd_threshold(args) -> str:
+def cmd_threshold(args) -> Report:
     mu = _parse_mu(args.mu)
     result, method = analysis.threshold(mu, args.method)
     inputs = {"mu": _mu_dict(mu), "method": args.method}
     results = {"kind": result.kind, "length_km": result.length_km, "method": method}
     if result.is_finite:
-        table = [f"threshold: {_g6(result.length_km)} km ({method})"]
+        lines = [f"threshold: {_g6(result.length_km)} km ({method})"]
     else:
-        table = ["threshold: never vanishes"]
-    row = [result.kind, result.length_km if result.is_finite else ""]
-    return _render(args, "threshold", inputs, results, table, ("kind", "length_km"), [row])
+        lines = ["threshold: never vanishes"]
+    row = (result.kind, result.length_km if result.is_finite else "")
+    return Report("threshold", inputs, results, lines, ("kind", "length_km"), [row])
 
 
 # ---------------------------------------------------------------- estimate-mu
@@ -219,7 +214,7 @@ def _read_measurements(path) -> list[analysis.MeasurementPoint]:
     return points
 
 
-def cmd_estimate_mu(args) -> str:
+def cmd_estimate_mu(args) -> Report:
     inline = args.qber is not None or args.length is not None
     if inline and args.input:
         raise ValidationError("--qber/--length cannot be combined with --input")
@@ -246,26 +241,23 @@ def cmd_estimate_mu(args) -> str:
         "fit": {"mu": mu_fit, "rms_residual": rms},
         "depolarizing_threshold_km": threshold.length_km,
     }
-    table = []
-    for entry in per_point:
-        table.append(
-            f"qber {_g6(entry['qber'])} at {_g6(entry['total_length_km'])} km"
-            f" -> mu = {_g6(entry['mu'])} /km"
-        )
-    table.append(f"fitted mu: {_g6(mu_fit)} /km (rms residual {rms:.3e})")
+    lines = [
+        f"qber {_g6(e['qber'])} at {_g6(e['total_length_km'])} km -> mu = {_g6(e['mu'])} /km"
+        for e in per_point
+    ]
+    lines.append(f"fitted mu: {_g6(mu_fit)} /km (rms residual {rms:.3e})")
     if threshold.is_finite:
-        table.append(f"implied depolarizing threshold: {_g6(threshold.length_km)} km")
+        lines.append(f"implied depolarizing threshold: {_g6(threshold.length_km)} km")
     else:
-        table.append("implied depolarizing threshold: never vanishes")
-    header = MEASUREMENT_HEADER + ("mu",)
-    rows = [[e["qber"], e["total_length_km"], e["mu"]] for e in per_point]
-    return _render(args, "estimate-mu", inputs, results, table, header, rows)
+        lines.append("implied depolarizing threshold: never vanishes")
+    header = (*MEASUREMENT_HEADER, "mu")
+    return Report("estimate-mu", inputs, results, lines, header, [e.values() for e in per_point])
 
 
 # ---------------------------------------------------------------- sweep
 
 
-def cmd_sweep(args) -> str:
+def cmd_sweep(args) -> Report:
     if args.mu:
         mus = [_parse_mu(text) for text in args.mu]
     else:
@@ -275,42 +267,24 @@ def cmd_sweep(args) -> str:
         "lmax_km": args.lmax,
         "steps": args.steps,
     }
-    curves = [(m, analysis.sweep(m, args.lmax, args.steps)) for m in mus]
-    rows = []
-    for m, table_ in curves:
-        for r in table_.rows:
-            rows.append([m.mu1, m.mu2, m.mu3, r.length_km, r.concurrence, r.fidelity])
-    results = {
-        "curves": [
-            {
-                "mu": _mu_dict(m),
-                "rows": [
-                    {
-                        "length_km": r.length_km,
-                        "concurrence": r.concurrence,
-                        "fidelity": r.fidelity,
-                    }
-                    for r in table_.rows
-                ],
-            }
-            for m, table_ in curves
-        ]
-    }
-    table = []
-    for m, table_ in curves:
-        table.append(f"mu = ({_g6(m.mu1)}, {_g6(m.mu2)}, {_g6(m.mu3)}) /km")
-        table.append("  length_km  concurrence  fidelity")
-        for r in table_.rows:
-            table.append(
+    curves, lines, rows = [], [], []
+    for m in mus:
+        table = analysis.sweep(m, args.lmax, args.steps)
+        curves.append({"mu": _mu_dict(m), "rows": [r._asdict() for r in table.rows]})
+        lines.append(f"mu = ({', '.join(map(_g6, m.as_tuple()))}) /km")
+        lines.append("  length_km  concurrence  fidelity")
+        for r in table.rows:
+            lines.append(
                 f"  {_g6(r.length_km):>9}  {_g6(r.concurrence):>11}  {_g6(r.fidelity):>8}"
             )
-    return _render(args, "sweep", inputs, results, table, SWEEP_HEADER, rows)
+            rows.append((*m.as_tuple(), *r))
+    return Report("sweep", inputs, {"curves": curves}, lines, SWEEP_HEADER, rows)
 
 
 # ---------------------------------------------------------------- montecarlo
 
 
-def cmd_montecarlo(args) -> str:
+def cmd_montecarlo(args) -> Report:
     from . import oracle
 
     mu = _parse_mu(args.mu)
@@ -342,23 +316,19 @@ def cmd_montecarlo(args) -> str:
         "seed": args.seed,
     }
     results = {
-        "estimate": _weights_dict(estimate.bell_diagonal),
+        "estimate": dict(zip("abcd", est)),
         "standard_errors": list(estimate.standard_errors),
-        "reference": _weights_dict(reference),
+        "reference": dict(zip("abcd", ref)),
         "z_scores": list(zscores),
     }
-    table = [
+    rows = list(zip("abcd", est, estimate.standard_errors, ref, zscores))
+    lines = [
         f"samples: {args.samples}  segments/km: {args.segments_per_km}  seed: {args.seed}",
         "weight  estimate      std_error     reference     z",
     ]
-    rows = []
-    for name, e, se, r, z in zip(
-        ("a", "b", "c", "d"), est, estimate.standard_errors, ref, zscores
-    ):
-        table.append(f"{name:6}  {e:<12.6g}  {se:<12.6g}  {r:<12.6g}  {z:+.3f}")
-        rows.append([name, e, se, r, z])
+    lines += [f"{name:6}  {e:<12.6g}  {se:<12.6g}  {r:<12.6g}  {z:+.3f}" for name, e, se, r, z in rows]
     header = ("weight", "estimate", "std_error", "reference", "z")
-    return _render(args, "montecarlo", inputs, results, table, header, rows)
+    return Report("montecarlo", inputs, results, lines, header, rows)
 
 
 # ---------------------------------------------------------------- parser
@@ -443,8 +413,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        text = args.handler(args)
-        _write_output(text, args.output)
+        report = args.handler(args)
+        _write_output(_render(report, args.format), args.output)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,12 +22,10 @@ from .channel import (
     ErrorDensities,
     PauliProbs,
     _as_length,
+    _check_density,
     _distribution_check,
-    _is_finite,
     _nonnegative_check,
-    _shown,
 )
-from .errors import ValidationError
 
 __all__ = [
     "BellDiagonal",
@@ -109,21 +107,18 @@ def _decay_rates(mu: ErrorDensities) -> tuple[float, float, float]:
     return -2.0 * (m1 + m2), -2.0 * (m1 + m3), -2.0 * (m2 + m3)
 
 
-def _bell_weights(rates: tuple[float, float, float], lengths):
-    # The (1 +- x +- y +- z)/4 closed form, unvalidated: one (a, b, c, d)
-    # tuple per total length, so a grid of lengths costs no call per point.
+def _bell_weights(rates: tuple[float, float, float], length: float):
+    # The (1 +- x +- y +- z)/4 closed form at one total length, unvalidated.
     rx, ry, rz = rates
-    exp = math.exp
-    for length in lengths:
-        x = exp(rx * length)
-        y = exp(ry * length)
-        z = exp(rz * length)
-        yield (
-            0.25 * (1.0 + x + y + z),
-            0.25 * (1.0 + x - y - z),
-            0.25 * (1.0 - x - y + z),
-            0.25 * (1.0 - x + y - z),
-        )
+    x = math.exp(rx * length)
+    y = math.exp(ry * length)
+    z = math.exp(rz * length)
+    return (
+        0.25 * (1.0 + x + y + z),
+        0.25 * (1.0 + x - y - z),
+        0.25 * (1.0 - x - y + z),
+        0.25 * (1.0 - x + y - z),
+    )
 
 
 def transmit_at_length(mu: ErrorDensities, geom: LinkGeometry) -> BellDiagonal:
@@ -135,8 +130,7 @@ def transmit_at_length(mu: ErrorDensities, geom: LinkGeometry) -> BellDiagonal:
     z = exp(-2 (mu2 + mu3) L).  Equal to
     ``transmit(at_length(mu, L1), at_length(mu, L2))``.
     """
-    (weights,) = _bell_weights(_decay_rates(mu), (geom.total_km,))
-    return BellDiagonal(*weights)
+    return BellDiagonal(*_bell_weights(_decay_rates(mu), geom.total_km))
 
 
 def concurrence(state: BellDiagonal) -> float:
@@ -188,8 +182,7 @@ def doubleflip_coefficients(mu: float, total_length_km: float) -> BellDiagonal:
     e = exp(-2 mu L).  The concurrence max(0, (e^2 + 2e - 1)/2) vanishes
     beyond a finite threshold length, unlike the single-flip case.
     """
-    if not isinstance(mu, (int, float)) or not _is_finite(mu) or mu < 0:
-        raise ValidationError(f"error density must be finite and >= 0, got {_shown(mu)}")
+    _check_density(mu)
     total_length_km = _as_length(total_length_km)
     e = math.exp(-2.0 * mu * total_length_km)
     return BellDiagonal(

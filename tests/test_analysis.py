@@ -463,7 +463,7 @@ class TestSweep:
             assert SweepTable(table.rows) == table
             rates = _decay_rates(mu)
             for row in table.rows:
-                assert BellDiagonal(*next(_bell_weights(rates, (row.length_km,)))).a == row.fidelity
+                assert BellDiagonal(*_bell_weights(rates, row.length_km)).a == row.fidelity
 
     @pytest.mark.parametrize(
         "densities", [(1e308, 1e308, 1e308), (5e307, 5e307, 0.0), (0.0, 0.0, 1e308)]
@@ -568,7 +568,7 @@ class TestSweep:
                 l_max = float(10.0 ** gen.uniform(-1.0, 1.0)) / m
                 table = sweep(mu, l_max, 60)
                 for row in table.rows:
-                    weights = next(_bell_weights(_decay_rates(mu), (row.length_km,)))
+                    weights = _bell_weights(_decay_rates(mu), row.length_km)
                     noisy += min(weights) < 0.0
                     state = transmit_at_length(mu, LinkGeometry(row.length_km, 0.0))
                     got = (row.concurrence, row.fidelity)
