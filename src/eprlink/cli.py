@@ -172,7 +172,8 @@ def cmd_transmit(args) -> Report:
         lines.append(f"oracle max weight deviation: {deviation:.3e}")
         lines.append(f"oracle Bell-basis residual: {residual:.3e}")
     header = ("a", "b", "c", "d", "fidelity", "concurrence")
-    return Report("transmit", inputs, results, lines, header, [(*weights.values(), fidelity, conc)])
+    row = (*weights.values(), fidelity, conc)
+    return Report("transmit", inputs, results, lines, header, [row])
 
 
 # ---------------------------------------------------------------- threshold
@@ -195,22 +196,27 @@ def cmd_threshold(args) -> Report:
 
 
 def _read_measurements(path) -> list[analysis.MeasurementPoint]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header[:2]) != MEASUREMENT_HEADER:
-            raise ValidationError(
-                f"measurement CSV must start with header {','.join(MEASUREMENT_HEADER)}"
-            )
-        points = []
-        for row in reader:
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            try:
-                qber, length = float(row[0]), float(row[1])
-            except (ValueError, IndexError):
-                raise ValidationError(f"bad measurement row: {row!r}") from None
-            points.append(analysis.MeasurementPoint(qber, length))
+    # utf-8-sig also reads the byte-order mark that spreadsheet programs write first.
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            header, *rows = list(csv.reader(fh)) or [None]
+    except UnicodeDecodeError:
+        raise ValidationError(f"measurement CSV {path} is not UTF-8 text") from None
+    except csv.Error as exc:
+        raise ValidationError(f"measurement CSV {path} cannot be parsed: {exc}") from None
+    if header is None or tuple(h.strip() for h in header[:2]) != MEASUREMENT_HEADER:
+        raise ValidationError(
+            f"measurement CSV must start with header {','.join(MEASUREMENT_HEADER)}"
+        )
+    points = []
+    for row in rows:
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        try:
+            qber, length = float(row[0]), float(row[1])
+        except (ValueError, IndexError):
+            raise ValidationError(f"bad measurement row: {row!r}") from None
+        points.append(analysis.MeasurementPoint(qber, length))
     return points
 
 
@@ -326,7 +332,9 @@ def cmd_montecarlo(args) -> Report:
         f"samples: {args.samples}  segments/km: {args.segments_per_km}  seed: {args.seed}",
         "weight  estimate      std_error     reference     z",
     ]
-    lines += [f"{name:6}  {e:<12.6g}  {se:<12.6g}  {r:<12.6g}  {z:+.3f}" for name, e, se, r, z in rows]
+    lines += [
+        f"{name:6}  {e:<12.6g}  {se:<12.6g}  {r:<12.6g}  {z:+.3f}" for name, e, se, r, z in rows
+    ]
     header = ("weight", "estimate", "std_error", "reference", "z")
     return Report("montecarlo", inputs, results, lines, header, rows)
 

@@ -270,6 +270,34 @@ class TestEstimateMu:
         assert code == 2
         assert "header" in err
 
+    def test_byte_order_mark_is_read(self, tmp_path, capsys):
+        # Spreadsheet programs write UTF-8 CSV with a byte-order mark first.
+        path = tmp_path / "pts.csv"
+        path.write_bytes(b"\xef\xbb\xbfqber,total_length_km\n0.01,0.4\n")
+        code, out, _ = run(capsys, "estimate-mu", "--input", str(path), "--format", "json")
+        _, want, _ = run(
+            capsys, "estimate-mu", "--qber", "0.01", "--length", "0.4", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["results"] == json.loads(want)["results"]
+
+    @pytest.mark.parametrize(
+        "data, reason",
+        [
+            (b"qber,total_length_km\n0.01,0.4\n# caf\xe9\n", "is not UTF-8 text"),
+            (
+                b"qber,total_length_km\n0.01," + b"1" * 200_000 + b"\n",
+                "cannot be parsed: field larger than field limit (131072)",
+            ),
+        ],
+        ids=["latin-1 byte", "oversized field"],
+    )
+    def test_unreadable_file_exits_2(self, tmp_path, monkeypatch, capsys, data, reason):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "pts.csv").write_bytes(data)
+        code, out, err = run(capsys, "estimate-mu", "--input", "pts.csv")
+        assert (code, out, err) == (2, "", f"error: measurement CSV pts.csv {reason}\n")
+
 
 class TestSweep:
     def test_csv_grid_contract(self, capsys):
