@@ -29,6 +29,28 @@ SWEEP_HEADER = ("mu1", "mu2", "mu3", "length_km", "concurrence", "fidelity")
 DEFAULT_SWEEP_MUS = (0.008, 0.016)
 
 
+def _g6(x: float) -> str:
+    return f"{x:.6g}"
+
+
+def _parse_float_list(text: str, n: int, what: str) -> list[float]:
+    parts = [s.strip() for s in text.split(",")]
+    if len(parts) != n:
+        raise ValidationError(f"{what} needs {n} comma-separated values, got {len(parts)}")
+    try:
+        return [float(s) for s in parts]
+    except ValueError:
+        raise ValidationError(f"{what} has a non-numeric entry: {text!r}") from None
+
+
+def _parse_probs(text: str, what: str = "--p") -> PauliProbs:
+    return PauliProbs(*_parse_float_list(text, 4, what))
+
+
+def _parse_mu(text: str) -> ErrorDensities:
+    return ErrorDensities(*_parse_float_list(text, 3, "--mu"))
+
+
 class Report(NamedTuple):
     """One command's answer: the json document, the table lines and the csv rows."""
 
@@ -52,28 +74,6 @@ def _render(report: Report, fmt: str) -> str:
         )
         return "\n".join(lines)
     return "\n".join(report.lines)
-
-
-def _g6(x: float) -> str:
-    return f"{x:.6g}"
-
-
-def _parse_float_list(text: str, n: int, what: str) -> list[float]:
-    parts = [s.strip() for s in text.split(",")]
-    if len(parts) != n:
-        raise ValidationError(f"{what} needs {n} comma-separated values, got {len(parts)}")
-    try:
-        return [float(s) for s in parts]
-    except ValueError:
-        raise ValidationError(f"{what} has a non-numeric entry: {text!r}") from None
-
-
-def _parse_probs(text: str, what: str = "--p") -> PauliProbs:
-    return PauliProbs(*_parse_float_list(text, 4, what))
-
-
-def _parse_mu(text: str) -> ErrorDensities:
-    return ErrorDensities(*_parse_float_list(text, 3, "--mu"))
 
 
 def _write_output(text: str, path) -> None:
@@ -199,17 +199,17 @@ def _read_measurements(path) -> list[analysis.MeasurementPoint]:
     # utf-8-sig also reads the byte-order mark that spreadsheet programs write first.
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            header, *rows = list(csv.reader(fh)) or [None]
+            rows = list(csv.reader(fh))
     except UnicodeDecodeError:
         raise ValidationError(f"measurement CSV {path} is not UTF-8 text") from None
     except csv.Error as exc:
         raise ValidationError(f"measurement CSV {path} cannot be parsed: {exc}") from None
-    if header is None or tuple(h.strip() for h in header[:2]) != MEASUREMENT_HEADER:
+    if not rows or tuple(h.strip() for h in rows[0][:2]) != MEASUREMENT_HEADER:
         raise ValidationError(
             f"measurement CSV must start with header {','.join(MEASUREMENT_HEADER)}"
         )
     points = []
-    for row in rows:
+    for row in rows[1:]:
         if not row or all(not cell.strip() for cell in row):
             continue
         try:
