@@ -57,8 +57,8 @@ class Report(NamedTuple):
     command: str
     inputs: dict
     results: dict
-    lines: list
-    header: tuple
+    lines: list[str]
+    header: tuple[str, ...]
     rows: list
 
 
