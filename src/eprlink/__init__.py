@@ -15,7 +15,6 @@ from .analysis import (
     estimate_mu,
     fit_mu,
     sweep,
-    threshold,
     threshold_depolarizing,
     threshold_double_flip,
     threshold_generic,
@@ -115,7 +114,6 @@ __all__ = [
     "monte_carlo_transmit",
     "psd_sqrt",
     "sweep",
-    "threshold",
     "threshold_depolarizing",
     "threshold_double_flip",
     "threshold_generic",

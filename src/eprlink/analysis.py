@@ -2,10 +2,12 @@
 
 The total-length concurrence of a received pair decays with distance; when at
 least two error densities are positive it hits zero at a finite threshold
-length, found in closed form for the symmetric special cases and by bisection
-in general.  Going the other way, a measured channel error rate (QBER) at a
-known total length inverts to a per-km error density under the depolarizing
-model: qber = 3/4 * (1 - exp(-4 mu L)).
+length.  One bisection finds it for every density pattern; the closed forms
+of the symmetric special cases (three equal densities, two equal and one
+zero) are kept as the paper's formulas and as references.  Going the other
+way, a measured channel error rate (QBER) at a known total length inverts to
+a per-km error density under the depolarizing model:
+qber = 3/4 * (1 - exp(-4 mu L)).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .channel import (
     ErrorDensities,
     _as_count,
     _as_length,
+    _check_density,
     _check_finite,
 )
 from .epr import _decay_rates, _raw_concurrence
@@ -33,7 +36,6 @@ __all__ = [
     "threshold_depolarizing",
     "threshold_double_flip",
     "threshold_generic",
-    "threshold",
     "estimate_mu",
     "fit_mu",
     "sweep",
@@ -43,13 +45,11 @@ __all__ = [
 # so a channel-attributed QBER of 3/4 or more has no pre-image.
 QBER_FLOOR_LIMIT = 0.75
 
-_BISECT_TOL_KM = 1e-10
 # Brackets start at 1 and double or halve; 1024 steps span the float range
 # (2**1023 is the largest finite power of two).
 _MAX_DOUBLINGS = 1024
-# The largest bracket end the bisection reaches.  A closed-form threshold
-# beyond it, or one that overflows to inf, is never-vanishes, so the closed
-# forms and the bisection give the same answer.
+# The longest finite threshold, 2**1023 km; past it (or past the float range)
+# the closed forms and `threshold_generic` both answer never-vanishes.
 _MAX_THRESHOLD_KM = 2.0 ** (_MAX_DOUBLINGS - 1)
 
 
@@ -140,12 +140,14 @@ def threshold_depolarizing(mu: float) -> ThresholdResult:
     """Threshold length ln(3) / (4 mu) of the depolarizing channel.
 
     Never-vanishes for mu = 0, and where the length exceeds 2**1023 km (the
-    bisection's reach in `threshold_generic`) or overflows.
+    reach of `threshold_generic`) or overflows.
     """
-    _check_mu(mu)
+    _check_density(mu)
     if mu == 0.0:
         return ThresholdResult(None)
-    return _closed_form_result(math.log(3.0) / (4.0 * mu))
+    # Quartering ln(3) is exact, so this rounds ln(3) / (4 mu) once, and no
+    # intermediate 4 mu can overflow (mu above ~4.5e307).
+    return _closed_form_result(math.log(3.0) / 4.0 / mu)
 
 
 def threshold_double_flip(mu: float) -> ThresholdResult:
@@ -155,46 +157,44 @@ def threshold_double_flip(mu: float) -> ThresholdResult:
     ln(1/(sqrt(2) - 1)) / (2 mu).  Never-vanishes for mu = 0 and beyond
     2**1023 km, as in `threshold_depolarizing`.
     """
-    _check_mu(mu)
+    _check_density(mu)
     if mu == 0.0:
         return ThresholdResult(None)
-    return _closed_form_result(math.log(1.0 / (math.sqrt(2.0) - 1.0)) / (2.0 * mu))
+    return _closed_form_result(math.log(1.0 / (math.sqrt(2.0) - 1.0)) / 2.0 / mu)
 
 
 def _closed_form_result(length_km: float) -> ThresholdResult:
     return ThresholdResult(length_km if length_km <= _MAX_THRESHOLD_KM else None)
 
 
-def _check_mu(mu: float) -> None:
-    _check_finite(mu, "error density must be a finite number, got ")
-    if mu < 0.0:
-        raise ValidationError(f"error density must be >= 0, got {mu!r}")
-
-
 def threshold_generic(mu: ErrorDensities) -> ThresholdResult:
-    """Threshold length for arbitrary error densities, by bracketed bisection.
+    """Threshold length for any error densities, by bracketed bisection.
 
     With fewer than two positive densities the concurrence stays positive for
     every finite length (single-flip regime), so the result is
-    never-vanishes.  Otherwise the unclamped concurrence is strictly
-    decreasing; the bracket doubles from 1 km until it turns negative and is
-    then bisected to 1e-10 km, or to adjacent floats where their spacing is
-    wider.  The returned length is the upper bracket end, so the clamped
-    concurrence at the threshold is exactly zero.
+    never-vanishes.  Otherwise the densities are scaled by the power of two
+    at their largest, so no decay rate can overflow, and the unclamped
+    concurrence (strictly decreasing) is bracketed by doubling from one
+    scaled unit of length and bisected to adjacent floats.  The returned
+    length is the upper bracket end, the first float at which the criterion
+    is <= 0.  Past 2**1023 km the result is never-vanishes, as for the closed
+    forms `threshold_depolarizing` and `threshold_double_flip`, which it
+    matches to a few ulps.
     """
-    if sum(1 for m in mu.as_tuple() if m > 0.0) < 2:
+    values = mu.as_tuple()
+    if sum(1 for m in values if m > 0.0) < 2:
         return ThresholdResult(None)
-    rates = _decay_rates(mu)
+    # Densities in units of 2**e /km, the largest in [0.5, 1), and lengths in
+    # units of 2**-e km: every rate lies in [-4, 0].
+    e = math.frexp(max(values))[1]
+    m1, m2, m3 = (math.ldexp(m, -e) for m in values)
+    rates = sorted((-2.0 * (m1 + m2), -2.0 * (m1 + m3), -2.0 * (m2 + m3)))
+    # The two rates that carry the largest density are <= -1, so the bracket
+    # closes by 2**10 units.
     lo, hi = 0.0, 1.0
-    for _ in range(_MAX_DOUBLINGS):
-        if _raw_concurrence(rates, hi) <= 0.0:
-            break
+    while _raw_concurrence(rates, hi) > 0.0:
         lo, hi = hi, 2.0 * hi
-    else:
-        # ~9e307 km without a sign change: numerically indistinguishable
-        # from a non-vanishing concurrence.
-        return ThresholdResult(None)
-    while hi - lo > _BISECT_TOL_KM:
+    while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -202,45 +202,11 @@ def threshold_generic(mu: ErrorDensities) -> ThresholdResult:
             lo = mid
         else:
             hi = mid
-    return ThresholdResult(hi)
-
-
-def threshold(mu: ErrorDensities, method: str = "auto") -> tuple[ThresholdResult, str]:
-    """Threshold length by closed form, by bisection, or closed form where one exists.
-
-    ``method`` is "closed", "bisect" or "auto".  The closed forms cover fewer
-    than two positive densities (never-vanishes), three equal densities
-    (`threshold_depolarizing`) and two equal ones (`threshold_double_flip`);
-    "auto" bisects (`threshold_generic`) every other pattern, and "closed"
-    raises `DomainError` there.  Returns the result and the method used,
-    "closed" or "bisect".
-    """
-    if method not in ("auto", "closed", "bisect"):
-        raise ValidationError(
-            f"threshold method must be one of 'auto', 'closed', 'bisect', got {method!r}"
-        )
-    if method != "bisect":
-        result = _closed_threshold(mu)
-        if result is not None:
-            return result, "closed"
-        if method == "closed":
-            raise DomainError(
-                "no closed-form threshold for this density pattern; use --method bisect"
-            )
-    return threshold_generic(mu), "bisect"
-
-
-def _closed_threshold(mu: ErrorDensities) -> ThresholdResult | None:
-    # The closed-form threshold when the density pattern admits one, else None.
-    values = mu.as_tuple()
-    positive = [v for v in values if v > 0.0]
-    if len(positive) < 2:
+    # 2**1023 km in scaled units; for e > 0 it passes the float range, and hi
+    # cannot reach it.
+    if e <= 0 and hi > math.ldexp(_MAX_THRESHOLD_KM, e):
         return ThresholdResult(None)
-    if len(positive) == 3 and values[0] == values[1] == values[2]:
-        return threshold_depolarizing(values[0])
-    if len(positive) == 2 and positive[0] == positive[1]:
-        return threshold_double_flip(positive[0])
-    return None
+    return ThresholdResult(math.ldexp(hi, -e))
 
 
 def estimate_mu(point: MeasurementPoint) -> float:

@@ -59,24 +59,6 @@ _PROB_NAMES = ("p0", "p1", "p2", "p3")
 _MU_NAMES = ("mu1", "mu2", "mu3")
 
 
-def _is_unit_distribution(a, b, c, d) -> bool:
-    # Every value is a float in [0, 1] and the four sum to 1 within _SUM_TOL:
-    # the common case, which needs no rewrite.  The sum is taken in the order
-    # of _validate_distribution's loop, so this accepts only what that loop
-    # accepts.  `_distribution_check` runs this same test in its own frame.
-    return (
-        type(a) is float
-        and type(b) is float
-        and type(c) is float
-        and type(d) is float
-        and 0.0 <= a <= 1.0
-        and 0.0 <= b <= 1.0
-        and 0.0 <= c <= 1.0
-        and 0.0 <= d <= 1.0
-        and abs(a + b + c + d - 1.0) <= _SUM_TOL
-    )
-
-
 def _shown(value) -> str:
     # repr for a message; Python refuses to print ints of more than
     # sys.get_int_max_str_digits() digits, so those are described instead.
@@ -110,11 +92,12 @@ def _clamp01(value: float) -> float:
 def _distribution_check(kind: str, names):
     """The ``__post_init__`` of a frozen dataclass of four probabilities.
 
-    Fields that pass `_is_unit_distribution`'s test, run here in the
-    caller's frame, are stored as given.  Any other input takes the full
-    check, and then every field is rewritten: ints, bools and numpy scalars
-    become floats, and the sub-tolerance overshoot that validation admits is
-    clamped.
+    Fields that are floats in [0, 1] summing to 1 within the tolerance,
+    tested here in the caller's frame, are stored as given; the sum is taken
+    in `_validate_distribution`'s order, so this accepts only what that check
+    accepts.  Any other input takes the full check, and then every field is
+    rewritten: ints, bools and numpy scalars become floats, and the
+    sub-tolerance overshoot that validation admits is clamped.
     """
     fields = operator.attrgetter(*names)
 

@@ -181,11 +181,11 @@ def cmd_transmit(args) -> Report:
 
 def cmd_threshold(args) -> Report:
     mu = _parse_mu(args.mu)
-    result, method = analysis.threshold(mu, args.method)
-    inputs = {"mu": _mu_dict(mu), "method": args.method}
-    results = {"kind": result.kind, "length_km": result.length_km, "method": method}
+    result = analysis.threshold_generic(mu)
+    inputs = {"mu": _mu_dict(mu)}
+    results = {"kind": result.kind, "length_km": result.length_km}
     if result.is_finite:
-        lines = [f"threshold: {_g6(result.length_km)} km ({method})"]
+        lines = [f"threshold: {_g6(result.length_km)} km"]
     else:
         lines = ["threshold: never vanishes"]
     row = (result.kind, result.length_km if result.is_finite else "")
@@ -380,10 +380,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("threshold", help="length at which the concurrence vanishes")
     p.add_argument("--mu", required=True, help="error densities mu1,mu2,mu3 in 1/km")
-    p.add_argument(
-        "--method", choices=("auto", "closed", "bisect"), default="auto",
-        help="closed form, bisection, or closed-with-bisect-fallback (default)",
-    )
     _add_common(p)
     p.set_defaults(handler=cmd_threshold)
 

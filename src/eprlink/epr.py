@@ -153,15 +153,14 @@ def fidelity_psi_plus(state: BellDiagonal) -> float:
     return state.a
 
 
-def _raw_concurrence(rates: tuple[float, float, float], total_length_km: float) -> float:
-    # Unclamped (x + y + z - 1)/2 over `_decay_rates`; negative beyond the
-    # threshold length.  Root-finding in `analysis` needs the sign, which the
-    # clamp destroys.
-    rx, ry, rz = rates
-    x = math.exp(rx * total_length_km)
-    y = math.exp(ry * total_length_km)
-    z = math.exp(rz * total_length_km)
-    return 0.5 * (x + y + z - 1.0)
+def _raw_concurrence(rates: tuple[float, float, float], length: float) -> float:
+    # x + y + z - 1, twice the unclamped concurrence, over three decay rates in
+    # increasing order; negative beyond the threshold length.  Root-finding in
+    # `analysis` needs the sign, which the clamp destroys.  The largest
+    # exponential enters as expm1, so the -1 cancels exactly and a small
+    # density is not absorbed.
+    r0, r1, r2 = rates
+    return math.exp(r0 * length) + math.exp(r1 * length) + math.expm1(r2 * length)
 
 
 def concurrence_vs_length(mu: ErrorDensities, total_length_km: float) -> float:

@@ -14,56 +14,60 @@ from eprlink import (
     MeasurementPoint,
     SweepRow,
     SweepTable,
-    ThresholdResult,
     ValidationError,
     concurrence,
     concurrence_vs_length,
     estimate_mu,
     fit_mu,
     sweep,
-    threshold,
     threshold_depolarizing,
     threshold_double_flip,
     threshold_generic,
     transmit_at_length,
 )
-from eprlink.epr import BellDiagonal, _bell_weights, _decay_rates
+from eprlink.epr import BellDiagonal, _bell_weights, _decay_rates, _raw_concurrence
 
 rng = np.random.default_rng(20240504)
 
 
-# Reference forms of the two solvers, one closed-form evaluation per step as
-# written out in their docstrings; the library's loops must return the same
-# floats bit for bit.
+def _mp_threshold(mu, guess):
+    """The threshold of ``mu``, bisected in 80-digit arithmetic.
+
+    The bracket is ``guess`` widened by 1e-9 either way; both of its signs are
+    checked exactly, so the root lies in it whatever ``guess`` is.
+    """
+    with mpmath.workdps(80):
+        m1, m2, m3 = (mpmath.mpf(m) for m in mu.as_tuple())
+
+        def raw(length):
+            return (
+                mpmath.exp(-2 * (m1 + m2) * length)
+                + mpmath.exp(-2 * (m1 + m3) * length)
+                + mpmath.exp(-2 * (m2 + m3) * length)
+                - 1
+            )
+
+        lo = mpmath.mpf(guess) * (1 - mpmath.mpf("1e-9"))
+        hi = mpmath.mpf(guess) * (1 + mpmath.mpf("1e-9"))
+        assert raw(lo) > 0 >= raw(hi), mu
+        for _ in range(80):
+            mid = (lo + hi) / 2
+            if raw(mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+        return hi
 
 
-def _reference_threshold_generic(mu):
-    m1, m2, m3 = mu.as_tuple()
+def _ulps(got, want):
+    # Distance of float ``got`` from ``want`` (a float or an mpf), in ulps of got.
+    with mpmath.workdps(80):
+        return float(abs(mpmath.mpf(got) - want) / math.ulp(got))
 
-    def raw(length):
-        x = math.exp(-2.0 * (m1 + m2) * length)
-        y = math.exp(-2.0 * (m1 + m3) * length)
-        z = math.exp(-2.0 * (m2 + m3) * length)
-        return 0.5 * (x + y + z - 1.0)
 
-    if sum(1 for m in (m1, m2, m3) if m > 0.0) < 2:
-        return None
-    lo, hi = 0.0, 1.0
-    for _ in range(1024):
-        if raw(hi) <= 0.0:
-            break
-        lo, hi = hi, 2.0 * hi
-    else:
-        return None
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if raw(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+# The reference form of the least-squares solver, one closed-form evaluation
+# per step as written out in its docstring; the library's loop must return the
+# same floats bit for bit.
 
 
 def _reference_fit_mu(points):
@@ -183,6 +187,17 @@ class TestThresholdDepolarizing:
         with pytest.raises(ValidationError):
             threshold_depolarizing(-0.001)
 
+    def test_densities_past_4_5e307_have_subnormal_thresholds(self):
+        # 4 mu and 2 mu overflow here; the thresholds are about 2.7e-309 km.
+        with mpmath.workdps(50):
+            constants = {
+                threshold_depolarizing: mpmath.log(3) / 4,
+                threshold_double_flip: mpmath.log(1 / (mpmath.sqrt(2) - 1)) / 2,
+            }
+            for closed, constant in constants.items():
+                for mu in (4.6e307, 1e308, 1.7976931348623157e308):
+                    assert _ulps(closed(mu).length_km, constant / mu) <= 1.0, (closed, mu)
+
     def test_concurrence_vanishes_at_threshold(self):
         for mu in (0.002, 0.008, 0.05):
             th = threshold_depolarizing(mu).length_km
@@ -269,42 +284,71 @@ class TestThresholdGeneric:
                 else:
                     assert got is not None and abs(got - want) <= 1e-12 * want, mu
 
-    def test_bit_identical_to_reference_bisection(self):
-        for mu in _density_corpus(np.random.default_rng(20261021)):
+    def test_matches_mpmath_bisection(self):
+        # Generic triples, density ratio up to 1e30, scaled over 1e-270..1e300
+        # /km, some with one density 0.
+        gen = np.random.default_rng(20261018)
+        for _ in range(100):
+            values = 10.0 ** gen.uniform(-270.0, 300.0) * 10.0 ** gen.uniform(-30.0, 0.0, 3)
+            if gen.random() < 0.3:
+                values[gen.integers(0, 3)] = 0.0
+            mu = ErrorDensities(*map(float, values))
             got = threshold_generic(mu).length_km
-            want = _reference_threshold_generic(mu)
-            assert (got.hex() if got else got) == (want.hex() if want else want), mu
+            assert _ulps(got, _mp_threshold(mu, got)) <= 4.0, mu
+            # The upper end of a bracket collapsed to adjacent floats: the
+            # solver's criterion, in its scaled units, is still positive one
+            # float below.
+            e = math.frexp(max(mu.as_tuple()))[1]
+            m1, m2, m3 = (math.ldexp(m, -e) for m in mu.as_tuple())
+            rates = sorted((-2.0 * (m1 + m2), -2.0 * (m1 + m3), -2.0 * (m2 + m3)))
+            t = math.ldexp(got, e)
+            assert _raw_concurrence(rates, t) <= 0.0 < _raw_concurrence(
+                rates, math.nextafter(t, 0.0)
+            ), mu
 
     def test_low_density_terminates(self):
         got = threshold_generic(ErrorDensities(1e-9, 1e-9, 1e-9)).length_km
         assert math.isclose(got, threshold_depolarizing(1e-9).length_km, rel_tol=1e-12)
 
+    @given(
+        st.floats(min_value=5e-324, max_value=1.7e308),
+        st.sampled_from(
+            [
+                ((1, 1, 1), threshold_depolarizing),
+                ((1, 1, 0), threshold_double_flip),
+                ((1, 0, 1), threshold_double_flip),
+                ((0, 1, 1), threshold_double_flip),
+            ]
+        ),
+    )
+    def test_symmetric_patterns_match_closed_forms(self, m, pattern):
+        axes, closed = pattern
+        got = threshold_generic(ErrorDensities(*(m * a for a in axes))).length_km
+        want = closed(m).length_km
+        if got is None or want is None:
+            # Both never-vanish, or they fall either side of the 2**1023 km reach.
+            reach = 2.0**1023
+            assert got == want or _ulps(reach, got or want) <= 4.0, m
+        else:
+            assert _ulps(want, got) <= 4.0, m
 
-class TestThresholdDispatch:
     @pytest.mark.parametrize(
-        "densities, closed",
+        "densities",
         [
-            ((0.008, 0.008, 0.008), threshold_depolarizing(0.008)),
-            ((0.008, 0.008, 0.0), threshold_double_flip(0.008)),
-            ((0.0, 0.003, 0.003), threshold_double_flip(0.003)),
-            ((0.008, 0.0, 0.0), ThresholdResult(None)),
-            ((0.0, 0.0, 0.0), ThresholdResult(None)),
+            (1e12, 5e11, 1e11),  # a threshold far below 1e-10 km
+            (1e308, 1e308, 1e308),  # rates -2 (mu_i + mu_j) past the float range
+            (1.0, 1e-20, 0.0),  # a density that 1 + x would absorb
+            (0.008, 0.008, 0.008),
         ],
     )
-    def test_closed_patterns(self, densities, closed):
+    def test_probes_match_mpmath_bisection(self, densities):
         mu = ErrorDensities(*densities)
-        assert threshold(mu) == threshold(mu, "closed") == (closed, "closed")
-        assert threshold(mu, "bisect") == (threshold_generic(mu), "bisect")
+        got = threshold_generic(mu).length_km
+        assert _ulps(got, _mp_threshold(mu, got)) <= 4.0
 
-    def test_other_patterns_bisect(self):
-        mu = ErrorDensities(0.008, 0.004, 0.002)
-        assert threshold(mu) == threshold(mu, "bisect") == (threshold_generic(mu), "bisect")
-        with pytest.raises(DomainError, match="no closed-form threshold"):
-            threshold(mu, "closed")
-
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ValidationError, match="threshold method"):
-            threshold(ErrorDensities(0.008, 0.008, 0.008), "newton")
+    def test_smallest_densities_never_vanish(self):
+        # The threshold, ln(3) / (4 * 5e-324) km, is past the 2**1023 km reach.
+        assert not threshold_generic(ErrorDensities(5e-324, 5e-324, 5e-324)).is_finite
 
 
 class TestEstimateMu:

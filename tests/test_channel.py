@@ -15,7 +15,8 @@ from eprlink import (
     iterate,
     iterate_bruteforce,
 )
-from eprlink.channel import _convolve, _is_unit_distribution
+from eprlink import channel
+from eprlink.channel import _convolve
 from eprlink.epr import BellDiagonal
 
 rng = np.random.default_rng(20240501)
@@ -119,9 +120,25 @@ def _constructed(cls, values):
     return [(type(v), float(v).hex()) for v in obj.as_tuple()]
 
 
+@pytest.fixture
+def full_checks(monkeypatch):
+    """The values that miss the in-frame fast path of `_distribution_check` and
+    reach `channel._validate_distribution`, which still runs."""
+    calls = []
+    validate = channel._validate_distribution
+
+    def recorder(kind, names, values):
+        calls.append(tuple(values))
+        validate(kind, names, values)
+
+    monkeypatch.setattr(channel, "_validate_distribution", recorder)
+    return calls
+
+
 class TestUnitDistributionPredicate:
     """The fast path of PauliProbs and BellDiagonal stores and rejects exactly
-    what the field-by-field check does, with the same messages."""
+    what the field-by-field check does, with the same messages, and takes
+    only floats in [0, 1] that sum to 1 within the tolerance."""
 
     ODD_VALUES = (
         0, 1, True, False, np.float64(0.25), np.float32(0.25), np.float64(1.0),
@@ -150,15 +167,16 @@ class TestUnitDistributionPredicate:
             cases.append(tuple(weights))
         return cases
 
-    def test_matches_field_by_field_check(self):
+    def test_matches_field_by_field_check(self, full_checks):
         for values in self.corpus():
             for cls, kind, names in (
                 (PauliProbs, "channel", ("p0", "p1", "p2", "p3")),
                 (BellDiagonal, "Bell weight", ("a", "b", "c", "d")),
             ):
                 want = _reference_distribution(kind, names, values)
+                full_checks.clear()
                 assert _constructed(cls, values) == want, values
-                if _is_unit_distribution(*values):
+                if not full_checks:
                     assert want == [(float, v.hex()) for v in values], values
 
     @pytest.mark.parametrize(
@@ -172,8 +190,10 @@ class TestUnitDistributionPredicate:
             (0.25, 0.25, 0.25, 0.25 + 5e-13),
         ],
     )
-    def test_accepts_floats_in_the_unit_interval(self, values):
-        assert _is_unit_distribution(*values)
+    @pytest.mark.parametrize("cls", [PauliProbs, BellDiagonal])
+    def test_accepts_floats_in_the_unit_interval(self, full_checks, values, cls):
+        cls(*values)
+        assert full_checks == []
 
     @pytest.mark.parametrize(
         "values",
@@ -194,8 +214,13 @@ class TestUnitDistributionPredicate:
             (0.25, 0.25, 0.25 - 2e-12, 0.25),
         ],
     )
-    def test_rejects_everything_else(self, values):
-        assert not _is_unit_distribution(*values)
+    @pytest.mark.parametrize("cls", [PauliProbs, BellDiagonal])
+    def test_rejects_everything_else(self, full_checks, values, cls):
+        try:
+            cls(*values)
+        except ValidationError:
+            pass
+        assert full_checks == [values]
 
 
 class TestErrorDensities:

@@ -141,25 +141,11 @@ class TestThreshold:
         assert code == 0
         assert "55.0858 km" in out
 
-    def test_methods_agree(self, capsys):
-        _, out_closed, _ = run(
-            capsys, "threshold", "--mu", "0.008,0.008,0.008", "--method", "closed",
-            "--format", "json",
-        )
-        _, out_bisect, _ = run(
-            capsys, "threshold", "--mu", "0.008,0.008,0.008", "--method", "bisect",
-            "--format", "json",
-        )
-        closed = json.loads(out_closed)["results"]["length_km"]
-        bisect = json.loads(out_bisect)["results"]["length_km"]
-        assert abs(closed - bisect) < 1e-9
-
-    def test_closed_method_unavailable_exits_3(self, capsys):
-        code, _, err = run(
-            capsys, "threshold", "--mu", "0.008,0.004,0", "--method", "closed"
-        )
-        assert code == 3
-        assert "closed-form" in err
+    def test_method_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["threshold", "--mu", "0.008,0.004,0", "--method", "closed"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --method closed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
     def test_subnormal_density_never_vanishes(self, capsys, fmt):
@@ -175,14 +161,29 @@ class TestThreshold:
         else:
             assert out.strip() == "threshold: never vanishes"
 
-    def test_general_pattern_bisects(self, capsys):
+    def test_general_pattern(self, capsys):
         code, out, _ = run(
             capsys, "threshold", "--mu", "0.008,0.004,0.002", "--format", "json"
         )
         assert code == 0
         doc = json.loads(out)
-        assert doc["results"]["method"] == "bisect"
+        assert set(doc["inputs"]) == {"mu"}
+        assert set(doc["results"]) == {"kind", "length_km"}
         assert doc["results"]["length_km"] > 0
+
+    @pytest.mark.parametrize(
+        "mu, line",
+        [
+            ("1e12,5e11,1e11", "threshold: 5.53848e-13 km"),
+            ("1e308,1e308,1e308", "threshold: 2.74653e-309 km"),
+            ("1e308,1e308,0", "threshold: 4.40687e-309 km"),
+            ("1,1e-20,0", "threshold: 21.492 km"),
+            ("0.008,0.008,0.008", "threshold: 34.3316 km"),
+            ("5e-324,5e-324,5e-324", "threshold: never vanishes"),
+        ],
+    )
+    def test_probes(self, capsys, mu, line):
+        assert run(capsys, "threshold", "--mu", mu) == (0, line + "\n", "")
 
 
 class TestEstimateMu:
@@ -199,6 +200,12 @@ class TestEstimateMu:
         assert code == 0
         doc = json.loads(out)
         assert 1.00e-2 <= doc["results"]["fit"]["mu"] <= 1.04e-2
+
+    def test_huge_density_has_a_subnormal_threshold(self, capsys):
+        # mu = 6.8e307 /km, where 4 mu overflows; the threshold is subnormal, not 0 km.
+        code, out, err = run(capsys, "estimate-mu", "--qber", "0.7", "--length", "1e-308")
+        assert (code, err) == (0, "")
+        assert "implied depolarizing threshold: 4.05684e-309 km\n" in out
 
     def test_csv_single_row_matches_inline(self, tmp_path, capsys):
         path = tmp_path / "pts.csv"
@@ -524,6 +531,7 @@ class TestGoldenOutput:
         "compose": ("compose", "--mu", "0.01,0.02,0.03", "--length", "5", "--iterate", "3"),
         "transmit": ("transmit", "--mu", "0.01,0.005,0.002", "--l1", "4", "--l2", "7"),
         "threshold": ("threshold", "--mu", "0.008,0.004,0.002"),
+        "threshold-depolarizing": ("threshold", "--mu", "0.008,0.008,0.008"),
         "estimate-mu": ("estimate-mu", "--qber", "0.043", "--length", "1.45"),
         "sweep": ("sweep", "--steps", "2"),
         "sweep-120": ("sweep", "--mu", "0.011,0.007,0.003", "--lmax", "200", "--steps", "120"),
@@ -539,9 +547,12 @@ class TestGoldenOutput:
         ("transmit", "table"): "4e3f0208876b6eb26297ff0f4735e600109499fa85b6ae08620cce5a4fe558e0",
         ("transmit", "csv"): "3268e4442c6323496a36c7b84c6a16eb21771c707f490b26a1aca7ef97b2a10b",
         ("transmit", "json"): "e66fd53f70e6b74d17c1c0439f41e137991745144b723b35a8244e2ea8673355",
-        ("threshold", "table"): "982c9da97d9efb87622f3381cd9645f61317152d6dd1478d576e33795dab9e14",
-        ("threshold", "csv"): "4d6e569b87d18d36017fe99b66a5df363fbed2053f447d63ff9131e25fc9078f",
-        ("threshold", "json"): "a3897f56621a62956bbca03d18737f3c7a518dad9d14143bdd90b15d9938a23f",
+        ("threshold", "table"): "2875c4729f5eefea7791f4c1b3da923d17ac5df879f676db7d23ff12ded0883b",
+        ("threshold", "csv"): "6f0d8d1038fe13c3acfcd1fab5862b85136953bcbd12c7205c1a57ecc28c4ca1",
+        ("threshold", "json"): "c18b1a304969b622be7eec9d6c6b7bef9e7ae96bea15749ca656cb7ec4f9dc17",
+        ("threshold-depolarizing", "json"): (
+            "7e587bbf0f7049a9374463cf98672cdaede3c6a1a165ffb1bd96cae66382c5ac"
+        ),
         ("estimate-mu", "table"): "9aad03db567e7109527f9fa5db7a3b38dec888bacdd2b3824252e876cd75a36f",
         ("estimate-mu", "csv"): "31758104c7ede81b9491afca56a98fefa18166a40145b3f862cd96abfbab720e",
         ("estimate-mu", "json"): "c08952e2d6806a5aa58e99a680917fad40933a6bf0cebc294df854be495dfa8e",

@@ -202,7 +202,7 @@ def test_concurrence_matches_its_formula(values):
         (lambda v: PauliProbs(v, 0, 0, 0), "channel p0 must be a finite number, got {}"),
         (lambda v: BellDiagonal(0, 0, v, 1), "Bell weight c must be a finite number, got {}"),
         (lambda v: Lambdas(1, v, 1), "decay factor lambda2 must be finite, got {}"),
-        (lambda v: threshold_depolarizing(v), "error density must be a finite number, got {}"),
+        (lambda v: threshold_depolarizing(v), "error density must be finite and >= 0, got {}"),
         (lambda v: depolarizing_probs(v), "depolarizing probability must be in [0, 1], got {}"),
         (lambda v: flip_at_length(v, "x", 1.0), "error density must be finite and >= 0, got {}"),
         (lambda v: doubleflip_coefficients(v, 1), "error density must be finite and >= 0, got {}"),
