@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import NamedTuple
 
 from .channel import (
@@ -24,6 +24,7 @@ from .channel import (
     _as_length,
     _check_density,
     _check_finite,
+    _Value,
 )
 from .epr import _decay_rates, _raw_concurrence
 from .errors import DomainError, NumericError, ValidationError
@@ -53,22 +54,19 @@ _MAX_DOUBLINGS = 1024
 _MAX_THRESHOLD_KM = 2.0 ** (_MAX_DOUBLINGS - 1)
 
 
-@dataclass(frozen=True)
-class MeasurementPoint:
+class MeasurementPoint(_Value, namedtuple("MeasurementPoint", "qber total_length_km")):
     """One experimental observation: channel-attributed QBER at a total length."""
 
-    qber: float
-    total_length_km: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        qber, length = self.qber, self.total_length_km
+    def __new__(cls, qber, total_length_km):
         if (
             type(qber) is float
             and 0.0 <= qber < QBER_FLOOR_LIMIT
-            and type(length) is float
-            and 0.0 < length <= _FLOAT_MAX
+            and type(total_length_km) is float
+            and 0.0 < total_length_km <= _FLOAT_MAX
         ):
-            return
+            return tuple.__new__(cls, (qber, total_length_km))
         _check_finite(qber, "qber must be a finite number, got ")
         if qber < 0.0:
             raise ValidationError(f"qber must be >= 0, got {qber!r}")
@@ -76,25 +74,23 @@ class MeasurementPoint:
             raise DomainError(
                 f"qber {qber!r} exceeds the depolarizing fidelity floor (must be < 0.75)"
             )
-        length = _as_length(length)
+        length = _as_length(total_length_km)
         if length <= 0.0:
             raise ValidationError(f"total length must be > 0 km, got {length!r}")
-        object.__setattr__(self, "qber", float(qber))
-        object.__setattr__(self, "total_length_km", length)
+        return tuple.__new__(cls, (float(qber), length))
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
+class ThresholdResult(_Value, namedtuple("ThresholdResult", "length_km")):
     """Threshold total length, or None when the concurrence never vanishes."""
 
-    length_km: float | None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.length_km is not None:
-            length = _as_length(self.length_km)
-            if length <= 0.0:
-                raise ValidationError(f"finite threshold must be > 0 km, got {length!r}")
-            object.__setattr__(self, "length_km", length)
+    def __new__(cls, length_km):
+        if length_km is not None:
+            length_km = _as_length(length_km)
+            if length_km <= 0.0:
+                raise ValidationError(f"finite threshold must be > 0 km, got {length_km!r}")
+        return tuple.__new__(cls, (length_km,))
 
     @property
     def is_finite(self) -> bool:
@@ -113,27 +109,19 @@ class SweepRow(NamedTuple):
     fidelity: float
 
 
-@dataclass(frozen=True)
-class SweepTable:
+class SweepTable(_Value, namedtuple("SweepTable", "rows")):
     """Rows of (length, concurrence, psi+ fidelity) on an increasing length grid."""
 
-    rows: tuple[SweepRow, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        rows = tuple(self.rows)
-        object.__setattr__(self, "rows", rows)
+    def __new__(cls, rows):
+        rows = tuple(rows)
         for (prev_length, prev_conc, _), (length, conc, _) in zip(rows, rows[1:]):
             if length <= prev_length:
                 raise ValidationError("sweep lengths must be strictly increasing")
             if conc > prev_conc + 1e-12:
                 raise ValidationError("sweep concurrence must be non-increasing")
-
-    @classmethod
-    def _checked(cls, rows: tuple) -> "SweepTable":
-        # A table of rows that `sweep` has already put through both checks.
-        table = object.__new__(cls)
-        object.__setattr__(table, "rows", rows)
-        return table
+        return tuple.__new__(cls, (rows,))
 
 
 def threshold_depolarizing(mu: float) -> ThresholdResult:
@@ -181,13 +169,12 @@ def threshold_generic(mu: ErrorDensities) -> ThresholdResult:
     forms `threshold_depolarizing` and `threshold_double_flip`, which it
     matches to a few ulps.
     """
-    values = mu.as_tuple()
-    if sum(1 for m in values if m > 0.0) < 2:
+    if sum(1 for m in mu if m > 0.0) < 2:
         return ThresholdResult(None)
     # Densities in units of 2**e /km, the largest in [0.5, 1), and lengths in
     # units of 2**-e km: every rate lies in [-4, 0].
-    e = math.frexp(max(values))[1]
-    m1, m2, m3 = (math.ldexp(m, -e) for m in values)
+    e = math.frexp(max(mu))[1]
+    m1, m2, m3 = (math.ldexp(m, -e) for m in mu)
     rates = sorted((-2.0 * (m1 + m2), -2.0 * (m1 + m3), -2.0 * (m2 + m3)))
     # The two rates that carry the largest density are <= -1, so the bracket
     # closes by 2**10 units.
@@ -329,8 +316,9 @@ def sweep(mu: ErrorDensities, l_max_km: float, steps) -> SweepTable:
     # yz gives 1 + x - y - z >= (1 - y)(1 - z), and so on), so BellDiagonal
     # keeps a as given, and a is the largest weight (rounding is monotone), so
     # the concurrence is 2a - 1 floored at 0.  No row needs a check of its own;
-    # SweepTable's two checks run here, in its order.  tuple.__new__ is what
-    # SweepRow's generated __new__ does, less its Python frame.
+    # SweepTable's two checks run here, in its order.  Rows and table are built
+    # with tuple.__new__, as their own __new__ do after any check, less a
+    # Python frame.
     rx, ry, rz = rates
     exp = math.exp
     new_row = tuple.__new__
@@ -351,4 +339,4 @@ def sweep(mu: ErrorDensities, l_max_km: float, steps) -> SweepTable:
             raise ValidationError("sweep concurrence must be non-increasing")
         append(new_row(SweepRow, (length, conc, a)))
         prev_length, prev_conc = length, conc
-    return SweepTable._checked(tuple(rows))
+    return tuple.__new__(SweepTable, (tuple(rows),))

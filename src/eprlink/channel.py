@@ -13,6 +13,11 @@ by diagonalizing the convolution: three decay factors
 pushed through a fixed 1/4 * {+-1} Hadamard-pattern matrix.  Taking the
 continuum limit with per-km error densities (mu1, mu2, mu3) turns the decay
 factors into exponentials in the channel length.
+
+The value objects here and in `epr`, `analysis` and `oracle` are immutable
+tuples of their fields on the `_Value` base, each checked in ``__new__``;
+four probabilities (`PauliProbs`, `epr.BellDiagonal`) share one constructor,
+and non-negative floats (`ErrorDensities`, `epr.LinkGeometry`) another.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ValidationError
 
@@ -55,9 +60,6 @@ _POWER_CAP = 2**64
 
 _FLIP_AXES = {"x": 1, "y": 2, "z": 3}
 
-_PROB_NAMES = ("p0", "p1", "p2", "p3")
-_MU_NAMES = ("mu1", "mu2", "mu3")
-
 
 def _shown(value) -> str:
     # repr for a message; Python refuses to print ints of more than
@@ -89,20 +91,67 @@ def _clamp01(value: float) -> float:
     return float(value)
 
 
-def _distribution_check(kind: str, names):
-    """The ``__post_init__`` of a frozen dataclass of four probabilities.
+class _Value(tuple):
+    """Base of the immutable value objects: a tuple of the fields.
+
+    Each value object subclasses this and a ``collections.namedtuple`` of its
+    fields, which gives the C-level field getters and the
+    ``Name(field=value, ...)`` repr.  An instance equals only an instance of
+    its own class with equal fields, never a plain tuple, and hashes as the
+    tuple of its fields.  ``_make`` (and ``_replace`` through it), pickle
+    and ``copy`` call the class, so they run its check.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return tuple.__eq__(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    __hash__ = tuple.__hash__
+
+    def as_tuple(self) -> tuple:
+        """The fields as a plain tuple."""
+        return tuple(self)
+
+    def __reduce__(self):
+        return self.__class__, tuple(self)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+def _bind(cls, values, named):
+    # The fields of a call by keyword, or with the wrong number of arguments:
+    # the namedtuple's own __new__ binds them, raising TypeError as a call of
+    # the class would, and the instance it builds is only read.
+    return super(_Value, cls).__new__(cls, *values, **named)
+
+
+class _Probabilities(_Value):
+    """Four probabilities in [0, 1] that sum to 1, both up to 1e-12.
 
     Fields that are floats in [0, 1] summing to 1 within the tolerance,
-    tested here in the caller's frame, are stored as given; the sum is taken
+    tested here in ``__new__``'s frame, are stored as given; the sum is taken
     in `_validate_distribution`'s order, so this accepts only what that check
     accepts.  Any other input takes the full check, and then every field is
     rewritten: ints, bools and numpy scalars become floats, and the
-    sub-tolerance overshoot that validation admits is clamped.
+    sub-tolerance overshoot that validation admits is clamped.  A subclass
+    names its fields and the ``_kind`` that its messages start with.
     """
-    fields = operator.attrgetter(*names)
 
-    def __post_init__(self):
-        a, b, c, d = values = fields(self)
+    __slots__ = ()
+
+    def __new__(cls, *values, **named):
+        if named or len(values) != 4:
+            values = _bind(cls, values, named)
+        a, b, c, d = values
         if (
             type(a) is float
             and type(b) is float
@@ -114,79 +163,59 @@ def _distribution_check(kind: str, names):
             and 0.0 <= d <= 1.0
             and abs(a + b + c + d - 1.0) <= _SUM_TOL
         ):
-            return
-        _validate_distribution(kind, names, values)
-        for name, value in zip(names, values):
-            object.__setattr__(self, name, _clamp01(value))
-
-    return __post_init__
+            return tuple.__new__(cls, values)
+        _validate_distribution(cls._kind, cls._fields, values)
+        return tuple.__new__(cls, map(_clamp01, values))
 
 
-def _nonnegative_check(names, check):
-    """The ``__post_init__`` of a frozen dataclass of finite non-negative floats.
+class _NonNegative(_Value):
+    """Finite non-negative floats.
 
-    Fields that are floats in [0, max float], tested here in the caller's
-    frame, are stored as given; otherwise ``check(self)``, the class's own
-    field-by-field check, raises or rewrites them.
+    Fields that are floats in [0, max float], tested here in ``__new__``'s
+    frame, are stored as given; otherwise the subclass's ``_check_field(name,
+    value)`` checks each field in turn and returns the float to store.
     """
-    fields = operator.attrgetter(*names)
 
-    def __post_init__(self):
-        for value in fields(self):
+    __slots__ = ()
+
+    def __new__(cls, *values, **named):
+        if named or len(values) != len(cls._fields):
+            values = _bind(cls, values, named)
+        for value in values:
             if not (type(value) is float and 0.0 <= value <= _FLOAT_MAX):
-                check(self)
-                return
-
-    return __post_init__
+                return tuple.__new__(cls, map(cls._check_field, cls._fields, values))
+        return tuple.__new__(cls, values)
 
 
-@dataclass(frozen=True)
-class PauliProbs:
+class PauliProbs(_Probabilities, namedtuple("PauliProbs", "p0 p1 p2 p3")):
     """Probabilities (p0, p1, p2, p3) of applying I, sigma_x, sigma_y, sigma_z.
 
     Entries must be in [0, 1] and sum to 1 (both up to 1e-12); sub-tolerance
     negatives are clamped to 0 on construction.
     """
 
-    p0: float
-    p1: float
-    p2: float
-    p3: float
-
-    __post_init__ = _distribution_check("channel", _PROB_NAMES)
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.p0, self.p1, self.p2, self.p3)
+    __slots__ = ()
+    _kind = "channel"
 
     @classmethod
     def identity(cls) -> "PauliProbs":
         return cls(1.0, 0.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class ErrorDensities:
+class ErrorDensities(_NonNegative, namedtuple("ErrorDensities", "mu1 mu2 mu3")):
     """Per-kilometre error rates (mu1, mu2, mu3) for the x, y, z flips, in 1/km."""
 
-    mu1: float
-    mu2: float
-    mu3: float
+    __slots__ = ()
 
-    def _check(self):
-        for name in _MU_NAMES:
-            value = getattr(self, name)
-            _check_finite(value, f"error density {name} must be finite, got ")
-            if value < 0:
-                raise ValidationError(f"error density {name} must be >= 0, got {value!r}")
-            object.__setattr__(self, name, float(value))
-
-    __post_init__ = _nonnegative_check(_MU_NAMES, _check)
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.mu1, self.mu2, self.mu3)
+    @staticmethod
+    def _check_field(name, value) -> float:
+        _check_finite(value, f"error density {name} must be finite, got ")
+        if value < 0:
+            raise ValidationError(f"error density {name} must be >= 0, got {value!r}")
+        return float(value)
 
 
-@dataclass(frozen=True)
-class Lambdas:
+class Lambdas(_Value, namedtuple("Lambdas", "lambda1 lambda2 lambda3")):
     """Decay factors (lambda1, lambda2, lambda3) of a concatenated channel.
 
     For channels in the exponential (length-parameterized) family each factor
@@ -194,27 +223,24 @@ class Lambdas:
     factors, which is still a legal input to the closed form.
     """
 
-    lambda1: float
-    lambda2: float
-    lambda3: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("lambda1", "lambda2", "lambda3"):
-            value = getattr(self, name)
+    def __new__(cls, lambda1, lambda2, lambda3):
+        values = (lambda1, lambda2, lambda3)
+        for name, value in zip(cls._fields, values):
             _check_finite(value, f"decay factor {name} must be finite, got ")
-            object.__setattr__(self, name, float(value))
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.lambda1, self.lambda2, self.lambda3)
+        return tuple.__new__(cls, map(float, values))
 
 
 def _convolve(r, s):
     # Klein-four convolution: output index i collects all (j, k) with j XOR k == i.
+    r0, r1, r2, r3 = r
+    s0, s1, s2, s3 = s
     return (
-        r[0] * s[0] + r[1] * s[1] + r[2] * s[2] + r[3] * s[3],
-        r[0] * s[1] + r[1] * s[0] + r[2] * s[3] + r[3] * s[2],
-        r[0] * s[2] + r[1] * s[3] + r[2] * s[0] + r[3] * s[1],
-        r[0] * s[3] + r[1] * s[2] + r[2] * s[1] + r[3] * s[0],
+        r0 * s0 + r1 * s1 + r2 * s2 + r3 * s3,
+        r0 * s1 + r1 * s0 + r2 * s3 + r3 * s2,
+        r0 * s2 + r1 * s3 + r2 * s0 + r3 * s1,
+        r0 * s3 + r1 * s2 + r2 * s1 + r3 * s0,
     )
 
 
@@ -280,7 +306,7 @@ def compose(first: PauliProbs, second: PauliProbs) -> PauliProbs:
     PauliProbs
         The concatenated channel.
     """
-    return PauliProbs(*_convolve(first.as_tuple(), second.as_tuple()))
+    return PauliProbs(*_convolve(first, second))
 
 
 def iterate(p: PauliProbs, n) -> PauliProbs:
@@ -304,8 +330,7 @@ def iterate(p: PauliProbs, n) -> PauliProbs:
         The n-segment channel.
     """
     n = _as_count(n, "segment count")
-    lam = decay_factors(p, n)
-    return _from_lambdas(*lam.as_tuple())
+    return _from_lambdas(*decay_factors(p, n))
 
 
 def iterate_bruteforce(p: PauliProbs, n) -> PauliProbs:
@@ -317,10 +342,9 @@ def iterate_bruteforce(p: PauliProbs, n) -> PauliProbs:
     n = _as_count(n, "segment count")
     if n > _BRUTEFORCE_CAP:
         raise ValidationError(f"brute-force segment count capped at {_BRUTEFORCE_CAP}, got {n}")
-    seg = p.as_tuple()
     acc = (1.0, 0.0, 0.0, 0.0)
     for _ in range(n):
-        acc = _convolve(acc, seg)
+        acc = _convolve(acc, p)
     return PauliProbs(*acc)
 
 
@@ -376,7 +400,7 @@ def at_length(mu: ErrorDensities, length_km: float) -> PauliProbs:
         The length-L channel; all components lie in [0, 1].
     """
     length_km = _as_length(length_km)
-    m1, m2, m3 = mu.as_tuple()
+    m1, m2, m3 = mu
     return _from_lambdas(
         math.exp(-2.0 * (m2 + m3) * length_km),
         math.exp(-2.0 * (m1 + m3) * length_km),

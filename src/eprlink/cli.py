@@ -84,10 +84,6 @@ def _write_output(text: str, path) -> None:
         print(text)
 
 
-def _mu_dict(mu: ErrorDensities) -> dict:
-    return {"mu1": mu.mu1, "mu2": mu.mu2, "mu3": mu.mu3}
-
-
 # ---------------------------------------------------------------- compose
 
 
@@ -102,7 +98,7 @@ def cmd_compose(args) -> Report:
             raise ValidationError("--mu requires --length")
         mu = _parse_mu(args.mu)
         probs = at_length(mu, args.length)
-        inputs = {"mu": _mu_dict(mu), "length_km": args.length}
+        inputs = {"mu": mu._asdict(), "length_km": args.length}
     else:
         raise ValidationError("provide either --p or --mu with --length")
     if args.iterate is not None:
@@ -110,8 +106,8 @@ def cmd_compose(args) -> Report:
         inputs["iterate"] = args.iterate
     lam = decay_factors(probs)
     results = {
-        "probs": dict(zip(("p0", "p1", "p2", "p3"), probs.as_tuple())),
-        "decay_factors": dict(zip(("lambda1", "lambda2", "lambda3"), lam.as_tuple())),
+        "probs": probs._asdict(),
+        "decay_factors": lam._asdict(),
     }
     values = results["probs"] | results["decay_factors"]
     lines = [f"{name}: {_g6(v)}" for name, v in values.items()]
@@ -141,8 +137,8 @@ def cmd_transmit(args) -> Report:
         r = at_length(mu, geom.l1_km)
         s = at_length(mu, geom.l2_km)
         state = epr.transmit_at_length(mu, geom)
-        inputs = {"mu": _mu_dict(mu), "l1_km": geom.l1_km, "l2_km": geom.l2_km}
-    weights = dict(zip("abcd", state.as_tuple()))
+        inputs = {"mu": mu._asdict(), "l1_km": geom.l1_km, "l2_km": geom.l2_km}
+    weights = state._asdict()
     fidelity = epr.fidelity_psi_plus(state)
     conc = epr.concurrence(state)
     dominant = epr.dominant_bell_state(state)
@@ -165,9 +161,7 @@ def cmd_transmit(args) -> Report:
 
         rho = oracle.apply_two_sided(r, s, oracle.bell_state("psi+"))
         projected, residual = oracle.bell_diagonal_project(rho)
-        deviation = max(
-            abs(x - y) for x, y in zip(projected.as_tuple(), state.as_tuple())
-        )
+        deviation = max(abs(x - y) for x, y in zip(projected, state))
         results["oracle"] = {"max_weight_deviation": deviation, "bell_residual": residual}
         lines.append(f"oracle max weight deviation: {deviation:.3e}")
         lines.append(f"oracle Bell-basis residual: {residual:.3e}")
@@ -182,7 +176,7 @@ def cmd_transmit(args) -> Report:
 def cmd_threshold(args) -> Report:
     mu = _parse_mu(args.mu)
     result = analysis.threshold_generic(mu)
-    inputs = {"mu": _mu_dict(mu)}
+    inputs = {"mu": mu._asdict()}
     results = {"kind": result.kind, "length_km": result.length_km}
     if result.is_finite:
         lines = [f"threshold: {_g6(result.length_km)} km"]
@@ -269,21 +263,21 @@ def cmd_sweep(args) -> Report:
     else:
         mus = [ErrorDensities(m, m, m) for m in DEFAULT_SWEEP_MUS]
     inputs = {
-        "mu": [_mu_dict(m) for m in mus],
+        "mu": [m._asdict() for m in mus],
         "lmax_km": args.lmax,
         "steps": args.steps,
     }
     curves, lines, rows = [], [], []
     for m in mus:
         table = analysis.sweep(m, args.lmax, args.steps)
-        curves.append({"mu": _mu_dict(m), "rows": [r._asdict() for r in table.rows]})
-        lines.append(f"mu = ({', '.join(map(_g6, m.as_tuple()))}) /km")
+        curves.append({"mu": m._asdict(), "rows": [r._asdict() for r in table.rows]})
+        lines.append(f"mu = ({', '.join(map(_g6, m))}) /km")
         lines.append("  length_km  concurrence  fidelity")
         for r in table.rows:
             lines.append(
                 f"  {_g6(r.length_km):>9}  {_g6(r.concurrence):>11}  {_g6(r.fidelity):>8}"
             )
-            rows.append((*m.as_tuple(), *r))
+            rows.append((*m, *r))
     return Report("sweep", inputs, {"curves": curves}, lines, SWEEP_HEADER, rows)
 
 
@@ -304,9 +298,8 @@ def cmd_montecarlo(args) -> Report:
     )
     # The reference is taken at the lengths the sampler discretized, which
     # differ from the requested ones where L * segments_per_km is not an integer.
-    reference = epr.transmit_at_length(mu, estimate.geometry)
-    est = estimate.bell_diagonal.as_tuple()
-    ref = reference.as_tuple()
+    ref = epr.transmit_at_length(mu, estimate.geometry)
+    est = estimate.bell_diagonal
     # A tally of 0 or of every sample has a zero standard error; z then uses
     # the binomial standard error of the reference weight instead.
     zscores = tuple(
@@ -314,7 +307,7 @@ def cmd_montecarlo(args) -> Report:
         for e, r, se in zip(est, ref, estimate.standard_errors)
     )
     inputs = {
-        "mu": _mu_dict(mu),
+        "mu": mu._asdict(),
         "l1_km": geom.l1_km,
         "l2_km": geom.l2_km,
         "samples": args.samples,
@@ -322,9 +315,9 @@ def cmd_montecarlo(args) -> Report:
         "seed": args.seed,
     }
     results = {
-        "estimate": dict(zip("abcd", est)),
+        "estimate": est._asdict(),
         "standard_errors": list(estimate.standard_errors),
-        "reference": dict(zip("abcd", ref)),
+        "reference": ref._asdict(),
         "z_scores": list(zscores),
     }
     rows = list(zip("abcd", est, estimate.standard_errors, ref, zscores))

@@ -15,16 +15,15 @@ max(0, 2 max(a, b, c, d) - 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from operator import attrgetter
+from collections import namedtuple
 
 from .channel import (
     ErrorDensities,
     PauliProbs,
     _as_length,
     _check_density,
-    _distribution_check,
-    _nonnegative_check,
+    _NonNegative,
+    _Probabilities,
 )
 
 __all__ = [
@@ -42,41 +41,26 @@ __all__ = [
 
 BELL_LABELS = ("psi+", "psi-", "phi+", "phi-")
 
-_WEIGHT_NAMES = ("a", "b", "c", "d")
-_weights_of = attrgetter(*_WEIGHT_NAMES)
 
-
-@dataclass(frozen=True)
-class BellDiagonal:
+class BellDiagonal(_Probabilities, namedtuple("BellDiagonal", "a b c d")):
     """Weights (a, b, c, d) on the psi+, psi-, phi+, phi- projectors.
 
     Each weight is the fidelity of the state with the corresponding Bell
     state.  Weights lie in [0, 1] and sum to 1 (both up to 1e-12).
     """
 
-    a: float
-    b: float
-    c: float
-    d: float
-
-    __post_init__ = _distribution_check("Bell weight", _WEIGHT_NAMES)
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.a, self.b, self.c, self.d)
+    __slots__ = ()
+    _kind = "Bell weight"
 
 
-@dataclass(frozen=True)
-class LinkGeometry:
+class LinkGeometry(_NonNegative, namedtuple("LinkGeometry", "l1_km l2_km")):
     """Distances (km) from the pair source to the two receivers."""
 
-    l1_km: float
-    l2_km: float
+    __slots__ = ()
 
-    def _check(self):
-        object.__setattr__(self, "l1_km", _as_length(self.l1_km))
-        object.__setattr__(self, "l2_km", _as_length(self.l2_km))
-
-    __post_init__ = _nonnegative_check(("l1_km", "l2_km"), _check)
+    @staticmethod
+    def _check_field(name, value) -> float:
+        return _as_length(value)
 
     @property
     def total_km(self) -> float:
@@ -90,29 +74,31 @@ def transmit(r: PauliProbs, s: PauliProbs) -> BellDiagonal:
     product maps psi+ to the respective Bell state: index XOR 0 keeps psi+,
     1 gives phi+, 2 gives phi-, and 3 gives psi-.
     """
-    r0, r1, r2, r3 = r.as_tuple()
-    s0, s1, s2, s3 = s.as_tuple()
-    return BellDiagonal(
-        a=r0 * s0 + r1 * s1 + r2 * s2 + r3 * s3,
-        b=r0 * s3 + r1 * s2 + r2 * s1 + r3 * s0,
-        c=r0 * s1 + r1 * s0 + r2 * s3 + r3 * s2,
-        d=r0 * s2 + r1 * s3 + r2 * s0 + r3 * s1,
+    r0, r1, r2, r3 = r
+    s0, s1, s2, s3 = s
+    return BellDiagonal(  # a, b, c, d
+        r0 * s0 + r1 * s1 + r2 * s2 + r3 * s3,
+        r0 * s3 + r1 * s2 + r2 * s1 + r3 * s0,
+        r0 * s1 + r1 * s0 + r2 * s3 + r3 * s2,
+        r0 * s2 + r1 * s3 + r2 * s0 + r3 * s1,
     )
 
 
 def _decay_rates(mu: ErrorDensities) -> tuple[float, float, float]:
     # -2 (mu_i + mu_j) per km; Python evaluates -2.0 * (m1 + m2) * L left to
     # right, so exp(rate * L) is bit-identical to the expression written out.
-    m1, m2, m3 = mu.as_tuple()
+    m1, m2, m3 = mu
     return -2.0 * (m1 + m2), -2.0 * (m1 + m3), -2.0 * (m2 + m3)
 
 
 def _bell_weights(rates: tuple[float, float, float], length: float):
     # The (1 +- x +- y +- z)/4 closed form at one total length, unvalidated.
+    # A zero rate's exponential is 1 at every length, also at a length that
+    # overflowed to inf, where exp(0 * inf) would be nan.
     rx, ry, rz = rates
-    x = math.exp(rx * length)
-    y = math.exp(ry * length)
-    z = math.exp(rz * length)
+    x = math.exp(rx * length) if rx else 1.0
+    y = math.exp(ry * length) if ry else 1.0
+    z = math.exp(rz * length) if rz else 1.0
     return (
         0.25 * (1.0 + x + y + z),
         0.25 * (1.0 + x - y - z),
@@ -128,7 +114,8 @@ def transmit_at_length(mu: ErrorDensities, geom: LinkGeometry) -> BellDiagonal:
     (1 +- x +- y +- z)/4 sign combinations of the three exponentials
     x = exp(-2 (mu1 + mu2) L), y = exp(-2 (mu1 + mu3) L),
     z = exp(-2 (mu2 + mu3) L).  Equal to
-    ``transmit(at_length(mu, L1), at_length(mu, L2))``.
+    ``transmit(at_length(mu, L1), at_length(mu, L2))``, also where L1 + L2
+    overflows to inf.
     """
     return BellDiagonal(*_bell_weights(_decay_rates(mu), geom.total_km))
 
@@ -141,7 +128,7 @@ def concurrence(state: BellDiagonal) -> float:
     """
     # min(1, max(0, conc)), written out: max keeps 0.0 unless conc > 0 (so
     # -0.0 and nan give 0.0), and min keeps conc only below 1.
-    conc = 2.0 * max(_weights_of(state)) - 1.0
+    conc = 2.0 * max(state) - 1.0
     if conc > 0.0:
         return conc if conc < 1.0 else 1.0
     return 0.0
@@ -198,6 +185,5 @@ def dominant_bell_state(state: BellDiagonal) -> str:
     Ties resolve to the lowest index in the (a, b, c, d) = (psi+, psi-,
     phi+, phi-) ordering, so the report is deterministic.
     """
-    weights = state.as_tuple()
-    best = max(range(4), key=lambda i: (weights[i], -i))
+    best = max(range(4), key=lambda i: (state[i], -i))
     return BELL_LABELS[best]

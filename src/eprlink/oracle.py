@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
 from . import _mc
-from .channel import ErrorDensities, PauliProbs, _as_count, _as_int
+from .channel import ErrorDensities, PauliProbs, _as_count, _as_int, _Value
 from .epr import BELL_LABELS, BellDiagonal, LinkGeometry
 from .errors import DomainError, ValidationError
 
@@ -123,7 +123,7 @@ def apply_single_qubit_pauli(p: PauliProbs, rho) -> np.ndarray:
     """Kraus sum sum_k p_k sigma_k rho sigma_k on a single-qubit density matrix."""
     rho = validate_density_matrix(rho, dim=2)
     out = np.zeros((2, 2), dtype=np.complex128)
-    for weight, sigma in zip(p.as_tuple(), PAULI):
+    for weight, sigma in zip(p, PAULI):
         out += weight * (sigma @ rho @ sigma)
     return out
 
@@ -135,7 +135,7 @@ def apply_two_sided(r: PauliProbs, s: PauliProbs, rho) -> np.ndarray:
     of a shared pair; Hermiticity and trace are preserved exactly.
     """
     rho = validate_density_matrix(rho, dim=4)
-    weights = np.outer(r.as_tuple(), s.as_tuple()).ravel()
+    weights = np.outer(r, s).ravel()
     out = np.zeros((4, 4), dtype=np.complex128)
     for weight, op in zip(weights, _PAULI2):
         if weight != 0.0:
@@ -214,22 +214,21 @@ def bell_diagonal_project(rho) -> tuple[BellDiagonal, float]:
     return BellDiagonal(*weights), residual
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(
+    _Value, namedtuple("McEstimate", "bell_diagonal samples standard_errors geometry")
+):
     """Monte Carlo estimate of the Bell weights.
 
-    ``bell_diagonal`` holds the sample frequencies (integer tallies over the
-    total, so they sum to 1 exactly); ``standard_errors`` are the binomial
-    standard errors of (a, b, c, d).  ``geometry`` holds the arm lengths
+    ``bell_diagonal`` (a `BellDiagonal`) holds the sample frequencies
+    (integer tallies over the int ``samples``, so they sum to 1 exactly);
+    ``standard_errors`` is a tuple of the four binomial standard errors of
+    (a, b, c, d).  ``geometry`` (a `LinkGeometry`) holds the arm lengths
     actually sampled, n1 / segments_per_km and n2 / segments_per_km km, which
     differ from the requested ones where length * segments_per_km is not an
     integer.
     """
 
-    bell_diagonal: BellDiagonal
-    samples: int
-    standard_errors: tuple[float, float, float, float]
-    geometry: LinkGeometry
+    __slots__ = ()
 
 
 def monte_carlo_transmit(

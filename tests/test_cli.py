@@ -775,3 +775,14 @@ class TestLazyNumpy:
             "assert not missing, missing\n"
             "assert 'numpy' not in sys.modules\n"
         )
+
+
+class TestTotalLengthPastTheFloatRange:
+    @pytest.mark.parametrize(
+        "mu, row", [("0,0,0", "1,0,0,0,1,1"), ("0.01,0,0", "0.5,0,0.5,0,0.5,0")]
+    )
+    def test_transmit(self, capsys, mu, row):
+        code, out, err = run(
+            capsys, "transmit", "--mu", mu, "--l1", "1e308", "--l2", "1e308", "--format", "csv"
+        )
+        assert (code, out, err) == (0, f"a,b,c,d,fidelity,concurrence\n{row}\n", "")

@@ -235,3 +235,17 @@ class TestDominantBellState:
     def test_tie_takes_lowest_index(self):
         assert dominant_bell_state(BellDiagonal(0.25, 0.25, 0.25, 0.25)) == "psi+"
         assert dominant_bell_state(BellDiagonal(0.0, 0.5, 0.5, 0.0)) == "psi-"
+
+
+class TestTotalLengthPastTheFloatRange:
+    # L1 + L2 overflows to inf; a zero pairwise density sum keeps its
+    # exponential at 1 rather than 0 * inf = nan.
+    @pytest.mark.parametrize(
+        "densities, weights",
+        [((0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)), ((0.01, 0.0, 0.0), (0.5, 0.0, 0.5, 0.0))],
+    )
+    def test_zero_density_sums(self, densities, weights):
+        mu = ErrorDensities(*densities)
+        state = transmit_at_length(mu, LinkGeometry(1e308, 1e308))
+        assert state.as_tuple() == weights
+        assert state == transmit(at_length(mu, 1e308), at_length(mu, 1e308))
