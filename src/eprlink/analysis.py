@@ -24,9 +24,10 @@ from .channel import (
     _as_length,
     _check_density,
     _check_finite,
+    _decay_rates,
     _Value,
 )
-from .epr import _decay_rates, _raw_concurrence
+from .epr import _raw_concurrence
 from .errors import DomainError, NumericError, ValidationError
 
 __all__ = [
@@ -174,8 +175,7 @@ def threshold_generic(mu: ErrorDensities) -> ThresholdResult:
     # Densities in units of 2**e /km, the largest in [0.5, 1), and lengths in
     # units of 2**-e km: every rate lies in [-4, 0].
     e = math.frexp(max(mu))[1]
-    m1, m2, m3 = (math.ldexp(m, -e) for m in mu)
-    rates = sorted((-2.0 * (m1 + m2), -2.0 * (m1 + m3), -2.0 * (m2 + m3)))
+    rates = sorted(_decay_rates(math.ldexp(m, -e) for m in mu))
     # The two rates that carry the largest density are <= -1, so the bracket
     # closes by 2**10 units.
     lo, hi = 0.0, 1.0
@@ -311,11 +311,12 @@ def sweep(mu: ErrorDensities, l_max_km: float, steps) -> SweepTable:
         # Row 0 is 0 * -inf = nan: the error BellDiagonal raises for it.
         raise ValidationError("Bell weight a must be a finite number, got nan")
     # Each row equals transmit_at_length(mu, LinkGeometry(length, 0)) bit for
-    # bit.  With finite rates <= 0, x, y and z lie in [0, 1] and a, written as
-    # in `_bell_weights`, in [1/4, 1]; b, c and d are >= 0 up to rounding (x >=
-    # yz gives 1 + x - y - z >= (1 - y)(1 - z), and so on), so BellDiagonal
-    # keeps a as given, and a is the largest weight (rounding is monotone), so
-    # the concurrence is 2a - 1 floored at 0.  No row needs a check of its own;
+    # bit: `channel._decays` and the first weight of `channel._hadamard`,
+    # inlined for speed.  With finite rates <= 0, x, y and z lie in [0, 1] and
+    # a in [1/4, 1]; b, c and d are >= 0 up to rounding (x >= yz gives
+    # 1 + x - y - z >= (1 - y)(1 - z), and so on), so BellDiagonal keeps a as
+    # given, and a is the largest weight (rounding is monotone), so the
+    # concurrence is 2a - 1 floored at 0.  No row needs a check of its own;
     # SweepTable's two checks run here, in its order.  Rows and table are built
     # with tuple.__new__, as their own __new__ do after any check, less a
     # Python frame.

@@ -14,6 +14,11 @@ pushed through a fixed 1/4 * {+-1} Hadamard-pattern matrix.  Taking the
 continuum limit with per-km error densities (mu1, mu2, mu3) turns the decay
 factors into exponentials in the channel length.
 
+The closed form is written once, here: `_convolve` (Klein-four product),
+`_hadamard` (the (1 +- x +- y +- z)/4 map), `_decay_rates` and `_decays` (the
+rates -2 (mu_i + mu_j) and their exponentials).  Every other route, also in
+`epr`, unpacks or wraps these.
+
 The value objects here and in `epr`, `analysis` and `oracle` are immutable
 tuples of their fields on the `_Value` base, each checked in ``__new__``;
 four probabilities (`PauliProbs`, `epr.BellDiagonal`) share one constructor,
@@ -58,7 +63,7 @@ _BRUTEFORCE_CAP = 10**9
 # at 0.
 _POWER_CAP = 2**64
 
-_FLIP_AXES = {"x": 1, "y": 2, "z": 3}
+_FLIP_AXES = {"x": 0, "y": 1, "z": 2}
 
 
 def _shown(value) -> str:
@@ -244,14 +249,28 @@ def _convolve(r, s):
     )
 
 
-def _from_lambdas(l1: float, l2: float, l3: float) -> PauliProbs:
+def _hadamard(l1: float, l2: float, l3: float) -> tuple[float, float, float, float]:
     # 1/4 * Hadamard-pattern matrix applied to (1, lambda1, lambda2, lambda3).
-    return PauliProbs(
+    return (
         0.25 * (1.0 + l1 + l2 + l3),
         0.25 * (1.0 + l1 - l2 - l3),
         0.25 * (1.0 - l1 + l2 - l3),
         0.25 * (1.0 - l1 - l2 + l3),
     )
+
+
+def _decay_rates(mu) -> tuple[float, float, float]:
+    # -2 (mu_i + mu_j) per km for the pairs (1, 2), (1, 3), (2, 3): the
+    # exponents of lambda3, lambda2 and lambda1.
+    m1, m2, m3 = mu
+    return -2.0 * (m1 + m2), -2.0 * (m1 + m3), -2.0 * (m2 + m3)
+
+
+def _decays(rates, length: float) -> tuple[float, float, float]:
+    # exp(rate * L) for each rate.  Python evaluates -2.0 * (m1 + m2) * L left
+    # to right, so this is bit-identical to the expression written out.
+    rx, ry, rz = rates
+    return math.exp(rx * length), math.exp(ry * length), math.exp(rz * length)
 
 
 def _as_int(n, what: str) -> int:
@@ -330,7 +349,7 @@ def iterate(p: PauliProbs, n) -> PauliProbs:
         The n-segment channel.
     """
     n = _as_count(n, "segment count")
-    return _from_lambdas(*decay_factors(p, n))
+    return PauliProbs(*_hadamard(*decay_factors(p, n)))
 
 
 def iterate_bruteforce(p: PauliProbs, n) -> PauliProbs:
@@ -400,12 +419,8 @@ def at_length(mu: ErrorDensities, length_km: float) -> PauliProbs:
         The length-L channel; all components lie in [0, 1].
     """
     length_km = _as_length(length_km)
-    m1, m2, m3 = mu
-    return _from_lambdas(
-        math.exp(-2.0 * (m2 + m3) * length_km),
-        math.exp(-2.0 * (m1 + m3) * length_km),
-        math.exp(-2.0 * (m1 + m2) * length_km),
-    )
+    l3, l2, l1 = _decays(_decay_rates(mu), length_km)
+    return PauliProbs(*_hadamard(l1, l2, l3))
 
 
 def _as_length(length_km) -> float:
@@ -422,7 +437,8 @@ def flip_at_length(mu_i: float, axis: str, length_km: float) -> PauliProbs:
 
     Puts flip probability (1 - exp(-2 mu_i L)) / 2 on the chosen axis and the
     remainder on the identity; the flip probability tends to 1/2 as the
-    length grows.
+    length grows.  This is `at_length` with ``mu_i`` on that axis and 0 on
+    the others, bit for bit.
 
     Parameters
     ----------
@@ -436,11 +452,9 @@ def flip_at_length(mu_i: float, axis: str, length_km: float) -> PauliProbs:
     if axis not in _FLIP_AXES:
         raise ValidationError(f"flip axis must be one of 'x', 'y', 'z', got {axis!r}")
     _check_density(mu_i)
-    length_km = _as_length(length_km)
-    q = 0.5 * (1.0 - math.exp(-2.0 * mu_i * length_km))
-    probs = [1.0 - q, 0.0, 0.0, 0.0]
-    probs[_FLIP_AXES[axis]] = q
-    return PauliProbs(*probs)
+    densities = [0.0, 0.0, 0.0]
+    densities[_FLIP_AXES[axis]] = mu_i
+    return at_length(ErrorDensities(*densities), length_km)
 
 
 def depolarizing_probs(p: float) -> PauliProbs:

@@ -10,6 +10,9 @@ with weights (a, b, c, d) that are bilinear in the two channels' error
 probabilities and, for length-parameterized channels, depend on the lengths
 only through L = L1 + L2.  The concurrence of a Bell-diagonal state is
 max(0, 2 max(a, b, c, d) - 1).
+
+`transmit` and `transmit_at_length` read the closed form of `channel` in Bell
+order; the other functions here wrap them.
 """
 
 from __future__ import annotations
@@ -22,8 +25,13 @@ from .channel import (
     PauliProbs,
     _as_length,
     _check_density,
+    _convolve,
+    _decay_rates,
+    _decays,
+    _hadamard,
     _NonNegative,
     _Probabilities,
+    at_length,
 )
 
 __all__ = [
@@ -72,39 +80,17 @@ def transmit(r: PauliProbs, s: PauliProbs) -> BellDiagonal:
 
     Each weight collects the error-index pairs (k, l) whose Klein-four
     product maps psi+ to the respective Bell state: index XOR 0 keeps psi+,
-    1 gives phi+, 2 gives phi-, and 3 gives psi-.
+    1 gives phi+, 2 gives phi-, and 3 gives psi-.  This is
+    `channel._convolve` with its output read in that order.
     """
-    r0, r1, r2, r3 = r
-    s0, s1, s2, s3 = s
-    return BellDiagonal(  # a, b, c, d
-        r0 * s0 + r1 * s1 + r2 * s2 + r3 * s3,
-        r0 * s3 + r1 * s2 + r2 * s1 + r3 * s0,
-        r0 * s1 + r1 * s0 + r2 * s3 + r3 * s2,
-        r0 * s2 + r1 * s3 + r2 * s0 + r3 * s1,
-    )
-
-
-def _decay_rates(mu: ErrorDensities) -> tuple[float, float, float]:
-    # -2 (mu_i + mu_j) per km; Python evaluates -2.0 * (m1 + m2) * L left to
-    # right, so exp(rate * L) is bit-identical to the expression written out.
-    m1, m2, m3 = mu
-    return -2.0 * (m1 + m2), -2.0 * (m1 + m3), -2.0 * (m2 + m3)
+    a, c, d, b = _convolve(r, s)
+    return BellDiagonal(a, b, c, d)
 
 
 def _bell_weights(rates: tuple[float, float, float], length: float):
-    # The (1 +- x +- y +- z)/4 closed form at one total length, unvalidated.
-    # A zero rate's exponential is 1 at every length, also at a length that
-    # overflowed to inf, where exp(0 * inf) would be nan.
-    rx, ry, rz = rates
-    x = math.exp(rx * length) if rx else 1.0
-    y = math.exp(ry * length) if ry else 1.0
-    z = math.exp(rz * length) if rz else 1.0
-    return (
-        0.25 * (1.0 + x + y + z),
-        0.25 * (1.0 + x - y - z),
-        0.25 * (1.0 - x - y + z),
-        0.25 * (1.0 - x + y - z),
-    )
+    # The (a, b, c, d) weights at one finite total length, unvalidated.
+    a, b, d, c = _hadamard(*_decays(rates, length))
+    return a, b, c, d
 
 
 def transmit_at_length(mu: ErrorDensities, geom: LinkGeometry) -> BellDiagonal:
@@ -114,10 +100,14 @@ def transmit_at_length(mu: ErrorDensities, geom: LinkGeometry) -> BellDiagonal:
     (1 +- x +- y +- z)/4 sign combinations of the three exponentials
     x = exp(-2 (mu1 + mu2) L), y = exp(-2 (mu1 + mu3) L),
     z = exp(-2 (mu2 + mu3) L).  Equal to
-    ``transmit(at_length(mu, L1), at_length(mu, L2))``, also where L1 + L2
-    overflows to inf.
+    ``transmit(at_length(mu, L1), at_length(mu, L2))``.  Where L1 + L2
+    overflows to inf that is the route taken: each arm is finite, while
+    rate * inf is -inf for every nonzero rate.
     """
-    return BellDiagonal(*_bell_weights(_decay_rates(mu), geom.total_km))
+    total_km = geom.total_km
+    if total_km == math.inf:
+        return transmit(at_length(mu, geom.l1_km), at_length(mu, geom.l2_km))
+    return BellDiagonal(*_bell_weights(_decay_rates(mu), total_km))
 
 
 def concurrence(state: BellDiagonal) -> float:
@@ -157,7 +147,6 @@ def concurrence_vs_length(mu: ErrorDensities, total_length_km: float) -> float:
     Evaluated through ``concurrence(transmit_at_length(...))`` so the two
     routes agree bit-for-bit.  Non-increasing in the length, 1 at L = 0.
     """
-    total_length_km = _as_length(total_length_km)
     return concurrence(transmit_at_length(mu, LinkGeometry(total_length_km, 0.0)))
 
 
@@ -166,17 +155,12 @@ def doubleflip_coefficients(mu: float, total_length_km: float) -> BellDiagonal:
 
     a = (1 + e)^2 / 4, b = (1 - e)^2 / 4, c = d = (1 - e^2)/4 with
     e = exp(-2 mu L).  The concurrence max(0, (e^2 + 2e - 1)/2) vanishes
-    beyond a finite threshold length, unlike the single-flip case.
+    beyond a finite threshold length, unlike the single-flip case.  This is
+    ``transmit_at_length(ErrorDensities(mu, mu, 0), LinkGeometry(L, 0))``,
+    bit for bit.
     """
     _check_density(mu)
-    total_length_km = _as_length(total_length_km)
-    e = math.exp(-2.0 * mu * total_length_km)
-    return BellDiagonal(
-        a=0.25 * (1.0 + e) ** 2,
-        b=0.25 * (1.0 - e) ** 2,
-        c=0.25 * (1.0 - e * e),
-        d=0.25 * (1.0 - e * e),
-    )
+    return transmit_at_length(ErrorDensities(mu, mu, 0.0), LinkGeometry(total_length_km, 0.0))
 
 
 def dominant_bell_state(state: BellDiagonal) -> str:

@@ -64,9 +64,6 @@ _BELL_VECTORS = {
     "phi-": np.array([0.0, _SQRT_HALF, -_SQRT_HALF, 0.0], dtype=np.complex128),
 }
 
-# Folded two-arm error index m = k XOR l -> position in the (a, b, c, d) weights.
-_OUTCOME_TO_WEIGHT = (0, 2, 3, 1)  # 0 -> psi+ (a), 1 -> phi+ (c), 2 -> phi- (d), 3 -> psi- (b)
-
 _HERMITICITY_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _EIG_FLOOR = -1e-10
@@ -306,9 +303,9 @@ def monte_carlo_transmit(
                 f"{segments_per_km} segments/km; increase segments_per_km"
             )
     counts = _mc.bell_outcome_counts(seed, samples, n1, n2, t1, t2, t3)
-    freq = [0.0, 0.0, 0.0, 0.0]
-    for m, count in enumerate(counts):
-        freq[_OUTCOME_TO_WEIGHT[m]] = count / samples
+    # Tallies of the folded index k XOR l, in Bell order as in epr.transmit.
+    a, c, d, b = (count / samples for count in counts)
+    freq = (a, b, c, d)
     errors = tuple(math.sqrt(f * (1.0 - f) / samples) for f in freq)
     return McEstimate(
         bell_diagonal=BellDiagonal(*freq),

@@ -1,12 +1,16 @@
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eprlink import ErrorDensities, LinkGeometry, analysis, cli
 from eprlink.epr import transmit_at_length
@@ -779,10 +783,100 @@ class TestLazyNumpy:
 
 class TestTotalLengthPastTheFloatRange:
     @pytest.mark.parametrize(
-        "mu, row", [("0,0,0", "1,0,0,0,1,1"), ("0.01,0,0", "0.5,0,0.5,0,0.5,0")]
+        "mu, row",
+        [
+            ("0,0,0", "1,0,0,0,1,1"),
+            ("0.01,0,0", "0.5,0,0.5,0,0.5,0"),
+            (
+                "5e-324,5e-324,5e-324",
+                "0.99999999999999689,9.992007221626399e-16,9.992007221626397e-16,"
+                "9.992007221626399e-16,0.99999999999999689,0.99999999999999378",
+            ),
+        ],
     )
     def test_transmit(self, capsys, mu, row):
         code, out, err = run(
             capsys, "transmit", "--mu", mu, "--l1", "1e308", "--l2", "1e308", "--format", "csv"
         )
         assert (code, out, err) == (0, f"a,b,c,d,fidelity,concurrence\n{row}\n", "")
+
+
+# Zero, signed zero, subnormals, the float range's edge and past it, non-finite
+# values, half the float range (where pairwise rates overflow), 0.75 (the QBER
+# floor) and its predecessor, and an integer of 400 digits.
+_FUZZ_NUMBERS = (
+    "0", "-0.0", "5e-324", "1e-310", "1e308", "1e309", "nan", "inf", "-inf", "4.5e307",
+    "0.75", repr(math.nextafter(0.75, 0.0)), "1" + "0" * 399,
+)
+# The ones every numeric field accepts, drawn alone in half the runs so that
+# more of them get past validation.
+_FUZZ_IN_RANGE = tuple(v for v in _FUZZ_NUMBERS if 0.0 <= float(v) < math.inf)
+_FUZZ_INTEGERS = ("0", "-1", "1", "3", "1" + "0" * 399)
+_SUBCOMMANDS = ("compose", "transmit", "threshold", "estimate-mu", "sweep", "montecarlo")
+
+
+def _fuzz_argv(draw):
+    pool = draw(st.sampled_from((_FUZZ_IN_RANGE, _FUZZ_NUMBERS)))
+
+    def number():
+        return draw(st.sampled_from(pool))
+
+    def numbers(n):
+        return ",".join(number() for _ in range(n))
+
+    def flag(name, value):
+        # --name=value, so argparse reads "-inf" as a value, not an option.
+        return [f"--{name}={value}"]
+
+    command = draw(st.sampled_from(_SUBCOMMANDS))
+    argv = [command]
+    if command == "compose":
+        if draw(st.booleans()):
+            argv += flag("p", numbers(4))
+        else:
+            argv += flag("mu", numbers(3)) + flag("length", number())
+        if draw(st.booleans()):
+            argv += flag("iterate", draw(st.sampled_from(_FUZZ_INTEGERS)))
+    elif command == "transmit":
+        if draw(st.booleans()):
+            argv += flag("mu", numbers(3)) + flag("l1", number()) + flag("l2", number())
+        else:
+            argv += flag("r", numbers(4)) + flag("s", numbers(4))
+        if draw(st.booleans()):
+            argv.append("--verify-oracle")
+    elif command == "threshold":
+        argv += flag("mu", numbers(3))
+    elif command == "estimate-mu":
+        argv += flag("qber", number()) + flag("length", number())
+    elif command == "sweep":
+        for _ in range(draw(st.integers(0, 2))):
+            argv += flag("mu", numbers(3))
+        argv += flag("lmax", number()) + flag("steps", draw(st.integers(-1, 12)))
+    else:
+        argv += flag("mu", numbers(3)) + flag("l1", number()) + flag("l2", number())
+        argv += flag("samples", draw(st.integers(-1, 50)))
+        argv += flag("segments-per-km", draw(st.sampled_from(_FUZZ_INTEGERS)))
+        argv += flag("seed", draw(st.sampled_from(_FUZZ_INTEGERS)))
+    return argv + flag("format", draw(st.sampled_from(("table", "csv", "json"))))
+
+
+def _no_constant(name):
+    raise ValueError(f"json output holds {name}")
+
+
+class TestFuzz:
+    # Edge values on every numeric field of every subcommand and format: the
+    # CLI answers or refuses with its own exit code, never with a traceback,
+    # and its json is strict.
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_every_subcommand_exits_cleanly(self, data):
+        argv = _fuzz_argv(data.draw)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 2, 3, 4), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code == 0 and argv[-1] == "--format=json":
+            doc = json.loads(out.getvalue(), parse_constant=_no_constant)
+            assert sorted(doc) == ["command", "inputs", "results"]

@@ -26,7 +26,7 @@ def test_every_run_matches_its_digest(tmp_path):
     got = cli_corpus.digests(tmp_path)
     elapsed = time.perf_counter() - start
     moved = sorted(run for run in got.keys() & want.keys() if got[run] != want[run])
-    assert moved == []
+    assert moved == [], "runs that moved:\n" + "\n".join(moved)
     assert sorted(got.keys() - want.keys()) == []
     assert sorted(want.keys() - got.keys()) == []
     assert elapsed < 2.0, f"the corpus took {elapsed:.2f} s"

@@ -15,9 +15,11 @@ from eprlink import (
     dominant_bell_state,
     doubleflip_coefficients,
     fidelity_psi_plus,
+    flip_at_length,
     transmit,
     transmit_at_length,
 )
+from eprlink.channel import _convolve
 
 rng = np.random.default_rng(20240502)
 
@@ -227,6 +229,34 @@ class TestDoubleFlip:
             weights_close(special, general)
 
 
+class TestOneClosedForm:
+    # The special cases and transmit are unpacks of channel's closed form, so
+    # they agree with the general route bit for bit, not just to rounding.
+    def test_wrappers_are_the_general_route(self):
+        draw = np.random.default_rng(17)
+
+        def hexes(values):
+            return [v.hex() for v in values]
+
+        for _ in range(500):
+            mu = float(draw.choice([0.0, 5e-324, 10.0 ** draw.uniform(-323.0, 300.0)]))
+            length = float(draw.choice([0.0, 10.0 ** draw.uniform(-6.0, 4.0)]))
+            for axis, densities in (
+                ("x", (mu, 0.0, 0.0)),
+                ("y", (0.0, mu, 0.0)),
+                ("z", (0.0, 0.0, mu)),
+            ):
+                assert hexes(flip_at_length(mu, axis, length)) == hexes(
+                    at_length(ErrorDensities(*densities), length)
+                )
+            assert hexes(doubleflip_coefficients(mu, length)) == hexes(
+                transmit_at_length(ErrorDensities(mu, mu, 0.0), LinkGeometry(length, 0.0))
+            )
+            r, s = (PauliProbs(*draw.dirichlet([1.0] * 4)) for _ in range(2))
+            k0, k1, k2, k3 = _convolve(r, s)
+            assert hexes(transmit(r, s)) == hexes((k0, k3, k1, k2))
+
+
 class TestDominantBellState:
     def test_simple(self):
         assert dominant_bell_state(BellDiagonal(0.7, 0.1, 0.1, 0.1)) == "psi+"
@@ -239,10 +269,19 @@ class TestDominantBellState:
 
 class TestTotalLengthPastTheFloatRange:
     # L1 + L2 overflows to inf; a zero pairwise density sum keeps its
-    # exponential at 1 rather than 0 * inf = nan.
+    # exponential at 1 rather than 0 * inf = nan, and a subnormal one near 1
+    # rather than exp(-inf) = 0.
     @pytest.mark.parametrize(
         "densities, weights",
-        [((0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)), ((0.01, 0.0, 0.0), (0.5, 0.0, 0.5, 0.0))],
+        [
+            ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)),
+            ((0.01, 0.0, 0.0), (0.5, 0.0, 0.5, 0.0)),
+            (
+                (5e-324, 5e-324, 5e-324),
+                (0.9999999999999969, 9.992007221626399e-16, 9.992007221626397e-16,
+                 9.992007221626399e-16),
+            ),
+        ],
     )
     def test_zero_density_sums(self, densities, weights):
         mu = ErrorDensities(*densities)
