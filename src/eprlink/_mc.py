@@ -24,23 +24,32 @@ sample and tallies the folds.  A sample whose candidates span two flushes
 carries its partial fold into the next, so memory does not grow with the
 sample width.  Samples without a nonzero fold are tallied as 0.
 
-Every CPU in the process's affinity mask runs one worker (the calling thread
-and daemon helper threads; numpy releases the GIL inside each pass, and the
-queued tail keeps GIL-bound numpy calls out of the per-block loop).  Workers
-claim groups of samples from one shared counter, so a core slowed by other
-load takes fewer of them, and their integer tallies are summed at the end.
-No flag, environment variable or parameter sets the number of workers.  Each
-worker keeps one set of block buffers and one queue for the life of the
-process, and one module lock guards them, so concurrent calls run one after
-another.
+Every CPU in the process's affinity mask runs one worker: the calling thread,
+and one helper process for each further CPU (threads would share the GIL,
+which every numpy call takes back).  Helpers are forked at the first call of
+two or more groups of samples and serve every later call until the
+interpreter exits; a helper also exits when its task pipe closes.  A process
+forked from this one forgets them and forks its own.  Each call sends the
+helpers every kernel constant over their task pipes; the workers claim groups
+from one counter in shared memory under a process-shared lock, so a core
+slowed by other load takes fewer of them, and each helper sends its integer
+tallies back over its reply pipe.  No flag, environment variable or parameter
+sets the number of workers.  With one CPU, a call of one group, no
+``os.fork`` or no process-shared lock, the calling thread works alone.  Each
+process keeps one set of block buffers and one queue for its life, and one
+module lock guards the caller's, so concurrent calls run one after another.
 """
 
 from __future__ import annotations
 
+import _thread
+import atexit
 import itertools
+import marshal
 import math
+import mmap
 import os
-import threading
+import time
 
 import numpy as np
 
@@ -56,11 +65,16 @@ _TAIL_KEYS = 1 << 14  # candidates a worker queues before it tallies them
 _LOW33 = (1 << 33) - 1
 _MASK64 = (1 << 64) - 1
 
-# Per-worker (z, tmp, hit) block buffers and (zc, sample) candidate queue,
-# reused across calls (allocating them on every call in helper threads grows
-# glibc's per-thread arenas).
-_LOCK = threading.Lock()
-_BUFFERS: list[tuple[np.ndarray, ...]] = []
+# A worker waits this long for the group lock before it checks that the
+# processes sharing it still live: one killed while holding it never lets go.
+_LOCK_WAIT_S = 1.0
+_LOST = "a sampler helper process exited mid-call"
+
+_LOCK = _thread.allocate_lock()  # calls in this process run one after another
+# This process's (z, tmp, hit) block buffers and (zc, sample) candidate queue,
+# reused across calls; a helper starts from a copy of its parent's.
+_BUFFERS: tuple[np.ndarray, ...] = ()
+_TEAM: _Team | None = None  # this process's helpers, once forked
 
 
 def _usable_cpus() -> int:
@@ -70,23 +84,18 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _worker_buffers(count: int) -> list[tuple[np.ndarray, ...]]:
-    """The first ``count`` buffer sets, allocated on first use; call under _LOCK."""
-    for k in range(count):
-        if (
-            k == len(_BUFFERS)
-            or _BUFFERS[k][0].size < _BLOCK_KEYS
-            or _BUFFERS[k][3].size < _TAIL_KEYS
-        ):
-            buffers = (
-                np.empty(_BLOCK_KEYS, dtype=np.uint64),
-                np.empty(_BLOCK_KEYS, dtype=np.uint64),
-                np.empty(_BLOCK_KEYS, dtype=bool),
-                np.empty(_TAIL_KEYS, dtype=np.uint64),
-                np.empty(_TAIL_KEYS, dtype=np.int64),
-            )
-            _BUFFERS[k:k + 1] = [buffers]
-    return _BUFFERS[:count]
+def _buffers(block_keys, tail_keys) -> tuple[np.ndarray, ...]:
+    """This process's buffers, (re)allocated when smaller than asked."""
+    global _BUFFERS
+    if not _BUFFERS or _BUFFERS[0].size < block_keys or _BUFFERS[3].size < tail_keys:
+        _BUFFERS = (
+            np.empty(block_keys, dtype=np.uint64),
+            np.empty(block_keys, dtype=np.uint64),
+            np.empty(block_keys, dtype=bool),
+            np.empty(tail_keys, dtype=np.uint64),
+            np.empty(tail_keys, dtype=np.int64),
+        )
+    return _BUFFERS
 
 
 class _Tail:
@@ -170,6 +179,243 @@ def _scan(template, offset, rows, first, ntot, cols, candidate, buffers, tail):
         tail.push(zb, np.flatnonzero(hb), width, first)
 
 
+def _work(task, claim) -> np.ndarray:
+    """Tally of the groups of samples that ``claim()`` hands this worker.
+
+    ``task`` holds every constant of the kernel but the hash multipliers,
+    so a helper takes nothing else from its copy of this module.
+    """
+    base, samples, ntot, rows, cols, c1, c2, c3, candidate, block_keys, tail_keys = task
+    buffers = _buffers(block_keys, tail_keys)
+    # key(lo + i, c0 + j) = template[i*width + j] + key(lo, c0)
+    ikey = np.arange(rows, dtype=np.uint64) * _K1
+    template = (ikey[:, None] + np.arange(cols, dtype=np.uint64) * _K2).ravel()
+    thresholds = tuple(np.uint64(c) for c in (c1, c2, c3))
+    tail = _Tail(buffers[3][:tail_keys], buffers[4][:tail_keys], thresholds)
+    candidate = np.uint64(candidate)
+    claimed = 0
+    while True:
+        lo = claim() * rows
+        if lo >= samples:
+            return tail.counts(claimed)
+        r = min(rows, samples - lo)
+        _scan(template, base + lo * int(_K1), r, lo, ntot, cols, candidate, buffers, tail)
+        claimed += r
+
+
+def _acquire(lock, alive):
+    """Take the group lock; raise once ``alive()`` says a process sharing it is gone."""
+    while not lock.acquire(True, _LOCK_WAIT_S):
+        if not alive():
+            raise RuntimeError(_LOST)
+
+
+def _claimer(lock, counter, alive):
+    """A claim() that takes the next group from the shared counter."""
+
+    def claim():
+        _acquire(lock, alive)
+        group = counter[0]
+        counter[0] = group + 1
+        lock.release()
+        return group
+
+    return claim
+
+
+def _stop(lock, counter, task, alive):
+    """Hand out no further group of ``task``, to any worker."""
+    if not lock._count():  # an interrupt may come just after this process takes it
+        _acquire(lock, alive)
+    counter[0] = -(-task[1] // task[3])  # the number of groups
+    lock.release()
+
+
+def _send(fd, message):
+    data = marshal.dumps(message)
+    os.write(fd, len(data).to_bytes(4, "little") + data)  # under PIPE_BUF: one write
+
+
+def _receive(fd):
+    """The next message on ``fd``; EOFError once every writer has closed it."""
+    return marshal.loads(_read(fd, int.from_bytes(_read(fd, 4), "little")))
+
+
+def _read(fd, size) -> bytes:
+    data = b""
+    while len(data) < size:
+        chunk = os.read(fd, size - len(data))
+        if not chunk:
+            raise EOFError
+        data += chunk
+    return data
+
+
+def _serve(tasks, replies, lock, counter, parent):
+    """A helper's life: one tally per task until its task pipe closes."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller stops the helpers
+
+    def alive():
+        return os.getppid() == parent
+
+    claim = _claimer(lock, counter, alive)
+    while True:
+        try:
+            task = _receive(tasks)
+        except EOFError:
+            return
+        try:
+            reply = _work(task, claim).tolist()
+        except Exception as exc:  # reported to the caller, which raises it
+            _stop(lock, counter, task, alive)
+            reply = repr(exc)
+        _send(replies, reply)
+
+
+class _Team:
+    """Helper processes forked from this one, and the group counter they share."""
+
+    def __init__(self, lock):
+        self.lock = lock  # process-shared, guards the counter
+        self.counter = memoryview(mmap.mmap(-1, 8)).cast("q")  # next group to hand out
+        self.helpers: list[tuple[int, int, int]] = []  # pid, task fd, reply fd
+        self.idle = True  # every task sent has had its reply read
+
+    def fork(self):
+        """Start one more helper, with a task pipe to it and a reply pipe from it."""
+        fds = os.pipe()
+        try:
+            fds += os.pipe()
+            pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            raise
+        task_r, task_w, reply_r, reply_w = fds
+        if pid == 0:
+            status = 1
+            try:
+                # Hold no descriptor of the parent but stdio and the two pipe
+                # ends, so that no pipe of the parent waits on this process.
+                low, high = sorted((task_r, reply_w))
+                os.closerange(3, low)
+                os.closerange(low + 1, high)
+                os.closerange(high + 1, os.sysconf("SC_OPEN_MAX"))
+                _serve(task_r, reply_w, self.lock, self.counter, os.getppid())
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(task_r)
+        os.close(reply_w)
+        self.helpers.append((pid, task_w, reply_r))
+
+    def alive(self) -> bool:
+        try:
+            return all(os.waitpid(pid, os.WNOHANG)[0] == 0 for pid, _, _ in self.helpers)
+        except ChildProcessError:  # reaped when it was found dead
+            return False
+
+    def run(self, task, count) -> np.ndarray:
+        """Tally of ``task`` over the calling thread and ``count`` helpers."""
+        helpers = self.helpers[:count]
+        self.idle = False
+        self.counter[0] = 0
+        for _, tasks, _ in helpers:
+            _send(tasks, task)
+        try:
+            counts = _work(task, _claimer(self.lock, self.counter, self.alive))
+        finally:
+            _stop(self.lock, self.counter, task, self.alive)
+            parts = []
+            for _, _, replies in helpers:
+                try:
+                    parts.append(_receive(replies))
+                except EOFError:
+                    raise RuntimeError(_LOST) from None
+            self.idle = True
+        for part in parts:
+            if isinstance(part, str):
+                raise RuntimeError(f"sampler helper process failed: {part}")
+            counts += part
+        return counts
+
+    def close(self):
+        for _, tasks, replies in self.helpers:
+            os.close(tasks)
+            os.close(replies)
+
+
+def _team(count) -> _Team | None:
+    """This process's team, with up to ``count`` helpers; None where it has none."""
+    global _TEAM
+    if count < 1:
+        return None
+    if _TEAM is not None and not (_TEAM.idle and _TEAM.alive()):
+        _stop_helpers()
+    if _TEAM is None:
+        if not hasattr(os, "fork"):
+            return None
+        try:
+            from _multiprocessing import SemLock  # the semaphore of multiprocessing.Lock
+
+            # kind 1 is a semaphore, here of value 1; the name is unlinked at once
+            lock = SemLock(1, 1, 1, f"/eprlink-{os.getpid()}-{os.urandom(8).hex()}", True)
+        except (ImportError, OSError):
+            return None
+        _TEAM = _Team(lock)
+    try:
+        while len(_TEAM.helpers) < count:
+            _TEAM.fork()
+    except OSError:  # out of processes or descriptors: work with those there are
+        pass
+    return _TEAM if _TEAM.helpers else None
+
+
+def _stop_helpers(timeout=5.0) -> bool:
+    """Close the pipes to this process's helpers and reap them.
+
+    A helper exits when its task pipe closes; one still running ``timeout``
+    seconds later is killed, and the result is then False.
+    """
+    global _TEAM
+    team, _TEAM = _TEAM, None
+    if team is None:
+        return True
+    team.close()
+    deadline = time.monotonic() + timeout
+    exited = True
+    for pid, _, _ in team.helpers:
+        try:
+            while os.waitpid(pid, os.WNOHANG)[0] == 0:
+                if time.monotonic() > deadline:
+                    import signal
+
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                    exited = False
+                    break
+                time.sleep(0.001)
+        except ChildProcessError:  # reaped when it was found dead
+            pass
+    return exited
+
+
+def _forget_helpers():
+    """In a child forked from this process: drop its parent's helpers and lock."""
+    global _LOCK, _TEAM
+    _LOCK = _thread.allocate_lock()
+    if _TEAM is not None:
+        _TEAM.close()
+        _TEAM = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helpers)
+atexit.register(_stop_helpers)
+
+
 def bell_outcome_counts(seed, samples, n1, n2, t1, t2, t3) -> np.ndarray:
     """Tally of the folded two-arm error index over all samples.
 
@@ -179,61 +425,23 @@ def bell_outcome_counts(seed, samples, n1, n2, t1, t2, t3) -> np.ndarray:
     indices of each sample.  Returns int64 counts indexed by the folded index
     m = k XOR l in {0, 1, 2, 3}.
     """
-    counts = np.zeros(4, dtype=np.int64)
     ntot = n1 + n2
     # u < t exactly when z >> 11 < ceil(t * 2**53); the scaling is exact
-    c1, c2, c3 = (np.uint64(math.ceil(t * 2.0**53)) for t in (t1, t2, t3))
+    c1, c2, c3 = (math.ceil(t * 2.0**53) for t in (t1, t2, t3))
     if ntot == 0 or c3 == 0:
+        counts = np.zeros(4, dtype=np.int64)
         counts[0] = samples
         return counts
     # A flip needs z <= L = (c3 << 11) - 1.  The last finalizer step keeps
     # bits 33..63, so its input then passes the same test on those bits.
-    candidate = np.uint64(((int(c3) << 11) - 1) | _LOW33)
+    candidate = ((c3 << 11) - 1) | _LOW33
     cols = min(ntot, _BLOCK_KEYS)
     rows = max(1, min(samples, _BLOCK_KEYS // ntot))
-    # key(lo + i, c0 + j) = template[i*width + j] + key(lo, c0)
-    ikey = np.arange(rows, dtype=np.uint64) * _K1
-    template = (ikey[:, None] + np.arange(cols, dtype=np.uint64) * _K2).ravel()
-    base = seed * _K0
-    groups = itertools.count()  # next() on it is atomic under the GIL
-    failures: list[BaseException] = []
-
-    def work(buffers):
-        tail = _Tail(buffers[3][:_TAIL_KEYS], buffers[4][:_TAIL_KEYS], (c1, c2, c3))
-        claimed = 0
-        while not failures:
-            lo = next(groups) * rows
-            if lo >= samples:
-                break
-            r = min(rows, samples - lo)
-            _scan(template, base + lo * int(_K1), r, lo, ntot, cols, candidate, buffers, tail)
-            claimed += r
-        return tail.counts(claimed)
-
-    def helper(buffers, parts):
-        try:
-            parts.append(work(buffers))
-        except BaseException as exc:
-            failures.append(exc)
-
+    base = seed * _K0 & _MASK64
+    task = (base, samples, ntot, rows, cols, c1, c2, c3, candidate, _BLOCK_KEYS, _TAIL_KEYS)
     with _LOCK:
-        buffers = _worker_buffers(min(_usable_cpus(), -(-samples // rows)))
-        parts: list[np.ndarray] = []
-        threads = [
-            threading.Thread(target=helper, args=(b, parts), daemon=True) for b in buffers[1:]
-        ]
-        for thread in threads:
-            thread.start()
-        try:
-            counts += work(buffers[0])
-        except BaseException as exc:
-            failures.append(exc)  # stops the helpers
-            raise
-        finally:
-            for thread in threads:
-                thread.join()
-    if failures:
-        raise failures[0]
-    for part in parts:
-        counts += part
-    return counts
+        helpers = min(_usable_cpus(), -(-samples // rows)) - 1
+        team = _team(helpers)
+        if team is None:
+            return _work(task, itertools.count().__next__)
+        return team.run(task, helpers)

@@ -228,10 +228,13 @@ def fit_mu(points) -> tuple[float, float]:
     """Least-squares error density over several QBER observations.
 
     Minimizes sum_i (qber_i - 3/4 (1 - exp(-4 mu L_i)))^2 by bisecting the
-    objective's derivative in mu (the model is monotone in mu per point, so
-    the objective is unimodal).  A single point reduces exactly to
-    `estimate_mu`, except that a density past the float range raises
-    `DomainError` instead of returning inf.  Returns (mu, rms residual).
+    objective's derivative in mu, and returns the sign change of the
+    derivative (a local minimum) that the bisection reaches.  The objective
+    need not be unimodal: points at lengths far apart can give it several
+    local minima, and the one returned need not be the lowest.  A single
+    point reduces exactly to `estimate_mu`, except that a density past the
+    float range raises `DomainError` instead of returning inf.  Returns
+    (mu, rms residual).
     """
     points = list(points)
     if not points:

@@ -244,9 +244,12 @@ def monte_carlo_transmit(
     four-group over both arms, and the folded index selects the received Bell
     state.  Randomness is a splitmix64 hash of (seed, sample, segment), so a
     seed fixes the tallies; ``seed`` is any integer, taken mod 2**64.  See
-    ``eprlink._mc`` for the stream and the kernel.  The sampler runs on every
-    CPU in the process's affinity mask; no flag, environment variable or
-    parameter sets that, and the tallies do not depend on it.
+    ``eprlink._mc`` for the stream and the kernel.  The sampler runs one
+    worker on every CPU in the process's affinity mask: the calling thread,
+    and helper processes forked at the first call of two or more groups of
+    samples, which serve later calls until the interpreter exits.  No flag,
+    environment variable or parameter sets that, and the tallies do not
+    depend on it.
 
     Raises
     ------

@@ -439,6 +439,12 @@ class TestFitMu:
     def test_bit_identical_to_reference_fit(self):
         campaigns = _campaign_corpus(np.random.default_rng(20261022))
         assert len(campaigns) > 300
+        # an objective with local minima near 2.6e-29 and 9.35e-29 /km
+        campaigns.append([
+            MeasurementPoint(0.011912406880146999, 4.0771052497558764e25),
+            MeasurementPoint(0.01620979901579673, 5.8883510341838265e25),
+            MeasurementPoint(0.7153676894742085, 2.9827568789217064e28),
+        ])
         for points in campaigns:
             got = fit_mu(points)
             assert [v.hex() for v in got] == [v.hex() for v in _reference_fit_mu(points)], points

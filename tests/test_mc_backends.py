@@ -1,5 +1,10 @@
+import os
+import select
+import signal
+import subprocess
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -14,6 +19,8 @@ from eprlink import (
     transmit_at_length,
 )
 from eprlink import _mc
+
+from test_cli import child_env
 
 DEPOL = ErrorDensities(0.008, 0.008, 0.008)
 GEOM = LinkGeometry(5.0, 5.0)
@@ -297,6 +304,23 @@ def test_bit_identical_with_samples_wider_than_a_block(monkeypatch, ntot):
         assert_matches_reference(9, samples, ntot // 3, ntot - ntot // 3, 0.05, 0.1, 0.2)
 
 
+def test_a_helper_takes_every_constant_from_each_call(monkeypatch):
+    # fork the helper while the block and queue sizes are patched small ...
+    _mc._stop_helpers()
+    monkeypatch.setattr(_mc, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_mc, "_BUFFERS", ())
+    monkeypatch.setattr(_mc, "_BLOCK_KEYS", 64)
+    monkeypatch.setattr(_mc, "_TAIL_KEYS", 7)
+    assert_matches_reference(9, 40, 20, 20, 0.05, 0.1, 0.2)
+    helper = _mc._TEAM.helpers[0][0]
+    # ... then let it serve calls of the full sizes
+    monkeypatch.setattr(_mc, "_BLOCK_KEYS", 1 << 16)
+    monkeypatch.setattr(_mc, "_TAIL_KEYS", 1 << 14)
+    assert_matches_reference(9, 20_000, 300, 300, 0.01, 0.02, 0.03)
+    assert_matches_reference(9, 3, 30_000, 50_000, 0.05, 0.1, 0.2)
+    assert _mc._TEAM.helpers[0][0] == helper
+
+
 def test_memory_does_not_grow_with_sample_width():
     tracemalloc = pytest.importorskip("tracemalloc")
 
@@ -319,13 +343,8 @@ def test_memory_does_not_grow_with_sample_width():
 def test_tallies_do_not_depend_on_the_worker_count(monkeypatch, workers):
     monkeypatch.setattr(_mc, "_BLOCK_KEYS", 256)
     monkeypatch.setattr(_mc, "_usable_cpus", lambda: workers)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for seed, samples in ((3, 4001), (-8, 1000), (2**64 - 5, 257)):
-            assert_matches_reference(seed, samples, 17, 30, 0.01, 0.03, 0.06)
-    finally:
-        sys.setswitchinterval(interval)
+    for seed, samples in ((3, 4001), (-8, 1000), (2**64 - 5, 257)):
+        assert_matches_reference(seed, samples, 17, 30, 0.01, 0.03, 0.06)
 
 
 @pytest.mark.parametrize("tail", [1, 7, None])
@@ -342,53 +361,181 @@ def test_bit_identical_for_any_candidate_queue_length(monkeypatch, tail):
         assert_matches_reference(*config)
 
 
-def test_no_thread_outlives_a_call():
-    before = threading.active_count()
-    _mc.bell_outcome_counts(1, 20_000, 300, 300, 0.01, 0.02, 0.03)
-    assert threading.active_count() == before
+def wait_until(condition, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.001)
+
+
+def running(pid):
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        os.kill(pid, 0)
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except (ProcessLookupError, FileNotFoundError):
+        return False
+
+
+def helper_claimed():
+    # the caller claims group 0 first, so a second claim is a helper's
+    return _mc._TEAM.counter[0] >= 2
 
 
 def test_helper_failure_reaches_the_caller(monkeypatch):
-    monkeypatch.setattr(_mc, "_BLOCK_KEYS", 256)
     monkeypatch.setattr(_mc, "_usable_cpus", lambda: 2)
-    scan = _mc._scan
-    helper_started = threading.Event()
+    scan, caller = _mc._scan, os.getpid()
 
     def failing_in_helper(*args):
-        if threading.current_thread() is threading.main_thread():
-            helper_started.wait(timeout=10.0)  # let the helper claim a group
-            return scan(*args)
-        helper_started.set()
-        raise RuntimeError("helper failed")
+        if os.getpid() != caller:
+            raise RuntimeError("helper failed")
+        wait_until(helper_claimed)
+        return scan(*args)
 
+    # A helper runs the code of its parent at fork time: fork one that fails.
+    _mc._stop_helpers()
     monkeypatch.setattr(_mc, "_scan", failing_in_helper)
-    with pytest.raises(RuntimeError, match="helper failed"):
-        _mc.bell_outcome_counts(2, 1000, 20, 20, 0.01, 0.02, 0.03)
-    assert helper_started.is_set()
+    try:
+        with pytest.raises(RuntimeError, match="helper failed"):
+            _mc.bell_outcome_counts(2, 20_000, 20, 20, 0.01, 0.02, 0.03)
+    finally:
+        _mc._stop_helpers()
     assert not _mc._LOCK.locked()
     monkeypatch.setattr(_mc, "_scan", scan)
-    assert_matches_reference(2, 1000, 20, 20, 0.01, 0.02, 0.03)
+    assert_matches_reference(2, 20_000, 20, 20, 0.01, 0.02, 0.03)
+
+
+def test_killed_helper_makes_the_caller_raise(monkeypatch):
+    monkeypatch.setattr(_mc, "_usable_cpus", lambda: 2)
+    config = (4, 20_000, 300, 300, 0.01, 0.02, 0.03)
+    assert_matches_reference(4, 2000, 300, 300, 0.01, 0.02, 0.03)  # forks the helper
+    pid = _mc._TEAM.helpers[0][0]
+    scan = _mc._scan  # the helper, forked before the patch, keeps the real one
+    killed = []
+
+    def killing_the_helper(*args):
+        if not killed:
+            wait_until(helper_claimed)
+            os.kill(pid, signal.SIGKILL)
+            killed.append(pid)
+        return scan(*args)
+
+    monkeypatch.setattr(_mc, "_scan", killing_the_helper)
+    with pytest.raises(RuntimeError, match="helper process exited mid-call"):
+        _mc.bell_outcome_counts(*config)
+    monkeypatch.setattr(_mc, "_scan", scan)
+    assert_matches_reference(*config)
+    assert _mc._TEAM.helpers[0][0] != pid
+    assert not running(pid)
 
 
 def test_caller_failure_stops_the_helpers(monkeypatch):
     monkeypatch.setattr(_mc, "_usable_cpus", lambda: 2)
-    scan = _mc._scan
-    helper_started = threading.Event()
-    helper_groups = []
+    config = (2, 20_000, 300, 300, 0.01, 0.02, 0.03)  # 184 groups
+    assert_matches_reference(2, 2000, 300, 300, 0.01, 0.02, 0.03)  # forks the helper
+    team = _mc._TEAM
+    scan, receive = _mc._scan, _mc._receive
+    replies = []
 
-    def failing_in_caller(*args):
-        if threading.current_thread() is threading.main_thread():
-            helper_started.wait(timeout=10.0)
-            raise KeyboardInterrupt
-        helper_groups.append(args[2])
-        helper_started.set()
-        return scan(*args)
+    def interrupted(*args):
+        wait_until(helper_claimed)
+        raise KeyboardInterrupt
 
-    monkeypatch.setattr(_mc, "_scan", failing_in_caller)
+    def recording(fd):
+        replies.append(receive(fd))
+        return replies[-1]
+
+    monkeypatch.setattr(_mc, "_scan", interrupted)
+    monkeypatch.setattr(_mc, "_receive", recording)
     with pytest.raises(KeyboardInterrupt):
-        _mc.bell_outcome_counts(2, 20_000, 300, 300, 0.01, 0.02, 0.03)  # 184 groups
-    assert 1 <= len(helper_groups) < 92
+        _mc.bell_outcome_counts(*config)
+    # The helper's reply was read before the re-raise, and it stopped claiming.
+    (helper_tally,) = replies
+    assert 1 <= sum(helper_tally) < 20_000 // 2
+    assert not select.select([fd for _, _, fd in team.helpers], [], [], 0.0)[0]
     assert not _mc._LOCK.locked()
+    monkeypatch.setattr(_mc, "_scan", scan)
+    assert_matches_reference(*config)
+    assert _mc._TEAM is team  # the same helper answers
+
+
+def test_no_helper_outlives_its_interpreter():
+    script = (
+        "import atexit, os, sys\n"
+        "def childless():\n"
+        "    try:\n"
+        "        os.waitpid(-1, os.WNOHANG)\n"
+        "    except ChildProcessError:\n"
+        "        return True\n"
+        "    return False\n"
+        "# registered first, so it runs after the sampler's exit handler\n"
+        "atexit.register(lambda: childless() or os._exit(3))\n"
+        "from eprlink import _mc\n"
+        "_mc._usable_cpus = lambda: 2\n"
+        "assert childless() and _mc._TEAM is None\n"
+        "_mc.bell_outcome_counts(1, 10, 30, 30, 0.01, 0.02, 0.03)  # one group\n"
+        "assert childless() and _mc._TEAM is None\n"
+        "_mc.bell_outcome_counts(1, 10_000, 30, 30, 0.01, 0.02, 0.03)\n"
+        "print(_mc._TEAM.helpers[0][0], flush=True)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=child_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr  # 3: a helper was left unreaped at exit
+    assert not running(int(proc.stdout))
+
+
+def test_a_helper_exits_when_its_task_pipe_closes(monkeypatch):
+    monkeypatch.setattr(_mc, "_usable_cpus", lambda: 2)
+    assert_matches_reference(4, 2000, 300, 300, 0.01, 0.02, 0.03)  # forks the helper
+    helper = _mc._TEAM.helpers[0][0]
+    assert _mc._stop_helpers(timeout=5.0)  # False had it to be killed
+    assert not running(helper)
+
+
+def test_a_forked_child_forks_its_own_helper(monkeypatch):
+    monkeypatch.setattr(_mc, "_usable_cpus", lambda: 2)
+    config = (7, 3000, 100, 120, 0.01, 0.02, 0.03)
+    assert_matches_reference(*config)
+    team = _mc._TEAM
+    parent_helper = team.helpers[0][0]
+    fds = [fd for _, task, reply in team.helpers for fd in (task, reply)]
+    child = os.fork()
+    if child == 0:
+        status = 1
+        try:
+            assert _mc._TEAM is None
+            for fd in fds:
+                with pytest.raises(OSError):
+                    os.fstat(fd)
+            assert_matches_reference(*config)
+            assert _mc._TEAM.helpers[0][0] != parent_helper
+            assert _mc._stop_helpers()
+            status = 0
+        finally:
+            os._exit(status)
+    _, status = os.waitpid(child, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert_matches_reference(*config)
+    assert _mc._TEAM is team and team.helpers[0][0] == parent_helper
+
+
+def test_helper_holds_no_pipe_of_the_caller(monkeypatch):
+    # A helper forked while the caller holds a pipe to `cat` must not keep its
+    # write end open, or `cat` would never see end of file.
+    monkeypatch.setattr(_mc, "_usable_cpus", lambda: 2)
+    _mc._stop_helpers()
+    cat = subprocess.Popen(["cat"], stdin=subprocess.PIPE, stdout=subprocess.DEVNULL)
+    try:
+        assert_matches_reference(8, 2000, 300, 300, 0.01, 0.02, 0.03)  # forks a helper
+        assert _mc._TEAM is not None
+        cat.stdin.close()
+        assert cat.wait(timeout=10.0) == 0
+    finally:
+        cat.kill()
+        cat.wait()
 
 
 def test_concurrent_callers_get_sequential_tallies():
