@@ -27,28 +27,29 @@ sample width.  Samples without a nonzero fold are tallied as 0.
 Every CPU in the process's affinity mask runs one worker: the calling thread,
 and one helper process for each further CPU (threads would share the GIL,
 which every numpy call takes back).  Helpers are forked at the first call of
-two or more groups of samples and serve every later call until the
-interpreter exits; a helper also exits when its task pipe closes.  A process
-forked from this one forgets them and forks its own.  Each call sends the
-helpers every kernel constant over their task pipes; the workers claim groups
-from one counter in shared memory under a process-shared lock, so a core
-slowed by other load takes fewer of them, and each helper sends its integer
-tallies back over its reply pipe.  No flag, environment variable or parameter
-sets the number of workers.  With one CPU, a call of one group, no
-``os.fork`` or no process-shared lock, the calling thread works alone.  Each
+two or more groups of samples made while the process has one thread, and
+serve every later call until the interpreter exits; a helper also exits when
+its task pipe closes.  A process forked from this one forgets them and forks
+its own.  Each call sends the helpers every kernel constant over their task
+pipes and writes a token for each chunk of groups (at most ``_CHUNKS``) into
+one claim pipe that all workers read, so a core slowed by other load takes
+fewer chunks, and each helper sends its integer tallies back over its reply
+pipe.  A worker that fails or is interrupted empties the claim pipe, so the
+others stop.  No flag, environment variable or parameter sets the number of
+workers.  With one CPU, a call of one group, no ``os.fork``, or other threads
+running when a helper would be forked, the calling thread works alone.  Each
 process keeps one set of block buffers and one queue for its life, and one
 module lock guards the caller's, so concurrent calls run one after another.
 """
 
 from __future__ import annotations
 
-import _thread
 import atexit
-import itertools
 import marshal
 import math
 import mmap
 import os
+import threading
 import time
 
 import numpy as np
@@ -65,12 +66,14 @@ _TAIL_KEYS = 1 << 14  # candidates a worker queues before it tallies them
 _LOW33 = (1 << 33) - 1
 _MASK64 = (1 << 64) - 1
 
-# A worker waits this long for the group lock before it checks that the
-# processes sharing it still live: one killed while holding it never lets go.
-_LOCK_WAIT_S = 1.0
+# A helper still running this long after its task pipe closed is killed.
+_EXIT_WAIT_S = 5.0
 _LOST = "a sampler helper process exited mid-call"
+# A call hands out its groups of samples in at most this many chunks; 2-byte
+# tokens of them fill 512 bytes, the least PIPE_BUF that POSIX allows.
+_CHUNKS = 256
 
-_LOCK = _thread.allocate_lock()  # calls in this process run one after another
+_LOCK = threading.Lock()  # calls in this process run one after another
 # This process's (z, tmp, hit) block buffers and (zc, sample) candidate queue,
 # reused across calls; a helper starts from a copy of its parent's.
 _BUFFERS: tuple[np.ndarray, ...] = ()
@@ -179,13 +182,14 @@ def _scan(template, offset, rows, first, ntot, cols, candidate, buffers, tail):
         tail.push(zb, np.flatnonzero(hb), width, first)
 
 
-def _work(task, claim) -> np.ndarray:
-    """Tally of the groups of samples that ``claim()`` hands this worker.
+def _work(task, chunks) -> np.ndarray:
+    """Tally of the chunks of samples that ``chunks`` hands this worker.
 
+    Chunk c holds samples c*span to c*span + span - 1, in groups of ``rows``.
     ``task`` holds every constant of the kernel but the hash multipliers,
     so a helper takes nothing else from its copy of this module.
     """
-    base, samples, ntot, rows, cols, c1, c2, c3, candidate, block_keys, tail_keys = task
+    base, samples, ntot, rows, cols, c1, c2, c3, candidate, block_keys, tail_keys, span = task
     buffers = _buffers(block_keys, tail_keys)
     # key(lo + i, c0 + j) = template[i*width + j] + key(lo, c0)
     ikey = np.arange(rows, dtype=np.uint64) * _K1
@@ -194,41 +198,28 @@ def _work(task, claim) -> np.ndarray:
     tail = _Tail(buffers[3][:tail_keys], buffers[4][:tail_keys], thresholds)
     candidate = np.uint64(candidate)
     claimed = 0
+    for chunk in chunks:
+        for lo in range(chunk * span, min(chunk * span + span, samples), rows):
+            r = min(rows, samples - lo)
+            _scan(template, base + lo * int(_K1), r, lo, ntot, cols, candidate, buffers, tail)
+            claimed += r
+    return tail.counts(claimed)
+
+
+def _claims(fd):
+    """The chunks this worker takes from the claim pipe ``fd``, until it is empty.
+
+    Each token is one 2-byte chunk index; a read of a pipe takes it whole, so
+    no two workers take the same chunk.
+    """
     while True:
-        lo = claim() * rows
-        if lo >= samples:
-            return tail.counts(claimed)
-        r = min(rows, samples - lo)
-        _scan(template, base + lo * int(_K1), r, lo, ntot, cols, candidate, buffers, tail)
-        claimed += r
-
-
-def _acquire(lock, alive):
-    """Take the group lock; raise once ``alive()`` says a process sharing it is gone."""
-    while not lock.acquire(True, _LOCK_WAIT_S):
-        if not alive():
-            raise RuntimeError(_LOST)
-
-
-def _claimer(lock, counter, alive):
-    """A claim() that takes the next group from the shared counter."""
-
-    def claim():
-        _acquire(lock, alive)
-        group = counter[0]
-        counter[0] = group + 1
-        lock.release()
-        return group
-
-    return claim
-
-
-def _stop(lock, counter, task, alive):
-    """Hand out no further group of ``task``, to any worker."""
-    if not lock._count():  # an interrupt may come just after this process takes it
-        _acquire(lock, alive)
-    counter[0] = -(-task[1] // task[3])  # the number of groups
-    lock.release()
+        try:
+            token = os.read(fd, 2)
+        except BlockingIOError:
+            return
+        if not token:  # the caller has exited
+            return
+        yield int.from_bytes(token, "little")
 
 
 def _send(fd, message):
@@ -251,64 +242,67 @@ def _read(fd, size) -> bytes:
     return data
 
 
-def _serve(tasks, replies, lock, counter, parent):
+def _serve(tasks, replies, claims):
     """A helper's life: one tally per task until its task pipe closes."""
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller stops the helpers
-
-    def alive():
-        return os.getppid() == parent
-
-    claim = _claimer(lock, counter, alive)
     while True:
         try:
             task = _receive(tasks)
         except EOFError:
             return
         try:
-            reply = _work(task, claim).tolist()
+            reply = _work(task, _claims(claims)).tolist()
         except Exception as exc:  # reported to the caller, which raises it
-            _stop(lock, counter, task, alive)
+            for _ in _claims(claims):  # no worker takes a further chunk
+                pass
             reply = repr(exc)
         _send(replies, reply)
 
 
 class _Team:
-    """Helper processes forked from this one, and the group counter they share."""
+    """Helper processes forked from this one, and the claim pipe they share."""
 
-    def __init__(self, lock):
-        self.lock = lock  # process-shared, guards the counter
-        self.counter = memoryview(mmap.mmap(-1, 8)).cast("q")  # next group to hand out
+    def __init__(self):
+        self.claims = os.pipe()  # tokens of the chunks no worker has taken yet
+        os.set_blocking(self.claims[0], False)
         self.helpers: list[tuple[int, int, int]] = []  # pid, task fd, reply fd
         self.idle = True  # every task sent has had its reply read
 
     def fork(self):
-        """Start one more helper, with a task pipe to it and a reply pipe from it."""
-        fds = os.pipe()
+        """Start one more helper, with a task pipe to it and a reply pipe from it.
+
+        The helper gets its own descriptor of the claim pipe, since the
+        at-fork handler closes the team's in every child.
+        """
+        fds = ()
         try:
             fds += os.pipe()
+            fds += os.pipe()
+            fds += (os.dup(self.claims[0]),)
             pid = os.fork()
         except OSError:
             for fd in fds:
                 os.close(fd)
             raise
-        task_r, task_w, reply_r, reply_w = fds
+        task_r, task_w, reply_r, reply_w, claims = fds
         if pid == 0:
             status = 1
             try:
-                # Hold no descriptor of the parent but stdio and the two pipe
+                # Hold no descriptor of the parent but stdio and three pipe
                 # ends, so that no pipe of the parent waits on this process.
-                low, high = sorted((task_r, reply_w))
-                os.closerange(3, low)
-                os.closerange(low + 1, high)
-                os.closerange(high + 1, os.sysconf("SC_OPEN_MAX"))
-                _serve(task_r, reply_w, self.lock, self.counter, os.getppid())
+                low = 3
+                for fd in sorted((task_r, reply_w, claims)):
+                    os.closerange(low, fd)
+                    low = fd + 1
+                os.closerange(low, os.sysconf("SC_OPEN_MAX"))
+                _serve(task_r, reply_w, claims)
                 status = 0
             finally:
                 os._exit(status)
-        os.close(task_r)
-        os.close(reply_w)
+        for fd in (task_r, reply_w, claims):
+            os.close(fd)
         self.helpers.append((pid, task_w, reply_r))
 
     def alive(self) -> bool:
@@ -320,14 +314,19 @@ class _Team:
     def run(self, task, count) -> np.ndarray:
         """Tally of ``task`` over the calling thread and ``count`` helpers."""
         helpers = self.helpers[:count]
+        chunks = -(-task[1] // task[-1])  # at most _CHUNKS
         self.idle = False
-        self.counter[0] = 0
+        # The pipe is empty, and 2 * _CHUNKS bytes are at most PIPE_BUF: one write.
+        os.write(self.claims[1], b"".join(c.to_bytes(2, "little") for c in range(chunks)))
         for _, tasks, _ in helpers:
             _send(tasks, task)
         try:
-            counts = _work(task, _claimer(self.lock, self.counter, self.alive))
+            counts = _work(task, _claims(self.claims[0]))
+        except BaseException:
+            for _ in _claims(self.claims[0]):  # no helper takes a further chunk
+                pass
+            raise
         finally:
-            _stop(self.lock, self.counter, task, self.alive)
             parts = []
             for _, _, replies in helpers:
                 try:
@@ -342,6 +341,8 @@ class _Team:
         return counts
 
     def close(self):
+        os.close(self.claims[0])
+        os.close(self.claims[1])
         for _, tasks, replies in self.helpers:
             os.close(tasks)
             os.close(replies)
@@ -354,37 +355,31 @@ def _team(count) -> _Team | None:
         return None
     if _TEAM is not None and not (_TEAM.idle and _TEAM.alive()):
         _stop_helpers()
-    if _TEAM is None:
-        if not hasattr(os, "fork"):
-            return None
+    # Fork only while this is the process's one thread: a child forked beside
+    # other threads can find a lock held that no thread of its own will free.
+    if hasattr(os, "fork") and threading.active_count() == 1:
         try:
-            from _multiprocessing import SemLock  # the semaphore of multiprocessing.Lock
-
-            # kind 1 is a semaphore, here of value 1; the name is unlinked at once
-            lock = SemLock(1, 1, 1, f"/eprlink-{os.getpid()}-{os.urandom(8).hex()}", True)
-        except (ImportError, OSError):
-            return None
-        _TEAM = _Team(lock)
-    try:
-        while len(_TEAM.helpers) < count:
-            _TEAM.fork()
-    except OSError:  # out of processes or descriptors: work with those there are
-        pass
-    return _TEAM if _TEAM.helpers else None
+            if _TEAM is None:
+                _TEAM = _Team()
+            while len(_TEAM.helpers) < count:
+                _TEAM.fork()
+        except OSError:  # out of memory, processes or descriptors: use those there are
+            pass
+    return _TEAM if _TEAM is not None and _TEAM.helpers else None
 
 
-def _stop_helpers(timeout=5.0) -> bool:
+def _stop_helpers() -> bool:
     """Close the pipes to this process's helpers and reap them.
 
-    A helper exits when its task pipe closes; one still running ``timeout``
-    seconds later is killed, and the result is then False.
+    A helper exits when its task pipe closes; one still running
+    ``_EXIT_WAIT_S`` seconds later is killed, and the result is then False.
     """
     global _TEAM
     team, _TEAM = _TEAM, None
     if team is None:
         return True
     team.close()
-    deadline = time.monotonic() + timeout
+    deadline = time.monotonic() + _EXIT_WAIT_S
     exited = True
     for pid, _, _ in team.helpers:
         try:
@@ -405,7 +400,7 @@ def _stop_helpers(timeout=5.0) -> bool:
 def _forget_helpers():
     """In a child forked from this process: drop its parent's helpers and lock."""
     global _LOCK, _TEAM
-    _LOCK = _thread.allocate_lock()
+    _LOCK = threading.Lock()
     if _TEAM is not None:
         _TEAM.close()
         _TEAM = None
@@ -437,11 +432,13 @@ def bell_outcome_counts(seed, samples, n1, n2, t1, t2, t3) -> np.ndarray:
     candidate = ((c3 << 11) - 1) | _LOW33
     cols = min(ntot, _BLOCK_KEYS)
     rows = max(1, min(samples, _BLOCK_KEYS // ntot))
+    groups = -(-samples // rows)
+    span = rows * -(-groups // _CHUNKS)  # samples per chunk
     base = seed * _K0 & _MASK64
-    task = (base, samples, ntot, rows, cols, c1, c2, c3, candidate, _BLOCK_KEYS, _TAIL_KEYS)
+    task = (base, samples, ntot, rows, cols, c1, c2, c3, candidate, _BLOCK_KEYS, _TAIL_KEYS, span)
     with _LOCK:
-        helpers = min(_usable_cpus(), -(-samples // rows)) - 1
+        helpers = min(_usable_cpus(), groups) - 1
         team = _team(helpers)
         if team is None:
-            return _work(task, itertools.count().__next__)
+            return _work(task, range(-(-samples // span)))
         return team.run(task, helpers)

@@ -247,9 +247,12 @@ def monte_carlo_transmit(
     ``eprlink._mc`` for the stream and the kernel.  The sampler runs one
     worker on every CPU in the process's affinity mask: the calling thread,
     and helper processes forked at the first call of two or more groups of
-    samples, which serve later calls until the interpreter exits.  No flag,
-    environment variable or parameter sets that, and the tallies do not
-    depend on it.
+    samples made while the process runs one thread, which serve later calls
+    until the interpreter exits.  No flag, environment variable or parameter
+    sets that, and the tallies do not depend on it.  The helpers are
+    children of the calling process for its whole life, so code that reaps
+    any child (``os.wait()``, ``os.waitpid(-1, ...)``) must not run in it:
+    it would wait on them or reap them.
 
     Raises
     ------

@@ -19,6 +19,6 @@ settings.load_profile("eprlink")
 
 def pytest_sessionfinish(session):
     sampler = sys.modules.get("eprlink._mc")
-    if sampler is not None and not sampler._stop_helpers(timeout=5.0):
+    if sampler is not None and not sampler._stop_helpers():
         print("\na sampler helper process outlived its pipe by 5 s", file=sys.stderr)
         session.exitstatus = pytest.ExitCode.TESTS_FAILED

@@ -1,3 +1,4 @@
+import mmap
 import os
 import select
 import signal
@@ -347,6 +348,16 @@ def test_tallies_do_not_depend_on_the_worker_count(monkeypatch, workers):
         assert_matches_reference(seed, samples, 17, 30, 0.01, 0.03, 0.06)
 
 
+@pytest.mark.parametrize("chunks", [1, 3, 7])
+def test_tallies_do_not_depend_on_the_chunk_count(monkeypatch, chunks):
+    # chunks of many groups, a short last chunk, one chunk for a whole call
+    monkeypatch.setattr(_mc, "_BLOCK_KEYS", 256)
+    monkeypatch.setattr(_mc, "_CHUNKS", chunks)
+    monkeypatch.setattr(_mc, "_usable_cpus", lambda: 2)
+    for seed, samples in ((3, 4001), (-8, 1000), (2**64 - 5, 257)):
+        assert_matches_reference(seed, samples, 17, 30, 0.01, 0.03, 0.06)
+
+
 @pytest.mark.parametrize("tail", [1, 7, None])
 def test_bit_identical_for_any_candidate_queue_length(monkeypatch, tail):
     # Samples of 257 and 20000 keys span 2 and 79 blocks; at t3 = 1 every key
@@ -378,19 +389,18 @@ def running(pid):
         return False
 
 
-def helper_claimed():
-    # the caller claims group 0 first, so a second claim is a helper's
-    return _mc._TEAM.counter[0] >= 2
-
-
 def test_helper_failure_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(_mc, "_usable_cpus", lambda: 2)
     scan, caller = _mc._scan, os.getpid()
+    failed = mmap.mmap(-1, 1)  # shared with the helper forked below
+    scanned = []
 
     def failing_in_helper(*args):
         if os.getpid() != caller:
+            failed[0] = 1
             raise RuntimeError("helper failed")
-        wait_until(helper_claimed)
+        wait_until(lambda: failed[0])  # leave the helper a chunk to fail on
+        scanned.append(args[3])
         return scan(*args)
 
     # A helper runs the code of its parent at fork time: fork one that fails.
@@ -398,59 +408,74 @@ def test_helper_failure_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(_mc, "_scan", failing_in_helper)
     try:
         with pytest.raises(RuntimeError, match="helper failed"):
-            _mc.bell_outcome_counts(2, 20_000, 20, 20, 0.01, 0.02, 0.03)
+            _mc.bell_outcome_counts(2, 20_000, 20, 20, 0.01, 0.02, 0.03)  # 13 chunks
     finally:
         _mc._stop_helpers()
+    assert len(scanned) < 6  # the failed helper emptied the claim pipe
     assert not _mc._LOCK.locked()
     monkeypatch.setattr(_mc, "_scan", scan)
     assert_matches_reference(2, 20_000, 20, 20, 0.01, 0.02, 0.03)
 
 
-def test_killed_helper_makes_the_caller_raise(monkeypatch):
-    monkeypatch.setattr(_mc, "_usable_cpus", lambda: 2)
+@pytest.mark.parametrize("workers", [2, 3])
+def test_killed_helper_makes_the_caller_raise(monkeypatch, workers):
+    monkeypatch.setattr(_mc, "_usable_cpus", lambda: workers)
     config = (4, 20_000, 300, 300, 0.01, 0.02, 0.03)
-    assert_matches_reference(4, 2000, 300, 300, 0.01, 0.02, 0.03)  # forks the helper
-    pid = _mc._TEAM.helpers[0][0]
-    scan = _mc._scan  # the helper, forked before the patch, keeps the real one
-    killed = []
+    scan, caller = _mc._scan, os.getpid()
+    killed = mmap.mmap(-1, 1)  # shared with the helpers forked below
 
-    def killing_the_helper(*args):
-        if not killed:
-            wait_until(helper_claimed)
-            os.kill(pid, signal.SIGKILL)
-            killed.append(pid)
+    def killing_the_first_helper(*args):
+        # The caller kills helper 1 before any helper may scan, so it dies
+        # mid-call; the others then take the remaining chunks and reply.
+        if os.getpid() == caller:
+            if not killed[0]:
+                os.kill(_mc._TEAM.helpers[0][0], signal.SIGKILL)
+                killed[0] = 1
+        else:
+            wait_until(lambda: killed[0])
         return scan(*args)
 
-    monkeypatch.setattr(_mc, "_scan", killing_the_helper)
+    _mc._stop_helpers()
+    monkeypatch.setattr(_mc, "_scan", killing_the_first_helper)
     with pytest.raises(RuntimeError, match="helper process exited mid-call"):
         _mc.bell_outcome_counts(*config)
+    pids = [pid for pid, _, _ in _mc._TEAM.helpers]
+    assert len(pids) == workers - 1
+    stop_helpers, stopped = _mc._stop_helpers, []
+    monkeypatch.setattr(_mc, "_stop_helpers", lambda: stopped.append(stop_helpers()))
     monkeypatch.setattr(_mc, "_scan", scan)
-    assert_matches_reference(*config)
-    assert _mc._TEAM.helpers[0][0] != pid
-    assert not running(pid)
+    assert_matches_reference(*config)  # stops the old helpers and forks new ones
+    assert stopped == [True]  # False had one to be killed after its pipe closed
+    assert not any(running(pid) for pid in pids)
+    assert not set(pids) & {pid for pid, _, _ in _mc._TEAM.helpers}
 
 
 def test_caller_failure_stops_the_helpers(monkeypatch):
     monkeypatch.setattr(_mc, "_usable_cpus", lambda: 2)
-    config = (2, 20_000, 300, 300, 0.01, 0.02, 0.03)  # 184 groups
-    assert_matches_reference(2, 2000, 300, 300, 0.01, 0.02, 0.03)  # forks the helper
-    team = _mc._TEAM
-    scan, receive = _mc._scan, _mc._receive
+    config = (2, 20_000, 300, 300, 0.01, 0.02, 0.03)  # 184 chunks of one group
+    scan, receive, caller = _mc._scan, _mc._receive, os.getpid()
+    scanned = mmap.mmap(-1, 1)  # shared with the helper forked below
     replies = []
 
     def interrupted(*args):
-        wait_until(helper_claimed)
-        raise KeyboardInterrupt
+        if os.getpid() == caller:
+            wait_until(lambda: scanned[0])
+            raise KeyboardInterrupt
+        scanned[0] = 1
+        time.sleep(0.005)  # half the groups would take the helper at least 0.46 s
+        return scan(*args)
 
     def recording(fd):
         replies.append(receive(fd))
         return replies[-1]
 
+    _mc._stop_helpers()
     monkeypatch.setattr(_mc, "_scan", interrupted)
     monkeypatch.setattr(_mc, "_receive", recording)
     with pytest.raises(KeyboardInterrupt):
         _mc.bell_outcome_counts(*config)
     # The helper's reply was read before the re-raise, and it stopped claiming.
+    team = _mc._TEAM
     (helper_tally,) = replies
     assert 1 <= sum(helper_tally) < 20_000 // 2
     assert not select.select([fd for _, _, fd in team.helpers], [], [], 0.0)[0]
@@ -458,6 +483,23 @@ def test_caller_failure_stops_the_helpers(monkeypatch):
     monkeypatch.setattr(_mc, "_scan", scan)
     assert_matches_reference(*config)
     assert _mc._TEAM is team  # the same helper answers
+
+
+def test_an_interrupt_while_reading_replies_replaces_the_helpers(monkeypatch):
+    monkeypatch.setattr(_mc, "_usable_cpus", lambda: 2)
+    assert_matches_reference(2, 20_000, 300, 300, 0.01, 0.02, 0.03)  # forks the helper
+    team, receive = _mc._TEAM, _mc._receive
+
+    def interrupted(fd):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(_mc, "_receive", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        _mc.bell_outcome_counts(2, 20_000, 300, 300, 0.01, 0.02, 0.03)
+    # The helper's reply is left unread: the next call must not take it for its own.
+    monkeypatch.setattr(_mc, "_receive", receive)
+    assert_matches_reference(3, 20_000, 300, 300, 0.01, 0.02, 0.03)
+    assert _mc._TEAM is not team
 
 
 def test_no_helper_outlives_its_interpreter():
@@ -487,11 +529,38 @@ def test_no_helper_outlives_its_interpreter():
     assert not running(int(proc.stdout))
 
 
+def test_a_helper_exits_when_its_caller_dies_mid_call():
+    script = (
+        "import os, signal\n"
+        "from eprlink import _mc\n"
+        "_mc._usable_cpus = lambda: 2\n"
+        "_mc.bell_outcome_counts(1, 2000, 300, 300, 0.01, 0.02, 0.03)  # forks the helper\n"
+        "def dying(*args):\n"
+        "    print(_mc._TEAM.helpers[0][0], flush=True)\n"
+        "    os.kill(os.getpid(), signal.SIGKILL)\n"
+        "_mc._scan = dying  # in the caller only: the helper has the real one\n"
+        "_mc.bell_outcome_counts(1, 20_000, 300, 300, 0.01, 0.02, 0.03)  # 184 chunks\n"
+    )
+    # The helper shares the child's stdout, so wait for the child, not for EOF.
+    proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, env=child_env())
+    helper = None
+    try:
+        helper = int(proc.stdout.readline())
+        assert proc.wait(timeout=60) == -signal.SIGKILL
+        wait_until(lambda: not running(helper))  # it took the last chunks, then saw EOF
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        if helper is not None and running(helper):
+            os.kill(helper, signal.SIGKILL)
+
+
 def test_a_helper_exits_when_its_task_pipe_closes(monkeypatch):
     monkeypatch.setattr(_mc, "_usable_cpus", lambda: 2)
     assert_matches_reference(4, 2000, 300, 300, 0.01, 0.02, 0.03)  # forks the helper
     helper = _mc._TEAM.helpers[0][0]
-    assert _mc._stop_helpers(timeout=5.0)  # False had it to be killed
+    assert _mc._stop_helpers()  # False had it to be killed
     assert not running(helper)
 
 
@@ -536,6 +605,21 @@ def test_helper_holds_no_pipe_of_the_caller(monkeypatch):
     finally:
         cat.kill()
         cat.wait()
+
+
+def test_a_call_beside_another_thread_forks_no_helper(monkeypatch):
+    monkeypatch.setattr(_mc, "_usable_cpus", lambda: 2)
+    _mc._stop_helpers()
+    config = (3, 4001, 17, 30, 0.01, 0.03, 0.06)
+    got = []
+    thread = threading.Thread(target=lambda: got.append(_mc.bell_outcome_counts(*config)))
+    thread.start()
+    thread.join(timeout=60.0)
+    assert not thread.is_alive()
+    assert _mc._TEAM is None
+    assert got[0].tolist() == reference_counts(*config).tolist()
+    assert_matches_reference(*config)  # from the one thread left: forks the helper
+    assert _mc._TEAM is not None
 
 
 def test_concurrent_callers_get_sequential_tallies():
