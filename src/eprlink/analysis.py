@@ -221,7 +221,10 @@ def _finite_estimate(point: MeasurementPoint) -> float:
 
 
 def _qber_model(mu: float, length_km: float) -> float:
-    return 0.75 * (1.0 - math.exp(-4.0 * mu * length_km))
+    # mu * length_km first: 4 mu overflows past ~4.5e307 /km, where mu L can
+    # still be small.  Elsewhere the decay is unchanged: scaling by 4 commutes
+    # with rounding outside the subnormals, where exp gives 1.0 either way.
+    return 0.75 * (1.0 - math.exp(-4.0 * (mu * length_km)))
 
 
 def fit_mu(points) -> tuple[float, float]:
@@ -248,13 +251,13 @@ def fit_mu(points) -> tuple[float, float]:
     data = [(p.qber, p.total_length_km) for p in points]
 
     def derivative(mu: float) -> float:
-        # -4.0 * mu * length is (-4.0 * mu) * length, and 0.75 * (1.0 - decay)
-        # is _qber_model's float: the same arithmetic, one exponential a point.
-        rate = -4.0 * mu
+        # decay and 0.75 * (1.0 - decay) are _qber_model's floats: the same
+        # arithmetic, one exponential a point.  The slope factor 6 = 2 * 3/4 * 4
+        # is one multiply: 6.0 * r rounds as 2.0 * r * 3.0 does, doubling being exact.
         total = 0.0
         for qber, length in data:
-            decay = math.exp(rate * length)
-            total += 2.0 * (0.75 * (1.0 - decay) - qber) * 3.0 * length * decay
+            decay = math.exp(-4.0 * (mu * length))
+            total += 6.0 * (0.75 * (1.0 - decay) - qber) * length * decay
         return total
 
     lo, hi = 0.0, 1.0

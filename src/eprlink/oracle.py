@@ -1,10 +1,11 @@
 """Ground-truth engines that validate the closed forms.
 
-Everything here works on dense complex matrices: explicit Kraus sums for the
-one- and two-qubit Pauli channels, Hermitian eigensolves by LAPACK
-(``numpy.linalg.eigh``), the general Wootters concurrence, and a Monte Carlo
-sampler that draws segment errors stochastically instead of evaluating the
-closed form.
+Everything here works on dense complex matrices: one check that admits a
+square, finite, Hermitian matrix and hands on its Hermitian part, one
+``einsum`` Kraus sum for the one- and two-qubit Pauli channels, the Bell
+basis as one matrix, Hermitian eigensolves by LAPACK (``numpy.linalg.eigh``),
+the general Wootters concurrence, and a Monte Carlo sampler that draws
+segment errors stochastically instead of evaluating the closed form.
 States are plain ``numpy.ndarray`` density matrices (Hermitian, unit trace,
 positive semidefinite up to float noise).
 """
@@ -53,16 +54,11 @@ _PAULI2 = np.array([np.kron(PAULI[k], PAULI[l]) for k in range(4) for l in range
 
 _SIGMA_YY = np.kron(PAULI[2], PAULI[2]).real  # entries are real (+-1)
 
-_SQRT_HALF = 1.0 / math.sqrt(2.0)
-
-# Bell vectors in the |00>, |01>, |10>, |11> product basis, ordered to match
-# the (a, b, c, d) weights: psi+- = (|00> +- |11>)/sqrt2, phi+- = (|01> +- |10>)/sqrt2.
-_BELL_VECTORS = {
-    "psi+": np.array([_SQRT_HALF, 0.0, 0.0, _SQRT_HALF], dtype=np.complex128),
-    "psi-": np.array([_SQRT_HALF, 0.0, 0.0, -_SQRT_HALF], dtype=np.complex128),
-    "phi+": np.array([0.0, _SQRT_HALF, _SQRT_HALF, 0.0], dtype=np.complex128),
-    "phi-": np.array([0.0, _SQRT_HALF, -_SQRT_HALF, 0.0], dtype=np.complex128),
-}
+# Bell vectors psi+- = (|00> +- |11>)/sqrt2 and phi+- = (|01> +- |10>)/sqrt2 in the
+# product basis, one per row in BELL_LABELS order, the order of (a, b, c, d).
+_BELL = (1.0 / math.sqrt(2.0)) * np.array(
+    [[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]], dtype=np.complex128
+)
 
 _HERMITICITY_TOL = 1e-12
 _TRACE_TOL = 1e-12
@@ -71,12 +67,9 @@ _EIG_FLOOR = -1e-10
 
 def bell_vector(kind: str) -> np.ndarray:
     """State vector of the requested Bell state; kind in {psi+, psi-, phi+, phi-}."""
-    try:
-        return _BELL_VECTORS[kind].copy()
-    except KeyError:
-        raise ValidationError(
-            f"unknown Bell state {kind!r}; expected one of {BELL_LABELS}"
-        ) from None
+    if kind not in BELL_LABELS:
+        raise ValidationError(f"unknown Bell state {kind!r}; expected one of {BELL_LABELS}")
+    return _BELL[BELL_LABELS.index(kind)].copy()
 
 
 def bell_state(kind: str) -> np.ndarray:
@@ -85,44 +78,52 @@ def bell_state(kind: str) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def _check_square(m, dim, what: str) -> np.ndarray:
+def _hermitian_part(m, dim: int | None = None) -> np.ndarray:
+    """0.5 (m + m^H) of a non-empty, finite square matrix, Hermitian within tolerance.
+
+    With ``dim`` the matrix is a density matrix: it must be dim x dim and
+    Hermitian within 1e-12.  Without it any square matrix passes that is
+    Hermitian within 1e-10 relative to its Frobenius norm (at least 1).
+    """
     m = np.asarray(m, dtype=np.complex128)
-    if m.shape != (dim, dim):
-        raise ValidationError(f"{what} must be {dim}x{dim}, got shape {m.shape}")
+    what = "matrix" if dim is None else "density matrix"
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or dim not in (None, m.shape[0]) or not m.size:
+        size = "a non-empty square" if dim is None else f"{dim}x{dim}"
+        raise ValidationError(f"{what} must be {size}, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValidationError(f"{what} has non-finite entries")
-    return m
-
-
-def _check_hermitian(m, tol: float, what: str) -> None:
-    if np.max(np.abs(m - m.conj().T)) > tol:
+    tol = _HERMITICITY_TOL if dim is not None else 1e-10 * max(1.0, float(np.linalg.norm(m)))
+    adjoint = m.conj().T
+    if np.max(np.abs(m - adjoint)) > tol:
         raise ValidationError(f"{what} is not Hermitian within {tol}")
+    return 0.5 * (m + adjoint)
 
 
 def validate_density_matrix(rho, dim: int = 4) -> np.ndarray:
     """Check Hermiticity (1e-12), unit trace (1e-12) and spectrum >= -1e-10.
 
-    Returns the matrix as a fresh complex128 array.  The eigenvalue floor
-    separates float noise from genuinely unphysical inputs.
+    Returns the Hermitian part 0.5 (rho + rho^H) as a fresh complex128
+    array.  The eigenvalue floor separates float noise from genuinely
+    unphysical inputs.
     """
-    rho = _check_square(rho, dim, "density matrix")
-    _check_hermitian(rho, _HERMITICITY_TOL, "density matrix")
+    rho = _hermitian_part(rho, dim)
     tr = rho.trace()
     if abs(tr - 1.0) > _TRACE_TOL:
         raise ValidationError(f"density matrix trace must be 1, got {tr!r}")
-    lowest = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0]
+    lowest = np.linalg.eigvalsh(rho)[0]
     if lowest < _EIG_FLOOR:
         raise ValidationError(f"density matrix has negative eigenvalue {lowest:.3e}")
     return rho
 
 
+def _kraus(weights, ops, rho) -> np.ndarray:
+    # sum_k weights_k ops_k rho ops_k in one contraction
+    return np.einsum("k,kij,jl,klm->im", weights, ops, rho, ops)
+
+
 def apply_single_qubit_pauli(p: PauliProbs, rho) -> np.ndarray:
     """Kraus sum sum_k p_k sigma_k rho sigma_k on a single-qubit density matrix."""
-    rho = validate_density_matrix(rho, dim=2)
-    out = np.zeros((2, 2), dtype=np.complex128)
-    for weight, sigma in zip(p, PAULI):
-        out += weight * (sigma @ rho @ sigma)
-    return out
+    return _kraus(p, PAULI, validate_density_matrix(rho, dim=2))
 
 
 def apply_two_sided(r: PauliProbs, s: PauliProbs, rho) -> np.ndarray:
@@ -131,24 +132,7 @@ def apply_two_sided(r: PauliProbs, s: PauliProbs, rho) -> np.ndarray:
     The ground-truth action of independent Pauli channels on the two qubits
     of a shared pair; Hermiticity and trace are preserved exactly.
     """
-    rho = validate_density_matrix(rho, dim=4)
-    weights = np.outer(r, s).ravel()
-    out = np.zeros((4, 4), dtype=np.complex128)
-    for weight, op in zip(weights, _PAULI2):
-        if weight != 0.0:
-            out += weight * (op @ rho @ op)
-    return out
-
-
-def _hermitian_part(m) -> np.ndarray:
-    """0.5 (m + m^H) of a finite square matrix, Hermitian within 1e-10 relative."""
-    m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValidationError("matrix has non-finite entries")
-    _check_hermitian(m, 1e-10 * max(1.0, float(np.linalg.norm(m))), "matrix")
-    return 0.5 * (m + m.conj().T)
+    return _kraus(np.outer(r, s).ravel(), _PAULI2, validate_density_matrix(rho, dim=4))
 
 
 def hermitian_eigenvalues(m) -> np.ndarray:
@@ -200,15 +184,11 @@ def bell_diagonal_project(rho) -> tuple[BellDiagonal, float]:
     output on a Bell state).
     """
     rho = validate_density_matrix(rho, dim=4)
-    weights = []
-    diag_part = np.zeros((4, 4), dtype=np.complex128)
-    for kind in BELL_LABELS:
-        v = _BELL_VECTORS[kind]
-        w = float(np.real(v.conj() @ rho @ v))
-        weights.append(w)
-        diag_part += w * np.outer(v, v.conj())
-    residual = float(np.linalg.norm(rho - diag_part))
-    return BellDiagonal(*weights), residual
+    # <B_i| rho |B_j>: a unitary change of basis, so it keeps the Frobenius norm
+    in_bell = _BELL.conj() @ rho @ _BELL.T
+    weights = in_bell.diagonal().real
+    residual = float(np.linalg.norm(in_bell - np.diag(weights)))
+    return BellDiagonal(*weights.tolist()), residual
 
 
 class McEstimate(

@@ -460,6 +460,14 @@ class TestFitMu:
             " needs more than 1.798e+308 /km"
         )
 
+    def test_densities_where_4_mu_overflows(self):
+        # mu = 6.8e307 /km, past ~4.5e307, where 4 mu overflows and mu L does not
+        point = MeasurementPoint(0.7, 1e-308)
+        assert fit_mu([point]) == (estimate_mu(point), 0.0)
+        mu, rms = fit_mu([point, point])
+        assert math.isclose(mu, estimate_mu(point), rel_tol=1e-12)
+        assert rms < 1e-12
+
     def test_all_zero_qber(self):
         mu, rms = fit_mu([MeasurementPoint(0.0, 1.0), MeasurementPoint(0.0, 2.0)])
         assert mu == 0.0 and rms == 0.0

@@ -102,11 +102,18 @@ class TestTransmit:
         _, out2, _ = run(capsys, "transmit", "--mu", "0.01,0.02,0.03", "--l1", "9", "--l2", "2")
         assert out1 == out2
 
-    def test_verify_oracle(self, capsys):
-        code, out, _ = run(
-            capsys, "transmit", "--mu", "0.01,0.005,0.002", "--l1", "4", "--l2", "7",
-            "--verify-oracle", "--format", "json",
-        )
+    @pytest.mark.parametrize(
+        "link",
+        [
+            ("--mu", "0.01,0.005,0.002", "--l1", "4", "--l2", "7"),
+            ("--mu", "0.008,0.008,0.008", "--l1", "5", "--l2", "5"),  # depolarizing
+            ("--mu", "0,0,0.02", "--l1", "3", "--l2", "9"),  # dephasing only
+            ("--mu", "0.01,0.005,0.002", "--l1", "300", "--l2", "700"),  # long
+            ("--r", "0.7,0.1,0.15,0.05", "--s", "0.6,0.2,0.1,0.1"),
+        ],
+    )
+    def test_verify_oracle(self, capsys, link):
+        code, out, _ = run(capsys, "transmit", *link, "--verify-oracle", "--format", "json")
         assert code == 0
         doc = json.loads(out)
         assert doc["results"]["oracle"]["max_weight_deviation"] < 1e-12
@@ -209,6 +216,7 @@ class TestEstimateMu:
         # mu = 6.8e307 /km, where 4 mu overflows; the threshold is subnormal, not 0 km.
         code, out, err = run(capsys, "estimate-mu", "--qber", "0.7", "--length", "1e-308")
         assert (code, err) == (0, "")
+        assert "(rms residual 0.000e+00)\n" in out
         assert "implied depolarizing threshold: 4.05684e-309 km\n" in out
 
     def test_csv_single_row_matches_inline(self, tmp_path, capsys):

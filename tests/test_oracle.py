@@ -47,6 +47,49 @@ def bell_diagonal_density(weights):
     return sum(w * bell_state(k) for w, k in zip(weights, BELL_KINDS))
 
 
+def random_full_rank_state(gen, n):
+    # A A^H / tr over a complex Gaussian A: full rank, complex, not symmetric,
+    # and exactly Hermitian, so the oracle's Hermitian part is the state itself.
+    a = gen.normal(size=(n, n)) + 1j * gen.normal(size=(n, n))
+    rho = a @ a.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / rho.trace().real
+
+
+# Reference loops over the definitions, one term at a time, in the product
+# basis |00>, |01>, |10>, |11>.
+_H = 1.0 / math.sqrt(2.0)
+REFERENCE_BELL = {
+    "psi+": np.array([_H, 0.0, 0.0, _H]),
+    "psi-": np.array([_H, 0.0, 0.0, -_H]),
+    "phi+": np.array([0.0, _H, _H, 0.0]),
+    "phi-": np.array([0.0, _H, -_H, 0.0]),
+}
+
+
+def reference_kraus(weights, ops, rho):
+    out = np.zeros(rho.shape, dtype=complex)
+    for weight, op in zip(weights, ops):
+        out += weight * (op @ rho @ op)
+    return out
+
+
+def reference_two_sided(r, s, rho):
+    pairs = [(k, l) for k in range(4) for l in range(4)]
+    ops = [np.kron(PAULI[k], PAULI[l]) for k, l in pairs]
+    return reference_kraus([r[k] * s[l] for k, l in pairs], ops, rho)
+
+
+def reference_project(rho):
+    weights, diag_part = [], np.zeros((4, 4), dtype=complex)
+    for kind in BELL_KINDS:
+        v = REFERENCE_BELL[kind]
+        w = float(np.real(v.conj() @ rho @ v))
+        weights.append(w)
+        diag_part += w * np.outer(v, v.conj())
+    return weights, float(np.linalg.norm(rho - diag_part))
+
+
 class TestBellStates:
     def test_unit_trace_projectors(self):
         for kind in BELL_KINDS:
@@ -67,6 +110,10 @@ class TestBellStates:
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):
             bell_state("psi")
+
+    def test_vectors_match_the_definitions(self):
+        for kind in BELL_KINDS:
+            assert np.array_equal(bell_vector(kind), REFERENCE_BELL[kind])
 
 
 class TestSingleQubitChannel:
@@ -96,6 +143,14 @@ class TestSingleQubitChannel:
         assert abs(out.trace() - 1.0) < 1e-14
         assert np.max(np.abs(out - out.conj().T)) < 1e-14
 
+    def test_matches_kraus_loop_on_general_states(self):
+        gen = np.random.default_rng(20261019)
+        for _ in range(50):
+            p = PauliProbs(*gen.dirichlet([1.0] * 4))
+            rho = random_full_rank_state(gen, 2)
+            want = reference_kraus(p, PAULI, rho)
+            assert np.max(np.abs(apply_single_qubit_pauli(p, rho) - want)) < 1e-14
+
 
 class TestTwoSidedChannel:
     def test_identity(self):
@@ -123,6 +178,14 @@ class TestTwoSidedChannel:
     def test_rejects_bad_state(self):
         with pytest.raises(ValidationError):
             apply_two_sided(random_probs(), random_probs(), np.eye(4))
+
+    def test_matches_kraus_loop_on_general_states(self):
+        gen = np.random.default_rng(20261020)
+        for _ in range(50):
+            r, s = (PauliProbs(*gen.dirichlet([1.0] * 4)) for _ in range(2))
+            rho = random_full_rank_state(gen, 4)
+            want = reference_two_sided(r, s, rho)
+            assert np.max(np.abs(apply_two_sided(r, s, rho) - want)) < 1e-14
 
 
 class TestHermitianEigenvalues:
@@ -156,6 +219,11 @@ class TestHermitianEigenvalues:
 
     def test_zero_matrix(self):
         assert np.array_equal(hermitian_eigenvalues(np.zeros((4, 4))), np.zeros(4))
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4,), (2, 2, 2), (0, 0)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValidationError, match="matrix must be a non-empty square, got shape"):
+            hermitian_eigenvalues(np.zeros(shape))
 
 
 class TestPsdSqrt:
@@ -235,6 +303,15 @@ class TestBellDiagonalProject:
         assert np.allclose(state.as_tuple(), (0.5, 0.5, 0.0, 0.0), atol=1e-15)
         assert residual > 0.1
 
+    def test_matches_projection_loop_on_general_states(self):
+        gen = np.random.default_rng(20261021)
+        for _ in range(50):
+            rho = random_full_rank_state(gen, 4)
+            state, residual = bell_diagonal_project(rho)
+            weights, want_residual = reference_project(rho)
+            assert max(abs(g - w) for g, w in zip(state.as_tuple(), weights)) < 1e-14
+            assert abs(residual - want_residual) < 1e-14
+
 
 class TestValidation:
     def test_rejects_non_unit_trace(self):
@@ -255,3 +332,19 @@ class TestValidation:
     def test_accepts_valid_state(self):
         weights = rng.dirichlet([1.0] * 4)
         validate_density_matrix(bell_diagonal_density(weights))
+
+    def test_returns_a_fresh_hermitian_part(self):
+        rho = bell_state("psi+")
+        rho[0, 3] += 1e-13  # Hermitian within 1e-12, not exactly
+        got = validate_density_matrix(rho)
+        assert got is not rho and not np.shares_memory(got, rho)
+        assert got.dtype == np.complex128
+        assert np.array_equal(got, 0.5 * (rho + rho.conj().T))
+        assert np.array_equal(got, got.conj().T)
+
+    @pytest.mark.parametrize(
+        "dim, shape", [(4, (2, 2)), (2, (4, 4)), (4, (4, 2)), (4, (16,)), (4, (0, 0))]
+    )
+    def test_rejects_wrong_shape(self, dim, shape):
+        with pytest.raises(ValidationError, match=f"must be {dim}x{dim}, got shape"):
+            validate_density_matrix(np.zeros(shape), dim=dim)
