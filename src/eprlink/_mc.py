@@ -47,7 +47,6 @@ from __future__ import annotations
 import atexit
 import marshal
 import math
-import mmap
 import os
 import threading
 import time

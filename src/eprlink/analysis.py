@@ -2,12 +2,12 @@
 
 The total-length concurrence of a received pair decays with distance; when at
 least two error densities are positive it hits zero at a finite threshold
-length.  One bisection finds it for every density pattern; the closed forms
-of the symmetric special cases (three equal densities, two equal and one
-zero) are kept as the paper's formulas and as references.  Going the other
-way, a measured channel error rate (QBER) at a known total length inverts to
-a per-km error density under the depolarizing model:
-qber = 3/4 * (1 - exp(-4 mu L)).
+length.  One bisection finds it for every density pattern (`DomainError`
+where two densities are too far apart to scale together); the closed forms of
+the symmetric special cases are the paper's formulas and references.  Going
+the other way, measured channel error rates (QBER) at known total lengths
+invert to a per-km error density under the depolarizing model
+qber = 3/4 * (1 - exp(-4 mu L)).  Both halve to adjacent floats in `_bisect`.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
+from types import MethodType
 from typing import NamedTuple
 
 from .channel import (
@@ -160,35 +161,32 @@ def threshold_generic(mu: ErrorDensities) -> ThresholdResult:
     """Threshold length for any error densities, by bracketed bisection.
 
     With fewer than two positive densities the concurrence stays positive for
-    every finite length (single-flip regime), so the result is
-    never-vanishes.  Otherwise the densities are scaled by the power of two
-    at their largest, so no decay rate can overflow, and the unclamped
-    concurrence (strictly decreasing) is bracketed by doubling from one
-    scaled unit of length and bisected to adjacent floats.  The returned
-    length is the upper bracket end, the first float at which the criterion
-    is <= 0.  Past 2**1023 km the result is never-vanishes, as for the closed
-    forms `threshold_depolarizing` and `threshold_double_flip`, which it
-    matches to a few ulps.
+    every finite length (single-flip regime): never-vanishes.  Otherwise the
+    densities are scaled by the power of two at their largest, so no decay
+    rate can overflow; `DomainError` if that sends two positive densities to
+    fewer than two (a ratio past about 2**1074).  The unclamped concurrence
+    (strictly decreasing) is bracketed by doubling from one scaled unit of
+    length, and `_bisect` halves it to adjacent floats; the upper end, the
+    first float where the criterion is <= 0, is returned.  Past 2**1023 km
+    the result is never-vanishes, as for the closed forms, which it matches
+    to a few ulps.
     """
-    if sum(1 for m in mu if m > 0.0) < 2:
+    _, second, largest = sorted(mu)
+    if second == 0.0:
         return ThresholdResult(None)
     # Densities in units of 2**e /km, the largest in [0.5, 1), and lengths in
     # units of 2**-e km: every rate lies in [-4, 0].
-    e = math.frexp(max(mu))[1]
+    e = math.frexp(largest)[1]
+    if math.ldexp(second, -e) == 0.0:
+        raise DomainError(f"error densities {largest!r} and {second!r} /km are too far apart")
     rates = sorted(_decay_rates(math.ldexp(m, -e) for m in mu))
     # The two rates that carry the largest density are <= -1, so the bracket
     # closes by 2**10 units.
     lo, hi = 0.0, 1.0
     while _raw_concurrence(rates, hi) > 0.0:
         lo, hi = hi, 2.0 * hi
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if _raw_concurrence(rates, mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+    # The criterion bound to its rates, with no wrapper frame; it falls, positive at lo.
+    hi = _bisect(MethodType(_raw_concurrence, rates), lo, hi)[1]
     # 2**1023 km in scaled units; for e > 0 it passes the float range, and hi
     # cannot reach it.
     if e <= 0 and hi > math.ldexp(_MAX_THRESHOLD_KM, e):
@@ -231,10 +229,10 @@ def fit_mu(points) -> tuple[float, float]:
     """Least-squares error density over several QBER observations.
 
     Minimizes sum_i (qber_i - 3/4 (1 - exp(-4 mu L_i)))^2 by bisecting the
-    objective's derivative in mu, and returns the sign change of the
-    derivative (a local minimum) that the bisection reaches.  The objective
-    need not be unimodal: points at lengths far apart can give it several
-    local minima, and the one returned need not be the lowest.  A single
+    objective's derivative in mu to adjacent floats (`_bisect`), and returns
+    the midpoint of the sign change it reaches (a local minimum).  The
+    objective need not be unimodal: points at lengths far apart can give it
+    several local minima, and the one returned need not be the lowest.  A single
     point reduces exactly to `estimate_mu`, except that a density past the
     float range raises `DomainError` instead of returning inf.  Returns
     (mu, rms residual).
@@ -273,19 +271,23 @@ def fit_mu(points) -> tuple[float, float]:
             lo, hi = hi, 2.0 * hi
     else:
         raise NumericError("could not bracket the least-squares optimum")
-    # Bisect until the bracket collapses to adjacent floats; each halving is
-    # four exponentials, so running past the 1e-12 contract costs nothing and
-    # keeps the residual at noise level for exact-model data.
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if derivative(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
+    # The derivative rises through its sign change: positive at hi.
+    hi, lo = _bisect(derivative, hi, lo)
     mu = 0.5 * (lo + hi)
     return mu, _rms_residual(mu, points)
+
+
+def _bisect(f, pos, neg):
+    # Halves [pos, neg] (either end may be the larger) to adjacent floats: mid
+    # replaces pos where f(mid) > 0.0, else neg, so 0.0 and nan go with neg.
+    while True:
+        mid = 0.5 * (pos + neg)
+        if mid == pos or mid == neg:
+            return pos, neg
+        if f(mid) > 0.0:
+            pos = mid
+        else:
+            neg = mid
 
 
 def _rms_residual(mu: float, points) -> float:

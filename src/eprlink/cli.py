@@ -33,6 +33,10 @@ def _g6(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _threshold_text(result: analysis.ThresholdResult) -> str:
+    return f"{_g6(result.length_km)} km" if result.is_finite else "never vanishes"
+
+
 def _parse_float_list(text: str, n: int, what: str) -> list[float]:
     parts = [s.strip() for s in text.split(",")]
     if len(parts) != n:
@@ -178,10 +182,7 @@ def cmd_threshold(args) -> Report:
     result = analysis.threshold_generic(mu)
     inputs = {"mu": mu._asdict()}
     results = {"kind": result.kind, "length_km": result.length_km}
-    if result.is_finite:
-        lines = [f"threshold: {_g6(result.length_km)} km"]
-    else:
-        lines = ["threshold: never vanishes"]
+    lines = [f"threshold: {_threshold_text(result)}"]
     row = (result.kind, result.length_km if result.is_finite else "")
     return Report("threshold", inputs, results, lines, ("kind", "length_km"), [row])
 
@@ -246,10 +247,7 @@ def cmd_estimate_mu(args) -> Report:
         for e in per_point
     ]
     lines.append(f"fitted mu: {_g6(mu_fit)} /km (rms residual {rms:.3e})")
-    if threshold.is_finite:
-        lines.append(f"implied depolarizing threshold: {_g6(threshold.length_km)} km")
-    else:
-        lines.append("implied depolarizing threshold: never vanishes")
+    lines.append(f"implied depolarizing threshold: {_threshold_text(threshold)}")
     header = (*MEASUREMENT_HEADER, "mu")
     return Report("estimate-mu", inputs, results, lines, header, [e.values() for e in per_point])
 

@@ -110,6 +110,34 @@ def _reference_fit_mu(points):
     return mu, rms(mu)
 
 
+def _reference_threshold(mu):
+    """The threshold solver's doubling and halving loop written out, in
+    scaled units, returning the length in km or None (never-vanishes)."""
+    if sum(1 for m in mu if m > 0.0) < 2:
+        return None
+    e = math.frexp(max(mu))[1]
+    m1, m2, m3 = (math.ldexp(m, -e) for m in mu)
+    r0, r1, r2 = sorted((-2.0 * (m1 + m2), -2.0 * (m1 + m3), -2.0 * (m2 + m3)))
+
+    def raw(length):
+        return math.exp(r0 * length) + math.exp(r1 * length) + math.expm1(r2 * length)
+
+    lo, hi = 0.0, 1.0
+    while raw(hi) > 0.0:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if raw(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    if e <= 0 and hi > math.ldexp(2.0**1023, e):
+        return None
+    return math.ldexp(hi, -e)
+
+
 def _density_corpus(gen):
     """Depolarizing, double-flip, single-flip and generic triples over 1e-30..1e3 /km,
     plus subnormal ones."""
@@ -349,6 +377,50 @@ class TestThresholdGeneric:
     def test_smallest_densities_never_vanish(self):
         # The threshold, ln(3) / (4 * 5e-324) km, is past the 2**1023 km reach.
         assert not threshold_generic(ErrorDensities(5e-324, 5e-324, 5e-324)).is_finite
+
+    def test_bit_identical_to_reference_threshold(self):
+        # Generic triples, density ratio up to 1e30, scaled over 1e-300..1e300
+        # /km: about 30% with one density 0 and 20% with all three equal.
+        gen = np.random.default_rng(20261019)
+        triples = _density_corpus(gen)
+        for _ in range(2400):
+            scale, pick = 10.0 ** gen.uniform(-300.0, 300.0), gen.random()
+            values = [scale] * 3 if pick < 0.2 else scale * 10.0 ** gen.uniform(-30.0, 0.0, 3)
+            if 0.2 <= pick < 0.5:
+                values[gen.integers(0, 3)] = 0.0
+            triples.append(ErrorDensities(*map(float, values)))
+        assert len(triples) > 2400
+        for mu in triples:
+            want = _reference_threshold(mu)
+            got = threshold_generic(mu).length_km
+            if want is None:
+                assert got is None, mu
+            else:
+                assert got.hex() == want.hex(), mu
+
+    @pytest.mark.parametrize(
+        "densities, named",
+        [
+            ((1e300, 1e-300, 0.0), "1e+300 and 1e-300"),
+            ((1e10, 0.0, 1e-315), "10000000000.0 and 1e-315"),
+        ],
+    )
+    def test_densities_too_far_apart_to_scale_raise(self, densities, named):
+        # Scaled by the power of two at 1e300 (or 1e10), the smaller density
+        # is 0.0, and the loop returns where exp(r0 L) underflows: 3.72567e-298
+        # km for the first, where a 700-digit bisection gives 6.87509e-298 km.
+        mu = ErrorDensities(*densities)
+        assert _reference_threshold(mu) > 0.0
+        with pytest.raises(DomainError) as info:
+            threshold_generic(mu)
+        assert str(info.value) == f"error densities {named} /km are too far apart"
+
+    def test_subnormal_density_that_scales_is_kept(self):
+        # 1e-320 scaled by 2**-1 is still positive: two densities remain.
+        mu = ErrorDensities(1.0, 1e-320, 0.0)
+        got = threshold_generic(mu).length_km
+        assert got.hex() == _reference_threshold(mu).hex()
+        assert f"{got:.6g}" == "365.463"
 
 
 class TestEstimateMu:

@@ -196,6 +196,20 @@ class TestThreshold:
     def test_probes(self, capsys, mu, line):
         assert run(capsys, "threshold", "--mu", mu) == (0, line + "\n", "")
 
+    @pytest.mark.parametrize(
+        "mu, densities",
+        [("1e300,1e-300,0", "1e+300 and 1e-300"), ("1e10,1e-315,0", "10000000000.0 and 1e-315")],
+    )
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_densities_too_far_apart_exit_3(self, capsys, mu, densities, fmt):
+        # Scaling sends the smaller density to 0.0; the length the loop would
+        # print there (3.72567e-298 km for the first) is wrong.
+        message = f"error: error densities {densities} /km are too far apart\n"
+        assert run(capsys, "threshold", "--mu", mu, "--format", fmt) == (3, "", message)
+
+    def test_subnormal_density_that_scales_is_kept(self, capsys):
+        assert run(capsys, "threshold", "--mu", "1,1e-320,0") == (0, "threshold: 365.463 km\n", "")
+
 
 class TestEstimateMu:
     def test_inline_drift_observation(self, capsys):
@@ -729,6 +743,12 @@ class TestSubprocess:
     def test_domain_failure(self):
         proc = self.invoke("estimate-mu", "--qber", "0.8", "--length", "1")
         assert proc.returncode == 3
+
+    def test_densities_too_far_apart_fail_without_traceback(self):
+        proc = self.invoke("threshold", "--mu", "1e300,1e-300,0")
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr.startswith("error: error densities 1e+300 and 1e-300 /km")
+        assert "Traceback" not in proc.stderr
 
 
 class TestLazyNumpy:
