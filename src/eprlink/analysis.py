@@ -16,7 +16,6 @@ import math
 import sys
 from collections import namedtuple
 from types import MethodType
-from typing import NamedTuple
 
 from .channel import (
     _FLOAT_MAX,
@@ -103,12 +102,10 @@ class ThresholdResult(_Value, namedtuple("ThresholdResult", "length_km")):
         return "finite" if self.is_finite else "never-vanishes"
 
 
-class SweepRow(NamedTuple):
+class SweepRow(namedtuple("SweepRow", "length_km concurrence fidelity")):
     """One sweep grid point: total length (km), concurrence and psi+ fidelity."""
 
-    length_km: float
-    concurrence: float
-    fidelity: float
+    __slots__ = ()
 
 
 class SweepTable(_Value, namedtuple("SweepTable", "rows")):
@@ -203,8 +200,10 @@ def estimate_mu(point: MeasurementPoint) -> float:
     """
     # The logarithm is 0 or at least 1.1e-16 in magnitude, so quartering it is
     # exact: this rounds the quotient by 4 L once, as before, but 4 L can no
-    # longer overflow (L above ~4.5e307 km gave mu = 0).
-    return -math.log((3.0 - 4.0 * point.qber) / 3.0) / 4.0 / point.total_length_km
+    # longer overflow (L above ~4.5e307 km gave mu = 0).  Where the logarithm
+    # is 0 the quotient is -0.0; adding 0.0 makes that 0.0 and keeps every
+    # other float.
+    return -math.log((3.0 - 4.0 * point.qber) / 3.0) / 4.0 / point.total_length_km + 0.0
 
 
 def _finite_estimate(point: MeasurementPoint) -> float:

@@ -16,7 +16,7 @@ import csv
 import json
 import math
 import sys
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import analysis, epr
 from .channel import ErrorDensities, PauliProbs, at_length, decay_factors, iterate
@@ -55,15 +55,14 @@ def _parse_mu(text: str) -> ErrorDensities:
     return ErrorDensities(*_parse_float_list(text, 3, "--mu"))
 
 
-class Report(NamedTuple):
-    """One command's answer: the json document, the table lines and the csv rows."""
+class Report(namedtuple("Report", "command inputs results lines header rows")):
+    """One command's answer: the json document, the table lines and the csv rows.
 
-    command: str
-    inputs: dict
-    results: dict
-    lines: list[str]
-    header: tuple[str, ...]
-    rows: list
+    ``command`` is the subcommand, ``inputs`` and ``results`` are dicts, ``lines``
+    the table's lines, ``header`` the csv header and ``rows`` its rows.
+    """
+
+    __slots__ = ()
 
 
 def _render(report: Report, fmt: str) -> str:

@@ -81,15 +81,14 @@ def transmit(r: PauliProbs, s: PauliProbs) -> BellDiagonal:
     Each weight collects the error-index pairs (k, l) whose Klein-four
     product maps psi+ to the respective Bell state: index XOR 0 keeps psi+,
     1 gives phi+, 2 gives phi-, and 3 gives psi-.  This is
-    `channel._convolve` with its output read in that order.
+    `channel._convolve` with its output read in that order (`_bell_order`).
     """
-    a, c, d, b = _convolve(r, s)
-    return BellDiagonal(a, b, c, d)
+    return BellDiagonal(*_bell_order(_convolve(r, s)))
 
 
-def _bell_weights(rates: tuple[float, float, float], length: float):
-    # The (a, b, c, d) weights at one finite total length, unvalidated.
-    a, b, d, c = _hadamard(*_decays(rates, length))
+def _bell_order(klein):
+    # (a, b, c, d) from four weights indexed by the Klein-four product k XOR l.
+    a, c, d, b = klein
     return a, b, c, d
 
 
@@ -107,7 +106,8 @@ def transmit_at_length(mu: ErrorDensities, geom: LinkGeometry) -> BellDiagonal:
     total_km = geom.total_km
     if total_km == math.inf:
         return transmit(at_length(mu, geom.l1_km), at_length(mu, geom.l2_km))
-    return BellDiagonal(*_bell_weights(_decay_rates(mu), total_km))
+    a, b, d, c = _hadamard(*_decays(_decay_rates(mu), total_km))
+    return BellDiagonal(a, b, c, d)
 
 
 def concurrence(state: BellDiagonal) -> float:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _mc
 from .channel import ErrorDensities, PauliProbs, _as_count, _as_int, _Value
-from .epr import BELL_LABELS, BellDiagonal, LinkGeometry
+from .epr import BELL_LABELS, BellDiagonal, LinkGeometry, _bell_order
 from .errors import DomainError, ValidationError
 
 __all__ = [
@@ -290,8 +290,7 @@ def monte_carlo_transmit(
             )
     counts = _mc.bell_outcome_counts(seed, samples, n1, n2, t1, t2, t3)
     # Tallies of the folded index k XOR l, in Bell order as in epr.transmit.
-    a, c, d, b = (count / samples for count in counts)
-    freq = (a, b, c, d)
+    freq = _bell_order(count / samples for count in counts)
     errors = tuple(math.sqrt(f * (1.0 - f) / samples) for f in freq)
     return McEstimate(
         bell_diagonal=BellDiagonal(*freq),

@@ -25,9 +25,16 @@ from eprlink import (
     threshold_generic,
     transmit_at_length,
 )
-from eprlink.epr import BellDiagonal, _bell_weights, _decay_rates, _raw_concurrence
+from eprlink.channel import _decays, _hadamard
+from eprlink.epr import BellDiagonal, _decay_rates, _raw_concurrence
 
 rng = np.random.default_rng(20240504)
+
+
+def _bell_weights(rates, length):
+    # The closed form's (a, b, c, d) at one total length, before BellDiagonal clamps them.
+    a, b, d, c = _hadamard(*_decays(rates, length))
+    return a, b, c, d
 
 
 def _mp_threshold(mu, guess):
@@ -435,6 +442,14 @@ class TestEstimateMu:
     def test_zero_qber(self):
         assert estimate_mu(MeasurementPoint(0.0, 5.0)) == 0.0
 
+    @pytest.mark.parametrize("qber", [0.0, 1e-20, 5e-324])
+    @pytest.mark.parametrize("length", [1.0, 5e-324, 1e308])
+    def test_zero_estimate_is_positive_zero(self, qber, length):
+        # -ln(1) / 4 / L is -0.0; the estimate, and the fit of that one point, is 0.0
+        point = MeasurementPoint(qber, length)
+        assert estimate_mu(point).hex() == "0x0.0p+0"
+        assert fit_mu([point])[0].hex() == "0x0.0p+0"
+
     def test_round_trips_the_forward_model(self):
         # 4 mu L capped at 10: beyond that the qber sits within 1e-5 of the
         # 0.75 floor and the 1 - q cancellation alone costs more than 1e-12
@@ -467,7 +482,8 @@ class TestEstimateMu:
             if length == 0.0:
                 continue
             point = MeasurementPoint(qber, length)
-            direct = -math.log((3.0 - 4.0 * qber) / 3.0) / (4.0 * length)
+            # + 0.0 turns the -0.0 of a logarithm that rounds to 0 into 0.0
+            direct = -math.log((3.0 - 4.0 * qber) / 3.0) / (4.0 * length) + 0.0
             assert estimate_mu(point).hex() == direct.hex()
 
 

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eprlink import ErrorDensities, LinkGeometry, analysis, cli
+import eprlink
+from eprlink import ErrorDensities, LinkGeometry, analysis, channel, cli, epr, oracle
 from eprlink.epr import transmit_at_length
 
 
@@ -273,6 +274,21 @@ class TestEstimateMu:
         assert code == 0
         assert "-> mu = 2.74653e-309 /km" in out
         assert "fitted mu: 2.74653e-309 /km" in out
+
+    def test_zero_qber_gives_positive_zero(self, capsys):
+        # -ln(1) / 4 / L is -0.0, which printed as "-0" and "-0.0"
+        argv = ("estimate-mu", "--qber", "0", "--length", "1")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[:2] == [
+            "qber 0 at 1 km -> mu = 0 /km",
+            "fitted mu: 0 /km (rms residual 0.000e+00)",
+        ]
+        _, out, _ = run(capsys, *argv, "--format", "json")
+        results = json.loads(out)["results"]
+        mus = (results["per_point"][0]["mu"], results["fit"]["mu"])
+        assert [mu.hex() for mu in mus] == ["0x0.0p+0", "0x0.0p+0"]
+        assert run(capsys, *argv, "--format", "csv") == (0, "qber,total_length_km,mu\n0,1,0\n", "")
 
     @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
     def test_overflowing_estimate_exits_3(self, capsys, fmt):
@@ -789,6 +805,16 @@ class TestLazyNumpy:
             "assert 'numpy' in sys.modules\n"
         )
 
+    def test_pauli_and_bell_labels_join_the_surface(self):
+        self.python(
+            "import sys\n"
+            "import eprlink\n"
+            "assert eprlink.BELL_LABELS == ('psi+', 'psi-', 'phi+', 'phi-')\n"
+            "assert 'numpy' not in sys.modules\n"
+            "assert eprlink.PAULI.shape == (4, 2, 2)\n"
+            "assert eprlink.PAULI is eprlink.oracle.PAULI\n"
+        )
+
     def test_star_import(self):
         self.python(
             "import eprlink\n"
@@ -807,6 +833,20 @@ class TestLazyNumpy:
             "assert not missing, missing\n"
             "assert 'numpy' not in sys.modules\n"
         )
+
+
+class TestPackageSurface:
+    """Each module's __all__ is the one list of its public names."""
+
+    def test_all_is_the_union_of_the_module_lists(self):
+        errors = ["DomainError", "NumericError", "ValidationError"]
+        names = analysis.__all__ + channel.__all__ + epr.__all__ + oracle.__all__ + errors
+        assert len(set(names)) == len(names)
+        assert set(eprlink.__all__) == set(names)
+        assert eprlink.__all__ == sorted(names)
+
+    def test_lazy_names_are_the_oracle_list(self):
+        assert eprlink._ORACLE_NAMES == frozenset(oracle.__all__)
 
 
 class TestTotalLengthPastTheFloatRange:

@@ -163,3 +163,20 @@ def test_importing_the_cli_loads_no_code_generation_modules():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_importing_the_cli_without_site_loads_no_typing():
+    # -S: a site .pth file (certifi's, for one) may import typing on its own.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = (
+        "import sys\n"
+        "import eprlink.cli\n"
+        "heavy = ('typing', 'dataclasses', 'inspect', 'ast', 'dis', 'tokenize')\n"
+        "print(' '.join(m for m in heavy if m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
