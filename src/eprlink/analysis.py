@@ -2,12 +2,13 @@
 
 The total-length concurrence of a received pair decays with distance; when at
 least two error densities are positive it hits zero at a finite threshold
-length.  One bisection finds it for every density pattern (`DomainError`
-where two densities are too far apart to scale together); the closed forms of
-the symmetric special cases are the paper's formulas and references.  Going
-the other way, measured channel error rates (QBER) at known total lengths
-invert to a per-km error density under the depolarizing model
-qber = 3/4 * (1 - exp(-4 mu L)).  Both halve to adjacent floats in `_bisect`.
+length.  One bracketed root search finds it for every density pattern
+(`DomainError` where two densities are too far apart to scale together); the
+closed forms of the symmetric special cases are the paper's formulas and
+references.  Going the other way, measured channel error rates (QBER) at
+known total lengths invert to a per-km error density under the depolarizing
+model qber = 3/4 * (1 - exp(-4 mu L)).  Both narrow a bracket to adjacent
+floats in `_bisect`, a safeguarded regula falsi.
 """
 
 from __future__ import annotations
@@ -47,12 +48,10 @@ __all__ = [
 # so a channel-attributed QBER of 3/4 or more has no pre-image.
 QBER_FLOOR_LIMIT = 0.75
 
-# Brackets start at 1 and double or halve; 1024 steps span the float range
-# (2**1023 is the largest finite power of two).
-_MAX_DOUBLINGS = 1024
-# The longest finite threshold, 2**1023 km; past it (or past the float range)
-# the closed forms and `threshold_generic` both answer never-vanishes.
-_MAX_THRESHOLD_KM = 2.0 ** (_MAX_DOUBLINGS - 1)
+# The longest finite threshold, 2**1023 km (the largest finite power of two);
+# past it (or past the float range) the closed forms and `threshold_generic`
+# both answer never-vanishes.
+_MAX_THRESHOLD_KM = 2.0**1023
 
 
 class MeasurementPoint(_Value, namedtuple("MeasurementPoint", "qber total_length_km")):
@@ -155,7 +154,7 @@ def _closed_form_result(length_km: float) -> ThresholdResult:
 
 
 def threshold_generic(mu: ErrorDensities) -> ThresholdResult:
-    """Threshold length for any error densities, by bracketed bisection.
+    """Threshold length for any error densities, by bracketed regula falsi.
 
     With fewer than two positive densities the concurrence stays positive for
     every finite length (single-flip regime): never-vanishes.  Otherwise the
@@ -163,7 +162,7 @@ def threshold_generic(mu: ErrorDensities) -> ThresholdResult:
     rate can overflow; `DomainError` if that sends two positive densities to
     fewer than two (a ratio past about 2**1074).  The unclamped concurrence
     (strictly decreasing) is bracketed by doubling from one scaled unit of
-    length, and `_bisect` halves it to adjacent floats; the upper end, the
+    length, and `_bisect` narrows it to adjacent floats; the upper end, the
     first float where the criterion is <= 0, is returned.  Past 2**1023 km
     the result is never-vanishes, as for the closed forms, which it matches
     to a few ulps.
@@ -178,12 +177,14 @@ def threshold_generic(mu: ErrorDensities) -> ThresholdResult:
         raise DomainError(f"error densities {largest!r} and {second!r} /km are too far apart")
     rates = sorted(_decay_rates(math.ldexp(m, -e) for m in mu))
     # The two rates that carry the largest density are <= -1, so the bracket
-    # closes by 2**10 units.
-    lo, hi = 0.0, 1.0
-    while _raw_concurrence(rates, hi) > 0.0:
-        lo, hi = hi, 2.0 * hi
+    # closes by 2**10 units.  The criterion is 3 - 1 = 2 exactly at length 0.
+    lo, hi, f_lo = 0.0, 1.0, 2.0
+    f_hi = _raw_concurrence(rates, hi)
+    while f_hi > 0.0:
+        lo, hi, f_lo = hi, 2.0 * hi, f_hi
+        f_hi = _raw_concurrence(rates, hi)
     # The criterion bound to its rates, with no wrapper frame; it falls, positive at lo.
-    hi = _bisect(MethodType(_raw_concurrence, rates), lo, hi)[1]
+    hi = _bisect(MethodType(_raw_concurrence, rates), lo, hi, f_lo, f_hi)[1]
     # 2**1023 km in scaled units; for e > 0 it passes the float range, and hi
     # cannot reach it.
     if e <= 0 and hi > math.ldexp(_MAX_THRESHOLD_KM, e):
@@ -227,13 +228,15 @@ def _qber_model(mu: float, length_km: float) -> float:
 def fit_mu(points) -> tuple[float, float]:
     """Least-squares error density over several QBER observations.
 
-    Minimizes sum_i (qber_i - 3/4 (1 - exp(-4 mu L_i)))^2 by bisecting the
-    objective's derivative in mu to adjacent floats (`_bisect`), and returns
-    the midpoint of the sign change it reaches (a local minimum).  The
-    objective need not be unimodal: points at lengths far apart can give it
-    several local minima, and the one returned need not be the lowest.  A single
-    point reduces exactly to `estimate_mu`, except that a density past the
-    float range raises `DomainError` instead of returning inf.  Returns
+    Minimizes sum_i (qber_i - 3/4 (1 - exp(-4 mu L_i)))^2 by narrowing a sign
+    change of the objective's derivative in mu to adjacent floats
+    (`_bisect`), from the bracket of the per-point estimates, and returns its
+    midpoint (a local minimum).  The objective need not be unimodal: points
+    at lengths far apart can give it several local minima, and the one
+    returned need not be the lowest.  A single point reduces exactly to
+    `estimate_mu`, except that a density past the float range raises
+    `DomainError` instead of returning inf.  `NumericError` where the
+    derivative has no sign change in [0, largest float].  Returns
     (mu, rms residual).
     """
     points = list(points)
@@ -257,36 +260,68 @@ def fit_mu(points) -> tuple[float, float]:
             total += 6.0 * (0.75 * (1.0 - decay) - qber) * length * decay
         return total
 
-    lo, hi = 0.0, 1.0
-    for _ in range(_MAX_DOUBLINGS):
-        slope = derivative(hi)
-        if slope > 0.0:
-            break
-        if slope == 0.0 and _rms_residual(hi, points) > 0.0:
-            # The model misses the data, yet every term of the slope
-            # underflowed (exp(-4 mu L) ~ 0): the optimum lies below hi.
-            hi = 0.5 * hi
-        else:
-            lo, hi = hi, 2.0 * hi
-    else:
-        raise NumericError("could not bracket the least-squares optimum")
+    # Every residual is negative below every per-point estimate and positive
+    # above them all, so the critical points lie between.  Where rounding (a
+    # logarithm that is 0 below qber ~1.1e-16) leaves an end's slope on the
+    # wrong side, that end widens by powers of two: lo to 0 at worst, where
+    # the slope is -6 sum(qber L) <= 0, and hi to the largest float.
+    estimates = sorted(min(estimate_mu(p), _FLOAT_MAX) for p in points)
+    lo, hi = estimates[0], estimates[-1]
+    f_lo, f_hi = derivative(lo), derivative(hi)
+    while f_lo > 0.0:
+        hi, f_hi, lo = lo, f_lo, 0.5 * lo
+        f_lo = derivative(lo)
+    while not f_hi > 0.0:
+        if hi == _FLOAT_MAX:
+            # At 5e-324 km, say, every term underflows to 0 at every mu.
+            raise NumericError("could not bracket the least-squares optimum")
+        lo, f_lo, hi = hi, f_hi, min(2.0 * hi, _FLOAT_MAX) or 5e-324
+        f_hi = derivative(hi)
     # The derivative rises through its sign change: positive at hi.
-    hi, lo = _bisect(derivative, hi, lo)
-    mu = 0.5 * (lo + hi)
+    hi, lo = _bisect(derivative, hi, lo, f_hi, f_lo)
+    # 0.5 * (lo + hi); above 1 the halves are exact, and their sum rounds as
+    # that does but cannot overflow.
+    mu = 0.5 * (lo + hi) if hi <= 1.0 else 0.5 * lo + 0.5 * hi
     return mu, _rms_residual(mu, points)
 
 
-def _bisect(f, pos, neg):
-    # Halves [pos, neg] (either end may be the larger) to adjacent floats: mid
-    # replaces pos where f(mid) > 0.0, else neg, so 0.0 and nan go with neg.
+def _bisect(f, pos, neg, f_pos, f_neg):
+    # Narrows [pos, neg] (either end the larger, both of one sign), with
+    # f_pos = f(pos) > 0.0 >= f_neg = f(neg), to adjacent floats; a point x
+    # replaces pos where f(x) > 0.0, else neg, so 0.0 and nan go with neg.
+    # Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971): x is the secant
+    # point from the end of smaller |f| (the next float where it rounds onto
+    # that end), and an end kept twice in a row has its stored f halved.  x is
+    # the midpoint where the secant is nan, and whenever two steps have not
+    # halved the bracket, so no input takes more than three evaluations per
+    # step of plain bisection, plus three.  Summed halves keep mid finite.
+    wide = wider = math.inf
+    kept = 0
     while True:
-        mid = 0.5 * (pos + neg)
+        mid = 0.5 * pos + 0.5 * neg
         if mid == pos or mid == neg:
             return pos, neg
-        if f(mid) > 0.0:
-            pos = mid
+        x, width = mid, abs(neg - pos)
+        if f_neg <= 0.0 < f_pos and width <= 0.5 * wider:
+            if f_pos < -f_neg:
+                near, far, r = pos, neg, f_pos / (f_pos - f_neg)
+            else:
+                near, far, r = neg, pos, f_neg / (f_neg - f_pos)
+            x = near + (far - near) * r
+            if x == near:
+                x = math.nextafter(near, far)
+            elif x != x:
+                x = mid
+        wider, wide = wide, width
+        fx = f(x)
+        if fx > 0.0:
+            if kept < 0:
+                f_neg *= 0.5
+            pos, f_pos, kept = x, fx, -1
         else:
-            neg = mid
+            if kept > 0:
+                f_pos *= 0.5
+            neg, f_neg, kept = x, fx, 1
 
 
 def _rms_residual(mu: float, points) -> float:

@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 
 import mpmath
@@ -12,6 +13,7 @@ from eprlink import (
     ErrorDensities,
     LinkGeometry,
     MeasurementPoint,
+    NumericError,
     SweepRow,
     SweepTable,
     ValidationError,
@@ -25,6 +27,7 @@ from eprlink import (
     threshold_generic,
     transmit_at_length,
 )
+from eprlink.analysis import _bisect
 from eprlink.channel import _decays, _hadamard
 from eprlink.epr import BellDiagonal, _decay_rates, _raw_concurrence
 
@@ -73,35 +76,36 @@ def _ulps(got, want):
 
 
 # The reference form of the least-squares solver, one closed-form evaluation
-# per step as written out in its docstring; the library's loop must return the
-# same floats bit for bit.
+# per step as written out in its docstring: the slope and rms below, and the
+# bracket loop and bisection that the library ran before it took regula falsi
+# steps inside the bracket of the per-point estimates.
+
+
+def _reference_rms(points, mu):
+    sse = sum(
+        (p.qber - 0.75 * (1.0 - math.exp(-4.0 * mu * p.total_length_km))) ** 2 for p in points
+    )
+    return math.sqrt(sse / len(points))
+
+
+def _reference_slope(points, mu):
+    total = 0.0
+    for p in points:
+        decay = math.exp(-4.0 * mu * p.total_length_km)
+        model = 0.75 * (1.0 - decay)
+        total += 2.0 * (model - p.qber) * 3.0 * p.total_length_km * decay
+    return total
 
 
 def _reference_fit_mu(points):
-    def model(mu, length):
-        return 0.75 * (1.0 - math.exp(-4.0 * mu * length))
-
-    def rms(mu):
-        sse = sum((p.qber - model(mu, p.total_length_km)) ** 2 for p in points)
-        return math.sqrt(sse / len(points))
-
-    def derivative(mu):
-        total = 0.0
-        for p in points:
-            decay = math.exp(-4.0 * mu * p.total_length_km)
-            total += (
-                2.0 * (model(mu, p.total_length_km) - p.qber) * 3.0 * p.total_length_km * decay
-            )
-        return total
-
     if all(p.qber == 0.0 for p in points):
         return 0.0, 0.0
     lo, hi = 0.0, 1.0
     for _ in range(1024):
-        slope = derivative(hi)
+        slope = _reference_slope(points, hi)
         if slope > 0.0:
             break
-        if slope == 0.0 and rms(hi) > 0.0:
+        if slope == 0.0 and _reference_rms(points, hi) > 0.0:
             hi = 0.5 * hi
         else:
             lo, hi = hi, 2.0 * hi
@@ -109,12 +113,12 @@ def _reference_fit_mu(points):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if derivative(mid) > 0.0:
+        if _reference_slope(points, mid) > 0.0:
             hi = mid
         else:
             lo = mid
     mu = 0.5 * (lo + hi)
-    return mu, rms(mu)
+    return mu, _reference_rms(points, mu)
 
 
 def _reference_threshold(mu):
@@ -524,6 +528,11 @@ class TestFitMu:
         mu, _ = fit_mu(points)
         assert math.isclose(mu, true_mu, rel_tol=1e-9)
 
+    # Campaigns whose fit is not the reference's: eight moved 2 to 124 ulps
+    # inside the slope's band of noisy signs, and 417 to the other local
+    # minimum, 6.18e-7 -> 1.50e-7 /km (rms 0.0201 -> 0.0067).
+    _MOVED_FROM_REFERENCE = (115, 243, 417, 494, 502, 716, 744, 834, 840)
+
     def test_bit_identical_to_reference_fit(self):
         campaigns = _campaign_corpus(np.random.default_rng(20261022))
         assert len(campaigns) > 300
@@ -533,9 +542,25 @@ class TestFitMu:
             MeasurementPoint(0.01620979901579673, 5.8883510341838265e25),
             MeasurementPoint(0.7153676894742085, 2.9827568789217064e28),
         ])
-        for points in campaigns:
-            got = fit_mu(points)
-            assert [v.hex() for v in got] == [v.hex() for v in _reference_fit_mu(points)], points
+        moved = []
+        for i, points in enumerate(campaigns):
+            mu, rms = fit_mu(points)
+            if all(p.qber == 0.0 for p in points):
+                assert (mu, rms) == (0.0, 0.0)
+                continue
+            # mu is the midpoint of adjacent floats n < p, so it is one of
+            # them, with the reference slope > 0 at p and not at n.
+            pairs = [(math.nextafter(mu, -math.inf), mu), (mu, math.nextafter(mu, math.inf))]
+            assert any(
+                _reference_slope(points, p) > 0.0
+                and not _reference_slope(points, n) > 0.0
+                and (0.5 * (n + p)).hex() == mu.hex()
+                for n, p in pairs
+            ), points
+            assert rms.hex() == _reference_rms(points, mu).hex(), points
+            if [mu.hex(), rms.hex()] != [v.hex() for v in _reference_fit_mu(points)]:
+                moved.append(i)
+        assert tuple(moved) == self._MOVED_FROM_REFERENCE
 
     def test_single_point_past_the_float_range_raises(self):
         # estimate_mu answers inf here; fit_mu raises as the CLI does
@@ -559,6 +584,105 @@ class TestFitMu:
     def test_all_zero_qber(self):
         mu, rms = fit_mu([MeasurementPoint(0.0, 1.0), MeasurementPoint(0.0, 2.0)])
         assert mu == 0.0 and rms == 0.0
+
+    def test_estimates_that_round_to_zero_bracket_the_optimum(self):
+        # log((3 - 4e-20) / 3) rounds to 0, so each estimate is 0.0.  The
+        # optimum, near 1e-20 / (3e308) /km, underflows: the slope is
+        # negative at 0 and positive at 5e-324, whose midpoint rounds to 0.0.
+        point = MeasurementPoint(1e-20, 1e308)
+        assert estimate_mu(point) == 0.0
+        mu, rms = fit_mu([point, point])
+        assert (mu.hex(), rms) == ("0x0.0p+0", 1e-20)
+
+    def test_slope_that_underflows_everywhere_raises_without_cycling(self):
+        # At 5e-324 km, mu L < 9e-16 for every float mu, so |model - qber| <
+        # 3e-15, and each slope term 6 (model - qber) L decay underflows to
+        # +-0: the slope has no sign change in [0, largest float], and no
+        # bracket exists.  The upper end doubles from 5e-324 to the largest
+        # float, each mu once, and then the fit raises.
+        seen = []
+
+        def record(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "derivative":
+                seen.append(frame.f_locals["mu"])
+
+        point = MeasurementPoint(1e-20, 5e-324)
+        sys.setprofile(record)
+        try:
+            with pytest.raises(NumericError, match="could not bracket the least-squares optimum"):
+                fit_mu([point, point])
+        finally:
+            sys.setprofile(None)
+        assert seen[:2] == [0.0, 0.0]
+        assert seen[2:] == sorted(set(seen[2:]))
+        assert seen[-1] == sys.float_info.max
+        assert len(seen) <= 2 + 1074 + 1024 + 1
+
+
+def _plain_bisection_evaluations(f, pos, neg):
+    # Evaluations of plain bisection from the same bracket to adjacent floats.
+    count = 0
+    while True:
+        mid = 0.5 * pos + 0.5 * neg
+        if mid == pos or mid == neg:
+            return count
+        count += 1
+        if f(mid) > 0.0:
+            pos = mid
+        else:
+            neg = mid
+
+
+# Criteria and their brackets (pos, neg): steps, plateaus of exact 0.0, nan,
+# the whole float range, subnormal ends, falling (pos < neg) and rising.
+_ADVERSARIAL_CRITERIA = {
+    "step": (lambda x: 1.0 if x > 0.3 else -1.0, 1.0, 0.0),
+    "falling step": (lambda x: 1.0 if x < 0.3 else -1.0, 0.0, 1.0),
+    "zero plateau": (lambda x: max(x - 0.7, 0.0), 1.0, 0.0),
+    "underflowed slope": (lambda x: (x - 0.3) * 1e-320, 1.0, 0.0),
+    "nan below": (lambda x: x - 0.3 if x > 0.3 else math.nan, 1.0, 0.0),
+    "whole float range": (lambda x: x - 3.0, sys.float_info.max, 0.0),
+    "whole float range, concave": (lambda x: math.sqrt(x) - 1e-100, sys.float_info.max, 0.0),
+    "whole float range, logarithmic": (lambda x: math.log1p(x) - 50.0, sys.float_info.max, 0.0),
+    "whole float range, convex": (
+        lambda x: math.expm1(min(x, 700.0)) - 1.0, sys.float_info.max, 0.0
+    ),
+    "largest floats": (lambda x: x - 1.5e308, sys.float_info.max, 1e308),
+    "subnormal": (lambda x: x - 3e-318, 1e-310, 5e-324),
+    "subnormal, convex": (lambda x: x * 1e300 * x * 1e300 - 1e-40, 1e-310, 5e-324),
+    "falling": (lambda x: math.exp(-x) - 1e-5, 0.0, 100.0),
+    "rising": (lambda x: x**4 - 1.0, 1e10, 0.0),
+}
+
+
+class TestBisect:
+    @pytest.mark.parametrize(
+        "f, pos, neg", list(_ADVERSARIAL_CRITERIA.values()), ids=list(_ADVERSARIAL_CRITERIA)
+    )
+    def test_contract_on_adversarial_criteria(self, f, pos, neg):
+        # Any three steps at least halve the bracket: at most three
+        # evaluations for each of plain bisection's, plus three.  A regula
+        # falsi that stalls (an end that never moves) runs past the bound.
+        bound = 3 * _plain_bisection_evaluations(f, pos, neg) + 3
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            assert len(calls) <= bound, f"more than {bound} evaluations"
+            return f(x)
+
+        p, n = _bisect(counted, pos, neg, f(pos), f(neg))
+        assert math.nextafter(min(p, n), math.inf) == max(p, n)
+        assert (p > n) == (pos > neg)
+        assert f(p) > 0.0 and not f(n) > 0.0
+
+    def test_smooth_criteria_take_a_fifth_of_bisection_steps(self):
+        # Without the Illinois halving the logarithm takes 477 steps, not 96.
+        for name in ("", ", concave", ", logarithmic"):
+            f, pos, neg = _ADVERSARIAL_CRITERIA["whole float range" + name]
+            calls = []
+            _bisect(lambda x: calls.append(x) or f(x), pos, neg, f(pos), f(neg))
+            assert 5 * len(calls) < _plain_bisection_evaluations(f, pos, neg), name
 
 
 def _reference_sweep(mu, l_max, steps):

@@ -252,6 +252,14 @@ class TestEstimateMu:
         assert len(doc["results"]["per_point"]) == 2
         assert 8.39e-3 <= doc["results"]["fit"]["mu"] <= 1.018e-2
 
+    def test_fit_of_estimates_that_round_to_zero(self, tmp_path, capsys):
+        # Each row's estimate is 0.0 and the optimum underflows: mu = 0 /km.
+        path = tmp_path / "pts.csv"
+        path.write_text("qber,total_length_km\n1e-20,1e308\n1e-20,1e308\n")
+        code, out, err = run(capsys, "estimate-mu", "--input", str(path))
+        assert (code, err) == (0, "")
+        assert "fitted mu: 0 /km (rms residual 1.000e-20)\n" in out
+
     def test_measurement_csv_round_trips_exactly(self, tmp_path, capsys):
         src = tmp_path / "pts.csv"
         src.write_text("qber,total_length_km\n0.01,0.4\n0.043,1.45\n")
