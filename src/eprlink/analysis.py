@@ -22,10 +22,8 @@ from .channel import (
     _FLOAT_MAX,
     ErrorDensities,
     _as_count,
-    _as_length,
-    _check_density,
-    _check_finite,
     _decay_rates,
+    _real,
     _Value,
 )
 from .epr import _raw_concurrence
@@ -67,17 +65,12 @@ class MeasurementPoint(_Value, namedtuple("MeasurementPoint", "qber total_length
             and 0.0 < total_length_km <= _FLOAT_MAX
         ):
             return tuple.__new__(cls, (qber, total_length_km))
-        _check_finite(qber, "qber must be a finite number, got ")
-        if qber < 0.0:
-            raise ValidationError(f"qber must be >= 0, got {qber!r}")
-        if qber >= QBER_FLOOR_LIMIT:
+        q = _real(qber, "qber", 0.0)
+        if q >= QBER_FLOOR_LIMIT:
             raise DomainError(
                 f"qber {qber!r} exceeds the depolarizing fidelity floor (must be < 0.75)"
             )
-        length = _as_length(total_length_km)
-        if length <= 0.0:
-            raise ValidationError(f"total length must be > 0 km, got {length!r}")
-        return tuple.__new__(cls, (float(qber), length))
+        return tuple.__new__(cls, (q, _real(total_length_km, "total_length_km", 0.0, above=True)))
 
 
 class ThresholdResult(_Value, namedtuple("ThresholdResult", "length_km")):
@@ -87,9 +80,7 @@ class ThresholdResult(_Value, namedtuple("ThresholdResult", "length_km")):
 
     def __new__(cls, length_km):
         if length_km is not None:
-            length_km = _as_length(length_km)
-            if length_km <= 0.0:
-                raise ValidationError(f"finite threshold must be > 0 km, got {length_km!r}")
+            length_km = _real(length_km, "length_km", 0.0, above=True)
         return tuple.__new__(cls, (length_km,))
 
     @property
@@ -128,7 +119,7 @@ def threshold_depolarizing(mu: float) -> ThresholdResult:
     Never-vanishes for mu = 0, and where the length exceeds 2**1023 km (the
     reach of `threshold_generic`) or overflows.
     """
-    _check_density(mu)
+    mu = _real(mu, "mu", 0.0)
     if mu == 0.0:
         return ThresholdResult(None)
     # Quartering ln(3) is exact, so this rounds ln(3) / (4 mu) once, and no
@@ -143,7 +134,7 @@ def threshold_double_flip(mu: float) -> ThresholdResult:
     ln(1/(sqrt(2) - 1)) / (2 mu).  Never-vanishes for mu = 0 and beyond
     2**1023 km, as in `threshold_depolarizing`.
     """
-    _check_density(mu)
+    mu = _real(mu, "mu", 0.0)
     if mu == 0.0:
         return ThresholdResult(None)
     return _closed_form_result(math.log(1.0 / (math.sqrt(2.0) - 1.0)) / 2.0 / mu)
@@ -165,8 +156,9 @@ def threshold_generic(mu: ErrorDensities) -> ThresholdResult:
     length, and `_bisect` narrows it to adjacent floats; the upper end, the
     first float where the criterion is <= 0, is returned.  Past 2**1023 km
     the result is never-vanishes, as for the closed forms, which it matches
-    to a few ulps.
+    to a few ulps.  A plain sequence ``mu`` is checked as `ErrorDensities`.
     """
+    mu = mu if type(mu) is ErrorDensities else ErrorDensities(*mu)
     _, second, largest = sorted(mu)
     if second == 0.0:
         return ThresholdResult(None)
@@ -338,15 +330,15 @@ def sweep(mu: ErrorDensities, l_max_km: float, steps) -> SweepTable:
     Raises
     ------
     ValidationError
-        If ``l_max_km`` is not a finite number > 0 km; if ``steps`` is not an
+        If a plain sequence ``mu`` fails the check of `ErrorDensities`; if
+        ``l_max_km`` is not a finite number > 0; if ``steps`` is not an
         integer >= 2; if grid lengths round together ("sweep lengths must be
         strictly increasing", e.g. a subnormal ``l_max_km``); or if a decay
         rate -2 (mu_i + mu_j) overflows, where the first row is 0 * inf = nan
         ("Bell weight a must be a finite number, got nan").
     """
-    l_max_km = _as_length(l_max_km)
-    if l_max_km <= 0.0:
-        raise ValidationError(f"maximum sweep length must be > 0 km, got {l_max_km!r}")
+    mu = mu if type(mu) is ErrorDensities else ErrorDensities(*mu)
+    l_max_km = _real(l_max_km, "l_max_km", 0.0, above=True)
     steps = _as_count(steps, "steps", minimum=2)
     rates = _decay_rates(mu)
     if -math.inf in rates:
@@ -358,16 +350,17 @@ def sweep(mu: ErrorDensities, l_max_km: float, steps) -> SweepTable:
     # a in [1/4, 1]; b, c and d are >= 0 up to rounding (x >= yz gives
     # 1 + x - y - z >= (1 - y)(1 - z), and so on), so BellDiagonal keeps a as
     # given, and a is the largest weight (rounding is monotone), so the
-    # concurrence is 2a - 1 floored at 0.  No row needs a check of its own;
-    # SweepTable's two checks run here, in its order.  Rows and table are built
-    # with tuple.__new__, as their own __new__ do after any check, less a
-    # Python frame.
+    # concurrence is 2a - 1 floored at 0.  No row needs a check of its own.
+    # SweepTable's length check runs here; its concurrence check cannot fail,
+    # as x, y and z cannot rise on a rising grid with finite rates <= 0.  Rows
+    # and table are built with tuple.__new__, as their own __new__ do after any
+    # check, less a Python frame.
     rx, ry, rz = rates
     exp = math.exp
     new_row = tuple.__new__
     rows = []
     append = rows.append
-    prev_length, prev_conc = -math.inf, math.inf
+    prev_length = -math.inf
     for length in [l_max_km * (i / steps) for i in range(steps + 1)]:
         x = exp(rx * length)
         y = exp(ry * length)
@@ -378,8 +371,6 @@ def sweep(mu: ErrorDensities, l_max_km: float, steps) -> SweepTable:
             conc = 0.0
         if length <= prev_length:
             raise ValidationError("sweep lengths must be strictly increasing")
-        if conc > prev_conc + 1e-12:
-            raise ValidationError("sweep concurrence must be non-increasing")
         append(new_row(SweepRow, (length, conc, a)))
-        prev_length, prev_conc = length, conc
+        prev_length = length
     return tuple.__new__(SweepTable, (tuple(rows),))

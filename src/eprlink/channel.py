@@ -20,9 +20,14 @@ rates -2 (mu_i + mu_j) and their exponentials).  Every other route, also in
 `epr`, unpacks or wraps these.
 
 The value objects here and in `epr`, `analysis` and `oracle` are immutable
-tuples of their fields on the `_Value` base, each checked in ``__new__``;
-four probabilities (`PauliProbs`, `epr.BellDiagonal`) share one constructor,
-and non-negative floats (`ErrorDensities`, `epr.LinkGeometry`) another.
+tuples of their fields on the `_Value` base, each checked in ``__new__``
+except `oracle.McEstimate` (`analysis.SweepRow` is a plain named tuple).
+Four probabilities (`PauliProbs`, `epr.BellDiagonal`) share one
+constructor, and non-negative floats (`ErrorDensities`, `epr.LinkGeometry`)
+another.  Every scalar field or parameter goes through `_real`, which
+raises "{name} must be a finite number, got {value}" or "{name} must be
+>= 0 | > 0 | in [0, 1], got {value}" under the name the signature spells
+("channel p0" and "Bell weight a" for the probabilities).
 """
 
 from __future__ import annotations
@@ -75,14 +80,30 @@ def _shown(value) -> str:
         return f"an integer of {value.bit_length()} bits"
 
 
+def _real(value, name: str, low=-_FLOAT_MAX, high=_FLOAT_MAX, above=False) -> float:
+    # `value` as a float if it is a finite int or float in [low, high], or in
+    # (low, high] with `above` (for "> low", with no high); else the template.
+    if type(value) is float and low <= value <= high and (value > low or not above):
+        return value
+    try:
+        x = float(value) if isinstance(value, _REAL) else math.nan
+    except OverflowError:  # an int past the float range
+        x = math.nan
+    if not math.isfinite(x):
+        raise ValidationError(f"{name} must be a finite number, got {_shown(value)}")
+    if low <= x <= high and (x > low or not above):
+        return x
+    if high < _FLOAT_MAX:
+        raise ValidationError(f"{name} must be in [{low:g}, {high:g}], got {_shown(value)}")
+    raise ValidationError(f"{name} must be {'>' if above else '>='} {low:g}, got {_shown(value)}")
+
+
 def _validate_distribution(kind: str, names, values) -> None:
     total = 0.0
-    for i, value in enumerate(values):
-        # The chained comparison is False for NaN and +-inf too; _check_finite
-        # only picks the message.
+    for name, value in zip(names, values):
+        # Within 1e-12 of [0, 1] passes; `_real` raises for nan, +-inf and the rest.
         if not (isinstance(value, _REAL) and _ENTRY_MIN <= value <= _ENTRY_MAX):
-            _check_finite(value, f"{kind} {names[i]} must be a finite number, got ")
-            raise ValidationError(f"{kind} {names[i]}={value!r} is outside [0, 1]")
+            _real(value, f"{kind} {name}", 0.0, 1.0)
         total += value
     if abs(total - 1.0) > _SUM_TOL:
         raise ValidationError(f"{kind} probabilities must sum to 1, got {total!r}")
@@ -177,8 +198,8 @@ class _NonNegative(_Value):
     """Finite non-negative floats.
 
     Fields that are floats in [0, max float], tested here in ``__new__``'s
-    frame, are stored as given; otherwise the subclass's ``_check_field(name,
-    value)`` checks each field in turn and returns the float to store.
+    frame, are stored as given; otherwise `_real` checks each field in turn,
+    under its field name, and returns the float to store.
     """
 
     __slots__ = ()
@@ -188,7 +209,7 @@ class _NonNegative(_Value):
             values = _bind(cls, values, named)
         for value in values:
             if not (type(value) is float and 0.0 <= value <= _FLOAT_MAX):
-                return tuple.__new__(cls, map(cls._check_field, cls._fields, values))
+                return tuple.__new__(cls, [_real(v, n, 0.0) for v, n in zip(values, cls._fields)])
         return tuple.__new__(cls, values)
 
 
@@ -212,13 +233,6 @@ class ErrorDensities(_NonNegative, namedtuple("ErrorDensities", "mu1 mu2 mu3")):
 
     __slots__ = ()
 
-    @staticmethod
-    def _check_field(name, value) -> float:
-        _check_finite(value, f"error density {name} must be finite, got ")
-        if value < 0:
-            raise ValidationError(f"error density {name} must be >= 0, got {value!r}")
-        return float(value)
-
 
 class Lambdas(_Value, namedtuple("Lambdas", "lambda1 lambda2 lambda3")):
     """Decay factors (lambda1, lambda2, lambda3) of a concatenated channel.
@@ -231,10 +245,7 @@ class Lambdas(_Value, namedtuple("Lambdas", "lambda1 lambda2 lambda3")):
     __slots__ = ()
 
     def __new__(cls, lambda1, lambda2, lambda3):
-        values = (lambda1, lambda2, lambda3)
-        for name, value in zip(cls._fields, values):
-            _check_finite(value, f"decay factor {name} must be finite, got ")
-        return tuple.__new__(cls, map(float, values))
+        return tuple.__new__(cls, map(_real, (lambda1, lambda2, lambda3), cls._fields))
 
 
 def _convolve(r, s):
@@ -285,26 +296,6 @@ def _as_count(n, what: str, minimum: int = 0) -> int:
     if n < minimum:
         raise ValidationError(f"{what} must be >= {minimum}, got {_shown(n)}")
     return n
-
-
-def _check_finite(value, message: str) -> None:
-    # Raises `message` followed by the value unless the value is a finite
-    # int or float; math.isfinite raises OverflowError on an int past the
-    # float range.
-    try:
-        if isinstance(value, _REAL) and math.isfinite(value):
-            return
-    except OverflowError:
-        pass
-    raise ValidationError(message + _shown(value))
-
-
-def _check_density(mu) -> None:
-    # The error density of a single or double flip: finite and >= 0.
-    message = "error density must be finite and >= 0, got "
-    _check_finite(mu, message)
-    if mu < 0:
-        raise ValidationError(message + _shown(mu))
 
 
 def compose(first: PauliProbs, second: PauliProbs) -> PauliProbs:
@@ -418,18 +409,9 @@ def at_length(mu: ErrorDensities, length_km: float) -> PauliProbs:
     PauliProbs
         The length-L channel; all components lie in [0, 1].
     """
-    length_km = _as_length(length_km)
+    length_km = _real(length_km, "length_km", 0.0)
     l3, l2, l1 = _decays(_decay_rates(mu), length_km)
     return PauliProbs(*_hadamard(l1, l2, l3))
-
-
-def _as_length(length_km) -> float:
-    if type(length_km) is float and 0.0 <= length_km <= _FLOAT_MAX:
-        return length_km
-    _check_finite(length_km, "length must be a finite number, got ")
-    if length_km < 0:
-        raise ValidationError(f"length must be >= 0 km, got {length_km!r}")
-    return float(length_km)
 
 
 def flip_at_length(mu_i: float, axis: str, length_km: float) -> PauliProbs:
@@ -451,7 +433,7 @@ def flip_at_length(mu_i: float, axis: str, length_km: float) -> PauliProbs:
     """
     if axis not in _FLIP_AXES:
         raise ValidationError(f"flip axis must be one of 'x', 'y', 'z', got {axis!r}")
-    _check_density(mu_i)
+    mu_i = _real(mu_i, "mu_i", 0.0)
     densities = [0.0, 0.0, 0.0]
     densities[_FLIP_AXES[axis]] = mu_i
     return at_length(ErrorDensities(*densities), length_km)
@@ -463,8 +445,5 @@ def depolarizing_probs(p: float) -> PauliProbs:
     Returns (1 - 3p/4, p/4, p/4, p/4): the channel that replaces the state by
     the maximally mixed state with probability p.
     """
-    message = "depolarizing probability must be in [0, 1], got "
-    _check_finite(p, message)
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(message + _shown(p))
+    p = _real(p, "p", 0.0, 1.0)
     return PauliProbs(1.0 - 0.75 * p, 0.25 * p, 0.25 * p, 0.25 * p)

@@ -23,14 +23,13 @@ from collections import namedtuple
 from .channel import (
     ErrorDensities,
     PauliProbs,
-    _as_length,
-    _check_density,
     _convolve,
     _decay_rates,
     _decays,
     _hadamard,
     _NonNegative,
     _Probabilities,
+    _real,
     at_length,
 )
 
@@ -65,10 +64,6 @@ class LinkGeometry(_NonNegative, namedtuple("LinkGeometry", "l1_km l2_km")):
     """Distances (km) from the pair source to the two receivers."""
 
     __slots__ = ()
-
-    @staticmethod
-    def _check_field(name, value) -> float:
-        return _as_length(value)
 
     @property
     def total_km(self) -> float:
@@ -147,7 +142,8 @@ def concurrence_vs_length(mu: ErrorDensities, total_length_km: float) -> float:
     Evaluated through ``concurrence(transmit_at_length(...))`` so the two
     routes agree bit-for-bit.  Non-increasing in the length, 1 at L = 0.
     """
-    return concurrence(transmit_at_length(mu, LinkGeometry(total_length_km, 0.0)))
+    geom = LinkGeometry(_real(total_length_km, "total_length_km", 0.0), 0.0)
+    return concurrence(transmit_at_length(mu, geom))
 
 
 def doubleflip_coefficients(mu: float, total_length_km: float) -> BellDiagonal:
@@ -159,8 +155,9 @@ def doubleflip_coefficients(mu: float, total_length_km: float) -> BellDiagonal:
     ``transmit_at_length(ErrorDensities(mu, mu, 0), LinkGeometry(L, 0))``,
     bit for bit.
     """
-    _check_density(mu)
-    return transmit_at_length(ErrorDensities(mu, mu, 0.0), LinkGeometry(total_length_km, 0.0))
+    mu = _real(mu, "mu", 0.0)
+    geom = LinkGeometry(_real(total_length_km, "total_length_km", 0.0), 0.0)
+    return transmit_at_length(ErrorDensities(mu, mu, 0.0), geom)
 
 
 def dominant_bell_state(state: BellDiagonal) -> str:

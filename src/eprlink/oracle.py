@@ -237,17 +237,20 @@ def monte_carlo_transmit(
     Raises
     ------
     ValidationError
-        If ``seed`` is not an integer (``operator.index`` fails); if
-        ``segments_per_km`` is past the largest float; if an arm
-        has a positive length that rounds to zero segments, i.e. it is no
-        longer than half a segment and would be sampled as noiseless; or if
-        the two arms hold 2**64 or more segments, past which a sample's
-        segment keys repeat.
+        If a plain sequence ``mu`` or ``geom`` fails the check of
+        `ErrorDensities` or `LinkGeometry`; if ``seed`` is not an integer
+        (``operator.index`` fails); if ``segments_per_km`` is past the
+        largest float; if an arm has a positive length that rounds to zero
+        segments, i.e. it is no longer than half a segment and would be
+        sampled as noiseless; or if the two arms hold 2**64 or more
+        segments, past which a sample's segment keys repeat.
     DomainError
         If ``sum(mu) / segments_per_km`` exceeds 1, i.e. the discretization
         is too coarse for the requested error densities, or if ``sum(mu)``
         overflows, so that no ``segments_per_km`` is fine enough.
     """
+    mu = mu if type(mu) is ErrorDensities else ErrorDensities(*mu)
+    geom = geom if type(geom) is LinkGeometry else LinkGeometry(*geom)
     segments_per_km = _as_count(segments_per_km, "segments_per_km", minimum=1)
     if segments_per_km > sys.float_info.max:
         # 1/segments_per_km and L * segments_per_km take it as a float

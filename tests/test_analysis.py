@@ -261,8 +261,32 @@ class TestThresholdDoubleFlip:
         for mu in rng.uniform(1e-4, 0.2, 20):
             assert threshold_double_flip(mu).length_km > threshold_depolarizing(mu).length_km
 
+    def test_zero_rate_never_vanishes(self):
+        result = threshold_double_flip(0.0)
+        assert not result.is_finite
+        assert result.kind == "never-vanishes"
+
 
 class TestThresholdGeneric:
+    @pytest.mark.parametrize(
+        "densities, message",
+        [
+            ((math.nan, 2.0, 3.0), "mu1 must be a finite number, got nan"),
+            ([-1.0, 2.0, 3.0], "mu1 must be >= 0, got -1.0"),
+            ((0.01, 0.02, -math.inf), "mu3 must be a finite number, got -inf"),
+        ],
+    )
+    def test_look_alike_densities_are_checked(self, densities, message):
+        with pytest.raises(ValidationError) as info:
+            threshold_generic(densities)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("densities", [(0.008, 0.004, 0.002), [1, 2, 0], (0.0, 0.0, 0.01)])
+    def test_look_alike_densities_give_the_same_threshold(self, densities):
+        # repr prints each float exactly.
+        want = threshold_generic(ErrorDensities(*densities))
+        assert repr(threshold_generic(densities)) == repr(want)
+
     def test_single_flip_never_vanishes(self):
         assert not threshold_generic(ErrorDensities(0.008, 0.0, 0.0)).is_finite
         assert not threshold_generic(ErrorDensities(0.0, 0.1, 0.0)).is_finite
@@ -652,7 +676,28 @@ _ADVERSARIAL_CRITERIA = {
     "subnormal, convex": (lambda x: x * 1e300 * x * 1e300 - 1e-40, 1e-310, 5e-324),
     "falling": (lambda x: math.exp(-x) - 1e-5, 0.0, 100.0),
     "rising": (lambda x: x**4 - 1.0, 1e10, 0.0),
+    # The secant point is nan: (-inf) * -0.0 here, inf / inf below.
+    "step onto 0.0 across the float range": (
+        lambda x: 1.0 if x < 1e308 else 0.0, -1.7e308, 1.7e308
+    ),
+    "infinite ends": (lambda x: math.inf if x < 3.0 else -math.inf, 0.0, 8.0),
 }
+
+
+def _bounded_bisect(f, pos, neg):
+    # `_bisect` under a bound on its evaluations: any three steps at least
+    # halve the bracket, so at most three for each of plain bisection's,
+    # plus three.  A regula falsi that stalls (an end that never moves) runs
+    # past the bound.
+    bound = 3 * _plain_bisection_evaluations(f, pos, neg) + 3
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        assert len(calls) <= bound, f"more than {bound} evaluations"
+        return f(x)
+
+    return _bisect(counted, pos, neg, f(pos), f(neg))
 
 
 class TestBisect:
@@ -660,21 +705,20 @@ class TestBisect:
         "f, pos, neg", list(_ADVERSARIAL_CRITERIA.values()), ids=list(_ADVERSARIAL_CRITERIA)
     )
     def test_contract_on_adversarial_criteria(self, f, pos, neg):
-        # Any three steps at least halve the bracket: at most three
-        # evaluations for each of plain bisection's, plus three.  A regula
-        # falsi that stalls (an end that never moves) runs past the bound.
-        bound = 3 * _plain_bisection_evaluations(f, pos, neg) + 3
-        calls = []
-
-        def counted(x):
-            calls.append(x)
-            assert len(calls) <= bound, f"more than {bound} evaluations"
-            return f(x)
-
-        p, n = _bisect(counted, pos, neg, f(pos), f(neg))
+        p, n = _bounded_bisect(f, pos, neg)
         assert math.nextafter(min(p, n), math.inf) == max(p, n)
         assert (p > n) == (pos > neg)
         assert f(p) > 0.0 and not f(n) > 0.0
+
+    @pytest.mark.parametrize(
+        "name, ends",
+        [
+            ("step onto 0.0 across the float range", (9.999999999999998e307, 1e308)),
+            ("infinite ends", (2.9999999999999996, 3.0)),
+        ],
+    )
+    def test_nan_secant_point_takes_the_midpoint(self, name, ends):
+        assert _bounded_bisect(*_ADVERSARIAL_CRITERIA[name]) == ends
 
     def test_smooth_criteria_take_a_fifth_of_bisection_steps(self):
         # Without the Illinois halving the logarithm takes 477 steps, not 96.
@@ -797,6 +841,25 @@ class TestSweep:
         # 5e-324 * (i / 4) rounds to 0 km for i = 0, 1, 2
         with pytest.raises(ValidationError, match="sweep lengths must be strictly increasing"):
             sweep(ErrorDensities(0.01, 0.02, 0.03), 5e-324, 4)
+
+    @pytest.mark.parametrize(
+        "densities, message",
+        [
+            ((math.nan, 0.0, 0.0), "mu1 must be a finite number, got nan"),
+            ([0.01, -0.1, 0.0], "mu2 must be >= 0, got -0.1"),
+            ((0.01, 0.02, "0.03"), "mu3 must be a finite number, got '0.03'"),
+        ],
+    )
+    def test_look_alike_densities_are_checked(self, densities, message):
+        with pytest.raises(ValidationError) as info:
+            sweep(densities, 10.0, 2)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("densities", [(0.011, 0.007, 0.003), [0.011, 0, 3e-3]])
+    def test_look_alike_densities_give_the_same_rows(self, densities):
+        got = sweep(densities, 200.0, 120).rows
+        want = sweep(ErrorDensities(*densities), 200.0, 120).rows
+        assert [[v.hex() for v in row] for row in got] == [[v.hex() for v in row] for row in want]
 
     def test_table_rejects_rising_concurrence(self):
         rows = (SweepRow(0.0, 0.5, 0.75), SweepRow(1.0, 0.6, 0.8))

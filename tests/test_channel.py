@@ -82,8 +82,8 @@ class TestPauliProbs:
             ((np.int64(1), 0, 0, 0), f"channel p0 must be a finite number, got {np.int64(1)!r}"),
             (("1", 0, 0, 0), "channel p0 must be a finite number, got '1'"),
             ((None, 0, 0, 1), "channel p0 must be a finite number, got None"),
-            ((1.0, -1e-11, 0.0, 0.0), "channel p1=-1e-11 is outside [0, 1]"),
-            ((2, -1, 0, 0), "channel p0=2 is outside [0, 1]"),
+            ((1.0, -1e-11, 0.0, 0.0), "channel p1 must be in [0, 1], got -1e-11"),
+            ((2, -1, 0, 0), "channel p0 must be in [0, 1], got 2"),
             ((1.0, 0.0, 0.0, 1e-11), "channel probabilities must sum to 1, got 1.00000000001"),
         ],
     )
@@ -103,7 +103,7 @@ def _reference_distribution(kind, names, values):
         if not isinstance(value, (int, float)) or not math.isfinite(value):
             return f"{kind} {name} must be a finite number, got {value!r}"
         if not -1e-12 <= value <= 1.0 + 1e-12:
-            return f"{kind} {name}={value!r} is outside [0, 1]"
+            return f"{kind} {name} must be in [0, 1], got {value!r}"
         total += value
     if abs(total - 1.0) > 1e-12:
         return f"{kind} probabilities must sum to 1, got {total!r}"

@@ -66,7 +66,7 @@ class TestBellDiagonal:
             ((1.0, -math.inf, 0.0, 0.0), "Bell weight b must be a finite number, got -inf"),
             ((0, 0, NP_NEG_INF, 1), f"Bell weight c must be a finite number, got {NP_NEG_INF!r}"),
             ((1.0, 0.0, 0.0, "0"), "Bell weight d must be a finite number, got '0'"),
-            ((1.0, -1e-11, 0.0, 0.0), "Bell weight b=-1e-11 is outside [0, 1]"),
+            ((1.0, -1e-11, 0.0, 0.0), "Bell weight b must be in [0, 1], got -1e-11"),
             ((0.5, 0.5, 0.5, 0.0), "Bell weight probabilities must sum to 1, got 1.5"),
         ],
     )

@@ -1,11 +1,13 @@
 """The in-frame accept tests of the value objects against the checks they skip.
 
-`ErrorDensities`, `MeasurementPoint`, `channel._as_length` and
+`ErrorDensities`, `MeasurementPoint`, `channel._real` and
 `epr.concurrence` accept their common input (plain floats in range) without
 running their field-by-field check.  Each reference below is that
-field-by-field check as it ran on every input, written out here, with one
-declared change: an int past the float range is "not a finite number" (a
-`ValidationError`) where `math.isfinite` used to raise `OverflowError`.  For
+field-by-field check as it ran on every input, written out here, with two
+declared changes: an int past the float range is "not a finite number" (a
+`ValidationError`) where `math.isfinite` used to raise `OverflowError`, and
+every message follows `channel._real`'s template under the field or parameter
+name, so a negative total length now reads "must be > 0".  For
 every input the library must store the same (type, float.hex) fields, or raise
 the same exception type with the same message.
 """
@@ -32,7 +34,7 @@ from eprlink import (
     iterate,
     threshold_depolarizing,
 )
-from eprlink.channel import Lambdas, _as_length
+from eprlink.channel import Lambdas, _real
 from eprlink.epr import BellDiagonal
 
 BIG = 10**400
@@ -80,18 +82,18 @@ def _reference_densities(values):
     stored = []
     for name, value in zip(("mu1", "mu2", "mu3"), values):
         if not isinstance(value, (int, float)) or not _finite(value):
-            raise ValidationError(f"error density {name} must be finite, got {value!r}")
+            raise ValidationError(f"{name} must be a finite number, got {value!r}")
         if value < 0:
-            raise ValidationError(f"error density {name} must be >= 0, got {value!r}")
+            raise ValidationError(f"{name} must be >= 0, got {value!r}")
         stored.append(float(value))
     return _stored(stored)
 
 
-def _reference_length(value):
+def _reference_length(value, name):
     if not isinstance(value, (int, float)) or not _finite(value):
-        raise ValidationError(f"length must be a finite number, got {value!r}")
+        raise ValidationError(f"{name} must be a finite number, got {value!r}")
     if value < 0:
-        raise ValidationError(f"length must be >= 0 km, got {value!r}")
+        raise ValidationError(f"{name} must be >= 0, got {value!r}")
     return float(value)
 
 
@@ -102,10 +104,11 @@ def _reference_point(qber, length):
         raise ValidationError(f"qber must be >= 0, got {qber!r}")
     if qber >= 0.75:
         raise DomainError(f"qber {qber!r} exceeds the depolarizing fidelity floor (must be < 0.75)")
-    length = _reference_length(length)
-    if length <= 0.0:
-        raise ValidationError(f"total length must be > 0 km, got {length!r}")
-    return _stored([float(qber), length])
+    if not isinstance(length, (int, float)) or not _finite(length):
+        raise ValidationError(f"total_length_km must be a finite number, got {length!r}")
+    if length <= 0:
+        raise ValidationError(f"total_length_km must be > 0, got {length!r}")
+    return _stored([float(qber), float(length)])
 
 
 @given(st.tuples(scalars, scalars, scalars))
@@ -132,9 +135,10 @@ def test_error_densities_match_field_by_field_check(values):
 @example(BIG)
 @example(-1e-13)
 @example(math.inf)
-def test_as_length_matches_field_by_field_check(value):
-    want = _outcome(lambda: _stored([_reference_length(value)]))
-    assert _outcome(lambda: _stored([_as_length(value)])) == want
+def test_length_check_matches_field_by_field_check(value):
+    want = _outcome(lambda: _stored([_reference_length(value, "length_km")]))
+    assert _outcome(lambda: _stored([_real(value, "length_km", 0.0)])) == want
+    want = _outcome(lambda: _stored([_reference_length(value, "l1_km")]))
     geometry = _outcome(lambda: _stored([LinkGeometry(value, 1.0).l1_km]))
     assert geometry == want
 
@@ -196,16 +200,16 @@ def test_concurrence_matches_its_formula(values):
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda v: ErrorDensities(v, 0, 0), "error density mu1 must be finite, got {}"),
-        (lambda v: LinkGeometry(v, 0), "length must be a finite number, got {}"),
-        (lambda v: MeasurementPoint(0.1, v), "length must be a finite number, got {}"),
+        (lambda v: ErrorDensities(v, 0, 0), "mu1 must be a finite number, got {}"),
+        (lambda v: LinkGeometry(v, 0), "l1_km must be a finite number, got {}"),
+        (lambda v: MeasurementPoint(0.1, v), "total_length_km must be a finite number, got {}"),
         (lambda v: PauliProbs(v, 0, 0, 0), "channel p0 must be a finite number, got {}"),
         (lambda v: BellDiagonal(0, 0, v, 1), "Bell weight c must be a finite number, got {}"),
-        (lambda v: Lambdas(1, v, 1), "decay factor lambda2 must be finite, got {}"),
-        (lambda v: threshold_depolarizing(v), "error density must be finite and >= 0, got {}"),
-        (lambda v: depolarizing_probs(v), "depolarizing probability must be in [0, 1], got {}"),
-        (lambda v: flip_at_length(v, "x", 1.0), "error density must be finite and >= 0, got {}"),
-        (lambda v: doubleflip_coefficients(v, 1), "error density must be finite and >= 0, got {}"),
+        (lambda v: Lambdas(1, v, 1), "lambda2 must be a finite number, got {}"),
+        (lambda v: threshold_depolarizing(v), "mu must be a finite number, got {}"),
+        (lambda v: depolarizing_probs(v), "p must be a finite number, got {}"),
+        (lambda v: flip_at_length(v, "x", 1.0), "mu_i must be a finite number, got {}"),
+        (lambda v: doubleflip_coefficients(v, 1), "mu must be a finite number, got {}"),
         (lambda v: MeasurementPoint(v, 1.0), "qber must be a finite number, got {}"),
     ],
 )

@@ -142,6 +142,32 @@ def test_overflowing_error_densities_raise_a_finite_domain_error():
     assert "inf" not in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "mu, geom, message",
+    [
+        ((float("nan"), 0.0, 0.0), GEOM, "mu1 must be a finite number, got nan"),
+        ([0.01, 0.01, -0.01], GEOM, "mu3 must be >= 0, got -0.01"),
+        (DEPOL, (-1.0, 2.0), "l1_km must be >= 0, got -1.0"),
+        (DEPOL, [1.0, float("nan")], "l2_km must be a finite number, got nan"),
+    ],
+)
+def test_look_alike_arguments_are_checked(mu, geom, message):
+    with pytest.raises(ValidationError) as info:
+        monte_carlo_transmit(mu, geom, segments_per_km=100, samples=10, seed=1)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "mu, geom", [((0.01, 0.01, 0.01), (1.0, 2.0)), ([0.01, 0, 0.01], [1, 2.0])]
+)
+def test_look_alike_arguments_give_the_same_estimate(mu, geom):
+    got = monte_carlo_transmit(mu, geom, segments_per_km=100, samples=50, seed=1)
+    want = monte_carlo_transmit(
+        ErrorDensities(*mu), LinkGeometry(*geom), segments_per_km=100, samples=50, seed=1
+    )
+    assert repr(got) == repr(want)
+
+
 @pytest.mark.parametrize("segments_per_km", [10**320, 2**1024], ids=["10**320", "2**1024"])
 def test_rejects_segments_per_km_past_the_float_range(segments_per_km):
     # 1/segments_per_km used to raise OverflowError

@@ -3,10 +3,13 @@
 Each value object is immutable, equal only to an instance of its own class
 with equal fields, hashable, built by position or by keyword, and survives
 pickle and deepcopy.  Every route that builds one runs its check: the class,
-``_make``, ``_replace``, pickle at every protocol, and ``copy``.
+``_make``, ``_replace``, pickle at every protocol, and ``copy``.  Every
+scalar input, a field or a parameter, is refused with one message template
+under its own name.
 """
 
 import copy
+import math
 import os
 import pickle
 import subprocess
@@ -27,6 +30,14 @@ from eprlink import (
     SweepTable,
     ThresholdResult,
     ValidationError,
+    at_length,
+    concurrence_vs_length,
+    depolarizing_probs,
+    doubleflip_coefficients,
+    flip_at_length,
+    sweep,
+    threshold_depolarizing,
+    threshold_double_flip,
 )
 
 ROWS = (SweepRow(0.0, 1.0, 1.0), SweepRow(10.0, 0.5, 0.75))
@@ -147,6 +158,90 @@ def test_every_route_runs_the_check(cls, valid, index, bad):
     with pytest.raises(ValidationError) as copied:
         copy.copy(forged)
     assert str(copied.value) == str(direct.value)
+
+
+def _with(build, valid, index):
+    # build(*valid) with the value in place of valid[index].
+    return lambda v: build(*valid[:index], v, *valid[index + 1 :])
+
+
+MU = ErrorDensities(0.01, 0.02, 0.03)
+NOT_NEGATIVE = (">= 0", (-5e-324, -1.0))
+POSITIVE = ("> 0", (0.0, -0.0, -5e-324))
+# Just past the 1e-12 tolerance that the probabilities admit.
+PROBABILITY = ("in [0, 1]", (-2e-12, 1.0 + 2e-12))
+UNIT = ("in [0, 1]", (-5e-324, math.nextafter(1.0, 2.0)))
+UNBOUNDED = (None, ())
+
+# Every public scalar input: (id, call with the input in place, its name in
+# the message, (the bound, values just outside it)).
+SCALAR_INPUTS = [
+    *(
+        (f"{cls.__name__}.{field}", _with(cls, valid, i), f"{kind}{field}", bound)
+        for cls, valid, kind, bound in (
+            (PauliProbs, (0.25,) * 4, "channel ", PROBABILITY),
+            (BellDiagonal, (0.25,) * 4, "Bell weight ", PROBABILITY),
+            (ErrorDensities, (0.01, 0.02, 0.03), "", NOT_NEGATIVE),
+            (LinkGeometry, (1.0, 2.0), "", NOT_NEGATIVE),
+            (Lambdas, (0.5, 0.25, -0.125), "", UNBOUNDED),
+        )
+        for i, field in enumerate(cls._fields)
+    ),
+    ("MeasurementPoint.qber", _with(MeasurementPoint, (0.1, 1.0), 0), "qber", NOT_NEGATIVE),
+    (
+        "MeasurementPoint.total_length_km",
+        _with(MeasurementPoint, (0.1, 1.0), 1),
+        "total_length_km",
+        POSITIVE,
+    ),
+    ("ThresholdResult.length_km", ThresholdResult, "length_km", POSITIVE),
+    ("at_length.length_km", _with(at_length, (MU, 1.0), 1), "length_km", NOT_NEGATIVE),
+    ("flip_at_length.mu_i", _with(flip_at_length, (0.01, "x", 1.0), 0), "mu_i", NOT_NEGATIVE),
+    (
+        "flip_at_length.length_km",
+        _with(flip_at_length, (0.01, "x", 1.0), 2),
+        "length_km",
+        NOT_NEGATIVE,
+    ),
+    ("depolarizing_probs.p", depolarizing_probs, "p", UNIT),
+    ("threshold_depolarizing.mu", threshold_depolarizing, "mu", NOT_NEGATIVE),
+    ("threshold_double_flip.mu", threshold_double_flip, "mu", NOT_NEGATIVE),
+    (
+        "doubleflip_coefficients.mu",
+        _with(doubleflip_coefficients, (0.01, 1.0), 0),
+        "mu",
+        NOT_NEGATIVE,
+    ),
+    (
+        "doubleflip_coefficients.total_length_km",
+        _with(doubleflip_coefficients, (0.01, 1.0), 1),
+        "total_length_km",
+        NOT_NEGATIVE,
+    ),
+    (
+        "concurrence_vs_length.total_length_km",
+        _with(concurrence_vs_length, (MU, 1.0), 1),
+        "total_length_km",
+        NOT_NEGATIVE,
+    ),
+    ("sweep.l_max_km", _with(sweep, (MU, 10.0, 4), 1), "l_max_km", POSITIVE),
+]
+NOT_FINITE = [math.nan, math.inf, -math.inf, 10**400, -(10**400), "1"]
+
+
+@pytest.mark.parametrize(
+    "build, name, bound", [case[1:] for case in SCALAR_INPUTS], ids=[c[0] for c in SCALAR_INPUTS]
+)
+def test_every_scalar_input_has_one_message_template(build, name, bound):
+    for value in NOT_FINITE:
+        with pytest.raises(ValidationError) as info:
+            build(value)
+        assert str(info.value) == f"{name} must be a finite number, got {value!r}"
+    shown, outside = bound
+    for value in outside:
+        with pytest.raises(ValidationError) as info:
+            build(value)
+        assert str(info.value) == f"{name} must be {shown}, got {value!r}"
 
 
 def test_importing_the_cli_loads_no_code_generation_modules():
