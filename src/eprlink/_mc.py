@@ -31,15 +31,18 @@ two or more groups of samples made while the process has one thread, and
 serve every later call until the interpreter exits; a helper also exits when
 its task pipe closes.  A process forked from this one forgets them and forks
 its own.  Each call sends the helpers every kernel constant over their task
-pipes and writes a token for each chunk of groups (at most ``_CHUNKS``) into
-one claim pipe that all workers read, so a core slowed by other load takes
-fewer chunks, and each helper sends its integer tallies back over its reply
-pipe.  A worker that fails or is interrupted empties the claim pipe, so the
-others stop.  No flag, environment variable or parameter sets the number of
-workers.  With one CPU, a call of one group, no ``os.fork``, or other threads
-running when a helper would be forked, the calling thread works alone.  Each
-process keeps one set of block buffers and one queue for its life, and one
-module lock guards the caller's, so concurrent calls run one after another.
+pipes and writes a 1-byte token for each chunk of groups (at most ``_CHUNKS``)
+into one claim pipe that all workers read, so a core slowed by other load
+takes fewer chunks, and each helper sends its integer tallies back over its
+reply pipe.  Each message is one write of at most 512 bytes, which POSIX makes
+atomic; calls are strict request and reply, and a team interrupted mid-call is
+replaced, so a pipe never holds two messages and one read takes one.  A
+worker that fails or is interrupted empties the claim pipe, so the others
+stop.  No flag, environment variable or parameter sets the number of workers.
+With one CPU, a call of one group, no ``os.fork``, or other threads running
+when a helper would be forked, the calling thread works alone.  Each process
+keeps one set of block buffers and one queue for its life, and one module lock
+guards the caller's, so concurrent calls run one after another.
 """
 
 from __future__ import annotations
@@ -68,9 +71,8 @@ _MASK64 = (1 << 64) - 1
 # A helper still running this long after its task pipe closed is killed.
 _EXIT_WAIT_S = 5.0
 _LOST = "a sampler helper process exited mid-call"
-# A call hands out its groups of samples in at most this many chunks; 2-byte
-# tokens of them fill 512 bytes, the least PIPE_BUF that POSIX allows.
-_CHUNKS = 256
+_PIPE_BUF = 512  # POSIX's least PIPE_BUF: a pipe takes a write of up to this many bytes whole
+_CHUNKS = 256  # a call hands out its groups of samples in at most this many chunks
 
 _LOCK = threading.Lock()  # calls in this process run one after another
 # This process's (z, tmp, hit) block buffers and (zc, sample) candidate queue,
@@ -208,37 +210,29 @@ def _work(task, chunks) -> np.ndarray:
 def _claims(fd):
     """The chunks this worker takes from the claim pipe ``fd``, until it is empty.
 
-    Each token is one 2-byte chunk index; a read of a pipe takes it whole, so
-    no two workers take the same chunk.
+    Each token is one byte, the chunk index, so no two workers take the same
+    chunk.
     """
     while True:
         try:
-            token = os.read(fd, 2)
+            token = os.read(fd, 1)
         except BlockingIOError:
             return
         if not token:  # the caller has exited
             return
-        yield int.from_bytes(token, "little")
+        yield token[0]
 
 
 def _send(fd, message):
-    data = marshal.dumps(message)
-    os.write(fd, len(data).to_bytes(4, "little") + data)  # under PIPE_BUF: one write
+    os.write(fd, marshal.dumps(message))  # at most _PIPE_BUF bytes: one write
 
 
 def _receive(fd):
     """The next message on ``fd``; EOFError once every writer has closed it."""
-    return marshal.loads(_read(fd, int.from_bytes(_read(fd, 4), "little")))
-
-
-def _read(fd, size) -> bytes:
-    data = b""
-    while len(data) < size:
-        chunk = os.read(fd, size - len(data))
-        if not chunk:
-            raise EOFError
-        data += chunk
-    return data
+    data = os.read(fd, _PIPE_BUF)
+    if not data:
+        raise EOFError
+    return marshal.loads(data)
 
 
 def _serve(tasks, replies, claims):
@@ -256,7 +250,7 @@ def _serve(tasks, replies, claims):
         except Exception as exc:  # reported to the caller, which raises it
             for _ in _claims(claims):  # no worker takes a further chunk
                 pass
-            reply = repr(exc)
+            reply = ascii(exc)[:500]  # with marshal's 5 bytes, within _PIPE_BUF
         _send(replies, reply)
 
 
@@ -315,8 +309,8 @@ class _Team:
         helpers = self.helpers[:count]
         chunks = -(-task[1] // task[-1])  # at most _CHUNKS
         self.idle = False
-        # The pipe is empty, and 2 * _CHUNKS bytes are at most PIPE_BUF: one write.
-        os.write(self.claims[1], b"".join(c.to_bytes(2, "little") for c in range(chunks)))
+        # The pipe is empty, and _CHUNKS bytes are at most _PIPE_BUF: one write.
+        os.write(self.claims[1], bytes(range(chunks)))
         for _, tasks, _ in helpers:
             _send(tasks, task)
         try:

@@ -316,6 +316,8 @@ def compose(first: PauliProbs, second: PauliProbs) -> PauliProbs:
     PauliProbs
         The concatenated channel.
     """
+    first = first if type(first) is PauliProbs else PauliProbs(*first)
+    second = second if type(second) is PauliProbs else PauliProbs(*second)
     return PauliProbs(*_convolve(first, second))
 
 
@@ -352,6 +354,7 @@ def iterate_bruteforce(p: PauliProbs, n) -> PauliProbs:
     n = _as_count(n, "segment count")
     if n > _BRUTEFORCE_CAP:
         raise ValidationError(f"brute-force segment count capped at {_BRUTEFORCE_CAP}, got {n}")
+    p = p if type(p) is PauliProbs else PauliProbs(*p)
     acc = (1.0, 0.0, 0.0, 0.0)
     for _ in range(n):
         acc = _convolve(acc, p)
@@ -366,6 +369,7 @@ def decay_factors(p: PauliProbs, n=1) -> Lambdas:
     the sum 1 within its 1e-12 tolerance put it just past -1.
     """
     n = _as_count(n, "segment count")
+    p = p if type(p) is PauliProbs else PauliProbs(*p)
     return Lambdas(
         _power(1.0 - 2.0 * (p.p2 + p.p3), n),
         _power(1.0 - 2.0 * (p.p1 + p.p3), n),
@@ -409,6 +413,7 @@ def at_length(mu: ErrorDensities, length_km: float) -> PauliProbs:
     PauliProbs
         The length-L channel; all components lie in [0, 1].
     """
+    mu = mu if type(mu) is ErrorDensities else ErrorDensities(*mu)
     length_km = _real(length_km, "length_km", 0.0)
     l3, l2, l1 = _decays(_decay_rates(mu), length_km)
     return PauliProbs(*_hadamard(l1, l2, l3))

@@ -2,8 +2,8 @@
 
 Subcommands: compose | transmit | threshold | estimate-mu | sweep | montecarlo.
 Each accepts ``--format {table,csv,json}`` and ``--output PATH`` (default
-stdout).  Exit codes: 0 success, 2 argument/validation, 3 numeric/domain,
-4 I/O.
+stdout), declared once in `_build_parser`.  Exit codes: 0 success,
+2 argument/validation, 3 numeric/domain, 4 I/O (`_EXIT_CODES`).
 
 Each ``cmd_*`` handler returns its answer as one `Report`, and `main`
 renders that in the requested format with `_render`.
@@ -21,6 +21,9 @@ from collections import namedtuple
 from . import analysis, epr
 from .channel import ErrorDensities, PauliProbs, at_length, decay_factors, iterate
 from .errors import DomainError, NumericError, ValidationError
+
+# The exit code of each error kind; the first kind that matches wins.
+_EXIT_CODES = {ValidationError: 2, DomainError: 3, NumericError: 3, OSError: 4}
 
 MEASUREMENT_HEADER = ("qber", "total_length_km")
 SWEEP_HEADER = ("mu1", "mu2", "mu3", "length_km", "concurrence", "fidelity")
@@ -53,6 +56,13 @@ def _parse_probs(text: str, what: str = "--p") -> PauliProbs:
 
 def _parse_mu(text: str) -> ErrorDensities:
     return ErrorDensities(*_parse_float_list(text, 3, "--mu"))
+
+
+def _parse_link(args) -> tuple[ErrorDensities, epr.LinkGeometry, dict]:
+    """The densities and geometry of ``--mu``, ``--l1`` and ``--l2``, and their json inputs."""
+    mu = _parse_mu(args.mu)
+    geom = epr.LinkGeometry(args.l1, args.l2)
+    return mu, geom, {"mu": mu._asdict(), "l1_km": geom.l1_km, "l2_km": geom.l2_km}
 
 
 class Report(namedtuple("Report", "command inputs results lines header rows")):
@@ -135,12 +145,10 @@ def cmd_transmit(args) -> Report:
     else:
         if args.mu is None or args.l1 is None or args.l2 is None:
             raise ValidationError("provide --mu with --l1 and --l2 (or --r and --s)")
-        mu = _parse_mu(args.mu)
-        geom = epr.LinkGeometry(args.l1, args.l2)
+        mu, geom, inputs = _parse_link(args)
         r = at_length(mu, geom.l1_km)
         s = at_length(mu, geom.l2_km)
         state = epr.transmit_at_length(mu, geom)
-        inputs = {"mu": mu._asdict(), "l1_km": geom.l1_km, "l2_km": geom.l2_km}
     weights = state._asdict()
     fidelity = epr.fidelity_psi_plus(state)
     conc = epr.concurrence(state)
@@ -284,8 +292,7 @@ def cmd_sweep(args) -> Report:
 def cmd_montecarlo(args) -> Report:
     from . import oracle
 
-    mu = _parse_mu(args.mu)
-    geom = epr.LinkGeometry(args.l1, args.l2)
+    mu, geom, inputs = _parse_link(args)
     estimate = oracle.monte_carlo_transmit(
         mu,
         geom,
@@ -303,14 +310,7 @@ def cmd_montecarlo(args) -> Report:
         0.0 if e == r else (e - r) / (se or math.sqrt(r * (1.0 - r) / estimate.samples))
         for e, r, se in zip(est, ref, estimate.standard_errors)
     )
-    inputs = {
-        "mu": mu._asdict(),
-        "l1_km": geom.l1_km,
-        "l2_km": geom.l2_km,
-        "samples": args.samples,
-        "segments_per_km": args.segments_per_km,
-        "seed": args.seed,
-    }
+    inputs.update(samples=args.samples, segments_per_km=args.segments_per_km, seed=args.seed)
     results = {
         "estimate": est._asdict(),
         "standard_errors": list(estimate.standard_errors),
@@ -332,14 +332,6 @@ def cmd_montecarlo(args) -> Report:
 # ---------------------------------------------------------------- parser
 
 
-def _add_common(sub, default_format="table"):
-    sub.add_argument(
-        "--format", choices=("table", "csv", "json"), default=default_format,
-        help=f"output format (default: {default_format})",
-    )
-    sub.add_argument("--output", default=None, help="write to this path instead of stdout")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eprlink",
@@ -352,7 +344,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", help="error densities mu1,mu2,mu3 in 1/km")
     p.add_argument("--length", type=float, help="channel length in km (with --mu)")
     p.add_argument("--iterate", type=int, help="concatenate the channel N times")
-    _add_common(p)
     p.set_defaults(handler=cmd_compose)
 
     p = subs.add_parser("transmit", help="Bell weights and concurrence of the received pair")
@@ -365,19 +356,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "--verify-oracle", action="store_true",
         help="cross-check against the dense density-matrix engine",
     )
-    _add_common(p)
     p.set_defaults(handler=cmd_transmit)
 
     p = subs.add_parser("threshold", help="length at which the concurrence vanishes")
     p.add_argument("--mu", required=True, help="error densities mu1,mu2,mu3 in 1/km")
-    _add_common(p)
     p.set_defaults(handler=cmd_threshold)
 
     p = subs.add_parser("estimate-mu", help="error density from QBER observations")
     p.add_argument("--qber", type=float, help="channel-attributed qubit error rate")
     p.add_argument("--length", type=float, help="total length L1+L2 in km")
     p.add_argument("--input", help="CSV of measurement points (qber,total_length_km)")
-    _add_common(p)
     p.set_defaults(handler=cmd_estimate_mu)
 
     p = subs.add_parser("sweep", help="concurrence/fidelity table over total length")
@@ -387,8 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--lmax", type=float, default=60.0, help="maximum total length, km")
     p.add_argument("--steps", type=int, default=120, help="number of grid intervals")
-    _add_common(p, default_format="csv")
-    p.set_defaults(handler=cmd_sweep)
+    p.set_defaults(handler=cmd_sweep, format="csv")
 
     p = subs.add_parser("montecarlo", help="stochastic validation of the Bell weights")
     p.add_argument("--mu", required=True, help="error densities mu1,mu2,mu3 in 1/km")
@@ -397,9 +384,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--segments-per-km", type=int, default=100, dest="segments_per_km")
     p.add_argument("--seed", type=int, default=1)
-    _add_common(p)
     p.set_defaults(handler=cmd_montecarlo)
 
+    # Last, so that each --help lists them after the subcommand's own options.
+    for p in subs.choices.values():
+        fmt = p.get_default("format") or "table"
+        p.add_argument(
+            "--format", choices=("table", "csv", "json"), default=fmt,
+            help=f"output format (default: {fmt})",
+        )
+        p.add_argument("--output", default=None, help="write to this path instead of stdout")
     return parser
 
 
@@ -409,15 +403,9 @@ def main(argv=None) -> int:
     try:
         report = args.handler(args)
         _write_output(_render(report, args.format), args.output)
-    except ValidationError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DomainError, NumericError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
     return 0
 
 

@@ -78,6 +78,8 @@ def transmit(r: PauliProbs, s: PauliProbs) -> BellDiagonal:
     1 gives phi+, 2 gives phi-, and 3 gives psi-.  This is
     `channel._convolve` with its output read in that order (`_bell_order`).
     """
+    r = r if type(r) is PauliProbs else PauliProbs(*r)
+    s = s if type(s) is PauliProbs else PauliProbs(*s)
     return BellDiagonal(*_bell_order(_convolve(r, s)))
 
 
@@ -98,6 +100,8 @@ def transmit_at_length(mu: ErrorDensities, geom: LinkGeometry) -> BellDiagonal:
     overflows to inf that is the route taken: each arm is finite, while
     rate * inf is -inf for every nonzero rate.
     """
+    mu = mu if type(mu) is ErrorDensities else ErrorDensities(*mu)
+    geom = geom if type(geom) is LinkGeometry else LinkGeometry(*geom)
     total_km = geom.total_km
     if total_km == math.inf:
         return transmit(at_length(mu, geom.l1_km), at_length(mu, geom.l2_km))

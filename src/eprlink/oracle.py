@@ -19,7 +19,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import _mc
-from .channel import ErrorDensities, PauliProbs, _as_count, _as_int, _Value
+from .channel import ErrorDensities, PauliProbs, _as_count, _as_int, _shown, _Value
 from .epr import BELL_LABELS, BellDiagonal, LinkGeometry, _bell_order
 from .errors import DomainError, ValidationError
 
@@ -239,11 +239,12 @@ def monte_carlo_transmit(
     ValidationError
         If a plain sequence ``mu`` or ``geom`` fails the check of
         `ErrorDensities` or `LinkGeometry`; if ``seed`` is not an integer
-        (``operator.index`` fails); if ``segments_per_km`` is past the
-        largest float; if an arm has a positive length that rounds to zero
-        segments, i.e. it is no longer than half a segment and would be
-        sampled as noiseless; or if the two arms hold 2**64 or more
-        segments, past which a sample's segment keys repeat.
+        (``operator.index`` fails); if ``samples`` is 2**63 or more; if
+        ``segments_per_km`` is past the largest float; if an arm has a
+        positive length that rounds to zero segments, i.e. it is no longer
+        than half a segment and would be sampled as noiseless; or if the
+        two arms hold 2**64 or more segments, past which a sample's segment
+        keys repeat.
     DomainError
         If ``sum(mu) / segments_per_km`` exceeds 1, i.e. the discretization
         is too coarse for the requested error densities, or if ``sum(mu)``
@@ -258,6 +259,8 @@ def monte_carlo_transmit(
             f"segments_per_km must be at most {sys.float_info.max:.4g}, the largest float"
         )
     samples = _as_count(samples, "samples", minimum=1)
+    if samples >= 1 << 63:  # the tallies are int64
+        raise ValidationError(f"samples must be < 2**63, got {_shown(samples)}")
     seed = _as_int(seed, "seed")
     delta = 1.0 / segments_per_km
     t1 = mu.mu1 * delta

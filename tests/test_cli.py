@@ -540,6 +540,16 @@ class TestMonteCarlo:
         assert (code, out) == (2, "")
         assert err == "error: segments_per_km must be at most 1.798e+308, the largest float\n"
 
+    @pytest.mark.parametrize("samples", ["9223372036854775808", "1" + "0" * 30])
+    def test_2_63_samples_or_more_exit_2(self, capsys, samples):
+        # The tallies are int64.
+        code, out, err = run(
+            capsys, "montecarlo", "--mu", "0,0,0", "--l1", "1", "--l2", "1",
+            "--samples", samples,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: samples must be < 2**63, got {samples}\n"
+
 
 class TestFormats:
     COMMANDS = {

@@ -1,3 +1,4 @@
+import errno
 import mmap
 import os
 import select
@@ -155,6 +156,15 @@ def test_look_alike_arguments_are_checked(mu, geom, message):
     with pytest.raises(ValidationError) as info:
         monte_carlo_transmit(mu, geom, segments_per_km=100, samples=10, seed=1)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("samples", [2**63, 2**64, 10**5000], ids=["2**63", "2**64", "10**5000"])
+def test_rejects_2_63_samples_or_more(samples):
+    # The tallies are int64; an integer of 5000 digits is described, not printed.
+    with pytest.raises(ValidationError, match=r"^samples must be < 2\*\*63, got "):
+        monte_carlo_transmit(
+            ErrorDensities(0.0, 0.0, 0.0), GEOM, segments_per_km=10, samples=samples, seed=1
+        )
 
 
 @pytest.mark.parametrize(
@@ -526,6 +536,45 @@ def test_an_interrupt_while_reading_replies_replaces_the_helpers(monkeypatch):
     monkeypatch.setattr(_mc, "_receive", receive)
     assert_matches_reference(3, 20_000, 300, 300, 0.01, 0.02, 0.03)
     assert _mc._TEAM is not team
+
+
+@pytest.mark.parametrize("failing", ["fork", "dup"])
+def test_a_failed_fork_leaves_the_caller_working_alone(monkeypatch, failing):
+    # Out of processes or descriptors: the call runs on the calling thread,
+    # and the pipe ends opened for the helper are closed again.
+    monkeypatch.setattr(_mc, "_usable_cpus", lambda: 2)
+    _mc._stop_helpers()
+
+    def unavailable(*args):
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, failing, unavailable)
+    config = (9, 20_000, 30, 30, 0.01, 0.02, 0.03)  # 19 groups
+    try:
+        before = len(os.listdir("/proc/self/fd"))
+        assert_matches_reference(*config)
+        after = len(os.listdir("/proc/self/fd"))
+        assert after <= before + 2  # the claim pipe, kept for the next call
+        assert_matches_reference(*config)
+        assert len(os.listdir("/proc/self/fd")) == after
+        assert _mc._TEAM is None or not _mc._TEAM.helpers
+    finally:
+        _mc._stop_helpers()
+
+
+def test_a_helper_that_does_not_exit_is_killed(monkeypatch):
+    monkeypatch.setattr(_mc, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_mc, "_EXIT_WAIT_S", 0.2)
+    assert_matches_reference(4, 2000, 300, 300, 0.01, 0.02, 0.03)  # forks the helper
+    helper = _mc._TEAM.helpers[0][0]
+    os.kill(helper, signal.SIGSTOP)  # so it cannot see its task pipe close
+    try:
+        assert not _mc._stop_helpers()  # True had it exited by itself
+    finally:
+        if running(helper):
+            os.kill(helper, signal.SIGKILL)
+    assert not running(helper)
+    assert _mc._TEAM is None
 
 
 def test_no_helper_outlives_its_interpreter():
