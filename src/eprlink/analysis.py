@@ -51,6 +51,9 @@ QBER_FLOOR_LIMIT = 0.75
 # both answer never-vanishes.
 _MAX_THRESHOLD_KM = 2.0**1023
 
+# Over -(the sum of the scaled rates), the start of the threshold bracket.
+_JENSEN_START = 3.0 * math.log(3.0) * (1.0 - 2.0**-40)
+
 
 class MeasurementPoint(_Value, namedtuple("MeasurementPoint", "qber total_length_km")):
     """One experimental observation: channel-attributed QBER at a total length."""
@@ -152,8 +155,9 @@ def threshold_generic(mu: ErrorDensities) -> ThresholdResult:
     densities are scaled by the power of two at their largest, so no decay
     rate can overflow; `DomainError` if that sends two positive densities to
     fewer than two (a ratio past about 2**1074).  The unclamped concurrence
-    (strictly decreasing) is bracketed by doubling from one scaled unit of
-    length, and `_bisect` narrows it to adjacent floats; the upper end, the
+    (strictly decreasing) is bracketed by doubling from just inside the
+    length where Jensen's bound x + y + z >= 3 exp(mean rate * L) reaches 1,
+    and `_bisect` narrows it to adjacent floats; the upper end, the
     first float where the criterion is <= 0, is returned.  Past 2**1023 km
     the result is never-vanishes, as for the closed forms, which it matches
     to a few ulps.  A plain sequence ``mu`` is checked as `ErrorDensities`.
@@ -168,9 +172,17 @@ def threshold_generic(mu: ErrorDensities) -> ThresholdResult:
     if math.ldexp(second, -e) == 0.0:
         raise DomainError(f"error densities {largest!r} and {second!r} /km are too far apart")
     rates = sorted(_decay_rates(math.ldexp(m, -e) for m in mu))
-    # The two rates that carry the largest density are <= -1, so the bracket
-    # closes by 2**10 units.  The criterion is 3 - 1 = 2 exactly at length 0.
-    lo, hi, f_lo = 0.0, 1.0, 2.0
+    # Jensen: x + y + z >= 3 exp(mean rate * L), so the criterion is positive
+    # below ln 3 / -(mean rate).  lo sits 2**-40 relative inside that bound,
+    # where the criterion is at least ln 3 * 2**-40 ~ 1e-12, against ~1e-16 of
+    # rounding in lo and in the criterion: f_lo > 0 with no fallback to 0.
+    # The scaled densities sum to [0.5, 3), so lo lies in (0.27, 1.65]; the
+    # rates that carry the largest density are <= -1, so the doubling ends by
+    # 2**10 units.  The criterion rounds monotonically in L, so the float
+    # returned does not depend on where the bracket starts.
+    lo = _JENSEN_START / -(rates[0] + rates[1] + rates[2])
+    hi = 2.0 * lo
+    f_lo = _raw_concurrence(rates, lo)
     f_hi = _raw_concurrence(rates, hi)
     while f_hi > 0.0:
         lo, hi, f_lo = hi, 2.0 * hi, f_hi
@@ -189,19 +201,24 @@ def estimate_mu(point: MeasurementPoint) -> float:
 
     Inverts qber = 3/4 * (1 - exp(-4 mu L)) for the depolarizing model:
     mu = -ln((3 - 4 qber) / 3) / (4 L), in 1/km.  inf where that passes the
-    float range (qber near 0.75 over a subnormal length).
+    float range (qber near 0.75 over a subnormal length).  A plain pair
+    ``point`` is checked as `MeasurementPoint`.
     """
-    # The logarithm is 0 or at least 1.1e-16 in magnitude, so quartering it is
-    # exact: this rounds the quotient by 4 L once, as before, but 4 L can no
-    # longer overflow (L above ~4.5e307 km gave mu = 0).  Where the logarithm
-    # is 0 the quotient is -0.0; adding 0.0 makes that 0.0 and keeps every
-    # other float.
+    return _estimate(point if type(point) is MeasurementPoint else MeasurementPoint(*point))
+
+
+def _estimate(point: MeasurementPoint) -> float:
+    # `estimate_mu` on a checked point.  The logarithm is 0 or at least
+    # 1.1e-16 in magnitude, so quartering it is exact: this rounds the
+    # quotient by 4 L once, as before, but 4 L can no longer overflow (L above
+    # ~4.5e307 km gave mu = 0).  Where the logarithm is 0 the quotient is
+    # -0.0; adding 0.0 makes that 0.0 and keeps every other float.
     return -math.log((3.0 - 4.0 * point.qber) / 3.0) / 4.0 / point.total_length_km + 0.0
 
 
 def _finite_estimate(point: MeasurementPoint) -> float:
     # `estimate_mu`, or DomainError where the density passes the float range.
-    mu = estimate_mu(point)
+    mu = _estimate(point)
     if math.isinf(mu):
         raise DomainError(
             f"implied error density overflows: qber {point.qber!r} at "
@@ -229,9 +246,10 @@ def fit_mu(points) -> tuple[float, float]:
     `estimate_mu`, except that a density past the float range raises
     `DomainError` instead of returning inf.  `NumericError` where the
     derivative has no sign change in [0, largest float].  Returns
-    (mu, rms residual).
+    (mu, rms residual).  A plain pair among ``points`` is checked as
+    `MeasurementPoint`.
     """
-    points = list(points)
+    points = [p if type(p) is MeasurementPoint else MeasurementPoint(*p) for p in points]
     if not points:
         raise ValidationError("at least one measurement point is required")
     if len(points) == 1:
@@ -257,7 +275,7 @@ def fit_mu(points) -> tuple[float, float]:
     # logarithm that is 0 below qber ~1.1e-16) leaves an end's slope on the
     # wrong side, that end widens by powers of two: lo to 0 at worst, where
     # the slope is -6 sum(qber L) <= 0, and hi to the largest float.
-    estimates = sorted(min(estimate_mu(p), _FLOAT_MAX) for p in points)
+    estimates = sorted(min(_estimate(p), _FLOAT_MAX) for p in points)
     lo, hi = estimates[0], estimates[-1]
     f_lo, f_hi = derivative(lo), derivative(hi)
     while f_lo > 0.0:

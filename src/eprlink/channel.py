@@ -22,12 +22,15 @@ rates -2 (mu_i + mu_j) and their exponentials).  Every other route, also in
 The value objects here and in `epr`, `analysis` and `oracle` are immutable
 tuples of their fields on the `_Value` base, each checked in ``__new__``
 except `oracle.McEstimate` (`analysis.SweepRow` is a plain named tuple).
-Four probabilities (`PauliProbs`, `epr.BellDiagonal`) share one
-constructor, and non-negative floats (`ErrorDensities`, `epr.LinkGeometry`)
-another.  Every scalar field or parameter goes through `_real`, which
-raises "{name} must be a finite number, got {value}" or "{name} must be
->= 0 | > 0 | in [0, 1], got {value}" under the name the signature spells
-("channel p0" and "Bell weight a" for the probabilities).
+Four probabilities (`PauliProbs`, `epr.BellDiagonal`) share one check,
+`_probabilities`, which their constructor runs and the closed-form routes
+(`compose`, `iterate`, `at_length`, `epr.transmit` and
+`epr.transmit_at_length`) call directly with the class; non-negative floats
+(`ErrorDensities`, `epr.LinkGeometry`) share one constructor.  Every
+scalar field or parameter goes through `_real`, which raises "{name} must
+be a finite number, got {value}" or "{name} must be >= 0 | > 0 | in [0, 1],
+got {value}" under the name the signature spells ("channel p0" and "Bell
+weight a" for the probabilities).
 """
 
 from __future__ import annotations
@@ -164,8 +167,8 @@ class _Probabilities(_Value):
     """Four probabilities in [0, 1] that sum to 1, both up to 1e-12.
 
     Fields that are floats in [0, 1] summing to 1 within the tolerance,
-    tested here in ``__new__``'s frame, are stored as given; the sum is taken
-    in `_validate_distribution`'s order, so this accepts only what that check
+    tested in `_probabilities`, are stored as given; the sum is taken in
+    `_validate_distribution`'s order, so this accepts only what that check
     accepts.  Any other input takes the full check, and then every field is
     rewritten: ints, bools and numpy scalars become floats, and the
     sub-tolerance overshoot that validation admits is clamped.  A subclass
@@ -177,21 +180,28 @@ class _Probabilities(_Value):
     def __new__(cls, *values, **named):
         if named or len(values) != 4:
             values = _bind(cls, values, named)
-        a, b, c, d = values
-        if (
-            type(a) is float
-            and type(b) is float
-            and type(c) is float
-            and type(d) is float
-            and 0.0 <= a <= 1.0
-            and 0.0 <= b <= 1.0
-            and 0.0 <= c <= 1.0
-            and 0.0 <= d <= 1.0
-            and abs(a + b + c + d - 1.0) <= _SUM_TOL
-        ):
-            return tuple.__new__(cls, values)
-        _validate_distribution(cls._kind, cls._fields, values)
-        return tuple.__new__(cls, map(_clamp01, values))
+        return _probabilities(cls, values)
+
+
+def _probabilities(cls, values):
+    # The check of `_Probabilities` subclass `cls` on four values, as its
+    # docstring says: the class call runs it, and the closed-form routes call
+    # it directly, less the frame of type.__call__.
+    a, b, c, d = values
+    if (
+        type(a) is float
+        and type(b) is float
+        and type(c) is float
+        and type(d) is float
+        and 0.0 <= a <= 1.0
+        and 0.0 <= b <= 1.0
+        and 0.0 <= c <= 1.0
+        and 0.0 <= d <= 1.0
+        and abs(a + b + c + d - 1.0) <= _SUM_TOL
+    ):
+        return tuple.__new__(cls, values)
+    _validate_distribution(cls._kind, cls._fields, values)
+    return tuple.__new__(cls, map(_clamp01, values))
 
 
 class _NonNegative(_Value):
@@ -318,7 +328,7 @@ def compose(first: PauliProbs, second: PauliProbs) -> PauliProbs:
     """
     first = first if type(first) is PauliProbs else PauliProbs(*first)
     second = second if type(second) is PauliProbs else PauliProbs(*second)
-    return PauliProbs(*_convolve(first, second))
+    return _probabilities(PauliProbs, _convolve(first, second))
 
 
 def iterate(p: PauliProbs, n) -> PauliProbs:
@@ -342,7 +352,7 @@ def iterate(p: PauliProbs, n) -> PauliProbs:
         The n-segment channel.
     """
     n = _as_count(n, "segment count")
-    return PauliProbs(*_hadamard(*decay_factors(p, n)))
+    return _probabilities(PauliProbs, _hadamard(*_decay_factors(p, n)))
 
 
 def iterate_bruteforce(p: PauliProbs, n) -> PauliProbs:
@@ -368,12 +378,17 @@ def decay_factors(p: PauliProbs, n=1) -> Lambdas:
     with 1 - 2 p_j - 2 p_k clamped to [-1, 1]: probabilities that overshoot
     the sum 1 within its 1e-12 tolerance put it just past -1.
     """
-    n = _as_count(n, "segment count")
+    return Lambdas(*_decay_factors(p, _as_count(n, "segment count")))
+
+
+def _decay_factors(p, n: int) -> tuple[float, float, float]:
+    # `decay_factors` as a plain tuple, for a count n already checked.
     p = p if type(p) is PauliProbs else PauliProbs(*p)
-    return Lambdas(
-        _power(1.0 - 2.0 * (p.p2 + p.p3), n),
-        _power(1.0 - 2.0 * (p.p1 + p.p3), n),
-        _power(1.0 - 2.0 * (p.p1 + p.p2), n),
+    _, p1, p2, p3 = p
+    return (
+        _power(1.0 - 2.0 * (p2 + p3), n),
+        _power(1.0 - 2.0 * (p1 + p3), n),
+        _power(1.0 - 2.0 * (p1 + p2), n),
     )
 
 
@@ -416,7 +431,7 @@ def at_length(mu: ErrorDensities, length_km: float) -> PauliProbs:
     mu = mu if type(mu) is ErrorDensities else ErrorDensities(*mu)
     length_km = _real(length_km, "length_km", 0.0)
     l3, l2, l1 = _decays(_decay_rates(mu), length_km)
-    return PauliProbs(*_hadamard(l1, l2, l3))
+    return _probabilities(PauliProbs, _hadamard(l1, l2, l3))
 
 
 def flip_at_length(mu_i: float, axis: str, length_km: float) -> PauliProbs:

@@ -29,6 +29,7 @@ from .channel import (
     _hadamard,
     _NonNegative,
     _Probabilities,
+    _probabilities,
     _real,
     at_length,
 )
@@ -80,7 +81,7 @@ def transmit(r: PauliProbs, s: PauliProbs) -> BellDiagonal:
     """
     r = r if type(r) is PauliProbs else PauliProbs(*r)
     s = s if type(s) is PauliProbs else PauliProbs(*s)
-    return BellDiagonal(*_bell_order(_convolve(r, s)))
+    return _probabilities(BellDiagonal, _bell_order(_convolve(r, s)))
 
 
 def _bell_order(klein):
@@ -106,7 +107,7 @@ def transmit_at_length(mu: ErrorDensities, geom: LinkGeometry) -> BellDiagonal:
     if total_km == math.inf:
         return transmit(at_length(mu, geom.l1_km), at_length(mu, geom.l2_km))
     a, b, d, c = _hadamard(*_decays(_decay_rates(mu), total_km))
-    return BellDiagonal(a, b, c, d)
+    return _probabilities(BellDiagonal, (a, b, c, d))
 
 
 def concurrence(state: BellDiagonal) -> float:

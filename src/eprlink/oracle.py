@@ -122,7 +122,11 @@ def _kraus(weights, ops, rho) -> np.ndarray:
 
 
 def apply_single_qubit_pauli(p: PauliProbs, rho) -> np.ndarray:
-    """Kraus sum sum_k p_k sigma_k rho sigma_k on a single-qubit density matrix."""
+    """Kraus sum sum_k p_k sigma_k rho sigma_k on a single-qubit density matrix.
+
+    A plain sequence ``p`` is checked as `PauliProbs`.
+    """
+    p = p if type(p) is PauliProbs else PauliProbs(*p)
     return _kraus(p, PAULI, validate_density_matrix(rho, dim=2))
 
 
@@ -130,8 +134,11 @@ def apply_two_sided(r: PauliProbs, s: PauliProbs, rho) -> np.ndarray:
     """Kraus sum sum_kl r_k s_l (sigma_k (x) sigma_l) rho (sigma_k (x) sigma_l).
 
     The ground-truth action of independent Pauli channels on the two qubits
-    of a shared pair; Hermiticity and trace are preserved exactly.
+    of a shared pair; Hermiticity and trace are preserved exactly.  A plain
+    sequence ``r`` or ``s`` is checked as `PauliProbs`.
     """
+    r = r if type(r) is PauliProbs else PauliProbs(*r)
+    s = s if type(s) is PauliProbs else PauliProbs(*s)
     return _kraus(np.outer(r, s).ravel(), _PAULI2, validate_density_matrix(rho, dim=4))
 
 

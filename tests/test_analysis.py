@@ -425,6 +425,14 @@ class TestThresholdGeneric:
                 values[gen.integers(0, 3)] = 0.0
             triples.append(ErrorDensities(*map(float, values)))
         assert len(triples) > 2400
+        # Near-equal densities (depolarizing within 1e-15 relative) and the
+        # (m, m, 0) patterns over the same scales.
+        for _ in range(300):
+            m = float(10.0 ** gen.uniform(-300.0, 300.0))
+            near = (m * (1.0 + 1e-15 * float(d)) for d in gen.integers(-1, 2, 3))
+            triples.append(ErrorDensities(*near))
+            for pattern in ((m, m, 0.0), (0.0, m, m), (m, 0.0, m)):
+                triples.append(ErrorDensities(*pattern))
         for mu in triples:
             want = _reference_threshold(mu)
             got = threshold_generic(mu).length_km
@@ -513,6 +521,54 @@ class TestEstimateMu:
             # + 0.0 turns the -0.0 of a logarithm that rounds to 0 into 0.0
             direct = -math.log((3.0 - 4.0 * qber) / 3.0) / (4.0 * length) + 0.0
             assert estimate_mu(point).hex() == direct.hex()
+
+
+class TestPlainPairs:
+    """A plain (qber, length) pair takes the check of `MeasurementPoint`."""
+
+    def test_estimate_gives_the_same_bits(self):
+        want = estimate_mu(MeasurementPoint(0.01, 0.4))
+        assert estimate_mu((0.01, 0.4)).hex() == want.hex()
+        assert estimate_mu([0, 2]).hex() == "0x0.0p+0"
+
+    def test_fit_gives_the_same_bits(self):
+        pairs = [(0.01, 0.4), (0.043, 1.45), [0.02, 1]]
+        got = fit_mu(pairs)
+        want = fit_mu([MeasurementPoint(*p) for p in pairs])
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        assert fit_mu(iter(pairs[:1])) == fit_mu([MeasurementPoint(0.01, 0.4)])
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (
+                lambda: fit_mu([(0.9, 1.0), (0.01, 0.4)]),
+                DomainError,
+                "qber 0.9 exceeds the depolarizing fidelity floor (must be < 0.75)",
+            ),
+            (
+                lambda: estimate_mu((0.9, 1.0)),
+                DomainError,
+                "qber 0.9 exceeds the depolarizing fidelity floor (must be < 0.75)",
+            ),
+            (
+                lambda: estimate_mu((0.01, 0.0)),
+                ValidationError,
+                "total_length_km must be > 0, got 0.0",
+            ),
+            (
+                lambda: fit_mu([MeasurementPoint(0.01, 0.4), (-0.1, 1.0)]),
+                ValidationError,
+                "qber must be >= 0, got -0.1",
+            ),
+        ],
+        ids=["fit-past-floor", "estimate-past-floor", "zero-length", "negative-qber"],
+    )
+    def test_are_checked(self, call, error, message):
+        # Each raised AttributeError: 'tuple' object has no attribute 'qber'.
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == message
 
 
 class TestFitMu:

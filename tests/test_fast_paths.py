@@ -13,6 +13,7 @@ the same exception type with the same message.
 """
 
 import math
+import random
 import sys
 
 import numpy as np
@@ -27,15 +28,20 @@ from eprlink import (
     MeasurementPoint,
     PauliProbs,
     ValidationError,
+    at_length,
+    compose,
     concurrence,
+    decay_factors,
     depolarizing_probs,
     doubleflip_coefficients,
     flip_at_length,
     iterate,
     threshold_depolarizing,
+    transmit,
+    transmit_at_length,
 )
-from eprlink.channel import Lambdas, _real
-from eprlink.epr import BellDiagonal
+from eprlink.channel import Lambdas, _convolve, _decay_rates, _decays, _hadamard, _real
+from eprlink.epr import BellDiagonal, _bell_order
 
 BIG = 10**400
 HUGE = 10**5000  # past sys.get_int_max_str_digits(): repr refuses it
@@ -225,3 +231,35 @@ def test_huge_negative_count_is_a_validation_error():
     with pytest.raises(ValidationError) as info:
         iterate(PauliProbs.identity(), -HUGE)
     assert str(info.value) == "segment count must be >= 0, got an integer of 16610 bits"
+
+
+def _closed_form_routes(gen):
+    # (route, result, class, the four values its closed form computes), over
+    # densities of 1e-4..10 /km with about one in five single-flip triples:
+    # their weights (1 +- x +- y +- z)/4 can round a hair below 0, which the
+    # check clamps.
+    for _ in range(400):
+        mu = ErrorDensities(*(10.0 ** gen.uniform(-4.0, 1.0) * (gen.random() < 0.7) for _ in "xyz"))
+        l1, l2 = (10.0 ** gen.uniform(-3.0, 2.0) for _ in "rs")
+        n = gen.randint(1, 64)
+        r, s = at_length(mu, l1), at_length(mu, l2)
+        rates = _decay_rates(mu)
+        a, b, d, c = _hadamard(*_decays(rates, l1 + l2))
+        yield "at_length", r, PauliProbs, _hadamard(*reversed(_decays(rates, l1)))
+        yield "compose", compose(r, s), PauliProbs, _convolve(r, s)
+        yield "iterate", iterate(r, n), PauliProbs, _hadamard(*decay_factors(r, n))
+        yield "transmit", transmit(r, s), BellDiagonal, _bell_order(_convolve(r, s))
+        yield "transmit_at_length", transmit_at_length(mu, (l1, l2)), BellDiagonal, (a, b, c, d)
+
+
+def test_closed_form_routes_build_what_the_class_call_builds():
+    # The routes hand their four values to the probabilities' check directly,
+    # not through the class call; the result must be the class call's.
+    clamped = set()
+    for route, got, cls, values in _closed_form_routes(random.Random(20261019)):
+        assert type(got) is cls, route
+        assert _stored(got) == _stored(cls(*values)), (route, values)
+        if min(values) < 0.0:
+            clamped.add(route)
+    # compose and transmit convolve non-negative values, which cannot round below 0.
+    assert clamped == {"at_length", "iterate", "transmit_at_length"}
