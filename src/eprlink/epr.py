@@ -115,7 +115,9 @@ def concurrence(state: BellDiagonal) -> float:
 
     Zero for separable states, 1 for a pure Bell state; positive exactly when
     one weight exceeds 1/2.  Clamped to [0, 1] to absorb float overshoot.
+    A plain sequence ``state`` is checked as `BellDiagonal`.
     """
+    state = state if type(state) is BellDiagonal else BellDiagonal(*state)
     # min(1, max(0, conc)), written out: max keeps 0.0 unless conc > 0 (so
     # -0.0 and nan give 0.0), and min keeps conc only below 1.
     conc = 2.0 * max(state) - 1.0
@@ -126,7 +128,9 @@ def concurrence(state: BellDiagonal) -> float:
 
 def fidelity_psi_plus(state: BellDiagonal) -> float:
     """Overlap of the received state with psi+; above 1/2 the pair beats any
-    classical teleportation strategy."""
+    classical teleportation strategy.  A plain sequence ``state`` is checked
+    as `BellDiagonal`."""
+    state = state if type(state) is BellDiagonal else BellDiagonal(*state)
     return state.a
 
 
@@ -169,7 +173,9 @@ def dominant_bell_state(state: BellDiagonal) -> str:
     """Label of the Bell state with the largest weight.
 
     Ties resolve to the lowest index in the (a, b, c, d) = (psi+, psi-,
-    phi+, phi-) ordering, so the report is deterministic.
+    phi+, phi-) ordering, so the report is deterministic.  A plain sequence
+    ``state`` is checked as `BellDiagonal`.
     """
+    state = state if type(state) is BellDiagonal else BellDiagonal(*state)
     best = max(range(4), key=lambda i: (state[i], -i))
     return BELL_LABELS[best]

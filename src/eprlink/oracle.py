@@ -5,7 +5,8 @@ square, finite, Hermitian matrix and hands on its Hermitian part, one
 ``einsum`` Kraus sum for the one- and two-qubit Pauli channels, the Bell
 basis as one matrix, Hermitian eigensolves by LAPACK (``numpy.linalg.eigh``),
 the general Wootters concurrence, and a Monte Carlo sampler that draws
-segment errors stochastically instead of evaluating the closed form.
+each sample's segment errors as an event count and event types instead of
+evaluating the closed form.
 States are plain ``numpy.ndarray`` density matrices (Hermitian, unit trace,
 positive semidefinite up to float noise).
 """
@@ -18,7 +19,6 @@ from collections import namedtuple
 
 import numpy as np
 
-from . import _mc
 from .channel import ErrorDensities, PauliProbs, _as_count, _as_int, _shown, _Value
 from .epr import BELL_LABELS, BellDiagonal, LinkGeometry, _bell_order
 from .errors import DomainError, ValidationError
@@ -215,6 +215,114 @@ class McEstimate(
     __slots__ = ()
 
 
+# splitmix64: the increment that spreads seeds, and the finalizer multipliers
+_K0 = 0x9E3779B97F4A7C15
+_K1 = np.uint64(0xBF58476D1CE4E5B9)
+_K2 = np.uint64(0x94D049BB133111EB)
+_MASK64 = (1 << 64) - 1
+_PASS = 1 << 16  # entries of each array of one sampler pass, at most
+# A piece of m segments keeps m * -log(1 - p) below this, so (1 - p)**m stays normal.
+_LOG_MASS = 500.0
+
+
+def _uniforms(keys):
+    """53-bit uniforms z >> 11 of the splitmix64 finalizer z of uint64 ``keys``, in place."""
+    keys ^= keys >> 30
+    keys *= _K1
+    keys ^= keys >> 27
+    keys *= _K2
+    keys ^= keys >> 31
+    keys >>= 11
+    return keys
+
+
+def _binomial_cdf(m, p) -> np.ndarray:
+    """P(X <= k) of X ~ Binomial(m, p) for k = 0, 1, ..., as integers of 2**-53.
+
+    The pmf f_k runs by its ratio r_k = f_(k+1)/f_k from (1 - p)**m.  Since
+    r_k falls with k, the mass from k on is at most f_k / (1 - r_k) once
+    r_k < 1; the table ends where that is below 2**-53, or at k = m, and its
+    last entry is 2**53, so no u < 2**53 passes it.
+    """
+    ratio = p / (1.0 - p)
+    f = math.exp(m * math.log1p(-p))
+    cdf, total = [], 0.0
+    for k in range(m + 1):
+        r = (m - k) / (k + 1) * ratio
+        if r < 1.0 and f < (1.0 - r) * 2.0**-53:
+            cdf.append(1.0)
+            break
+        total += f
+        cdf.append(total)
+        f *= r
+    else:
+        cdf[-1] = 1.0
+    return np.minimum(np.rint(np.array(cdf) * 2.0**53), 2.0**53).astype(np.uint64)
+
+
+def _fold_tally(seed, samples, n, t1, t2, t3) -> np.ndarray:
+    """Samples by the XOR fold of the error indices of their ``n`` segments.
+
+    Returns int64 counts of the folds 0, 1, 2, 3.  A segment has error 1, 2
+    or 3 with probability ``t1``, ``t2 - t1`` or ``t3 - t2``
+    (0 <= t1 <= t2 <= t3 <= 1).  `monte_carlo_transmit` gives the method and
+    the stream.
+    """
+    tally = np.zeros(4, dtype=np.int64)
+    if n == 0 or t3 == 0.0:
+        tally[0] = samples
+        return tally
+    # K ~ Binomial(n, p), or n - K past t3 = 1/2, so that p <= 1/2
+    p = t3 if t3 <= 0.5 else 1.0 - t3
+    decay = -math.log1p(-p)
+    piece = n if decay * n <= _LOG_MASS else max(1, int(_LOG_MASS / decay))
+    pieces, rest = divmod(n, piece)
+    full, part = _binomial_cdf(piece, p), _binomial_cdf(rest, p)
+    cols = pieces + (rest > 0)
+    # event type 1 below c1, 2 below c2, 3 otherwise; u < t is u < ceil(t * 2**53)
+    c1, c2 = (np.uint64(math.ceil(t / t3 * 2.0**53)) for t in (t1, t2))
+    base = np.uint64(seed * _K0 & _MASK64)
+    # rows * n < 2**64, so a pass's event total is a uint64
+    rows = max(1, min(_PASS // cols, _MASK64 // n))
+    for lo in range(0, samples, rows):
+        row = np.arange(lo, min(samples, lo + rows), dtype=np.uint64) * _K1 + base
+        count = np.zeros(row.size, dtype=np.uint64)
+        for j0 in range(0, cols, _PASS):
+            j = np.arange(j0, min(cols, j0 + _PASS), dtype=np.uint64)
+            u = _uniforms(row[:, None] + j * _K2)
+            whole = min(pieces - j0, u.shape[1])  # columns of full pieces
+            count += np.searchsorted(full, u[:, :whole], side="right").sum(axis=1, dtype=np.uint64)
+            if whole < u.shape[1]:
+                count += np.searchsorted(part, u[:, whole], side="right").astype(np.uint64)
+        if t3 > 0.5:
+            count = np.uint64(n) - count
+        # The pass's events run in sample order.  Event g of the pass is the
+        # e-th event of the busy sample whose [start, end) holds it, so its key
+        # row - (e + 1)*K2 is first - g*K2.
+        busy = np.flatnonzero(count)
+        ends = np.cumsum(count[busy])
+        starts = ends - count[busy]
+        first = row[busy] + (starts - np.uint64(1)) * _K2
+        fold = np.zeros(row.size, dtype=np.uint8)
+        events = int(ends[-1]) if busy.size else 0
+        for g0 in range(0, events, _PASS):
+            g1 = min(events, g0 + _PASS)
+            # the samples with events in [g0, g1), and where their runs begin in it
+            lo_g, hi_g = np.uint64(g0), np.uint64(g1)
+            i0, i1 = np.searchsorted(ends, lo_g, side="right"), np.searchsorted(starts, hi_g)
+            offsets = (np.maximum(starts[i0:i1], lo_g) - lo_g).astype(np.intp)
+            keys = np.repeat(first[i0:i1] - np.uint64(g0 * int(_K2) & _MASK64),
+                             np.diff(offsets, append=g1 - g0))
+            u = _uniforms(keys - np.arange(g1 - g0, dtype=np.uint64) * _K2)
+            kind = (u >= c1).astype(np.uint8)
+            kind += u >= c2
+            kind += 1
+            # a sample whose events span two slices folds on from where it was
+            fold[busy[i0:i1]] ^= np.bitwise_xor.reduceat(kind, offsets)
+        tally += np.bincount(fold, minlength=4)
+    return tally
+
+
 def monte_carlo_transmit(
     mu: ErrorDensities,
     geom: LinkGeometry,
@@ -222,24 +330,40 @@ def monte_carlo_transmit(
     samples: int,
     seed: int,
 ) -> McEstimate:
-    """Stochastic two-arm transmission: per-segment error draws, tallied in the Bell basis.
+    """Stochastic two-arm transmission: per-segment errors, tallied in the Bell basis.
 
     Each arm is discretized into ``round(length * segments_per_km)`` segments
     of delta = 1/segments_per_km km (an arm of positive length must round to
-    at least one segment); a segment applies error i with
-    probability mu_i * delta.  Error indices fold through the Klein
-    four-group over both arms, and the folded index selects the received Bell
-    state.  Randomness is a splitmix64 hash of (seed, sample, segment), so a
-    seed fixes the tallies; ``seed`` is any integer, taken mod 2**64.  See
-    ``eprlink._mc`` for the stream and the kernel.  The sampler runs one
-    worker on every CPU in the process's affinity mask: the calling thread,
-    and helper processes forked at the first call of two or more groups of
-    samples made while the process runs one thread, which serve later calls
-    until the interpreter exits.  No flag, environment variable or parameter
-    sets that, and the tallies do not depend on it.  The helpers are
-    children of the calling process for its whole life, so code that reaps
-    any child (``os.wait()``, ``os.waitpid(-1, ...)``) must not run in it:
-    it would wait on them or reap them.
+    at least one segment); a segment applies error i with probability
+    mu_i * delta.  Error indices fold through the Klein four-group over both
+    arms, and the folded index selects the received Bell state.
+
+    The sampler draws exactly that law without walking the segments.  With
+    the cumulative probabilities t1 <= t2 <= t3, a segment errs with
+    probability t3, and an erring segment has error 1, 2 or 3 with
+    probability t1/t3, (t2 - t1)/t3 or (t3 - t2)/t3, independently of the
+    others.  So the number K of erring segments among the n = n1 + n2 of a
+    sample is Binomial(n, t3), and given K their errors are K independent
+    draws of that type law.  Error 0 is the fold's identity and XOR is
+    commutative, so the fold is the XOR of those K types, whichever segments
+    erred, on either arm.  A sample costs O(1 + n t3) draws, not O(n).
+
+    K comes by inversion of a Binomial table in integers of 2**-53, which
+    ends where less than 2**-53 of the mass is left; past t3 = 1/2 it is n
+    minus a Binomial(n, 1 - t3) draw.  The segments are cut into pieces of
+    at most 500 expected events, whose counts add, so no table entry
+    underflows.  The law is thus exact up to the 2**-53 step of the uniforms
+    and the rounding of the table's float recurrence.
+
+    Each draw is the splitmix64 finalizer z of a 64-bit key, as
+    u = (z >> 11) * 2**-53.  Sample i's keys are seed*K0 + i*K1 + j*K2
+    (mod 2**64): its count draws take columns j = 0, 1, ..., and the type
+    of its e-th event column j = -1 - e.  A draw depends only on its key, so
+    a seed fixes the tallies on any host and numpy version (no
+    ``numpy.random``), however a call is cut into passes; ``seed`` is any
+    integer, taken mod 2**64.  Work runs in passes whose arrays hold at most
+    2**16 entries each, so memory does not grow with the number of samples
+    or of events in one.  No state outlives a call.
 
     Raises
     ------
@@ -250,8 +374,8 @@ def monte_carlo_transmit(
         ``segments_per_km`` is past the largest float; if an arm has a
         positive length that rounds to zero segments, i.e. it is no longer
         than half a segment and would be sampled as noiseless; or if the
-        two arms hold 2**64 or more segments, past which a sample's segment
-        keys repeat.
+        two arms hold 2**64 or more segments, since a sample's event count,
+        up to n1 + n2, is a 64-bit unsigned integer.
     DomainError
         If ``sum(mu) / segments_per_km`` exceeds 1, i.e. the discretization
         is too coarse for the requested error densities, or if ``sum(mu)``
@@ -289,11 +413,11 @@ def monte_carlo_transmit(
         round(x) if math.isfinite(x) else 1 << 64
         for x in (geom.l1_km * segments_per_km, geom.l2_km * segments_per_km)
     )
-    # Past 2**64 segments a sample's keys j*K2 mod 2**64 repeat.
+    # A sample's event count, up to n1 + n2, is a uint64.
     if n1 + n2 >= 1 << 64:
         raise ValidationError(
             f"arms of {geom.l1_km!r} and {geom.l2_km!r} km hold 2**64 or more segments "
-            f"at {segments_per_km} segments/km; the sampler's segment keys would repeat"
+            f"at {segments_per_km} segments/km; the sampler counts a sample's events in 64 bits"
         )
     for length, n in ((geom.l1_km, n1), (geom.l2_km, n2)):
         if length > 0.0 and n == 0:
@@ -301,7 +425,7 @@ def monte_carlo_transmit(
                 f"arm length {length!r} km rounds to 0 segments at "
                 f"{segments_per_km} segments/km; increase segments_per_km"
             )
-    counts = _mc.bell_outcome_counts(seed, samples, n1, n2, t1, t2, t3)
+    counts = _fold_tally(seed, samples, n1 + n2, t1, t2, t3)
     # Tallies of the folded index k XOR l, in Bell order as in epr.transmit.
     freq = _bell_order(count / samples for count in counts)
     errors = tuple(math.sqrt(f * (1.0 - f) / samples) for f in freq)

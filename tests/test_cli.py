@@ -622,9 +622,9 @@ class TestGoldenOutput:
         ("sweep-120", "table"): "b7679141addb84e1e6b5dc61f60a3a5904e36120437d4c8fd54dc26f6662407f",
         ("sweep-120", "csv"): "07caee37817adfb8559f80e841f579cc2947984d7687482428fc74ca9423af2e",
         ("sweep-120", "json"): "241ce4745c4e5deec0d1574c1632f1a9bcbc37d6e710ca95739c5ec8627c06cb",
-        ("montecarlo", "table"): "652f0de53b473cded8705efdc7cb9d2c28167f61ea2e8fef17feb534185aa2a3",
-        ("montecarlo", "csv"): "a1ce432be5d80cd1106978edca72c679eff640a109b2b2e078e1c141e1c25fd7",
-        ("montecarlo", "json"): "5bf4bfbd827d16500e2214eb89785e054f59ed28798fff14a4afa24e07908273",
+        ("montecarlo", "table"): "4479d2856c5410b77d2ef120bceb28026580824e1574ba2cfdf2851409cabe85",
+        ("montecarlo", "csv"): "09e74458ab85c0b9e3b1182cc53ee6ec1af3e0c0f9f18df7796aa9a85d888357",
+        ("montecarlo", "json"): "5376f01df16eff2477ca697d7ecc5e6f3b5516345bf07373cc45f5a1d3f3b352",
     }
 
     @pytest.mark.parametrize("command, fmt", sorted(SHA256))

@@ -152,6 +152,12 @@ class TestLookAlikeArguments:
             (transmit_at_length, ((-0.01, 0, 0), GEOM), "mu1 must be >= 0, got -0.01"),
             (transmit_at_length, ((0.01, 0.01, 0.01), (-1.0, 2.0)), "l1_km must be >= 0, got -1.0"),
             (concurrence_vs_length, ((-1.0, 0, 0), 1.0), "mu1 must be >= 0, got -1.0"),
+            # Unchecked, these returned 1.0 and "phi+" for weights that are no state.
+            (concurrence, ((2.0, -1.0, 0.0, 0.0),), "Bell weight a must be in [0, 1], got 2.0"),
+            (
+                dominant_bell_state, ((0.1, 0.2, 5.0, -4.3),),
+                "Bell weight c must be in [0, 1], got 5.0",
+            ),
         ],
     )
     def test_are_checked(self, function, args, message):
@@ -165,6 +171,10 @@ class TestLookAlikeArguments:
             (transmit, (PauliProbs, PauliProbs), (HALF_FLIP, [0.7, 0.1, 0.1, 0.1])),
             (transmit_at_length, (ErrorDensities, LinkGeometry), ((0.01, 0.01, 0.01), (1, 2.0))),
             (transmit_at_length, (ErrorDensities, LinkGeometry), ([1, 0, 0], [1, 2])),
+            # fidelity_psi_plus raised AttributeError on a plain tuple
+            (fidelity_psi_plus, (BellDiagonal,), ((0.9, 0.1, 0.0, 0.0),)),
+            (concurrence, (BellDiagonal,), ([0.1, 0.7, 0.1, 0.1],)),
+            (dominant_bell_state, (BellDiagonal,), ((0.1, 0.2, 0.3, 0.4),)),
         ],
     )
     def test_give_the_same_result(self, function, kinds, args):

@@ -1,14 +1,19 @@
-import errno
-import mmap
-import os
-import select
-import signal
+"""The event-count sampler behind `monte_carlo_transmit`.
+
+The sampler draws each sample's error events, not its segments, so its
+tallies are checked in law: by z and chi-square tests over many seeds
+against the exact discrete model ``transmit(iterate(seg, n1), iterate(seg,
+n2))``, built from the public API, and by its Binomial table against the
+exact pmf.
+"""
+
+import math
 import subprocess
 import sys
 import threading
-import time
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,54 +21,54 @@ from eprlink import (
     DomainError,
     ErrorDensities,
     LinkGeometry,
+    PauliProbs,
     ValidationError,
+    iterate,
     monte_carlo_transmit,
+    oracle,
+    transmit,
     transmit_at_length,
 )
-from eprlink import _mc
 
 from test_cli import child_env
 
 DEPOL = ErrorDensities(0.008, 0.008, 0.008)
 GEOM = LinkGeometry(5.0, 5.0)
-
-_K0 = np.uint64(0x9E3779B97F4A7C15)
-_K1 = np.uint64(0xBF58476D1CE4E5B9)
-_K2 = np.uint64(0x94D049BB133111EB)
+SEEDS = range(40)
+Z_MAX = 5.0
 
 
-def reference_counts(seed, samples, n1, n2, t1, t2, t3):
-    """Dense per-key sampler: a float uniform for every (sample, segment) key."""
-    with np.errstate(over="ignore"):
-        ikey = np.uint64(seed % (1 << 64)) * _K0 + np.arange(samples, dtype=np.uint64) * _K1
-        z = ikey[:, None] + np.arange(n1 + n2, dtype=np.uint64)[None, :] * _K2
-        z = (z ^ (z >> np.uint64(30))) * _K1
-        z = (z ^ (z >> np.uint64(27))) * _K2
-        z ^= z >> np.uint64(31)
-    u = (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    e = np.zeros(u.shape, dtype=np.uint8)
-    e[u < t3] = 3
-    e[u < t2] = 2
-    e[u < t1] = 1
-    k = np.bitwise_xor.reduce(e[:, :n1], axis=1)
-    l = np.bitwise_xor.reduce(e[:, n1:], axis=1)
-    return np.bincount(k ^ l, minlength=4)
+def discrete_reference(mu, geom, segments_per_km):
+    """Exact Bell weights of the segment model at ``segments_per_km``."""
+    delta = 1.0 / segments_per_km
+    t1 = mu[0] * delta
+    t2 = t1 + mu[1] * delta
+    t3 = t2 + mu[2] * delta
+    seg = PauliProbs(1.0 - t3, t1, t2 - t1, t3 - t2)
+    n1, n2 = (round(length * segments_per_km) for length in geom)
+    return transmit(iterate(seg, n1), iterate(seg, n2)).as_tuple()
 
 
-def reference_draw(seed, sample, segment):
-    """Hash of one key before the last finalizer step, and the 53-bit draw."""
-    mask = (1 << 64) - 1
-    z = (seed * int(_K0) + sample * int(_K1) + segment * int(_K2)) & mask
-    z = ((z ^ (z >> 30)) * int(_K1)) & mask
-    z = ((z ^ (z >> 27)) * int(_K2)) & mask
-    return z, (z ^ (z >> 31)) >> 11
+def tallies(mu, geom, segments_per_km, samples, seed):
+    est = monte_carlo_transmit(mu, geom, segments_per_km, samples, seed)
+    return [round(w * samples) for w in est.bell_diagonal.as_tuple()]
 
 
-def assert_matches_reference(seed, samples, n1, n2, t1, t2, t3):
-    got = _mc.bell_outcome_counts(seed, samples, n1, n2, t1, t2, t3)
-    want = reference_counts(seed, samples, n1, n2, t1, t2, t3)
-    assert got.dtype == np.int64
-    assert got.tolist() == want.tolist(), (seed, samples, n1, n2, t1, t2, t3)
+def assert_tallies_follow(want, got, samples):
+    """Chi-square and per-weight z tests of tallies ``got`` (a row per seed) against ``want``."""
+    want, got = np.asarray(want), np.asarray(got)
+    assert (got[:, want == 0.0] == 0).all()
+    expected = want[want > 0.0] * samples
+    chi2 = float((((got[:, want > 0.0] - expected) ** 2) / expected).sum())
+    dof = (len(expected) - 1) * len(got)
+    if dof:
+        # Wilson-Hilferty: (chi2/dof)**(1/3) is about normal
+        z_chi2 = ((chi2 / dof) ** (1 / 3) - (1 - 2 / (9 * dof))) / math.sqrt(2 / (9 * dof))
+        assert abs(z_chi2) < Z_MAX, (chi2, dof)
+    total = samples * len(got)
+    for pooled, w in zip(got.sum(axis=0), want):
+        if 0.0 < w < 1.0:
+            assert abs(pooled / total - w) < Z_MAX * math.sqrt(w * (1 - w) / total), (pooled, w)
 
 
 def test_noiseless_channel_is_exact():
@@ -191,13 +196,13 @@ def test_rejects_segments_per_km_past_the_float_range(segments_per_km):
     "mu, l1, l2, segments_per_km",
     [
         (0.0, 1e308, 1e308, 10),  # L * segments_per_km overflows to inf
-        (0.1, 1e300, 0.0, 1),  # would walk about 1e295 column tiles
+        (0.1, 1e300, 0.0, 1),  # about 1e300 segments
         (0.1, 2.0**63, 2.0**63, 1),  # exactly 2**64 segments
         (0.1, 0.0, 2.0**64, 1),
     ],
 )
 def test_rejects_2_64_segments_or_more(mu, l1, l2, segments_per_km):
-    # past 2**64 segments, keys j*K2 mod 2**64 repeat within a sample
+    # a sample's event count, up to n1 + n2, is a 64-bit unsigned integer
     with pytest.raises(ValidationError, match=r"2\*\*64 or more segments"):
         monte_carlo_transmit(
             ErrorDensities(mu, mu, mu), LinkGeometry(l1, l2),
@@ -206,7 +211,7 @@ def test_rejects_2_64_segments_or_more(mu, l1, l2, segments_per_km):
 
 
 def test_accepts_just_under_2_64_segments():
-    # noiseless, so the kernel returns without walking the segments
+    # noiseless, so no sample has an event
     est = monte_carlo_transmit(
         ErrorDensities(0.0, 0.0, 0.0), LinkGeometry(2.0**63, 2.0**63 - 1024),
         segments_per_km=1, samples=10, seed=0,
@@ -255,455 +260,215 @@ def test_rejects_bad_counts():
         monte_carlo_transmit(DEPOL, GEOM, segments_per_km=10, samples=0, seed=0)
 
 
+@pytest.mark.parametrize(
+    "seed",
+    [-1, -(2**63), -(3 * 2**64) + 5, 2**64, 2**64 + 7, 717897987691852588770249, 2**200],
+    ids=["-1", "-2**63", "-3*2**64+5", "2**64", "2**64+7", "717897987691852588770249", "2**200"],
+)
+def test_seed_is_taken_modulo_2_64(seed):
+    want = monte_carlo_transmit(DEPOL, GEOM, segments_per_km=10, samples=300, seed=seed % 2**64)
+    assert monte_carlo_transmit(DEPOL, GEOM, segments_per_km=10, samples=300, seed=seed) == want
+
+
 def test_negative_seed_is_wrapped():
-    counts = _mc.bell_outcome_counts(-1, 1000, 10, 10, 0.01, 0.02, 0.03)
-    wrapped = _mc.bell_outcome_counts(2**64 - 1, 1000, 10, 10, 0.01, 0.02, 0.03)
-    assert counts.sum() == 1000
-    assert counts.tolist() == wrapped.tolist()
+    counts = monte_carlo_transmit(DEPOL, GEOM, segments_per_km=10, samples=1000, seed=-1)
+    wrapped = monte_carlo_transmit(DEPOL, GEOM, segments_per_km=10, samples=1000, seed=2**64 - 1)
+    assert counts.samples == 1000
+    assert counts == wrapped
 
 
-def test_bit_identical_to_reference_on_random_configs():
-    rng = np.random.default_rng(20261018)
-    for _ in range(40):
-        t1, t2, t3 = sorted(rng.uniform(0.0, 10.0 ** rng.uniform(-4.0, 0.0), 3).tolist())
-        seed = int(rng.integers(-(2**63), 2**63)) * int(rng.integers(1, 4))
-        assert_matches_reference(
-            seed, int(rng.integers(1, 1500)), int(rng.integers(0, 300)),
-            int(rng.integers(0, 300)), t1, t2, t3,
-        )
-
-
-@pytest.mark.parametrize("n1, n2", [(0, 37), (37, 0), (0, 0), (1, 1)])
-def test_bit_identical_with_an_empty_arm(n1, n2):
-    assert_matches_reference(5, 2000, n1, n2, 0.01, 0.03, 0.05)
+@pytest.mark.parametrize(
+    "mu, geom, segments_per_km, samples",
+    [
+        # each segment is (1/4, 1/4, 1/4, 1/4): a quarter per weight, where
+        # the continuum weights put a at 0.2637
+        ((0.5, 0.5, 0.5), (1.0, 1.0), 2, 20_000),
+        # unequal densities: b, c and d differ, which checks the fold order
+        ((0.01, 0.02, 0.005), (20.0, 10.0), 1, 20_000),
+        # t3 past 1/2, drawn as n minus a Binomial(n, 1 - t3) count
+        ((0.3, 0.6, 0.15), (1.5, 1.0), 2, 20_000),
+        # t1 = t2 = t3: every event is error 1, so b = d = 0
+        ((0.05, 0.0, 0.0), (4.0, 3.0), 1, 20_000),
+        # t3 = 1: every segment errs, with error 1 or 2
+        ((0.5, 0.5, 0.0), (3.0, 2.0), 1, 20_000),
+        # one empty arm
+        ((0.02, 0.01, 0.03), (0.0, 12.0), 2, 20_000),
+        # an average of 90 events a sample
+        ((0.05, 0.1, 0.15), (250.0, 50.0), 1, 2000),
+    ],
+    ids=["quarter", "asymmetric", "past-half", "one-type", "all-err", "empty-arm", "dense"],
+)
+@pytest.mark.parametrize("log_mass", [oracle._LOG_MASS, 0.3], ids=["one-piece", "pieces"])
+def test_tallies_match_the_discrete_model(
+    monkeypatch, mu, geom, segments_per_km, samples, log_mass
+):
+    # A small _LOG_MASS cuts the segments into pieces of a fraction of an
+    # event each, whose counts add.
+    monkeypatch.setattr(oracle, "_LOG_MASS", log_mass)
+    want = discrete_reference(mu, geom, segments_per_km)
+    got = [tallies(mu, geom, segments_per_km, samples, seed) for seed in SEEDS]
+    assert_tallies_follow(want, got, samples)
 
 
 @pytest.mark.parametrize(
     "t1, t2, t3",
     [
         (0.0, 0.0, 0.0),
-        (0.0, 0.0, 0.02),
-        (0.0, 0.02, 0.02),
-        (0.01, 0.01, 0.01),
-        (0.2, 0.5, 1.0),
+        (0.0, 0.0, 0.02),  # error 3 only
+        (0.0, 0.02, 0.02),  # error 2 only
+        (0.01, 0.01, 0.01),  # error 1 only
+        (0.2, 0.5, 1.0),  # every segment errs
+        (0.5, 0.75, 0.9999999999999999),  # a segment is clean with probability 2**-53
         (1.0, 1.0, 1.0),
-        (0.5, 0.75, 1.0 - 2.0**-53),
     ],
 )
-def test_bit_identical_at_extreme_probabilities(t1, t2, t3):
-    assert_matches_reference(11, 700, 40, 23, t1, t2, t3)
+def test_extreme_thresholds_match_the_discrete_model(t1, t2, t3):
+    # the folds of 37 segments, against the 37-fold convolution of one segment
+    n, samples = 37, 2000
+    want = iterate(PauliProbs(1.0 - t3, t1, t2 - t1, t3 - t2), n).as_tuple()
+    got = [oracle._fold_tally(seed, samples, n, t1, t2, t3).tolist() for seed in SEEDS]
+    assert_tallies_follow(want, got, samples)
 
 
-def test_bit_identical_when_draws_sit_on_the_threshold():
-    # u < t fails exactly at u == t: put every threshold on a drawn value
-    seed, samples, n1, n2 = 2**63 + 12345, 300, 20, 30
-    keys = [reference_draw(seed, i, j) for i in range(samples) for j in range(n1 + n2)]
-    draws = sorted(m for _, m in keys)
-    for k in (0, 1, len(draws) // 3):
-        t1, t2, t3 = (draws[k + d] * 2.0**-53 for d in (0, 40, 900))
-        assert_matches_reference(seed, samples, n1, n2, t1, t2, t3)
-    # The last finalizer step lowers these draws below the threshold while
-    # their pre-image stays above it; they must still flip.
-    lowered = [m for pre, m in keys if pre >> 11 > m]
-    for m in lowered[:20]:
-        t3 = (m + 1) * 2.0**-53
-        assert_matches_reference(seed, samples, n1, n2, t3 / 4, t3 / 2, t3)
+def test_coarse_segmentation_gives_a_quarter_per_weight():
+    # 2 segments/km at mu = 0.5 /km on each axis: within 5 standard errors of
+    # the discrete weights, 1/4 each, far from the continuum's a = 0.2637
+    est = monte_carlo_transmit(
+        ErrorDensities(0.5, 0.5, 0.5), LinkGeometry(1.0, 1.0),
+        segments_per_km=2, samples=100_000, seed=1,
+    )
+    for got, se in zip(est.bell_diagonal.as_tuple(), est.standard_errors):
+        assert abs(got - 0.25) <= Z_MAX * se
+    assert abs(est.bell_diagonal.a - transmit_at_length((0.5, 0.5, 0.5), (1.0, 1.0)).a) > 0.01
 
 
-@pytest.mark.parametrize("seed", [0, -1, -(2**63), 2**63, 2**64 - 1, 2**64 + 7, 3**50])
-def test_bit_identical_across_seed_range(seed):
-    assert_matches_reference(seed, 500, 60, 60, 0.02, 0.04, 0.06)
+@pytest.mark.parametrize("l1, l2, weights", [(3.0, 0.0, (0, 0, 1, 0)), (2.0, 2.0, (1, 0, 0, 0))])
+def test_every_segment_errs_at_a_probability_of_1(l1, l2, weights):
+    # t1 = t2 = t3 = 1: n errors of type 1, whose fold is n mod 2
+    est = monte_carlo_transmit(
+        ErrorDensities(1.0, 0.0, 0.0), LinkGeometry(l1, l2), segments_per_km=1, samples=50, seed=3
+    )
+    assert est.bell_diagonal.as_tuple() == weights
 
 
-def test_bit_identical_across_block_boundaries():
-    ntot = 1000
-    rows = _mc._BLOCK_KEYS // ntot
-    for samples in (1, rows - 1, rows, rows + 1, 2 * rows + 1):
-        assert_matches_reference(3, samples, 400, ntot - 400, 0.002, 0.004, 0.006)
-    # a single sample wider than one block
-    assert_matches_reference(3, 3, _mc._BLOCK_KEYS, 5, 0.002, 0.004, 0.006)
+@pytest.mark.parametrize("geom", [(5.0, 5.0), (2.0**63, 2.0**63 - 1024)], ids=["10", "2**64-1024"])
+def test_a_subnormal_error_probability_is_exact(geom):
+    # 5e-324 per segment: below 2**-53 of mass is on any event, even over
+    # just under 2**64 segments, so every sample is psi+
+    est = monte_carlo_transmit(
+        ErrorDensities(0.0, 0.0, 5e-324), geom, segments_per_km=1, samples=10, seed=0
+    )
+    assert est.bell_diagonal.as_tuple() == (1.0, 0.0, 0.0, 0.0)
+
+
+def test_only_the_total_segment_count_matters():
+    # the fold runs over both arms at once, with one threshold triple
+    mu = ErrorDensities(0.02, 0.01, 0.03)
+    ests = [
+        monte_carlo_transmit(mu, geom, segments_per_km=10, samples=5000, seed=8)
+        for geom in ((6.0, 0.0), (0.0, 6.0), (2.5, 3.5))
+    ]
+    assert ests[0].bell_diagonal == ests[1].bell_diagonal == ests[2].bell_diagonal
+
+
+@pytest.mark.parametrize(
+    "m, p",
+    [(0, 0.3), (1, 0.5), (7, 0.2), (300, 0.5), (978, 0.4), (20_000, 0.01), (10**6, 1e-7)],
+)
+def test_binomial_table_matches_the_exact_pmf(m, p):
+    table = oracle._binomial_cdf(m, p)
+    assert table.dtype == np.uint64 and table[-1] == 2**53
+    assert len(table) <= m + 1 and (np.diff(table.astype(np.int64)) >= 0).all()
+    # it ends in the tail, not where a float sum of the pmf would reach 1
+    assert len(table) <= m * p + 10 * math.sqrt(m * p * (1 - p)) + 20
+    with mpmath.workdps(40):
+        q = 1 - mpmath.mpf(p)
+        cdf = mpmath.mpf(0)
+        for k, entry in enumerate(table[:-1].tolist()):
+            cdf += mpmath.binomial(m, k) * mpmath.mpf(p) ** k * q ** (m - k)
+            assert abs(entry * 2.0**-53 - float(cdf)) < 1e-13, (k, entry)
+        # the last entry takes the tail, less than 2**-53 of the mass
+        assert 1 - cdf < 2.0**-53 + 1e-13 or len(table) == m + 1
+
+
+@pytest.mark.parametrize("m, p", [(2**63, 5e-324), (10, 0.0), (2**64 - 1, 0.0)])
+def test_binomial_table_without_mass_past_0(m, p):
+    assert oracle._binomial_cdf(m, p).tolist() == [2**53, 2**53]
+
+
+def test_binomial_table_of_many_segments_ends_in_its_tail():
+    # mean 110 over 2**40 segments: a walk towards m would never end
+    assert len(oracle._binomial_cdf(2**40, 1e-10)) < 250
+
+
+@pytest.mark.parametrize("size", [1, 3, 64])
+def test_tallies_do_not_depend_on_the_pass_size(monkeypatch, size):
+    # Pieces of a fraction of an event put many count draws in a sample, so
+    # samples, count draws and events all span passes.
+    monkeypatch.setattr(oracle, "_LOG_MASS", 0.3)
+    configs = [
+        (3, 300, 50, 0.01, 0.02, 0.03),  # 6 pieces a sample
+        (-8, 3, 300, 0.3, 0.6, 0.9),  # 150 pieces and 270 events a sample
+        (2**64 - 5, 257, 30, 0.05, 0.1, 0.2),
+    ]
+    want = [oracle._fold_tally(*c).tolist() for c in configs]
+    monkeypatch.setattr(oracle, "_PASS", size)
+    assert [oracle._fold_tally(*c).tolist() for c in configs] == want
 
 
 def test_no_runtime_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for seed in (-(2**63), 2**64 - 1, 3**50):
-            _mc.bell_outcome_counts(seed, 2000, 300, 300, 0.1, 0.2, 1.0)
-            _mc.bell_outcome_counts(seed, 50, 0, 0, 0.0, 0.0, 0.0)
+            oracle._fold_tally(seed, 2000, 600, 0.1, 0.2, 1.0)
+            oracle._fold_tally(seed, 2000, 600, 0.1, 0.2, 0.7)
+            oracle._fold_tally(seed, 50, 0, 0.0, 0.0, 0.0)
+            oracle._fold_tally(seed, 50, 2**64 - 1, 0.0, 0.0, 5e-324)
         monte_carlo_transmit(DEPOL, GEOM, segments_per_km=20, samples=5000, seed=-9)
 
 
-@pytest.mark.parametrize("ntot", [40, 63, 64, 65, 200, 257])
-def test_bit_identical_with_samples_wider_than_a_block(monkeypatch, ntot):
-    monkeypatch.setattr(_mc, "_BLOCK_KEYS", 64)
-    rows = max(1, 64 // ntot)
-    for samples in (1, 2, rows, rows + 1, 3 * rows + 2):
-        assert_matches_reference(9, samples, ntot // 3, ntot - ntot // 3, 0.05, 0.1, 0.2)
-
-
-def test_a_helper_takes_every_constant_from_each_call(monkeypatch):
-    # fork the helper while the block and queue sizes are patched small ...
-    _mc._stop_helpers()
-    monkeypatch.setattr(_mc, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(_mc, "_BUFFERS", ())
-    monkeypatch.setattr(_mc, "_BLOCK_KEYS", 64)
-    monkeypatch.setattr(_mc, "_TAIL_KEYS", 7)
-    assert_matches_reference(9, 40, 20, 20, 0.05, 0.1, 0.2)
-    helper = _mc._TEAM.helpers[0][0]
-    # ... then let it serve calls of the full sizes
-    monkeypatch.setattr(_mc, "_BLOCK_KEYS", 1 << 16)
-    monkeypatch.setattr(_mc, "_TAIL_KEYS", 1 << 14)
-    assert_matches_reference(9, 20_000, 300, 300, 0.01, 0.02, 0.03)
-    assert_matches_reference(9, 3, 30_000, 50_000, 0.05, 0.1, 0.2)
-    assert _mc._TEAM.helpers[0][0] == helper
-
-
 def test_memory_does_not_grow_with_sample_width():
+    # At t3 = 1 a sample has one event per segment.
     tracemalloc = pytest.importorskip("tracemalloc")
 
-    def peak(ntot):
+    def peak(events):
         tracemalloc.start()
         try:
-            _mc.bell_outcome_counts(4, 1, ntot // 2, ntot - ntot // 2, 0.2, 0.5, 1.0)
+            oracle._fold_tally(4, 1, events, 0.2, 0.5, 1.0)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    block = _mc._BLOCK_KEYS
-    _mc.bell_outcome_counts(4, 1, block, block, 0.2, 0.5, 1.0)  # allocate the buffers
-    narrow, wide = peak(2 * block), peak(16 * block)
+    size = oracle._PASS
+    narrow, wide = peak(2 * size), peak(16 * size)
     assert wide <= narrow + 4096, (narrow, wide)
-    assert wide < 8 * block * 8  # a few block-sized temporaries, not the sample width
+    assert wide < 8 * size * 8  # a few pass-sized arrays, not the events of a sample
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_tallies_do_not_depend_on_the_worker_count(monkeypatch, workers):
-    monkeypatch.setattr(_mc, "_BLOCK_KEYS", 256)
-    monkeypatch.setattr(_mc, "_usable_cpus", lambda: workers)
-    for seed, samples in ((3, 4001), (-8, 1000), (2**64 - 5, 257)):
-        assert_matches_reference(seed, samples, 17, 30, 0.01, 0.03, 0.06)
-
-
-@pytest.mark.parametrize("chunks", [1, 3, 7])
-def test_tallies_do_not_depend_on_the_chunk_count(monkeypatch, chunks):
-    # chunks of many groups, a short last chunk, one chunk for a whole call
-    monkeypatch.setattr(_mc, "_BLOCK_KEYS", 256)
-    monkeypatch.setattr(_mc, "_CHUNKS", chunks)
-    monkeypatch.setattr(_mc, "_usable_cpus", lambda: 2)
-    for seed, samples in ((3, 4001), (-8, 1000), (2**64 - 5, 257)):
-        assert_matches_reference(seed, samples, 17, 30, 0.01, 0.03, 0.06)
-
-
-@pytest.mark.parametrize("tail", [1, 7, None])
-def test_bit_identical_for_any_candidate_queue_length(monkeypatch, tail):
-    # Samples of 257 and 20000 keys span 2 and 79 blocks; at t3 = 1 every key
-    # is a candidate, so a sample's fold carries across queue flushes.
-    monkeypatch.setattr(_mc, "_BLOCK_KEYS", 256)
-    configs = [(9, 1000, 17, 30, 0.01, 0.03, 0.06), (9, 3, 100, 157, 0.2, 0.5, 1.0)]
-    if tail is None:
-        configs.append((9, 2, 9000, 11000, 0.05, 0.1, 1.0))  # > _TAIL_KEYS per sample
-    else:
-        monkeypatch.setattr(_mc, "_TAIL_KEYS", tail)
-    for config in configs:
-        assert_matches_reference(*config)
-
-
-def wait_until(condition, timeout=10.0):
-    deadline = time.monotonic() + timeout
-    while not condition():
-        assert time.monotonic() < deadline, "timed out"
-        time.sleep(0.001)
-
-
-def running(pid):
-    """Whether process ``pid`` exists and is not a zombie."""
-    try:
-        os.kill(pid, 0)
-        with open(f"/proc/{pid}/stat") as stat:
-            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
-    except (ProcessLookupError, FileNotFoundError):
-        return False
-
-
-def test_helper_failure_reaches_the_caller(monkeypatch):
-    monkeypatch.setattr(_mc, "_usable_cpus", lambda: 2)
-    scan, caller = _mc._scan, os.getpid()
-    failed = mmap.mmap(-1, 1)  # shared with the helper forked below
-    scanned = []
-
-    def failing_in_helper(*args):
-        if os.getpid() != caller:
-            failed[0] = 1
-            raise RuntimeError("helper failed")
-        wait_until(lambda: failed[0])  # leave the helper a chunk to fail on
-        scanned.append(args[3])
-        return scan(*args)
-
-    # A helper runs the code of its parent at fork time: fork one that fails.
-    _mc._stop_helpers()
-    monkeypatch.setattr(_mc, "_scan", failing_in_helper)
-    try:
-        with pytest.raises(RuntimeError, match="helper failed"):
-            _mc.bell_outcome_counts(2, 20_000, 20, 20, 0.01, 0.02, 0.03)  # 13 chunks
-    finally:
-        _mc._stop_helpers()
-    assert len(scanned) < 6  # the failed helper emptied the claim pipe
-    assert not _mc._LOCK.locked()
-    monkeypatch.setattr(_mc, "_scan", scan)
-    assert_matches_reference(2, 20_000, 20, 20, 0.01, 0.02, 0.03)
-
-
-@pytest.mark.parametrize("workers", [2, 3])
-def test_killed_helper_makes_the_caller_raise(monkeypatch, workers):
-    monkeypatch.setattr(_mc, "_usable_cpus", lambda: workers)
-    config = (4, 20_000, 300, 300, 0.01, 0.02, 0.03)
-    scan, caller = _mc._scan, os.getpid()
-    killed = mmap.mmap(-1, 1)  # shared with the helpers forked below
-
-    def killing_the_first_helper(*args):
-        # The caller kills helper 1 before any helper may scan, so it dies
-        # mid-call; the others then take the remaining chunks and reply.
-        if os.getpid() == caller:
-            if not killed[0]:
-                os.kill(_mc._TEAM.helpers[0][0], signal.SIGKILL)
-                killed[0] = 1
-        else:
-            wait_until(lambda: killed[0])
-        return scan(*args)
-
-    _mc._stop_helpers()
-    monkeypatch.setattr(_mc, "_scan", killing_the_first_helper)
-    with pytest.raises(RuntimeError, match="helper process exited mid-call"):
-        _mc.bell_outcome_counts(*config)
-    pids = [pid for pid, _, _ in _mc._TEAM.helpers]
-    assert len(pids) == workers - 1
-    stop_helpers, stopped = _mc._stop_helpers, []
-    monkeypatch.setattr(_mc, "_stop_helpers", lambda: stopped.append(stop_helpers()))
-    monkeypatch.setattr(_mc, "_scan", scan)
-    assert_matches_reference(*config)  # stops the old helpers and forks new ones
-    assert stopped == [True]  # False had one to be killed after its pipe closed
-    assert not any(running(pid) for pid in pids)
-    assert not set(pids) & {pid for pid, _, _ in _mc._TEAM.helpers}
-
-
-def test_caller_failure_stops_the_helpers(monkeypatch):
-    monkeypatch.setattr(_mc, "_usable_cpus", lambda: 2)
-    config = (2, 20_000, 300, 300, 0.01, 0.02, 0.03)  # 184 chunks of one group
-    scan, receive, caller = _mc._scan, _mc._receive, os.getpid()
-    scanned = mmap.mmap(-1, 1)  # shared with the helper forked below
-    replies = []
-
-    def interrupted(*args):
-        if os.getpid() == caller:
-            wait_until(lambda: scanned[0])
-            raise KeyboardInterrupt
-        scanned[0] = 1
-        time.sleep(0.005)  # half the groups would take the helper at least 0.46 s
-        return scan(*args)
-
-    def recording(fd):
-        replies.append(receive(fd))
-        return replies[-1]
-
-    _mc._stop_helpers()
-    monkeypatch.setattr(_mc, "_scan", interrupted)
-    monkeypatch.setattr(_mc, "_receive", recording)
-    with pytest.raises(KeyboardInterrupt):
-        _mc.bell_outcome_counts(*config)
-    # The helper's reply was read before the re-raise, and it stopped claiming.
-    team = _mc._TEAM
-    (helper_tally,) = replies
-    assert 1 <= sum(helper_tally) < 20_000 // 2
-    assert not select.select([fd for _, _, fd in team.helpers], [], [], 0.0)[0]
-    assert not _mc._LOCK.locked()
-    monkeypatch.setattr(_mc, "_scan", scan)
-    assert_matches_reference(*config)
-    assert _mc._TEAM is team  # the same helper answers
-
-
-def test_an_interrupt_while_reading_replies_replaces_the_helpers(monkeypatch):
-    monkeypatch.setattr(_mc, "_usable_cpus", lambda: 2)
-    assert_matches_reference(2, 20_000, 300, 300, 0.01, 0.02, 0.03)  # forks the helper
-    team, receive = _mc._TEAM, _mc._receive
-
-    def interrupted(fd):
-        raise KeyboardInterrupt
-
-    monkeypatch.setattr(_mc, "_receive", interrupted)
-    with pytest.raises(KeyboardInterrupt):
-        _mc.bell_outcome_counts(2, 20_000, 300, 300, 0.01, 0.02, 0.03)
-    # The helper's reply is left unread: the next call must not take it for its own.
-    monkeypatch.setattr(_mc, "_receive", receive)
-    assert_matches_reference(3, 20_000, 300, 300, 0.01, 0.02, 0.03)
-    assert _mc._TEAM is not team
-
-
-@pytest.mark.parametrize("failing", ["fork", "dup"])
-def test_a_failed_fork_leaves_the_caller_working_alone(monkeypatch, failing):
-    # Out of processes or descriptors: the call runs on the calling thread,
-    # and the pipe ends opened for the helper are closed again.
-    monkeypatch.setattr(_mc, "_usable_cpus", lambda: 2)
-    _mc._stop_helpers()
-
-    def unavailable(*args):
-        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
-    monkeypatch.setattr(os, failing, unavailable)
-    config = (9, 20_000, 30, 30, 0.01, 0.02, 0.03)  # 19 groups
-    try:
-        before = len(os.listdir("/proc/self/fd"))
-        assert_matches_reference(*config)
-        after = len(os.listdir("/proc/self/fd"))
-        assert after <= before + 2  # the claim pipe, kept for the next call
-        assert_matches_reference(*config)
-        assert len(os.listdir("/proc/self/fd")) == after
-        assert _mc._TEAM is None or not _mc._TEAM.helpers
-    finally:
-        _mc._stop_helpers()
-
-
-def test_a_helper_that_does_not_exit_is_killed(monkeypatch):
-    monkeypatch.setattr(_mc, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(_mc, "_EXIT_WAIT_S", 0.2)
-    assert_matches_reference(4, 2000, 300, 300, 0.01, 0.02, 0.03)  # forks the helper
-    helper = _mc._TEAM.helpers[0][0]
-    os.kill(helper, signal.SIGSTOP)  # so it cannot see its task pipe close
-    try:
-        assert not _mc._stop_helpers()  # True had it exited by itself
-    finally:
-        if running(helper):
-            os.kill(helper, signal.SIGKILL)
-    assert not running(helper)
-    assert _mc._TEAM is None
-
-
-def test_no_helper_outlives_its_interpreter():
+def test_sampling_never_loads_numpy_random():
+    # numpy.random adds several MB of resident memory; the stream is splitmix64.
     script = (
-        "import atexit, os, sys\n"
-        "def childless():\n"
-        "    try:\n"
-        "        os.waitpid(-1, os.WNOHANG)\n"
-        "    except ChildProcessError:\n"
-        "        return True\n"
-        "    return False\n"
-        "# registered first, so it runs after the sampler's exit handler\n"
-        "atexit.register(lambda: childless() or os._exit(3))\n"
-        "from eprlink import _mc\n"
-        "_mc._usable_cpus = lambda: 2\n"
-        "assert childless() and _mc._TEAM is None\n"
-        "_mc.bell_outcome_counts(1, 10, 30, 30, 0.01, 0.02, 0.03)  # one group\n"
-        "assert childless() and _mc._TEAM is None\n"
-        "_mc.bell_outcome_counts(1, 10_000, 30, 30, 0.01, 0.02, 0.03)\n"
-        "print(_mc._TEAM.helpers[0][0], flush=True)\n"
+        "import sys\n"
+        "from eprlink import monte_carlo_transmit\n"
+        "monte_carlo_transmit((0.3, 0.6, 0.15), (2.0, 1.0), 2, 1000, 1)\n"
+        "monte_carlo_transmit((0.01, 0.01, 0.01), (5.0, 5.0), 100, 1000, 1)\n"
+        "assert 'numpy' in sys.modules\n"
+        "assert 'numpy.random' not in sys.modules, 'numpy.random was loaded'\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=child_env(),
         timeout=60,
     )
-    assert proc.returncode == 0, proc.stderr  # 3: a helper was left unreaped at exit
-    assert not running(int(proc.stdout))
-
-
-def test_a_helper_exits_when_its_caller_dies_mid_call():
-    script = (
-        "import os, signal\n"
-        "from eprlink import _mc\n"
-        "_mc._usable_cpus = lambda: 2\n"
-        "_mc.bell_outcome_counts(1, 2000, 300, 300, 0.01, 0.02, 0.03)  # forks the helper\n"
-        "def dying(*args):\n"
-        "    print(_mc._TEAM.helpers[0][0], flush=True)\n"
-        "    os.kill(os.getpid(), signal.SIGKILL)\n"
-        "_mc._scan = dying  # in the caller only: the helper has the real one\n"
-        "_mc.bell_outcome_counts(1, 20_000, 300, 300, 0.01, 0.02, 0.03)  # 184 chunks\n"
-    )
-    # The helper shares the child's stdout, so wait for the child, not for EOF.
-    proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, env=child_env())
-    helper = None
-    try:
-        helper = int(proc.stdout.readline())
-        assert proc.wait(timeout=60) == -signal.SIGKILL
-        wait_until(lambda: not running(helper))  # it took the last chunks, then saw EOF
-    finally:
-        proc.kill()
-        proc.wait()
-        proc.stdout.close()
-        if helper is not None and running(helper):
-            os.kill(helper, signal.SIGKILL)
-
-
-def test_a_helper_exits_when_its_task_pipe_closes(monkeypatch):
-    monkeypatch.setattr(_mc, "_usable_cpus", lambda: 2)
-    assert_matches_reference(4, 2000, 300, 300, 0.01, 0.02, 0.03)  # forks the helper
-    helper = _mc._TEAM.helpers[0][0]
-    assert _mc._stop_helpers()  # False had it to be killed
-    assert not running(helper)
-
-
-def test_a_forked_child_forks_its_own_helper(monkeypatch):
-    monkeypatch.setattr(_mc, "_usable_cpus", lambda: 2)
-    config = (7, 3000, 100, 120, 0.01, 0.02, 0.03)
-    assert_matches_reference(*config)
-    team = _mc._TEAM
-    parent_helper = team.helpers[0][0]
-    fds = [fd for _, task, reply in team.helpers for fd in (task, reply)]
-    child = os.fork()
-    if child == 0:
-        status = 1
-        try:
-            assert _mc._TEAM is None
-            for fd in fds:
-                with pytest.raises(OSError):
-                    os.fstat(fd)
-            assert_matches_reference(*config)
-            assert _mc._TEAM.helpers[0][0] != parent_helper
-            assert _mc._stop_helpers()
-            status = 0
-        finally:
-            os._exit(status)
-    _, status = os.waitpid(child, 0)
-    assert os.waitstatus_to_exitcode(status) == 0
-    assert_matches_reference(*config)
-    assert _mc._TEAM is team and team.helpers[0][0] == parent_helper
-
-
-def test_helper_holds_no_pipe_of_the_caller(monkeypatch):
-    # A helper forked while the caller holds a pipe to `cat` must not keep its
-    # write end open, or `cat` would never see end of file.
-    monkeypatch.setattr(_mc, "_usable_cpus", lambda: 2)
-    _mc._stop_helpers()
-    cat = subprocess.Popen(["cat"], stdin=subprocess.PIPE, stdout=subprocess.DEVNULL)
-    try:
-        assert_matches_reference(8, 2000, 300, 300, 0.01, 0.02, 0.03)  # forks a helper
-        assert _mc._TEAM is not None
-        cat.stdin.close()
-        assert cat.wait(timeout=10.0) == 0
-    finally:
-        cat.kill()
-        cat.wait()
-
-
-def test_a_call_beside_another_thread_forks_no_helper(monkeypatch):
-    monkeypatch.setattr(_mc, "_usable_cpus", lambda: 2)
-    _mc._stop_helpers()
-    config = (3, 4001, 17, 30, 0.01, 0.03, 0.06)
-    got = []
-    thread = threading.Thread(target=lambda: got.append(_mc.bell_outcome_counts(*config)))
-    thread.start()
-    thread.join(timeout=60.0)
-    assert not thread.is_alive()
-    assert _mc._TEAM is None
-    assert got[0].tolist() == reference_counts(*config).tolist()
-    assert_matches_reference(*config)  # from the one thread left: forks the helper
-    assert _mc._TEAM is not None
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_concurrent_callers_get_sequential_tallies():
-    configs = [(5, 30_000, 100, 120, 0.01, 0.02, 0.03), (6, 20_000, 7, 300, 0.002, 0.02, 0.05)]
-    sequential = [_mc.bell_outcome_counts(*c).tolist() for c in configs]
+    configs = [(5, 30_000, 220, 0.01, 0.02, 0.03), (6, 20_000, 307, 0.02, 0.2, 0.5)]
+    sequential = [oracle._fold_tally(*c).tolist() for c in configs]
     results = [None, None]
 
     def call(k):
-        results[k] = _mc.bell_outcome_counts(*configs[k]).tolist()
+        results[k] = oracle._fold_tally(*configs[k]).tolist()
 
     threads = [threading.Thread(target=call, args=(k,)) for k in range(2)]
     for thread in threads:
