@@ -6,8 +6,8 @@ lengths and per-km error densities estimated from experimental QBER.
 
 The public names are those in the ``__all__`` of `channel`, `epr`,
 `analysis` and `oracle`, plus the three errors; each module's ``__all__`` is
-the one list of its names.  The oracle's names load it, and numpy, on first
-access.
+the one list of its names, and the oracle's is `_ORACLE_NAMES` here.  The
+oracle's names load it, and numpy, on first access.
 """
 
 import importlib
@@ -21,8 +21,8 @@ from .errors import DomainError, NumericError, ValidationError
 __version__ = "0.1.0"
 
 # The oracle and the sampler need numpy, which is most of the import time;
-# their names load it on first access.  This is `oracle.__all__`, written out
-# because reading that would load numpy; a test keeps the two equal.
+# their names load it on first access.  `oracle.__all__` is built from this
+# list, so reading the names loads no numpy.
 _ORACLE_NAMES = frozenset(
     {
         "McEstimate",

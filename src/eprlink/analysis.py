@@ -108,11 +108,14 @@ class SweepTable(_Value, namedtuple("SweepTable", "rows")):
 
     def __new__(cls, rows):
         rows = tuple(rows)
-        for (prev_length, prev_conc, _), (length, conc, _) in zip(rows, rows[1:]):
-            if length <= prev_length:
+        # Written so that nan fails both comparisons, row 0's included.
+        prev_length, prev_conc = -math.inf, math.inf
+        for length, conc, _ in rows:
+            if not length > prev_length:
                 raise ValidationError("sweep lengths must be strictly increasing")
-            if conc > prev_conc + 1e-12:
+            if not conc <= prev_conc + 1e-12:
                 raise ValidationError("sweep concurrence must be non-increasing")
+            prev_length, prev_conc = length, conc
         return tuple.__new__(cls, (rows,))
 
 

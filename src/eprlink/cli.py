@@ -40,27 +40,22 @@ def _threshold_text(result: analysis.ThresholdResult) -> str:
     return f"{_g6(result.length_km)} km" if result.is_finite else "never vanishes"
 
 
-def _parse_float_list(text: str, n: int, what: str) -> list[float]:
+def _parse_values(cls, text: str, flag: str):
+    """``cls`` built from the comma-separated numbers of ``flag``, one per field."""
+    n = len(cls._fields)
     parts = [s.strip() for s in text.split(",")]
     if len(parts) != n:
-        raise ValidationError(f"{what} needs {n} comma-separated values, got {len(parts)}")
+        raise ValidationError(f"{flag} needs {n} comma-separated values, got {len(parts)}")
     try:
-        return [float(s) for s in parts]
+        values = [float(s) for s in parts]
     except ValueError:
-        raise ValidationError(f"{what} has a non-numeric entry: {text!r}") from None
-
-
-def _parse_probs(text: str, what: str = "--p") -> PauliProbs:
-    return PauliProbs(*_parse_float_list(text, 4, what))
-
-
-def _parse_mu(text: str) -> ErrorDensities:
-    return ErrorDensities(*_parse_float_list(text, 3, "--mu"))
+        raise ValidationError(f"{flag} has a non-numeric entry: {text!r}") from None
+    return cls(*values)
 
 
 def _parse_link(args) -> tuple[ErrorDensities, epr.LinkGeometry, dict]:
     """The densities and geometry of ``--mu``, ``--l1`` and ``--l2``, and their json inputs."""
-    mu = _parse_mu(args.mu)
+    mu = _parse_values(ErrorDensities, args.mu, "--mu")
     geom = epr.LinkGeometry(args.l1, args.l2)
     return mu, geom, {"mu": mu._asdict(), "l1_km": geom.l1_km, "l2_km": geom.l2_km}
 
@@ -104,12 +99,12 @@ def cmd_compose(args) -> Report:
     if args.p is not None and (args.mu is not None or args.length is not None):
         raise ValidationError("--p cannot be combined with --mu/--length")
     if args.p is not None:
-        probs = _parse_probs(args.p)
+        probs = _parse_values(PauliProbs, args.p, "--p")
         inputs = {"p": probs.as_tuple()}
     elif args.mu is not None:
         if args.length is None:
             raise ValidationError("--mu requires --length")
-        mu = _parse_mu(args.mu)
+        mu = _parse_values(ErrorDensities, args.mu, "--mu")
         probs = at_length(mu, args.length)
         inputs = {"mu": mu._asdict(), "length_km": args.length}
     else:
@@ -138,8 +133,8 @@ def cmd_transmit(args) -> Report:
     if explicit:
         if args.r is None or args.s is None:
             raise ValidationError("explicit channels need both --r and --s")
-        r = _parse_probs(args.r, "--r")
-        s = _parse_probs(args.s, "--s")
+        r = _parse_values(PauliProbs, args.r, "--r")
+        s = _parse_values(PauliProbs, args.s, "--s")
         state = epr.transmit(r, s)
         inputs = {"r": r.as_tuple(), "s": s.as_tuple()}
     else:
@@ -185,7 +180,7 @@ def cmd_transmit(args) -> Report:
 
 
 def cmd_threshold(args) -> Report:
-    mu = _parse_mu(args.mu)
+    mu = _parse_values(ErrorDensities, args.mu, "--mu")
     result = analysis.threshold_generic(mu)
     inputs = {"mu": mu._asdict()}
     results = {"kind": result.kind, "length_km": result.length_km}
@@ -264,7 +259,7 @@ def cmd_estimate_mu(args) -> Report:
 
 def cmd_sweep(args) -> Report:
     if args.mu:
-        mus = [_parse_mu(text) for text in args.mu]
+        mus = [_parse_values(ErrorDensities, text, "--mu") for text in args.mu]
     else:
         mus = [ErrorDensities(m, m, m) for m in DEFAULT_SWEEP_MUS]
     inputs = {

@@ -19,24 +19,12 @@ from collections import namedtuple
 
 import numpy as np
 
+from . import _ORACLE_NAMES
 from .channel import ErrorDensities, PauliProbs, _as_count, _as_int, _shown, _Value
 from .epr import BELL_LABELS, BellDiagonal, LinkGeometry, _bell_order
 from .errors import DomainError, ValidationError
 
-__all__ = [
-    "PAULI",
-    "McEstimate",
-    "bell_state",
-    "bell_vector",
-    "apply_single_qubit_pauli",
-    "apply_two_sided",
-    "hermitian_eigenvalues",
-    "psd_sqrt",
-    "wootters_concurrence",
-    "bell_diagonal_project",
-    "validate_density_matrix",
-    "monte_carlo_transmit",
-]
+__all__ = sorted(_ORACLE_NAMES)
 
 # I, sigma_x, sigma_y, sigma_z
 PAULI = np.array(

@@ -1,11 +1,13 @@
 """A seeded corpus of in-process ``eprlink.cli.main`` runs and their digests.
 
-Each run is one argv, identified by the argv joined with spaces.  Its digest
-is the sha256 of its stdout, stderr and exit code, and of the text of the
-``--output`` file where it writes one.  ``cli_corpus.json`` pins the digest of
-every run; ``test_cli_corpus.py`` checks them.  Runs that read a measurement
-CSV name one of the files in `FILES`, which are written to the working
-directory first, so error messages hold no temporary path.
+This is the one place that pins CLI output.  Each run is one argv,
+identified by the argv joined with spaces.  Its digest is the sha256 of its
+stdout, stderr and exit code, and of the text of the ``--output`` file where
+it writes one.  ``cli_corpus.json`` pins the digest of every run;
+``test_cli_corpus.py`` checks them.  Every run also keeps the output contract
+of `check_contract`.  Runs that read a measurement CSV name one of the files
+in `FILES`, which are written to the working directory first, so error
+messages hold no temporary path.
 
 Runs with ``--verify-oracle`` that reach the oracle are left out (their
 deviation digits depend on the BLAS build), and so are errors that argparse
@@ -20,6 +22,7 @@ and ``git diff tests/cli_corpus.json`` lists the runs that moved.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import io
 import json
@@ -34,6 +37,7 @@ from pathlib import Path
 from eprlink import cli
 
 DIGESTS = Path(__file__).with_name("cli_corpus.json")
+SUBCOMMANDS = tuple(next(a.choices for a in cli._build_parser()._actions if a.dest == "command"))
 SEED = 20261018
 FORMATS = ("table", "csv", "json")
 OUTPUT = "out.txt"
@@ -169,6 +173,29 @@ def _outputs():
     yield ("threshold", "--mu", "nan,0,0", "--output", OUTPUT)
 
 
+def _every_format():
+    # Typical runs of each subcommand, in each format.
+    for argv in (
+        ("compose", "--p", "0.7,0.3,0,0"),
+        ("compose", "--mu", "0.01,0.02,0.03", "--length", "5", "--iterate", "3"),
+        ("transmit", "--mu", "0.01,0.01,0.01", "--l1", "1", "--l2", "2"),
+        ("transmit", "--mu", "0.01,0.005,0.002", "--l1", "4", "--l2", "7"),
+        ("threshold", "--mu", "0.01,0.01,0.01"),
+        ("threshold", "--mu", "0.008,0.004,0.002"),
+        ("threshold", "--mu", "0.008,0.008,0.008"),
+        ("estimate-mu", "--qber", "0.02", "--length", "1.5"),
+        ("estimate-mu", "--qber", "0.043", "--length", "1.45"),
+        ("sweep", "--steps", "2"),
+        ("sweep", "--mu", "0.01,0.01,0.01", "--lmax", "10", "--steps", "4"),
+        ("sweep", "--mu", "0.011,0.007,0.003", "--lmax", "200", "--steps", "120"),
+        ("montecarlo", "--mu", "0.01,0.01,0.01", "--l1", "1", "--l2", "1", "--samples", "100",
+         "--segments-per-km", "5", "--seed", "2"),
+        ("montecarlo", "--mu", "0.008,0.008,0.008", "--l1", "3", "--l2", "2", "--samples", "2000"),
+    ):
+        for fmt in FORMATS:
+            yield (*argv, "--format", fmt)
+
+
 def _seeded(rng: random.Random):
     # Log-uniform densities and lengths, some of them zero.
     def density():
@@ -185,18 +212,23 @@ def _seeded(rng: random.Random):
 
 
 def runs() -> list[tuple[str, ...]]:
-    """Every argv of the corpus, in order.
+    """Every argv of the corpus, in order, each once.
 
-    Each ends with ``--format`` and one of the three formats, picked by a
-    checksum of the rest of the argv, so adding or removing a run renames no
-    other.  One run costs a few milliseconds, mostly in building the
-    argument parser, so each argv runs in one format, not all three.
+    Each ends with ``--format`` and one of the three formats.  Where the
+    argv does not name one, it is picked by a checksum of the argv, so adding
+    or removing a run renames no other.  One run costs a few milliseconds,
+    mostly in building the argument parser, so most argvs run in one format,
+    not all three.
     """
     argvs = [
         *_transmit(), *_compose(), *_threshold(), *_estimate_mu(), *_sweep(), *_montecarlo(),
-        *_outputs(), *_seeded(random.Random(SEED)),
+        *_outputs(), *_every_format(), *_seeded(random.Random(SEED)),
     ]
-    return [(*argv, "--format", FORMATS[zlib.crc32(run_id(argv).encode()) % 3]) for argv in argvs]
+    return list(dict.fromkeys(
+        argv if argv[-2:-1] == ("--format",) else
+        (*argv, "--format", FORMATS[zlib.crc32(run_id(argv).encode()) % 3])
+        for argv in argvs
+    ))
 
 
 def run_id(argv) -> str:
@@ -218,8 +250,38 @@ def digest(argv) -> str:
     if os.path.exists(OUTPUT):
         written = Path(OUTPUT).read_text(encoding="utf-8")
         os.remove(OUTPUT)
+    check_contract(argv, code, out.getvalue(), err.getvalue(), written)
     record = json.dumps([out.getvalue(), err.getvalue(), code, written])
     return hashlib.sha256(record.encode()).hexdigest()
+
+
+def _no_constant(name):
+    raise ValueError(f"json output holds {name}")
+
+
+def check_contract(argv, code, out, err, written=None) -> None:
+    """Raise AssertionError where a run that ends in ``--format X`` breaks the output contract.
+
+    The exit code is documented; no run prints a traceback; an error prints
+    only ``error: ...`` on stderr; json is strict and holds exactly command, inputs and results;
+    csv has a header and rows as wide as it.  ``written`` is the text of the
+    ``--output`` file, which the format checks read in place of stdout.
+    """
+    where = f"{run_id(argv)}: exit {code}, stderr {err!r}"
+    assert code in (0, 2, 3, 4) and "Traceback" not in err, where
+    if code:
+        assert out == "" and err.startswith("error: "), where
+        return
+    text = out if written is None else written
+    if argv[-1] == "json":
+        try:
+            doc = json.loads(text, parse_constant=_no_constant)
+        except ValueError as exc:
+            raise AssertionError(f"{where}: {exc}") from None
+        assert list(doc) == ["command", "inputs", "results"] and doc["command"] == argv[0], where
+    elif argv[-1] == "csv":
+        rows = list(csv.reader(io.StringIO(text)))
+        assert len(rows) >= 2 and all(len(row) == len(rows[0]) for row in rows), where
 
 
 def digests(workdir) -> dict[str, str]:

@@ -268,25 +268,6 @@ class TestThresholdDoubleFlip:
 
 
 class TestThresholdGeneric:
-    @pytest.mark.parametrize(
-        "densities, message",
-        [
-            ((math.nan, 2.0, 3.0), "mu1 must be a finite number, got nan"),
-            ([-1.0, 2.0, 3.0], "mu1 must be >= 0, got -1.0"),
-            ((0.01, 0.02, -math.inf), "mu3 must be a finite number, got -inf"),
-        ],
-    )
-    def test_look_alike_densities_are_checked(self, densities, message):
-        with pytest.raises(ValidationError) as info:
-            threshold_generic(densities)
-        assert str(info.value) == message
-
-    @pytest.mark.parametrize("densities", [(0.008, 0.004, 0.002), [1, 2, 0], (0.0, 0.0, 0.01)])
-    def test_look_alike_densities_give_the_same_threshold(self, densities):
-        # repr prints each float exactly.
-        want = threshold_generic(ErrorDensities(*densities))
-        assert repr(threshold_generic(densities)) == repr(want)
-
     def test_single_flip_never_vanishes(self):
         assert not threshold_generic(ErrorDensities(0.008, 0.0, 0.0)).is_finite
         assert not threshold_generic(ErrorDensities(0.0, 0.1, 0.0)).is_finite
@@ -521,54 +502,6 @@ class TestEstimateMu:
             # + 0.0 turns the -0.0 of a logarithm that rounds to 0 into 0.0
             direct = -math.log((3.0 - 4.0 * qber) / 3.0) / (4.0 * length) + 0.0
             assert estimate_mu(point).hex() == direct.hex()
-
-
-class TestPlainPairs:
-    """A plain (qber, length) pair takes the check of `MeasurementPoint`."""
-
-    def test_estimate_gives_the_same_bits(self):
-        want = estimate_mu(MeasurementPoint(0.01, 0.4))
-        assert estimate_mu((0.01, 0.4)).hex() == want.hex()
-        assert estimate_mu([0, 2]).hex() == "0x0.0p+0"
-
-    def test_fit_gives_the_same_bits(self):
-        pairs = [(0.01, 0.4), (0.043, 1.45), [0.02, 1]]
-        got = fit_mu(pairs)
-        want = fit_mu([MeasurementPoint(*p) for p in pairs])
-        assert [v.hex() for v in got] == [v.hex() for v in want]
-        assert fit_mu(iter(pairs[:1])) == fit_mu([MeasurementPoint(0.01, 0.4)])
-
-    @pytest.mark.parametrize(
-        "call, error, message",
-        [
-            (
-                lambda: fit_mu([(0.9, 1.0), (0.01, 0.4)]),
-                DomainError,
-                "qber 0.9 exceeds the depolarizing fidelity floor (must be < 0.75)",
-            ),
-            (
-                lambda: estimate_mu((0.9, 1.0)),
-                DomainError,
-                "qber 0.9 exceeds the depolarizing fidelity floor (must be < 0.75)",
-            ),
-            (
-                lambda: estimate_mu((0.01, 0.0)),
-                ValidationError,
-                "total_length_km must be > 0, got 0.0",
-            ),
-            (
-                lambda: fit_mu([MeasurementPoint(0.01, 0.4), (-0.1, 1.0)]),
-                ValidationError,
-                "qber must be >= 0, got -0.1",
-            ),
-        ],
-        ids=["fit-past-floor", "estimate-past-floor", "zero-length", "negative-qber"],
-    )
-    def test_are_checked(self, call, error, message):
-        # Each raised AttributeError: 'tuple' object has no attribute 'qber'.
-        with pytest.raises(error) as info:
-            call()
-        assert str(info.value) == message
 
 
 class TestFitMu:
@@ -898,28 +831,26 @@ class TestSweep:
         with pytest.raises(ValidationError, match="sweep lengths must be strictly increasing"):
             sweep(ErrorDensities(0.01, 0.02, 0.03), 5e-324, 4)
 
-    @pytest.mark.parametrize(
-        "densities, message",
-        [
-            ((math.nan, 0.0, 0.0), "mu1 must be a finite number, got nan"),
-            ([0.01, -0.1, 0.0], "mu2 must be >= 0, got -0.1"),
-            ((0.01, 0.02, "0.03"), "mu3 must be a finite number, got '0.03'"),
-        ],
-    )
-    def test_look_alike_densities_are_checked(self, densities, message):
-        with pytest.raises(ValidationError) as info:
-            sweep(densities, 10.0, 2)
-        assert str(info.value) == message
-
-    @pytest.mark.parametrize("densities", [(0.011, 0.007, 0.003), [0.011, 0, 3e-3]])
-    def test_look_alike_densities_give_the_same_rows(self, densities):
-        got = sweep(densities, 200.0, 120).rows
-        want = sweep(ErrorDensities(*densities), 200.0, 120).rows
-        assert [[v.hex() for v in row] for row in got] == [[v.hex() for v in row] for row in want]
-
     def test_table_rejects_rising_concurrence(self):
         rows = (SweepRow(0.0, 0.5, 0.75), SweepRow(1.0, 0.6, 0.8))
         with pytest.raises(ValidationError, match="sweep concurrence must be non-increasing"):
+            SweepTable(rows)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ((SweepRow(0.0, 1.0, 1.0), SweepRow(math.nan, 0.5, 0.75)), "lengths must be strictly"),
+            ((SweepRow(math.nan, 1.0, 1.0),), "lengths must be strictly"),
+            (
+                (SweepRow(0.0, 1.0, 1.0), SweepRow(5.0, math.nan, 0.7)),
+                "concurrence must be non-inc",
+            ),
+            ((SweepRow(0.0, math.nan, 1.0),), "concurrence must be non-inc"),
+        ],
+    )
+    def test_table_rejects_nan(self, rows, message):
+        # nan compares False both ways, so each check must be one that nan fails.
+        with pytest.raises(ValidationError, match=f"sweep {message}"):
             SweepTable(rows)
 
     def test_rows_equal_transmit_at_length_bit_for_bit(self):

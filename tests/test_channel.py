@@ -459,48 +459,6 @@ class TestDecayFactors:
         assert decay_factors(p, 2**53 + 1).lambda1 == -1.0
 
 
-HALF_FLIP = (0.5, 0.5, 0, 0)
-
-
-class TestLookAlikeArguments:
-    """A plain sequence takes the check of the value object it stands for."""
-
-    @pytest.mark.parametrize(
-        "function, args, message",
-        [
-            # Each bad channel sums to 1: unchecked, both compose calls
-            # returned (0.5, 0.5, 0, 0).
-            (compose, (HALF_FLIP, (1.2, -0.2, 0, 0)), "channel p0 must be in [0, 1], got 1.2"),
-            (compose, ([1.5, -0.5, 0, 0], HALF_FLIP), "channel p0 must be in [0, 1], got 1.5"),
-            (iterate, ((1.2, -0.2, 0, 0), 3), "channel p0 must be in [0, 1], got 1.2"),
-            (iterate_bruteforce, ((1.2, -0.2, 0, 0), 2), "channel p0 must be in [0, 1], got 1.2"),
-            (decay_factors, ((0.5, -0.5, 0.5, 0.5),), "channel p1 must be in [0, 1], got -0.5"),
-            (at_length, ((-1.0, 0.0, 0.0), 1.0), "mu1 must be >= 0, got -1.0"),
-            (at_length, ([0.01, math.nan, 0.0], 1.0), "mu2 must be a finite number, got nan"),
-        ],
-    )
-    def test_are_checked(self, function, args, message):
-        with pytest.raises(ValidationError) as info:
-            function(*args)
-        assert str(info.value) == message
-
-    @pytest.mark.parametrize(
-        "function, kinds, args",
-        [
-            (compose, (PauliProbs, PauliProbs), (HALF_FLIP, [0.7, 0.1, 0.1, 0.1])),
-            (iterate, (PauliProbs, None), (HALF_FLIP, 3)),
-            (iterate_bruteforce, (PauliProbs, None), ([0.7, 0.1, 0.1, 0.1], 3)),
-            (decay_factors, (PauliProbs, None), ((0.7, 0.1, 0.2, 0.0), 2)),
-            (at_length, (ErrorDensities, None), ((0.01, 0, 0.02), 3.0)),
-            (at_length, (ErrorDensities, None), ([1, 2, 0], 0.5)),
-        ],
-    )
-    def test_give_the_same_result(self, function, kinds, args):
-        # repr prints each float exactly.
-        values = [arg if kind is None else kind(*arg) for kind, arg in zip(kinds, args)]
-        assert repr(function(*args)) == repr(function(*values))
-
-
 class TestDepolarizingProbs:
     @pytest.mark.parametrize(
         "p,expected",

@@ -1,4 +1,3 @@
-import hashlib
 import io
 import json
 import math
@@ -12,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cli_corpus
 import eprlink
 from eprlink import ErrorDensities, LinkGeometry, analysis, channel, cli, epr, oracle
 from eprlink.epr import transmit_at_length
@@ -551,90 +551,6 @@ class TestMonteCarlo:
         assert err == f"error: samples must be < 2**63, got {samples}\n"
 
 
-class TestFormats:
-    COMMANDS = {
-        "compose": ("compose", "--p", "0.7,0.3,0,0"),
-        "transmit": ("transmit", "--mu", "0.01,0.01,0.01", "--l1", "1", "--l2", "2"),
-        "threshold": ("threshold", "--mu", "0.01,0.01,0.01"),
-        "estimate-mu": ("estimate-mu", "--qber", "0.02", "--length", "1.5"),
-        "sweep": ("sweep", "--mu", "0.01,0.01,0.01", "--lmax", "10", "--steps", "4"),
-        "montecarlo": (
-            "montecarlo", "--mu", "0.01,0.01,0.01", "--l1", "1", "--l2", "1",
-            "--samples", "100", "--segments-per-km", "5", "--seed", "2",
-        ),
-    }
-
-    @pytest.mark.parametrize("command", sorted(COMMANDS))
-    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
-    def test_every_format_renders(self, capsys, command, fmt):
-        code, out, err = run(capsys, *self.COMMANDS[command], "--format", fmt)
-        assert code == 0, err
-        assert out.strip()
-        if fmt == "json":
-            doc = json.loads(out)
-            assert set(doc) == {"command", "inputs", "results"}
-            assert doc["command"] == command
-        elif fmt == "csv":
-            header, *rows = out.strip().split("\n")
-            assert "," in header
-            assert all(len(r.split(",")) == len(header.split(",")) for r in rows)
-
-
-class TestGoldenOutput:
-    """Stdout is byte-identical to the recorded output of each subcommand.
-
-    ``--verify-oracle`` is left out: its deviation digits depend on the BLAS
-    build.  A deliberate output change updates the digest here.
-    """
-
-    COMMANDS = {
-        "compose": ("compose", "--mu", "0.01,0.02,0.03", "--length", "5", "--iterate", "3"),
-        "transmit": ("transmit", "--mu", "0.01,0.005,0.002", "--l1", "4", "--l2", "7"),
-        "threshold": ("threshold", "--mu", "0.008,0.004,0.002"),
-        "threshold-depolarizing": ("threshold", "--mu", "0.008,0.008,0.008"),
-        "estimate-mu": ("estimate-mu", "--qber", "0.043", "--length", "1.45"),
-        "sweep": ("sweep", "--steps", "2"),
-        "sweep-120": ("sweep", "--mu", "0.011,0.007,0.003", "--lmax", "200", "--steps", "120"),
-        "montecarlo": (
-            "montecarlo", "--mu", "0.008,0.008,0.008", "--l1", "3", "--l2", "2",
-            "--samples", "2000",
-        ),
-    }
-    SHA256 = {
-        ("compose", "table"): "7e7760ddf708e3cbc5d48c873c8205f2ff0e0a9793a59b792b8d6c34a6662830",
-        ("compose", "csv"): "83666771eb4731e84fc5d63e3588eae289168c28321061f548b2b0fe7f58c3f9",
-        ("compose", "json"): "817b74cc7cc10b99c03a838de29a586dc820fd5765e4781c41e9eaf6785d15cc",
-        ("transmit", "table"): "4e3f0208876b6eb26297ff0f4735e600109499fa85b6ae08620cce5a4fe558e0",
-        ("transmit", "csv"): "3268e4442c6323496a36c7b84c6a16eb21771c707f490b26a1aca7ef97b2a10b",
-        ("transmit", "json"): "e66fd53f70e6b74d17c1c0439f41e137991745144b723b35a8244e2ea8673355",
-        ("threshold", "table"): "2875c4729f5eefea7791f4c1b3da923d17ac5df879f676db7d23ff12ded0883b",
-        ("threshold", "csv"): "6f0d8d1038fe13c3acfcd1fab5862b85136953bcbd12c7205c1a57ecc28c4ca1",
-        ("threshold", "json"): "c18b1a304969b622be7eec9d6c6b7bef9e7ae96bea15749ca656cb7ec4f9dc17",
-        ("threshold-depolarizing", "json"): (
-            "7e587bbf0f7049a9374463cf98672cdaede3c6a1a165ffb1bd96cae66382c5ac"
-        ),
-        ("estimate-mu", "table"): "9aad03db567e7109527f9fa5db7a3b38dec888bacdd2b3824252e876cd75a36f",
-        ("estimate-mu", "csv"): "31758104c7ede81b9491afca56a98fefa18166a40145b3f862cd96abfbab720e",
-        ("estimate-mu", "json"): "c08952e2d6806a5aa58e99a680917fad40933a6bf0cebc294df854be495dfa8e",
-        ("sweep", "table"): "5a957845bd74162884f46b4a585f37045d634c8e6ae5a06a1504b5f2f2b41ed0",
-        ("sweep", "csv"): "4fafdb32fd0932c378a058dd30f0dc2dec759e71be377490532b479b3551e566",
-        ("sweep", "json"): "6ac5be44cc8ac0901b3ca4dd529ea52fad21d288db3b49ee9e8922ff7bbd6508",
-        ("sweep-120", "table"): "b7679141addb84e1e6b5dc61f60a3a5904e36120437d4c8fd54dc26f6662407f",
-        ("sweep-120", "csv"): "07caee37817adfb8559f80e841f579cc2947984d7687482428fc74ca9423af2e",
-        ("sweep-120", "json"): "241ce4745c4e5deec0d1574c1632f1a9bcbc37d6e710ca95739c5ec8627c06cb",
-        ("montecarlo", "table"): "4479d2856c5410b77d2ef120bceb28026580824e1574ba2cfdf2851409cabe85",
-        ("montecarlo", "csv"): "09e74458ab85c0b9e3b1182cc53ee6ec1af3e0c0f9f18df7796aa9a85d888357",
-        ("montecarlo", "json"): "5376f01df16eff2477ca697d7ecc5e6f3b5516345bf07373cc45f5a1d3f3b352",
-    }
-
-    @pytest.mark.parametrize("command, fmt", sorted(SHA256))
-    def test_stdout_digest(self, capsys, command, fmt):
-        code, out, err = run(capsys, *self.COMMANDS[command], "--format", fmt)
-        assert code == 0, err
-        digest = hashlib.sha256(out.encode()).hexdigest()
-        assert digest == self.SHA256[command, fmt], f"stdout changed:\n{out}"
-
-
 class TestCliErrorMessages:
     """The exact stderr of every error that only the CLI raises: exit 2, empty stdout.
 
@@ -863,9 +779,6 @@ class TestPackageSurface:
         assert set(eprlink.__all__) == set(names)
         assert eprlink.__all__ == sorted(names)
 
-    def test_lazy_names_are_the_oracle_list(self):
-        assert eprlink._ORACLE_NAMES == frozenset(oracle.__all__)
-
 
 class TestTotalLengthPastTheFloatRange:
     @pytest.mark.parametrize(
@@ -898,7 +811,6 @@ _FUZZ_NUMBERS = (
 # more of them get past validation.
 _FUZZ_IN_RANGE = tuple(v for v in _FUZZ_NUMBERS if 0.0 <= float(v) < math.inf)
 _FUZZ_INTEGERS = ("0", "-1", "1", "3", "1" + "0" * 399)
-_SUBCOMMANDS = ("compose", "transmit", "threshold", "estimate-mu", "sweep", "montecarlo")
 
 
 def _fuzz_argv(draw):
@@ -914,7 +826,7 @@ def _fuzz_argv(draw):
         # --name=value, so argparse reads "-inf" as a value, not an option.
         return [f"--{name}={value}"]
 
-    command = draw(st.sampled_from(_SUBCOMMANDS))
+    command = draw(st.sampled_from(cli_corpus.SUBCOMMANDS))
     argv = [command]
     if command == "compose":
         if draw(st.booleans()):
@@ -943,17 +855,13 @@ def _fuzz_argv(draw):
         argv += flag("samples", draw(st.integers(-1, 50)))
         argv += flag("segments-per-km", draw(st.sampled_from(_FUZZ_INTEGERS)))
         argv += flag("seed", draw(st.sampled_from(_FUZZ_INTEGERS)))
-    return argv + flag("format", draw(st.sampled_from(("table", "csv", "json"))))
-
-
-def _no_constant(name):
-    raise ValueError(f"json output holds {name}")
+    return argv + ["--format", draw(st.sampled_from(cli_corpus.FORMATS))]
 
 
 class TestFuzz:
     # Edge values on every numeric field of every subcommand and format: the
-    # CLI answers or refuses with its own exit code, never with a traceback,
-    # and its json is strict.
+    # CLI keeps the output contract of the corpus, so it answers or refuses
+    # with its own exit code, never with a traceback, and its json is strict.
     @settings(max_examples=150)
     @given(st.data())
     def test_every_subcommand_exits_cleanly(self, data):
@@ -961,8 +869,4 @@ class TestFuzz:
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = cli.main(argv)
-        assert code in (0, 2, 3, 4), (argv, err.getvalue())
-        assert "Traceback" not in err.getvalue()
-        if code == 0 and argv[-1] == "--format=json":
-            doc = json.loads(out.getvalue(), parse_constant=_no_constant)
-            assert sorted(doc) == ["command", "inputs", "results"]
+        cli_corpus.check_contract(argv, code, out.getvalue(), err.getvalue())

@@ -137,52 +137,6 @@ class TestTransmitAtLength:
             assert state.a >= max(state.b, state.c, state.d)
 
 
-GEOM = LinkGeometry(1.0, 1.0)
-HALF_FLIP = (0.5, 0.5, 0, 0)
-
-
-class TestLookAlikeArguments:
-    """A plain sequence takes the check of the value object it stands for."""
-
-    @pytest.mark.parametrize(
-        "function, args, message",
-        [
-            # The bad channel sums to 1: unchecked, transmit returned (0.5, 0, 0.5, 0).
-            (transmit, (HALF_FLIP, (1.2, -0.2, 0, 0)), "channel p0 must be in [0, 1], got 1.2"),
-            (transmit_at_length, ((-0.01, 0, 0), GEOM), "mu1 must be >= 0, got -0.01"),
-            (transmit_at_length, ((0.01, 0.01, 0.01), (-1.0, 2.0)), "l1_km must be >= 0, got -1.0"),
-            (concurrence_vs_length, ((-1.0, 0, 0), 1.0), "mu1 must be >= 0, got -1.0"),
-            # Unchecked, these returned 1.0 and "phi+" for weights that are no state.
-            (concurrence, ((2.0, -1.0, 0.0, 0.0),), "Bell weight a must be in [0, 1], got 2.0"),
-            (
-                dominant_bell_state, ((0.1, 0.2, 5.0, -4.3),),
-                "Bell weight c must be in [0, 1], got 5.0",
-            ),
-        ],
-    )
-    def test_are_checked(self, function, args, message):
-        with pytest.raises(ValidationError) as info:
-            function(*args)
-        assert str(info.value) == message
-
-    @pytest.mark.parametrize(
-        "function, kinds, args",
-        [
-            (transmit, (PauliProbs, PauliProbs), (HALF_FLIP, [0.7, 0.1, 0.1, 0.1])),
-            (transmit_at_length, (ErrorDensities, LinkGeometry), ((0.01, 0.01, 0.01), (1, 2.0))),
-            (transmit_at_length, (ErrorDensities, LinkGeometry), ([1, 0, 0], [1, 2])),
-            # fidelity_psi_plus raised AttributeError on a plain tuple
-            (fidelity_psi_plus, (BellDiagonal,), ((0.9, 0.1, 0.0, 0.0),)),
-            (concurrence, (BellDiagonal,), ([0.1, 0.7, 0.1, 0.1],)),
-            (dominant_bell_state, (BellDiagonal,), ((0.1, 0.2, 0.3, 0.4),)),
-        ],
-    )
-    def test_give_the_same_result(self, function, kinds, args):
-        # repr prints each float exactly.
-        values = [kind(*arg) for kind, arg in zip(kinds, args)]
-        assert repr(function(*args)) == repr(function(*values))
-
-
 class TestConcurrence:
     def test_pure_bell_state(self):
         assert concurrence(BellDiagonal(1.0, 0.0, 0.0, 0.0)) == 1.0

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from eprlink import (
-    BellDiagonal,
     ErrorDensities,
     PauliProbs,
     ValidationError,
@@ -311,45 +310,6 @@ class TestBellDiagonalProject:
             weights, want_residual = reference_project(rho)
             assert max(abs(g - w) for g, w in zip(state.as_tuple(), weights)) < 1e-14
             assert abs(residual - want_residual) < 1e-14
-
-
-class TestLookAlikeChannels:
-    """A plain sequence for a channel takes the check of `PauliProbs`."""
-
-    @pytest.mark.parametrize(
-        "function, args, message",
-        [
-            # Both summed to 1 unchecked: the first returned diag(1.5, -0.5).
-            (
-                apply_single_qubit_pauli,
-                ((1.5, -0.5, 0, 0), [[1, 0], [0, 0]]),
-                "channel p0 must be in [0, 1], got 1.5",
-            ),
-            (
-                apply_two_sided,
-                ((0.5, 0.5, 0, 0), (1.2, -0.2, 0, 0), bell_state("psi+")),
-                "channel p0 must be in [0, 1], got 1.2",
-            ),
-            (
-                apply_two_sided,
-                ([0.25, 0.25, 0.25, -0.25], (1, 0, 0, 0), bell_state("psi+")),
-                "channel p3 must be in [0, 1], got -0.25",
-            ),
-        ],
-    )
-    def test_are_checked(self, function, args, message):
-        with pytest.raises(ValidationError) as info:
-            function(*args)
-        assert str(info.value) == message
-
-    def test_give_the_same_result(self):
-        rho = bell_state("phi-")
-        r, s = (0.7, 0.1, 0.2, 0.0), [1, 0, 0, 0]
-        got = apply_two_sided(r, s, rho)
-        assert np.array_equal(got, apply_two_sided(PauliProbs(*r), PauliProbs(*s), rho))
-        qubit = random_qubit_state()
-        got = apply_single_qubit_pauli(r, qubit)
-        assert np.array_equal(got, apply_single_qubit_pauli(PauliProbs(*r), qubit))
 
 
 class TestValidation:

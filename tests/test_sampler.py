@@ -148,21 +148,6 @@ def test_overflowing_error_densities_raise_a_finite_domain_error():
     assert "inf" not in str(info.value)
 
 
-@pytest.mark.parametrize(
-    "mu, geom, message",
-    [
-        ((float("nan"), 0.0, 0.0), GEOM, "mu1 must be a finite number, got nan"),
-        ([0.01, 0.01, -0.01], GEOM, "mu3 must be >= 0, got -0.01"),
-        (DEPOL, (-1.0, 2.0), "l1_km must be >= 0, got -1.0"),
-        (DEPOL, [1.0, float("nan")], "l2_km must be a finite number, got nan"),
-    ],
-)
-def test_look_alike_arguments_are_checked(mu, geom, message):
-    with pytest.raises(ValidationError) as info:
-        monte_carlo_transmit(mu, geom, segments_per_km=100, samples=10, seed=1)
-    assert str(info.value) == message
-
-
 @pytest.mark.parametrize("samples", [2**63, 2**64, 10**5000], ids=["2**63", "2**64", "10**5000"])
 def test_rejects_2_63_samples_or_more(samples):
     # The tallies are int64; an integer of 5000 digits is described, not printed.
@@ -170,17 +155,6 @@ def test_rejects_2_63_samples_or_more(samples):
         monte_carlo_transmit(
             ErrorDensities(0.0, 0.0, 0.0), GEOM, segments_per_km=10, samples=samples, seed=1
         )
-
-
-@pytest.mark.parametrize(
-    "mu, geom", [((0.01, 0.01, 0.01), (1.0, 2.0)), ([0.01, 0, 0.01], [1, 2.0])]
-)
-def test_look_alike_arguments_give_the_same_estimate(mu, geom):
-    got = monte_carlo_transmit(mu, geom, segments_per_km=100, samples=50, seed=1)
-    want = monte_carlo_transmit(
-        ErrorDensities(*mu), LinkGeometry(*geom), segments_per_km=100, samples=50, seed=1
-    )
-    assert repr(got) == repr(want)
 
 
 @pytest.mark.parametrize("segments_per_km", [10**320, 2**1024], ids=["10**320", "2**1024"])

@@ -5,10 +5,13 @@ with equal fields, hashable, built by position or by keyword, and survives
 pickle and deepcopy.  Every route that builds one runs its check: the class,
 ``_make``, ``_replace``, pickle at every protocol, and ``copy``.  Every
 scalar input, a field or a parameter, is refused with one message template
-under its own name.
+under its own name.  A plain sequence passed for a value object takes that
+object's check and gives the same result, for every parameter of a public
+function that is annotated with a value-object class.
 """
 
 import copy
+import inspect
 import math
 import os
 import pickle
@@ -18,8 +21,10 @@ from pathlib import Path
 
 import pytest
 
+import eprlink
 from eprlink import (
     BellDiagonal,
+    DomainError,
     ErrorDensities,
     Lambdas,
     LinkGeometry,
@@ -30,14 +35,30 @@ from eprlink import (
     SweepTable,
     ThresholdResult,
     ValidationError,
+    apply_single_qubit_pauli,
+    apply_two_sided,
     at_length,
+    bell_state,
+    compose,
+    concurrence,
     concurrence_vs_length,
+    decay_factors,
     depolarizing_probs,
+    dominant_bell_state,
     doubleflip_coefficients,
+    estimate_mu,
+    fidelity_psi_plus,
+    fit_mu,
     flip_at_length,
+    iterate,
+    iterate_bruteforce,
+    monte_carlo_transmit,
     sweep,
     threshold_depolarizing,
     threshold_double_flip,
+    threshold_generic,
+    transmit,
+    transmit_at_length,
 )
 
 ROWS = (SweepRow(0.0, 1.0, 1.0), SweepRow(10.0, 0.5, 0.75))
@@ -242,6 +263,149 @@ def test_every_scalar_input_has_one_message_template(build, name, bound):
         with pytest.raises(ValidationError) as info:
             build(value)
         assert str(info.value) == f"{name} must be {shown}, got {value!r}"
+
+
+CHANNEL = PauliProbs(0.7, 0.1, 0.2, 0.0)
+STATE = BellDiagonal(0.9, 0.1, 0.0, 0.0)
+DENSITIES = ErrorDensities(0.011, 0.0, 1.0)
+GEOMETRY = LinkGeometry(1.0, 2.5)
+
+# Every public function with a parameter annotated with a value-object class,
+# and a valid call of it by keyword.  Each value object in the call is passed
+# as a plain sequence too; the table must name every such parameter.
+LOOK_ALIKES = [
+    (compose, {"first": PauliProbs(0.5, 0.5, 0.0, 0.0), "second": CHANNEL}),
+    (iterate, {"p": CHANNEL, "n": 3}),
+    (iterate_bruteforce, {"p": CHANNEL, "n": 3}),
+    (decay_factors, {"p": CHANNEL, "n": 2}),
+    (at_length, {"mu": DENSITIES, "length_km": 3.0}),
+    (transmit, {"r": PauliProbs(0.5, 0.5, 0.0, 0.0), "s": CHANNEL}),
+    (transmit_at_length, {"mu": DENSITIES, "geom": GEOMETRY}),
+    (concurrence, {"state": STATE}),
+    (fidelity_psi_plus, {"state": STATE}),
+    (concurrence_vs_length, {"mu": DENSITIES, "total_length_km": 3.0}),
+    (dominant_bell_state, {"state": BellDiagonal(0.2, 0.1, 0.7, 0.0)}),
+    (threshold_generic, {"mu": DENSITIES}),
+    (estimate_mu, {"point": MeasurementPoint(0.02, 1.0)}),
+    (sweep, {"mu": DENSITIES, "l_max_km": 200.0, "steps": 120}),
+    (apply_single_qubit_pauli, {"p": CHANNEL, "rho": [[0.75, 0.25j], [-0.25j, 0.25]]}),
+    (
+        apply_two_sided,
+        {"r": CHANNEL, "s": PauliProbs(1.0, 0.0, 0.0, 0.0), "rho": bell_state("phi-")},
+    ),
+    (
+        monte_carlo_transmit,
+        {"mu": DENSITIES, "geom": GEOMETRY, "segments_per_km": 100, "samples": 50, "seed": 1},
+    ),
+]
+VALUE_CLASSES = {cls for cls, _, _ in CASES}
+PLAIN_ARGUMENTS = [
+    (function, kwargs, name)
+    for function, kwargs in LOOK_ALIKES
+    for name, value in kwargs.items()
+    if type(value) in VALUE_CLASSES
+]
+# Per class, plain sequences its check refuses, each with the error and its
+# message, on different fields and for different reasons.  Each out-of-range
+# channel and state sums to 1, so a function that skips the check returns a
+# result instead of failing some other way.
+PAST_FLOOR = "qber 0.9 exceeds the depolarizing fidelity floor (must be < 0.75)"
+REFUSED = {
+    PauliProbs: [
+        ((1.2, -0.2, 0, 0), ValidationError, "channel p0 must be in [0, 1], got 1.2"),
+        ((0.5, -0.5, 0.5, 0.5), ValidationError, "channel p1 must be in [0, 1], got -0.5"),
+        ([0.25, 0.25, 0.25, -0.25], ValidationError, "channel p3 must be in [0, 1], got -0.25"),
+    ],
+    ErrorDensities: [
+        ((-1.0, 0, 0), ValidationError, "mu1 must be >= 0, got -1.0"),
+        ([0.01, -0.1, 0.0], ValidationError, "mu2 must be >= 0, got -0.1"),
+        ((0.01, 0.02, "0.03"), ValidationError, "mu3 must be a finite number, got '0.03'"),
+    ],
+    LinkGeometry: [
+        ((-1.0, 2.0), ValidationError, "l1_km must be >= 0, got -1.0"),
+        ([1.0, math.inf], ValidationError, "l2_km must be a finite number, got inf"),
+        ((1.0, "2"), ValidationError, "l2_km must be a finite number, got '2'"),
+    ],
+    BellDiagonal: [
+        ((2.0, -1.0, 0.0, 0.0), ValidationError, "Bell weight a must be in [0, 1], got 2.0"),
+        ((0.1, 0.2, 5.0, -4.3), ValidationError, "Bell weight c must be in [0, 1], got 5.0"),
+        (
+            [0.5, 0.5, 0.0, math.nan],
+            ValidationError,
+            "Bell weight d must be a finite number, got nan",
+        ),
+    ],
+    MeasurementPoint: [
+        ((0.9, 1.0), DomainError, PAST_FLOOR),
+        ((0.01, 0.0), ValidationError, "total_length_km must be > 0, got 0.0"),
+        ([-0.1, 1], ValidationError, "qber must be >= 0, got -0.1"),
+    ],
+}
+BAD_ARGUMENTS = [
+    (function, kwargs, name, *refused)
+    for function, kwargs, name in PLAIN_ARGUMENTS
+    for refused in REFUSED[type(kwargs[name])]
+]
+BAD_IDS = [
+    f"{function.__name__}-{name}-{k}"
+    for function, kwargs, name in PLAIN_ARGUMENTS
+    for k in range(len(REFUSED[type(kwargs[name])]))
+]
+
+
+def _shown(result):
+    # repr prints each float exactly; an array is shown through its list.
+    return repr(result.tolist() if hasattr(result, "tolist") else result)
+
+
+@pytest.mark.parametrize(
+    "function, kwargs, name",
+    PLAIN_ARGUMENTS,
+    ids=[f"{function.__name__}-{name}" for function, _, name in PLAIN_ARGUMENTS],
+)
+def test_a_plain_sequence_gives_the_same_result_as_its_value_object(function, kwargs, name):
+    # Whole floats as ints: [0.7, 0.1, 0.2, 0] for PauliProbs(0.7, 0.1, 0.2, 0.0).
+    plain = [int(v) if v.is_integer() else v for v in kwargs[name]]
+    assert int in map(type, plain)
+    assert _shown(function(**{**kwargs, name: plain})) == _shown(function(**kwargs))
+
+
+@pytest.mark.parametrize(
+    "function, kwargs, name, bad, error, message",
+    BAD_ARGUMENTS,
+    ids=BAD_IDS,
+)
+def test_a_plain_sequence_takes_the_check_of_its_value_object(
+    function, kwargs, name, bad, error, message
+):
+    with pytest.raises(error) as info:
+        function(**{**kwargs, name: bad})
+    assert str(info.value) == message
+
+
+def test_the_look_alike_table_names_every_value_object_parameter():
+    want = {
+        (name, param.name, param.annotation)
+        for name in eprlink.__all__
+        if inspect.isfunction(getattr(eprlink, name))
+        for param in inspect.signature(getattr(eprlink, name), eval_str=True).parameters.values()
+        if param.annotation in VALUE_CLASSES
+    }
+    got = {(f.__name__, name, type(kwargs[name])) for f, kwargs, name in PLAIN_ARGUMENTS}
+    assert sorted(got, key=str) == sorted(want, key=str)
+
+
+def test_fit_mu_takes_plain_pairs_among_its_points():
+    # Unannotated: an iterable of points.
+    pairs = [(0.01, 0.4), (0.043, 1.45), [0.02, 1]]
+    assert repr(fit_mu(pairs)) == repr(fit_mu([MeasurementPoint(*p) for p in pairs]))
+    assert fit_mu(iter(pairs[:1])) == fit_mu([MeasurementPoint(0.01, 0.4)])
+    with pytest.raises(DomainError) as info:
+        fit_mu([(0.9, 1.0), (0.01, 0.4)])
+    assert str(info.value) == PAST_FLOOR
+    with pytest.raises(ValidationError) as info:
+        fit_mu([MeasurementPoint(0.01, 0.4), (-0.1, 1.0)])
+    assert str(info.value) == "qber must be >= 0, got -0.1"
 
 
 def test_importing_the_cli_loads_no_code_generation_modules():
