@@ -32,9 +32,7 @@ _ORACLE_NAMES = frozenset(
         "bell_diagonal_project",
         "bell_state",
         "bell_vector",
-        "hermitian_eigenvalues",
         "monte_carlo_transmit",
-        "psd_sqrt",
         "validate_density_matrix",
         "wootters_concurrence",
     }

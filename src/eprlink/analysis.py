@@ -20,6 +20,7 @@ from types import MethodType
 
 from .channel import (
     _FLOAT_MAX,
+    _REAL,
     ErrorDensities,
     _as_count,
     _decay_rates,
@@ -102,20 +103,27 @@ class SweepRow(namedtuple("SweepRow", "length_km concurrence fidelity")):
 
 
 class SweepTable(_Value, namedtuple("SweepTable", "rows")):
-    """Rows of (length, concurrence, psi+ fidelity) on an increasing length grid."""
+    """Rows of (length, concurrence, psi+ fidelity) on an increasing length grid.
+
+    Each row's length_km is >= 0 and its concurrence and fidelity are in
+    [0, 1]; lengths rise strictly and concurrence does not rise.
+    """
 
     __slots__ = ()
 
     def __new__(cls, rows):
         rows = tuple(rows)
-        # Written so that nan fails both comparisons, row 0's included.
+        # Written so that nan fails both comparisons, row 0's included; a
+        # non-number skips them and `_real` names it.
         prev_length, prev_conc = -math.inf, math.inf
-        for length, conc, _ in rows:
-            if not length > prev_length:
+        for length, conc, fidelity in rows:
+            if isinstance(length, _REAL) and not length > prev_length:
                 raise ValidationError("sweep lengths must be strictly increasing")
-            if not conc <= prev_conc + 1e-12:
+            if isinstance(conc, _REAL) and not conc <= prev_conc + 1e-12:
                 raise ValidationError("sweep concurrence must be non-increasing")
-            prev_length, prev_conc = length, conc
+            prev_length = _real(length, "length_km", 0.0)
+            prev_conc = _real(conc, "concurrence", 0.0, 1.0)
+            _real(fidelity, "fidelity", 0.0, 1.0)
         return tuple.__new__(cls, (rows,))
 
 

@@ -1,12 +1,11 @@
 """Ground-truth engines that validate the closed forms.
 
-Everything here works on dense complex matrices: one check that admits a
-square, finite, Hermitian matrix and hands on its Hermitian part, one
-``einsum`` Kraus sum for the one- and two-qubit Pauli channels, the Bell
-basis as one matrix, Hermitian eigensolves by LAPACK (``numpy.linalg.eigh``),
-the general Wootters concurrence, and a Monte Carlo sampler that draws
-each sample's segment errors as an event count and event types instead of
-evaluating the closed form.
+Everything here works on dense complex matrices: one density-matrix check
+that hands on the state's Hermitian part, one ``einsum`` Kraus sum for the
+one- and two-qubit Pauli channels, the Bell basis as one matrix, the general
+Wootters concurrence by LAPACK eigensolves (``numpy.linalg.eigh``), and a
+Monte Carlo sampler that draws each sample's segment errors as an event
+count and event types instead of evaluating the closed form.
 States are plain ``numpy.ndarray`` density matrices (Hermitian, unit trace,
 positive semidefinite up to float noise).
 """
@@ -66,35 +65,26 @@ def bell_state(kind: str) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def _hermitian_part(m, dim: int | None = None) -> np.ndarray:
-    """0.5 (m + m^H) of a non-empty, finite square matrix, Hermitian within tolerance.
-
-    With ``dim`` the matrix is a density matrix: it must be dim x dim and
-    Hermitian within 1e-12.  Without it any square matrix passes that is
-    Hermitian within 1e-10 relative to its Frobenius norm (at least 1).
-    """
-    m = np.asarray(m, dtype=np.complex128)
-    what = "matrix" if dim is None else "density matrix"
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or dim not in (None, m.shape[0]) or not m.size:
-        size = "a non-empty square" if dim is None else f"{dim}x{dim}"
-        raise ValidationError(f"{what} must be {size}, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValidationError(f"{what} has non-finite entries")
-    tol = _HERMITICITY_TOL if dim is not None else 1e-10 * max(1.0, float(np.linalg.norm(m)))
-    adjoint = m.conj().T
-    if np.max(np.abs(m - adjoint)) > tol:
-        raise ValidationError(f"{what} is not Hermitian within {tol}")
-    return 0.5 * (m + adjoint)
-
-
 def validate_density_matrix(rho, dim: int = 4) -> np.ndarray:
     """Check Hermiticity (1e-12), unit trace (1e-12) and spectrum >= -1e-10.
 
     Returns the Hermitian part 0.5 (rho + rho^H) as a fresh complex128
     array.  The eigenvalue floor separates float noise from genuinely
-    unphysical inputs.
+    unphysical inputs.  Anything but a finite dim x dim array of numbers
+    raises `ValidationError` too.
     """
-    rho = _hermitian_part(rho, dim)
+    try:
+        m = np.asarray(rho, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError):  # ragged, not numbers, an int past float
+        raise ValidationError(f"density matrix must be a {dim}x{dim} array of numbers") from None
+    if m.shape != (dim, dim):
+        raise ValidationError(f"density matrix must be {dim}x{dim}, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValidationError("density matrix has non-finite entries")
+    adjoint = m.conj().T
+    if np.max(np.abs(m - adjoint)) > _HERMITICITY_TOL:
+        raise ValidationError(f"density matrix is not Hermitian within {_HERMITICITY_TOL}")
+    rho = 0.5 * (m + adjoint)
     tr = rho.trace()
     if abs(tr - 1.0) > _TRACE_TOL:
         raise ValidationError(f"density matrix trace must be 1, got {tr!r}")
@@ -130,29 +120,6 @@ def apply_two_sided(r: PauliProbs, s: PauliProbs, rho) -> np.ndarray:
     return _kraus(np.outer(r, s).ravel(), _PAULI2, validate_density_matrix(rho, dim=4))
 
 
-def hermitian_eigenvalues(m) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix by LAPACK (``numpy.linalg.eigvalsh``), descending.
-
-    The input must be finite and Hermitian within 1e-10.
-    """
-    return np.linalg.eigvalsh(_hermitian_part(m))[::-1].copy()
-
-
-def psd_sqrt(m) -> np.ndarray:
-    """Hermitian square root V sqrt(diag) V^H of a positive semidefinite matrix.
-
-    The input must be finite and Hermitian within 1e-10.  Eigenvalues below
-    -1e-8 are rejected; small negatives (float noise) are clamped to zero
-    before the root.
-    """
-    eig, v = np.linalg.eigh(_hermitian_part(m))
-    if eig[0] < -1e-8:
-        raise ValidationError(f"matrix is not PSD: eigenvalue {eig[0]:.3e}")
-    roots = np.sqrt(np.clip(eig, 0.0, None))
-    out = (v * roots) @ v.conj().T
-    return 0.5 * (out + out.conj().T)
-
-
 def wootters_concurrence(rho) -> float:
     """Concurrence of an arbitrary two-qubit density matrix.
 
@@ -163,12 +130,17 @@ def wootters_concurrence(rho) -> float:
     max(0, r_1 - r_2 - r_3 - r_4), clamped to [0, 1].
     """
     rho = validate_density_matrix(rho, dim=4)
+    # rho~ is a signed permutation of conj(rho), so it is exactly Hermitian and
+    # unitarily similar to conj(rho), whose spectrum passed the -1e-10 floor:
+    # no PSD check can fire, and float noise below 0 is clamped before the root.
     rho_tilde = _SIGMA_YY @ rho.conj() @ _SIGMA_YY
-    root = psd_sqrt(rho_tilde)
+    eig, v = np.linalg.eigh(rho_tilde)
+    root = (v * np.sqrt(np.clip(eig, 0.0, None))) @ v.conj().T
+    root = 0.5 * (root + root.conj().T)
     m = root @ rho @ root
-    eig = hermitian_eigenvalues(0.5 * (m + m.conj().T))
-    r = np.sqrt(np.clip(eig, 0.0, None))
-    return min(1.0, max(0.0, float(r[0] - r[1] - r[2] - r[3])))
+    # ascending, so r[3] is the largest root
+    r = np.sqrt(np.clip(np.linalg.eigvalsh(0.5 * (m + m.conj().T)), 0.0, None))
+    return min(1.0, max(0.0, float(r[3] - r[2] - r[1] - r[0])))
 
 
 def bell_diagonal_project(rho) -> tuple[BellDiagonal, float]:

@@ -853,6 +853,21 @@ class TestSweep:
         with pytest.raises(ValidationError, match=f"sweep {message}"):
             SweepTable(rows)
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ((SweepRow(-5.0, 7.0, 9.0), SweepRow(1.0, -3.0, "x")), "length_km must be >= 0"),
+            ((SweepRow("0", 1.0, 1.0),), "length_km must be a finite number, got '0'"),
+            ((SweepRow(0.0, 1.5, 1.0),), r"concurrence must be in \[0, 1\], got 1.5"),
+            ((SweepRow(0.0, 1.0, 1.0), SweepRow(1.0, 0.5, "x")), "fidelity must be a finite"),
+            ((SweepRow(0.0, 1.0, -0.5),), r"fidelity must be in \[0, 1\], got -0.5"),
+            ((SweepRow(math.inf, 1.0, 1.0),), "length_km must be a finite number, got inf"),
+        ],
+    )
+    def test_table_checks_each_field(self, rows, message):
+        with pytest.raises(ValidationError, match=message):
+            SweepTable(rows)
+
     def test_rows_equal_transmit_at_length_bit_for_bit(self):
         # log-uniform densities over 1e-30..1e3 /km, plus subnormal ones;
         # grids reach from well inside to far beyond the decay length

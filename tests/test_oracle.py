@@ -14,8 +14,6 @@ from eprlink import (
     bell_state,
     bell_vector,
     concurrence,
-    hermitian_eigenvalues,
-    psd_sqrt,
     transmit,
     validate_density_matrix,
     wootters_concurrence,
@@ -29,11 +27,6 @@ BELL_KINDS = ("psi+", "psi-", "phi+", "phi-")
 
 def random_probs():
     return PauliProbs(*rng.dirichlet([1.0] * 4))
-
-
-def random_hermitian(n=4):
-    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return m + m.conj().T
 
 
 def random_qubit_state():
@@ -162,7 +155,7 @@ class TestTwoSidedChannel:
             out = apply_two_sided(random_probs(), random_probs(), bell_state("psi+"))
             assert abs(out.trace() - 1.0) < 1e-13
             assert np.max(np.abs(out - out.conj().T)) < 1e-13
-            assert hermitian_eigenvalues(out).min() > -1e-10
+            assert np.linalg.eigvalsh(out).min() > -1e-10
 
     def test_bell_diagonal_matches_closed_form(self):
         for _ in range(50):
@@ -187,79 +180,6 @@ class TestTwoSidedChannel:
             assert np.max(np.abs(apply_two_sided(r, s, rho) - want)) < 1e-14
 
 
-class TestHermitianEigenvalues:
-    def test_identity(self):
-        assert np.array_equal(hermitian_eigenvalues(np.eye(4)), np.ones(4))
-
-    def test_diagonal(self):
-        got = hermitian_eigenvalues(np.diag([4.0, 3.0, 2.0, 1.0]))
-        assert np.allclose(got, [4.0, 3.0, 2.0, 1.0], atol=1e-14)
-
-    def test_trace_and_determinant_identities(self):
-        for _ in range(50):
-            m = random_hermitian()
-            eig = hermitian_eigenvalues(m)
-            assert abs(eig.sum() - m.trace().real) < 1e-11
-            det = np.linalg.det(m).real
-            assert abs(np.prod(eig) - det) < 1e-10 * max(1.0, abs(det))
-
-    def test_matches_lapack(self):
-        for _ in range(50):
-            m = random_hermitian()
-            ours = hermitian_eigenvalues(m)
-            ref = np.sort(np.linalg.eigvalsh(m))[::-1]
-            assert np.max(np.abs(ours - ref)) < 1e-11
-
-    def test_rejects_non_hermitian(self):
-        m = np.eye(4, dtype=complex)
-        m[0, 1] = 1e-6
-        with pytest.raises(ValidationError, match="Hermitian"):
-            hermitian_eigenvalues(m)
-
-    def test_zero_matrix(self):
-        assert np.array_equal(hermitian_eigenvalues(np.zeros((4, 4))), np.zeros(4))
-
-    @pytest.mark.parametrize("shape", [(3, 4), (4,), (2, 2, 2), (0, 0)])
-    def test_rejects_non_square(self, shape):
-        with pytest.raises(ValidationError, match="matrix must be a non-empty square, got shape"):
-            hermitian_eigenvalues(np.zeros(shape))
-
-
-class TestPsdSqrt:
-    def test_identity(self):
-        assert np.allclose(psd_sqrt(np.eye(4)), np.eye(4), atol=1e-14)
-
-    def test_diagonal(self):
-        got = psd_sqrt(np.diag([4.0, 1.0, 0.0, 9.0]))
-        assert np.allclose(got, np.diag([2.0, 1.0, 0.0, 3.0]), atol=1e-13)
-
-    def test_round_trip(self):
-        for _ in range(20):
-            m = random_hermitian()
-            psd = m @ m.conj().T
-            root = psd_sqrt(psd)
-            assert np.linalg.norm(root @ root - psd) < 1e-9 * max(1.0, np.linalg.norm(psd))
-            assert np.max(np.abs(root - root.conj().T)) < 1e-12
-
-    def test_clamps_float_noise(self):
-        got = psd_sqrt(np.diag([1.0, -1e-12, 0.0, 0.0]))
-        assert got[1, 1] == 0.0
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(ValidationError, match="PSD"):
-            psd_sqrt(np.diag([1.0, -0.5, 0.0, 0.0]))
-
-    @pytest.mark.parametrize(
-        "index, value",
-        [((1, 1), np.nan), ((1, 1), np.inf), ((1, 1), -np.inf), ((0, 1), complex(0.0, np.inf))],
-    )
-    def test_rejects_non_finite(self, index, value):
-        m = np.eye(4, dtype=complex)
-        m[index] = value
-        with pytest.raises(ValidationError, match="non-finite"):
-            psd_sqrt(m)
-
-
 class TestWoottersConcurrence:
     def test_maximally_entangled(self):
         for kind in BELL_KINDS:
@@ -282,6 +202,17 @@ class TestWoottersConcurrence:
             r, s = random_probs(), random_probs()
             rho = apply_two_sided(r, s, bell_state("psi+"))
             assert abs(wootters_concurrence(rho) - concurrence(transmit(r, s))) < 1e-9
+
+    def test_pure_states(self):
+        # A pure state |psi> has concurrence |psi^T (sigma_y x sigma_y) psi|,
+        # entangled or not, and is Bell-diagonal only by accident.
+        gen = np.random.default_rng(20261020)
+        yy = np.kron(PAULI[2], PAULI[2])
+        for _ in range(200):
+            psi = gen.normal(size=4) + 1j * gen.normal(size=4)
+            psi /= np.linalg.norm(psi)
+            want = abs(psi @ yy @ psi)
+            assert abs(wootters_concurrence(np.outer(psi, psi.conj())) - want) < 1e-7
 
 
 class TestBellDiagonalProject:
@@ -347,3 +278,31 @@ class TestValidation:
     def test_rejects_wrong_shape(self, dim, shape):
         with pytest.raises(ValidationError, match=f"must be {dim}x{dim}, got shape"):
             validate_density_matrix(np.zeros(shape), dim=dim)
+
+    @pytest.mark.parametrize(
+        "index, value",
+        [((1, 1), np.nan), ((1, 1), np.inf), ((1, 1), -np.inf), ((0, 1), complex(0.0, np.inf))],
+    )
+    def test_rejects_non_finite(self, index, value):
+        m = np.eye(4, dtype=complex)
+        m[index] = value
+        with pytest.raises(ValidationError, match="non-finite"):
+            validate_density_matrix(m)
+
+    @pytest.mark.parametrize(
+        "rho",
+        [[[1, 0], [0]], "abc", [[1, 0], [0, "x"]], {"a": 1}, [[10**400, 0], [0, 0]]],
+        ids=["ragged", "string", "string entry", "dict", "int past the float range"],
+    )
+    @pytest.mark.parametrize(
+        "check",
+        [
+            validate_density_matrix,
+            wootters_concurrence,
+            lambda rho: apply_two_sided(PauliProbs.identity(), PauliProbs.identity(), rho),
+        ],
+        ids=["validate_density_matrix", "wootters_concurrence", "apply_two_sided"],
+    )
+    def test_rejects_non_numeric_input(self, check, rho):
+        with pytest.raises(ValidationError, match="density matrix must be a 4x4 array of numbers"):
+            check(rho)
