@@ -112,11 +112,17 @@ class SweepTable(_Value, namedtuple("SweepTable", "rows")):
     __slots__ = ()
 
     def __new__(cls, rows):
-        rows = tuple(rows)
+        try:
+            rows = tuple(rows)
+            fields = [(length, conc, fidelity) for length, conc, fidelity in rows]
+        except (TypeError, ValueError):  # not iterable, or a row that is not a triple
+            raise ValidationError(
+                "sweep rows must be a sequence of (length_km, concurrence, fidelity) triples"
+            ) from None
         # Written so that nan fails both comparisons, row 0's included; a
         # non-number skips them and `_real` names it.
         prev_length, prev_conc = -math.inf, math.inf
-        for length, conc, fidelity in rows:
+        for length, conc, fidelity in fields:
             if isinstance(length, _REAL) and not length > prev_length:
                 raise ValidationError("sweep lengths must be strictly increasing")
             if isinstance(conc, _REAL) and not conc <= prev_conc + 1e-12:

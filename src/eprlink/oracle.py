@@ -128,6 +128,12 @@ def wootters_concurrence(rho) -> float:
     the Hermitian PSD matrix sqrt(rho~) rho sqrt(rho~) (the two share a
     spectrum).  With the descending square roots r_i the concurrence is
     max(0, r_1 - r_2 - r_3 - r_4), clamped to [0, 1].
+
+    On pure and other rank-deficient states the result is accurate to about
+    2e-8, not to rounding: the zero eigenvalues come out at rounding level,
+    about 1e-16, and their square roots, about 1e-8 each, are subtracted
+    from r_1.  No cross-check against this function can be tighter than
+    about 1e-7.
     """
     rho = validate_density_matrix(rho, dim=4)
     # rho~ is a signed permutation of conj(rho), so it is exactly Hermitian and
@@ -210,14 +216,14 @@ def _binomial_cdf(m, p) -> np.ndarray:
     for k in range(m + 1):
         r = (m - k) / (k + 1) * ratio
         if r < 1.0 and f < (1.0 - r) * 2.0**-53:
-            cdf.append(1.0)
+            cdf.append(1 << 53)
             break
         total += f
-        cdf.append(total)
+        cdf.append(min(round(total * 2.0**53), 1 << 53))  # round() ties to even, as np.rint
         f *= r
     else:
-        cdf[-1] = 1.0
-    return np.minimum(np.rint(np.array(cdf) * 2.0**53), 2.0**53).astype(np.uint64)
+        cdf[-1] = 1 << 53
+    return np.array(cdf, dtype=np.uint64)
 
 
 def _fold_tally(seed, samples, n, t1, t2, t3) -> np.ndarray:
@@ -228,57 +234,57 @@ def _fold_tally(seed, samples, n, t1, t2, t3) -> np.ndarray:
     (0 <= t1 <= t2 <= t3 <= 1).  `monte_carlo_transmit` gives the method and
     the stream.
     """
-    tally = np.zeros(4, dtype=np.int64)
     if n == 0 or t3 == 0.0:
-        tally[0] = samples
-        return tally
+        return np.array([samples, 0, 0, 0], dtype=np.int64)
     # K ~ Binomial(n, p), or n - K past t3 = 1/2, so that p <= 1/2
     p = t3 if t3 <= 0.5 else 1.0 - t3
     decay = -math.log1p(-p)
     piece = n if decay * n <= _LOG_MASS else max(1, int(_LOG_MASS / decay))
     pieces, rest = divmod(n, piece)
-    full, part = _binomial_cdf(piece, p), _binomial_cdf(rest, p)
+    full, part = _binomial_cdf(piece, p), _binomial_cdf(rest, p) if rest else None
     cols = pieces + (rest > 0)
     # event type 1 below c1, 2 below c2, 3 otherwise; u < t is u < ceil(t * 2**53)
     c1, c2 = (np.uint64(math.ceil(t / t3 * 2.0**53)) for t in (t1, t2))
     base = np.uint64(seed * _K0 & _MASK64)
     # rows * n < 2**64, so a pass's event total is a uint64
     rows = max(1, min(_PASS // cols, _MASK64 // n))
+    tally = np.zeros(4, dtype=np.int64)
     for lo in range(0, samples, rows):
         row = np.arange(lo, min(samples, lo + rows), dtype=np.uint64) * _K1 + base
-        count = np.zeros(row.size, dtype=np.uint64)
-        for j0 in range(0, cols, _PASS):
+        # column 0, a full piece as pieces >= 1, is the only one when piece = n
+        count = full.searchsorted(_uniforms(row.copy()), "right").astype(np.uint64)
+        for j0 in range(1, cols, _PASS):
             j = np.arange(j0, min(cols, j0 + _PASS), dtype=np.uint64)
             u = _uniforms(row[:, None] + j * _K2)
             whole = min(pieces - j0, u.shape[1])  # columns of full pieces
-            count += np.searchsorted(full, u[:, :whole], side="right").sum(axis=1, dtype=np.uint64)
+            count += full.searchsorted(u[:, :whole], "right").sum(axis=1, dtype=np.uint64)
             if whole < u.shape[1]:
-                count += np.searchsorted(part, u[:, whole], side="right").astype(np.uint64)
-        if t3 > 0.5:
-            count = np.uint64(n) - count
-        # The pass's events run in sample order.  Event g of the pass is the
-        # e-th event of the busy sample whose [start, end) holds it, so its key
-        # row - (e + 1)*K2 is first - g*K2.
-        busy = np.flatnonzero(count)
-        ends = np.cumsum(count[busy])
-        starts = ends - count[busy]
+                count += part.searchsorted(u[:, whole], "right").astype(np.uint64)
+        count = np.uint64(n) - count if t3 > 0.5 else count
+        # Event g of the pass is the e-th event of the busy sample whose
+        # [start, end) holds it, so its key row - (e + 1)*K2 is first - g*K2.
+        busy = count.nonzero()[0]
+        tally[0] += row.size - busy.size
+        count = count[busy]
+        ends = count.cumsum()
+        starts = ends - count
         first = row[busy] + (starts - np.uint64(1)) * _K2
-        fold = np.zeros(row.size, dtype=np.uint8)
+        fold = np.zeros(busy.size, dtype=np.uint8)
         events = int(ends[-1]) if busy.size else 0
+        window, take, offsets = slice(None), count, starts  # every run whole, in one slice
         for g0 in range(0, events, _PASS):
             g1 = min(events, g0 + _PASS)
-            # the samples with events in [g0, g1), and where their runs begin in it
-            lo_g, hi_g = np.uint64(g0), np.uint64(g1)
-            i0, i1 = np.searchsorted(ends, lo_g, side="right"), np.searchsorted(starts, hi_g)
-            offsets = (np.maximum(starts[i0:i1], lo_g) - lo_g).astype(np.intp)
-            keys = np.repeat(first[i0:i1] - np.uint64(g0 * int(_K2) & _MASK64),
-                             np.diff(offsets, append=g1 - g0))
-            u = _uniforms(keys - np.arange(g1 - g0, dtype=np.uint64) * _K2)
-            kind = (u >= c1).astype(np.uint8)
-            kind += u >= c2
-            kind += 1
-            # a sample whose events span two slices folds on from where it was
-            fold[busy[i0:i1]] ^= np.bitwise_xor.reduceat(kind, offsets)
+            if g1 - g0 < events:  # the samples with events in [g0, g1), runs clipped to it
+                lo_g, hi_g = np.uint64(g0), np.uint64(g1)
+                window = slice(ends.searchsorted(lo_g, "right"), starts.searchsorted(hi_g))
+                offsets = np.maximum(starts[window], lo_g)
+                take = np.minimum(ends[window], hi_g) - offsets
+                offsets -= lo_g
+            keys = first[window].repeat(take.astype(np.intp))
+            u = _uniforms(keys - np.arange(g0, g1, dtype=np.uint64) * _K2)
+            kind = 1 + (u >= c1).view(np.uint8) + (u >= c2)
+            # a sample whose events span slices folds on from where it was
+            fold[window] ^= np.bitwise_xor.reduceat(kind, offsets.astype(np.intp))
         tally += np.bincount(fold, minlength=4)
     return tally
 
@@ -323,7 +329,9 @@ def monte_carlo_transmit(
     ``numpy.random``), however a call is cut into passes; ``seed`` is any
     integer, taken mod 2**64.  Work runs in passes whose arrays hold at most
     2**16 entries each, so memory does not grow with the number of samples
-    or of events in one.  No state outlives a call.
+    or of events in one.  Only the samples with events are folded, by XOR
+    reductions over their runs of event types; the others count as fold 0.
+    No state outlives a call.
 
     Raises
     ------
@@ -385,7 +393,7 @@ def monte_carlo_transmit(
                 f"arm length {length!r} km rounds to 0 segments at "
                 f"{segments_per_km} segments/km; increase segments_per_km"
             )
-    counts = _fold_tally(seed, samples, n1 + n2, t1, t2, t3)
+    counts = _fold_tally(seed, samples, n1 + n2, t1, t2, t3).tolist()
     # Tallies of the folded index k XOR l, in Bell order as in epr.transmit.
     freq = _bell_order(count / samples for count in counts)
     errors = tuple(math.sqrt(f * (1.0 - f) / samples) for f in freq)

@@ -862,6 +862,9 @@ class TestSweep:
             ((SweepRow(0.0, 1.0, 1.0), SweepRow(1.0, 0.5, "x")), "fidelity must be a finite"),
             ((SweepRow(0.0, 1.0, -0.5),), r"fidelity must be in \[0, 1\], got -0.5"),
             ((SweepRow(math.inf, 1.0, 1.0),), "length_km must be a finite number, got inf"),
+            (5, "sweep rows must be a sequence of .* triples"),
+            ([(1.0, 0.5)], "sweep rows must be a sequence of .* triples"),
+            ([None], "sweep rows must be a sequence of .* triples"),
         ],
     )
     def test_table_checks_each_field(self, rows, message):

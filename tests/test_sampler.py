@@ -4,7 +4,7 @@ The sampler draws each sample's error events, not its segments, so its
 tallies are checked in law: by z and chi-square tests over many seeds
 against the exact discrete model ``transmit(iterate(seg, n1), iterate(seg,
 n2))``, built from the public API, and by its Binomial table against the
-exact pmf.
+exact pmf.  A table of literal tallies pins the stream itself.
 """
 
 import math
@@ -375,19 +375,32 @@ def test_binomial_table_of_many_segments_ends_in_its_tail():
     assert len(oracle._binomial_cdf(2**40, 1e-10)) < 250
 
 
-@pytest.mark.parametrize("size", [1, 3, 64])
-def test_tallies_do_not_depend_on_the_pass_size(monkeypatch, size):
-    # Pieces of a fraction of an event put many count draws in a sample, so
-    # samples, count draws and events all span passes.
-    monkeypatch.setattr(oracle, "_LOG_MASS", 0.3)
-    configs = [
-        (3, 300, 50, 0.01, 0.02, 0.03),  # 6 pieces a sample
-        (-8, 3, 300, 0.3, 0.6, 0.9),  # 150 pieces and 270 events a sample
-        (2**64 - 5, 257, 30, 0.05, 0.1, 0.2),
-    ]
-    want = [oracle._fold_tally(*c).tolist() for c in configs]
+# Tallies of oracle._fold_tally, pinned: (seed, samples, n, t1, t2, t3, _LOG_MASS) -> tallies.
+# A _LOG_MASS of 0.3 cuts the segments into pieces of a fraction of an event
+# each, so a sample draws its count from many pieces.
+PINNED_STREAM = [
+    # one piece, under one event a sample; samples 0 and 299 are idle
+    ((2, 300, 40, 0.002, 0.004, 0.006, 500.0), [250, 16, 16, 18]),
+    ((3, 300, 50, 0.01, 0.02, 0.03, 0.3), [103, 67, 75, 55]),  # 6 pieces a sample
+    ((-8, 3, 300, 0.3, 0.6, 0.9, 0.3), [1, 0, 1, 1]),  # 150 pieces and 270 events a sample
+    ((2**64 - 5, 257, 30, 0.05, 0.1, 0.2, 0.3), [52, 81, 64, 60]),
+    ((2, 100, 25, 0.2, 0.5, 1.0, 500.0), [24, 24, 26, 26]),  # t3 = 1: every segment errs
+    ((5, 40, 12, 0.1, 0.4, 1.0, 0.3), [12, 11, 6, 11]),
+    ((0, 50, 2**64 - 1, 0.0, 0.0, 5e-324, 500.0), [50, 0, 0, 0]),
+    ((3**50, 100, 60, 0.3, 0.55, 0.7, 500.0), [21, 28, 24, 27]),  # t3 past 1/2
+    ((-(2**63), 400, 200, 0.01, 0.015, 0.02, 500.0), [108, 100, 94, 98]),
+]
+
+
+@pytest.mark.parametrize("size", [oracle._PASS, 1, 3, 64])
+def test_tallies_match_the_pinned_stream(monkeypatch, size):
+    # A seed fixes the tallies, however a call is cut into passes: at a pass
+    # size of 1, 3 or 64, samples, count draws and events all span passes,
+    # and a sample's events span slices.
     monkeypatch.setattr(oracle, "_PASS", size)
-    assert [oracle._fold_tally(*c).tolist() for c in configs] == want
+    for (*config, log_mass), want in PINNED_STREAM:
+        monkeypatch.setattr(oracle, "_LOG_MASS", log_mass)
+        assert oracle._fold_tally(*config).tolist() == want, config
 
 
 def test_no_runtime_warnings():
@@ -405,18 +418,23 @@ def test_memory_does_not_grow_with_sample_width():
     # At t3 = 1 a sample has one event per segment.
     tracemalloc = pytest.importorskip("tracemalloc")
 
-    def peak(events):
+    def peak(samples, events):
         tracemalloc.start()
         try:
-            oracle._fold_tally(4, 1, events, 0.2, 0.5, 1.0)
+            oracle._fold_tally(4, samples, events, 0.2, 0.5, 1.0)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     size = oracle._PASS
-    narrow, wide = peak(2 * size), peak(16 * size)
+    narrow, wide = peak(1, 2 * size), peak(1, 16 * size)
     assert wide <= narrow + 4096, (narrow, wide)
     assert wide < 8 * size * 8  # a few pass-sized arrays, not the events of a sample
+    # A full pass of samples whose events span four slices, and four such passes:
+    # the pass's arrays and their temporaries, not the samples of a call.
+    one_pass, passes = peak(size, 4), peak(4 * size, 4)
+    assert passes <= one_pass + 4096, (one_pass, passes)
+    assert passes < 12 * size * 8
 
 
 def test_sampling_never_loads_numpy_random():
