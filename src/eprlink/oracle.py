@@ -12,6 +12,7 @@ positive semidefinite up to float noise).
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from collections import namedtuple
@@ -202,13 +203,16 @@ def _uniforms(keys):
     return keys
 
 
+@functools.lru_cache(maxsize=64)
 def _binomial_cdf(m, p) -> np.ndarray:
     """P(X <= k) of X ~ Binomial(m, p) for k = 0, 1, ..., as integers of 2**-53.
 
     The pmf f_k runs by its ratio r_k = f_(k+1)/f_k from (1 - p)**m.  Since
     r_k falls with k, the mass from k on is at most f_k / (1 - r_k) once
     r_k < 1; the table ends where that is below 2**-53, or at k = m, and its
-    last entry is 2**53, so no u < 2**53 passes it.
+    last entry is 2**53, so no u < 2**53 passes it.  A table is built once
+    per (m, p) and kept read-only, the 64 most recently used, so calls of
+    one config share it.
     """
     ratio = p / (1.0 - p)
     f = math.exp(m * math.log1p(-p))
@@ -223,7 +227,9 @@ def _binomial_cdf(m, p) -> np.ndarray:
         f *= r
     else:
         cdf[-1] = 1 << 53
-    return np.array(cdf, dtype=np.uint64)
+    table = np.array(cdf, dtype=np.uint64)
+    table.flags.writeable = False
+    return table
 
 
 def _fold_tally(seed, samples, n, t1, t2, t3) -> np.ndarray:
@@ -251,21 +257,29 @@ def _fold_tally(seed, samples, n, t1, t2, t3) -> np.ndarray:
     tally = np.zeros(4, dtype=np.int64)
     for lo in range(0, samples, rows):
         row = np.arange(lo, min(samples, lo + rows), dtype=np.uint64) * _K1 + base
-        # column 0, a full piece as pieces >= 1, is the only one when piece = n
-        count = full.searchsorted(_uniforms(row.copy()), "right").astype(np.uint64)
-        for j0 in range(1, cols, _PASS):
-            j = np.arange(j0, min(cols, j0 + _PASS), dtype=np.uint64)
-            u = _uniforms(row[:, None] + j * _K2)
-            whole = min(pieces - j0, u.shape[1])  # columns of full pieces
-            count += full.searchsorted(u[:, :whole], "right").sum(axis=1, dtype=np.uint64)
-            if whole < u.shape[1]:
-                count += part.searchsorted(u[:, whole], "right").astype(np.uint64)
-        count = np.uint64(n) - count if t3 > 0.5 else count
+        keys = step = kind = None  # free the previous pass's events before this pass's
+        u = _uniforms(row.copy())
+        if cols == 1 and t3 <= 0.5:
+            # one piece, so a draw below full[0] is a sample with no events
+            busy = (u >= full[0]).nonzero()[0]
+            count = full.searchsorted(u[busy], "right").astype(np.uint64)
+        else:
+            # column 0, a full piece as pieces >= 1
+            count = full.searchsorted(u, "right").astype(np.uint64)
+            for j0 in range(1, cols, _PASS):
+                j = np.arange(j0, min(cols, j0 + _PASS), dtype=np.uint64)
+                u = _uniforms(row[:, None] + j * _K2)
+                whole = min(pieces - j0, u.shape[1])  # columns of full pieces
+                count += full.searchsorted(u[:, :whole], "right").sum(axis=1, dtype=np.uint64)
+                if whole < u.shape[1]:
+                    count += part.searchsorted(u[:, whole], "right").astype(np.uint64)
+            count = np.uint64(n) - count if t3 > 0.5 else count
+            busy = count.nonzero()[0]
+            count = count[busy]
+        u = None  # the count draws, freed before the events' arrays
+        tally[0] += row.size - busy.size
         # Event g of the pass is the e-th event of the busy sample whose
         # [start, end) holds it, so its key row - (e + 1)*K2 is first - g*K2.
-        busy = count.nonzero()[0]
-        tally[0] += row.size - busy.size
-        count = count[busy]
         ends = count.cumsum()
         starts = ends - count
         first = row[busy] + (starts - np.uint64(1)) * _K2
@@ -281,8 +295,13 @@ def _fold_tally(seed, samples, n, t1, t2, t3) -> np.ndarray:
                 take = np.minimum(ends[window], hi_g) - offsets
                 offsets -= lo_g
             keys = first[window].repeat(take.astype(np.intp))
-            u = _uniforms(keys - np.arange(g0, g1, dtype=np.uint64) * _K2)
-            kind = 1 + (u >= c1).view(np.uint8) + (u >= c2)
+            step = np.arange(g0, g1, dtype=np.uint64)
+            step *= _K2
+            keys -= step
+            _uniforms(keys)  # the keys become their uniforms
+            kind = (keys >= c1).view(np.uint8)
+            kind += keys >= c2
+            kind += 1
             # a sample whose events span slices folds on from where it was
             fold[window] ^= np.bitwise_xor.reduceat(kind, offsets.astype(np.intp))
         tally += np.bincount(fold, minlength=4)
@@ -330,8 +349,10 @@ def monte_carlo_transmit(
     integer, taken mod 2**64.  Work runs in passes whose arrays hold at most
     2**16 entries each, so memory does not grow with the number of samples
     or of events in one.  Only the samples with events are folded, by XOR
-    reductions over their runs of event types; the others count as fold 0.
-    No state outlives a call.
+    reductions over their runs of event types; the others count as fold 0,
+    and with one piece and t3 <= 1/2 a draw below the table's first entry
+    marks a sample as idle without a search.  Only the Binomial tables
+    outlive a call, one per (m, p), read-only.
 
     Raises
     ------

@@ -370,6 +370,14 @@ def test_binomial_table_without_mass_past_0(m, p):
     assert oracle._binomial_cdf(m, p).tolist() == [2**53, 2**53]
 
 
+def test_binomial_table_is_kept_read_only():
+    table = oracle._binomial_cdf(512, 0.03)
+    assert oracle._binomial_cdf(512, 0.03) is table
+    with pytest.raises(ValueError):
+        table[0] = 0
+    assert table.tolist() == oracle._binomial_cdf.__wrapped__(512, 0.03).tolist()
+
+
 def test_binomial_table_of_many_segments_ends_in_its_tail():
     # mean 110 over 2**40 segments: a walk towards m would never end
     assert len(oracle._binomial_cdf(2**40, 1e-10)) < 250
@@ -389,6 +397,11 @@ PINNED_STREAM = [
     ((0, 50, 2**64 - 1, 0.0, 0.0, 5e-324, 500.0), [50, 0, 0, 0]),
     ((3**50, 100, 60, 0.3, 0.55, 0.7, 500.0), [21, 28, 24, 27]),  # t3 past 1/2
     ((-(2**63), 400, 200, 0.01, 0.015, 0.02, 500.0), [108, 100, 94, 98]),
+    # one piece in which no sample is idle: 3 to 17 events a sample
+    ((7, 100, 1000, 0.003, 0.006, 0.01, 500.0), [29, 21, 33, 17]),
+    # t3 = 1/2 and the next float up: one piece either way, of 9 to 21 events a sample
+    ((11, 100, 30, 0.1, 0.3, 0.5, 500.0), [22, 27, 22, 29]),
+    ((11, 100, 30, 0.1, 0.3, math.nextafter(0.5, 1), 500.0), [31, 27, 22, 20]),
 ]
 
 
