@@ -12,7 +12,6 @@ positive semidefinite up to float noise).
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from collections import namedtuple
@@ -203,16 +202,13 @@ def _uniforms(keys):
     return keys
 
 
-@functools.lru_cache(maxsize=64)
 def _binomial_cdf(m, p) -> np.ndarray:
     """P(X <= k) of X ~ Binomial(m, p) for k = 0, 1, ..., as integers of 2**-53.
 
     The pmf f_k runs by its ratio r_k = f_(k+1)/f_k from (1 - p)**m.  Since
     r_k falls with k, the mass from k on is at most f_k / (1 - r_k) once
     r_k < 1; the table ends where that is below 2**-53, or at k = m, and its
-    last entry is 2**53, so no u < 2**53 passes it.  A table is built once
-    per (m, p) and kept read-only, the 64 most recently used, so calls of
-    one config share it.
+    last entry is 2**53, so no u < 2**53 passes it.
     """
     ratio = p / (1.0 - p)
     f = math.exp(m * math.log1p(-p))
@@ -227,9 +223,7 @@ def _binomial_cdf(m, p) -> np.ndarray:
         f *= r
     else:
         cdf[-1] = 1 << 53
-    table = np.array(cdf, dtype=np.uint64)
-    table.flags.writeable = False
-    return table
+    return np.array(cdf, dtype=np.uint64)
 
 
 def _fold_tally(seed, samples, n, t1, t2, t3) -> np.ndarray:
@@ -256,15 +250,18 @@ def _fold_tally(seed, samples, n, t1, t2, t3) -> np.ndarray:
     rows = max(1, min(_PASS // cols, _MASK64 // n))
     tally = np.zeros(4, dtype=np.int64)
     for lo in range(0, samples, rows):
-        row = np.arange(lo, min(samples, lo + rows), dtype=np.uint64) * _K1 + base
+        row = np.arange(lo, min(samples, lo + rows), dtype=np.uint64)
+        row *= _K1
+        row += base
         keys = step = kind = None  # free the previous pass's events before this pass's
         u = _uniforms(row.copy())
         if cols == 1 and t3 <= 0.5:
-            # one piece, so a draw below full[0] is a sample with no events
+            # one piece and t3 <= 1/2: column 0 is the count, so a draw below
+            # full[0] is an idle sample and only the others are searched
             busy = (u >= full[0]).nonzero()[0]
-            count = full.searchsorted(u[busy], "right").astype(np.uint64)
+            count = full.searchsorted(u[busy], "right").view(np.uint64)
         else:
-            # column 0, a full piece as pieces >= 1
+            # every sample's count: column 0, a full piece as pieces >= 1, and the rest
             count = full.searchsorted(u, "right").astype(np.uint64)
             for j0 in range(1, cols, _PASS):
                 j = np.arange(j0, min(cols, j0 + _PASS), dtype=np.uint64)
@@ -282,7 +279,9 @@ def _fold_tally(seed, samples, n, t1, t2, t3) -> np.ndarray:
         # [start, end) holds it, so its key row - (e + 1)*K2 is first - g*K2.
         ends = count.cumsum()
         starts = ends - count
-        first = row[busy] + (starts - np.uint64(1)) * _K2
+        first = starts - np.uint64(1)
+        first *= _K2
+        first += row[busy]
         fold = np.zeros(busy.size, dtype=np.uint8)
         events = int(ends[-1]) if busy.size else 0
         window, take, offsets = slice(None), count, starts  # every run whole, in one slice
@@ -294,7 +293,8 @@ def _fold_tally(seed, samples, n, t1, t2, t3) -> np.ndarray:
                 offsets = np.maximum(starts[window], lo_g)
                 take = np.minimum(ends[window], hi_g) - offsets
                 offsets -= lo_g
-            keys = first[window].repeat(take.astype(np.intp))
+            # runs and offsets lie within one slice, so their int64 views are the same numbers
+            keys = first[window].repeat(take.view(np.int64))
             step = np.arange(g0, g1, dtype=np.uint64)
             step *= _K2
             keys -= step
@@ -303,7 +303,7 @@ def _fold_tally(seed, samples, n, t1, t2, t3) -> np.ndarray:
             kind += keys >= c2
             kind += 1
             # a sample whose events span slices folds on from where it was
-            fold[window] ^= np.bitwise_xor.reduceat(kind, offsets.astype(np.intp))
+            fold[window] ^= np.bitwise_xor.reduceat(kind, offsets.view(np.int64))
         tally += np.bincount(fold, minlength=4)
     return tally
 
@@ -351,8 +351,7 @@ def monte_carlo_transmit(
     or of events in one.  Only the samples with events are folded, by XOR
     reductions over their runs of event types; the others count as fold 0,
     and with one piece and t3 <= 1/2 a draw below the table's first entry
-    marks a sample as idle without a search.  Only the Binomial tables
-    outlive a call, one per (m, p), read-only.
+    marks a sample as idle without a search.  No state outlives a call.
 
     Raises
     ------

@@ -370,14 +370,6 @@ def test_binomial_table_without_mass_past_0(m, p):
     assert oracle._binomial_cdf(m, p).tolist() == [2**53, 2**53]
 
 
-def test_binomial_table_is_kept_read_only():
-    table = oracle._binomial_cdf(512, 0.03)
-    assert oracle._binomial_cdf(512, 0.03) is table
-    with pytest.raises(ValueError):
-        table[0] = 0
-    assert table.tolist() == oracle._binomial_cdf.__wrapped__(512, 0.03).tolist()
-
-
 def test_binomial_table_of_many_segments_ends_in_its_tail():
     # mean 110 over 2**40 segments: a walk towards m would never end
     assert len(oracle._binomial_cdf(2**40, 1e-10)) < 250
