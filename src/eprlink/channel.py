@@ -51,8 +51,6 @@ __all__ = [
     "iterate_bruteforce",
     "decay_factors",
     "at_length",
-    "flip_at_length",
-    "depolarizing_probs",
 ]
 
 # Float round-trips through the closed form leave ~1e-16 of noise on the
@@ -70,8 +68,6 @@ _BRUTEFORCE_CAP = 10**9
 # Exponents at or past _POWER_CAP leave every decay factor of magnitude < 1
 # at 0.
 _POWER_CAP = 2**64
-
-_FLIP_AXES = {"x": 0, "y": 1, "z": 2}
 
 
 def _shown(value) -> str:
@@ -433,37 +429,3 @@ def at_length(mu: ErrorDensities, length_km: float) -> PauliProbs:
     l3, l2, l1 = _decays(_decay_rates(mu), length_km)
     return _probabilities(PauliProbs, _hadamard(l1, l2, l3))
 
-
-def flip_at_length(mu_i: float, axis: str, length_km: float) -> PauliProbs:
-    """Single-flip channel of the given length.
-
-    Puts flip probability (1 - exp(-2 mu_i L)) / 2 on the chosen axis and the
-    remainder on the identity; the flip probability tends to 1/2 as the
-    length grows.  This is `at_length` with ``mu_i`` on that axis and 0 on
-    the others, bit for bit.
-
-    Parameters
-    ----------
-    mu_i : float
-        Error density of the flip, in 1/km.
-    axis : {'x', 'y', 'z'}
-        Which flip the channel applies.
-    length_km : float
-        Channel length in km, >= 0.
-    """
-    if axis not in _FLIP_AXES:
-        raise ValidationError(f"flip axis must be one of 'x', 'y', 'z', got {axis!r}")
-    mu_i = _real(mu_i, "mu_i", 0.0)
-    densities = [0.0, 0.0, 0.0]
-    densities[_FLIP_AXES[axis]] = mu_i
-    return at_length(ErrorDensities(*densities), length_km)
-
-
-def depolarizing_probs(p: float) -> PauliProbs:
-    """Depolarizing channel with total error probability ``p``.
-
-    Returns (1 - 3p/4, p/4, p/4, p/4): the channel that replaces the state by
-    the maximally mixed state with probability p.
-    """
-    p = _real(p, "p", 0.0, 1.0)
-    return PauliProbs(1.0 - 0.75 * p, 0.25 * p, 0.25 * p, 0.25 * p)

@@ -42,7 +42,6 @@ __all__ = [
     "concurrence",
     "fidelity_psi_plus",
     "concurrence_vs_length",
-    "doubleflip_coefficients",
     "dominant_bell_state",
     "BELL_LABELS",
 ]
@@ -153,20 +152,6 @@ def concurrence_vs_length(mu: ErrorDensities, total_length_km: float) -> float:
     """
     geom = LinkGeometry(_real(total_length_km, "total_length_km", 0.0), 0.0)
     return concurrence(transmit_at_length(mu, geom))
-
-
-def doubleflip_coefficients(mu: float, total_length_km: float) -> BellDiagonal:
-    """Bell weights when exactly the x and y flips occur at equal rate ``mu``.
-
-    a = (1 + e)^2 / 4, b = (1 - e)^2 / 4, c = d = (1 - e^2)/4 with
-    e = exp(-2 mu L).  The concurrence max(0, (e^2 + 2e - 1)/2) vanishes
-    beyond a finite threshold length, unlike the single-flip case.  This is
-    ``transmit_at_length(ErrorDensities(mu, mu, 0), LinkGeometry(L, 0))``,
-    bit for bit.
-    """
-    mu = _real(mu, "mu", 0.0)
-    geom = LinkGeometry(_real(total_length_km, "total_length_km", 0.0), 0.0)
-    return transmit_at_length(ErrorDensities(mu, mu, 0.0), geom)
 
 
 def dominant_bell_state(state: BellDiagonal) -> str:

@@ -10,8 +10,6 @@ from eprlink import (
     at_length,
     compose,
     decay_factors,
-    depolarizing_probs,
-    flip_at_length,
     iterate,
     iterate_bruteforce,
 )
@@ -398,31 +396,44 @@ class TestAtLength:
         assert errors[2] < 1e-3
 
 
-class TestFlipAtLength:
-    def test_zero_length(self):
-        assert flip_at_length(0.01, "x", 0.0).as_tuple() == (1.0, 0.0, 0.0, 0.0)
+def density_length_pairs(seed, count=20):
+    # (density in 1/km, length in km) pairs, with densities below 0.1 and
+    # lengths below 80, from a generator of their own.
+    draw = np.random.default_rng(seed)
+    return [(float(draw.uniform(0.0, 0.1)), float(draw.uniform(0.0, 80.0))) for _ in range(count)]
+
+
+def one_flip(mu, axis):
+    # Density mu on flip axis 1, 2 or 3 (x, y, z) and 0 on the other two.
+    densities = [0.0, 0.0, 0.0]
+    densities[axis - 1] = mu
+    return ErrorDensities(*densities)
+
+
+class TestSingleFlipReference:
+    # A flip on one axis at density mu puts (1 - exp(-2 mu L)) / 2 on that
+    # axis and the rest on the identity.
+    @pytest.mark.parametrize("axis", [1, 2, 3])
+    def test_zero_length(self, axis):
+        assert at_length(one_flip(0.01, axis), 0.0).as_tuple() == (1.0, 0.0, 0.0, 0.0)
 
     def test_long_length_limit(self):
-        p = flip_at_length(0.01, "y", 1e9)
+        p = at_length(one_flip(0.01, 2), 1e9)
         assert math.isclose(p.p2, 0.5, rel_tol=1e-12)
         assert math.isclose(p.p0, 0.5, rel_tol=1e-12)
 
-    def test_consistent_with_at_length(self):
-        mu, length = 0.015, 7.0
-        assert_close4(
-            flip_at_length(mu, "z", length),
-            at_length(ErrorDensities(0.0, 0.0, mu), length),
-            tol=1e-15,
-        )
-
-    def test_rejects_bad_axis(self):
-        with pytest.raises(ValidationError):
-            flip_at_length(0.01, "w", 1.0)
+    @pytest.mark.parametrize("axis", [1, 2, 3])
+    def test_matches_at_length(self, axis):
+        for mu, length in [(0.015, 7.0)] + density_length_pairs(axis):
+            flip = 0.5 * (1.0 - math.exp(-2.0 * mu * length))
+            want = [1.0 - flip, 0.0, 0.0, 0.0]
+            want[axis] = flip
+            assert_close4(at_length(one_flip(mu, axis), length), tuple(want), tol=1e-15)
 
 
 class TestDecayFactors:
     def test_depolarizing_shrinks_uniformly(self):
-        lam = decay_factors(depolarizing_probs(0.5))
+        lam = decay_factors(PauliProbs(0.625, 0.125, 0.125, 0.125))
         assert lam.as_tuple() == (0.5, 0.5, 0.5)
 
     def test_power(self):
@@ -459,20 +470,18 @@ class TestDecayFactors:
         assert decay_factors(p, 2**53 + 1).lambda1 == -1.0
 
 
-class TestDepolarizingProbs:
-    @pytest.mark.parametrize(
-        "p,expected",
-        [
-            (0.0, (1.0, 0.0, 0.0, 0.0)),
-            (1.0, (0.25, 0.25, 0.25, 0.25)),
-            (0.5, (0.625, 0.125, 0.125, 0.125)),
-        ],
-    )
-    def test_values(self, p, expected):
-        assert depolarizing_probs(p).as_tuple() == expected
+class TestDepolarizingReference:
+    # Equal densities m on all three axes give the depolarizing channel
+    # (1 - 3p/4, p/4, p/4, p/4) with p = 1 - exp(-4 m L).
+    def test_matches_at_length(self):
+        for m, length in [(0.01, 17.3), (0.5, 1.0)] + density_length_pairs(4):
+            p = 1.0 - math.exp(-4.0 * m * length)
+            want = (1.0 - 0.75 * p, 0.25 * p, 0.25 * p, 0.25 * p)
+            assert_close4(at_length(ErrorDensities(m, m, m), length), want, tol=1e-15)
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValidationError):
-            depolarizing_probs(1.5)
-        with pytest.raises(ValidationError):
-            depolarizing_probs(-0.1)
+    @pytest.mark.parametrize(
+        "m, length, expected",
+        [(0.01, 0.0, (1.0, 0.0, 0.0, 0.0)), (1.0, 1000.0, (0.25, 0.25, 0.25, 0.25))],
+    )
+    def test_ends_are_exact(self, m, length, expected):
+        assert at_length(ErrorDensities(m, m, m), length).as_tuple() == expected

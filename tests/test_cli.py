@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -778,6 +779,25 @@ class TestPackageSurface:
         assert len(set(names)) == len(names)
         assert set(eprlink.__all__) == set(names)
         assert eprlink.__all__ == sorted(names)
+
+    def test_readme_quickstart_runs_as_written(self, capsys):
+        # A public name that the README's "Library quickstart" uses and that
+        # is renamed or removed fails here, and so does a value its comments
+        # show ("# 0.7946... 0.5892...", one per printed field) that drifts.
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text(encoding="utf-8").split("## Library quickstart\n", 1)[1]
+        block = section.split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(block, "README.md", "exec"), {})
+        shown = capsys.readouterr().out.splitlines()
+        prints = [line for line in block.splitlines() if line.startswith("print(")]
+        assert len(shown) == len(prints)
+        checked = 0
+        for line, out in zip(prints, shown):
+            fields = out.split()
+            for i, want in enumerate(re.findall(r"(\d+\.\d+)\.\.\.", line.partition("#")[2])):
+                assert fields[i].startswith(want), (line, out)
+                checked += 1
+        assert checked >= 3
 
 
 class TestTotalLengthPastTheFloatRange:

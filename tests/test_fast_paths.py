@@ -32,9 +32,6 @@ from eprlink import (
     compose,
     concurrence,
     decay_factors,
-    depolarizing_probs,
-    doubleflip_coefficients,
-    flip_at_length,
     iterate,
     threshold_depolarizing,
     transmit,
@@ -213,9 +210,6 @@ def test_concurrence_matches_its_formula(values):
         (lambda v: BellDiagonal(0, 0, v, 1), "Bell weight c must be a finite number, got {}"),
         (lambda v: Lambdas(1, v, 1), "lambda2 must be a finite number, got {}"),
         (lambda v: threshold_depolarizing(v), "mu must be a finite number, got {}"),
-        (lambda v: depolarizing_probs(v), "p must be a finite number, got {}"),
-        (lambda v: flip_at_length(v, "x", 1.0), "mu_i must be a finite number, got {}"),
-        (lambda v: doubleflip_coefficients(v, 1), "mu must be a finite number, got {}"),
         (lambda v: MeasurementPoint(v, 1.0), "qber must be a finite number, got {}"),
     ],
 )

@@ -43,13 +43,10 @@ from eprlink import (
     concurrence,
     concurrence_vs_length,
     decay_factors,
-    depolarizing_probs,
     dominant_bell_state,
-    doubleflip_coefficients,
     estimate_mu,
     fidelity_psi_plus,
     fit_mu,
-    flip_at_length,
     iterate,
     iterate_bruteforce,
     monte_carlo_transmit,
@@ -217,28 +214,8 @@ SCALAR_INPUTS = [
     ),
     ("ThresholdResult.length_km", ThresholdResult, "length_km", POSITIVE),
     ("at_length.length_km", _with(at_length, (MU, 1.0), 1), "length_km", NOT_NEGATIVE),
-    ("flip_at_length.mu_i", _with(flip_at_length, (0.01, "x", 1.0), 0), "mu_i", NOT_NEGATIVE),
-    (
-        "flip_at_length.length_km",
-        _with(flip_at_length, (0.01, "x", 1.0), 2),
-        "length_km",
-        NOT_NEGATIVE,
-    ),
-    ("depolarizing_probs.p", depolarizing_probs, "p", UNIT),
     ("threshold_depolarizing.mu", threshold_depolarizing, "mu", NOT_NEGATIVE),
     ("threshold_double_flip.mu", threshold_double_flip, "mu", NOT_NEGATIVE),
-    (
-        "doubleflip_coefficients.mu",
-        _with(doubleflip_coefficients, (0.01, 1.0), 0),
-        "mu",
-        NOT_NEGATIVE,
-    ),
-    (
-        "doubleflip_coefficients.total_length_km",
-        _with(doubleflip_coefficients, (0.01, 1.0), 1),
-        "total_length_km",
-        NOT_NEGATIVE,
-    ),
     (
         "concurrence_vs_length.total_length_km",
         _with(concurrence_vs_length, (MU, 1.0), 1),
@@ -246,6 +223,7 @@ SCALAR_INPUTS = [
         NOT_NEGATIVE,
     ),
     ("sweep.l_max_km", _with(sweep, (MU, 10.0, 4), 1), "l_max_km", POSITIVE),
+    ("SweepTable.fidelity", lambda v: SweepTable([(0.0, 1.0, v)]), "fidelity", UNIT),
 ]
 NOT_FINITE = [math.nan, math.inf, -math.inf, 10**400, -(10**400), "1"]
 
