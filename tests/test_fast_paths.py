@@ -27,13 +27,18 @@ from eprlink import (
     LinkGeometry,
     MeasurementPoint,
     PauliProbs,
+    SweepTable,
+    ThresholdResult,
     ValidationError,
     at_length,
     compose,
     concurrence,
+    concurrence_vs_length,
     decay_factors,
     iterate,
+    sweep,
     threshold_depolarizing,
+    threshold_double_flip,
     transmit,
     transmit_at_length,
 )
@@ -210,7 +215,16 @@ def test_concurrence_matches_its_formula(values):
         (lambda v: BellDiagonal(0, 0, v, 1), "Bell weight c must be a finite number, got {}"),
         (lambda v: Lambdas(1, v, 1), "lambda2 must be a finite number, got {}"),
         (lambda v: threshold_depolarizing(v), "mu must be a finite number, got {}"),
+        (lambda v: threshold_double_flip(v), "mu must be a finite number, got {}"),
         (lambda v: MeasurementPoint(v, 1.0), "qber must be a finite number, got {}"),
+        (lambda v: ThresholdResult(v), "length_km must be a finite number, got {}"),
+        (lambda v: at_length((0.01, 0, 0), v), "length_km must be a finite number, got {}"),
+        (
+            lambda v: concurrence_vs_length((0.01, 0, 0), v),
+            "total_length_km must be a finite number, got {}",
+        ),
+        (lambda v: sweep((0.01, 0, 0), v, 4), "l_max_km must be a finite number, got {}"),
+        (lambda v: SweepTable([(0.0, 1.0, v)]), "fidelity must be a finite number, got {}"),
     ],
 )
 @pytest.mark.parametrize("value", [BIG, -BIG, HUGE], ids=["10**400", "-10**400", "10**5000"])
