@@ -14,13 +14,11 @@ floats in `_bisect`, a safeguarded regula falsi.
 from __future__ import annotations
 
 import math
-import sys
 from collections import namedtuple
 from types import MethodType
 
 from .channel import (
     _FLOAT_MAX,
-    _REAL,
     ErrorDensities,
     _as_count,
     _decay_rates,
@@ -119,17 +117,16 @@ class SweepTable(_Value, namedtuple("SweepTable", "rows")):
             raise ValidationError(
                 "sweep rows must be a sequence of (length_km, concurrence, fidelity) triples"
             ) from None
-        # Written so that nan fails both comparisons, row 0's included; a
-        # non-number skips them and `_real` names it.
         prev_length, prev_conc = -math.inf, math.inf
         for length, conc, fidelity in fields:
-            if isinstance(length, _REAL) and not length > prev_length:
-                raise ValidationError("sweep lengths must be strictly increasing")
-            if isinstance(conc, _REAL) and not conc <= prev_conc + 1e-12:
-                raise ValidationError("sweep concurrence must be non-increasing")
-            prev_length = _real(length, "length_km", 0.0)
-            prev_conc = _real(conc, "concurrence", 0.0, 1.0)
+            length = _real(length, "length_km", 0.0)
+            conc = _real(conc, "concurrence", 0.0, 1.0)
             _real(fidelity, "fidelity", 0.0, 1.0)
+            if length <= prev_length:
+                raise ValidationError("sweep lengths must be strictly increasing")
+            if conc > prev_conc + 1e-12:
+                raise ValidationError("sweep concurrence must be non-increasing")
+            prev_length, prev_conc = length, conc
         return tuple.__new__(cls, (rows,))
 
 
@@ -217,9 +214,9 @@ def estimate_mu(point: MeasurementPoint) -> float:
     """Per-km error density implied by one QBER observation.
 
     Inverts qber = 3/4 * (1 - exp(-4 mu L)) for the depolarizing model:
-    mu = -ln((3 - 4 qber) / 3) / (4 L), in 1/km.  inf where that passes the
-    float range (qber near 0.75 over a subnormal length).  A plain pair
-    ``point`` is checked as `MeasurementPoint`.
+    mu = -ln((3 - 4 qber) / 3) / (4 L), in 1/km.  `DomainError` where that
+    passes the float range (qber near 0.75 over a subnormal length).  A plain
+    pair ``point`` is checked as `MeasurementPoint`.
     """
     return _estimate(point if type(point) is MeasurementPoint else MeasurementPoint(*point))
 
@@ -230,16 +227,11 @@ def _estimate(point: MeasurementPoint) -> float:
     # quotient by 4 L once, as before, but 4 L can no longer overflow (L above
     # ~4.5e307 km gave mu = 0).  Where the logarithm is 0 the quotient is
     # -0.0; adding 0.0 makes that 0.0 and keeps every other float.
-    return -math.log((3.0 - 4.0 * point.qber) / 3.0) / 4.0 / point.total_length_km + 0.0
-
-
-def _finite_estimate(point: MeasurementPoint) -> float:
-    # `estimate_mu`, or DomainError where the density passes the float range.
-    mu = _estimate(point)
-    if math.isinf(mu):
+    mu = -math.log((3.0 - 4.0 * point.qber) / 3.0) / 4.0 / point.total_length_km + 0.0
+    if mu > _FLOAT_MAX:
         raise DomainError(
             f"implied error density overflows: qber {point.qber!r} at "
-            f"{point.total_length_km!r} km needs more than {sys.float_info.max:.4g} /km"
+            f"{point.total_length_km!r} km needs more than {_FLOAT_MAX:.4g} /km"
         )
     return mu
 
@@ -260,17 +252,16 @@ def fit_mu(points) -> tuple[float, float]:
     midpoint (a local minimum).  The objective need not be unimodal: points
     at lengths far apart can give it several local minima, and the one
     returned need not be the lowest.  A single point reduces exactly to
-    `estimate_mu`, except that a density past the float range raises
-    `DomainError` instead of returning inf.  `NumericError` where the
-    derivative has no sign change in [0, largest float].  Returns
-    (mu, rms residual).  A plain pair among ``points`` is checked as
-    `MeasurementPoint`.
+    `estimate_mu`.  `DomainError` where a point's estimate passes the float
+    range, as in `estimate_mu`; `NumericError` where the derivative has no
+    sign change in [0, largest float].  Returns (mu, rms residual).  A plain
+    pair among ``points`` is checked as `MeasurementPoint`.
     """
     points = [p if type(p) is MeasurementPoint else MeasurementPoint(*p) for p in points]
     if not points:
         raise ValidationError("at least one measurement point is required")
     if len(points) == 1:
-        mu = _finite_estimate(points[0])
+        mu = _estimate(points[0])
         return mu, _rms_residual(mu, points)
     if all(p.qber == 0.0 for p in points):
         return 0.0, 0.0
@@ -292,7 +283,7 @@ def fit_mu(points) -> tuple[float, float]:
     # logarithm that is 0 below qber ~1.1e-16) leaves an end's slope on the
     # wrong side, that end widens by powers of two: lo to 0 at worst, where
     # the slope is -6 sum(qber L) <= 0, and hi to the largest float.
-    estimates = sorted(min(_estimate(p), _FLOAT_MAX) for p in points)
+    estimates = sorted(map(_estimate, points))
     lo, hi = estimates[0], estimates[-1]
     f_lo, f_hi = derivative(lo), derivative(hi)
     while f_lo > 0.0:
@@ -356,7 +347,7 @@ def _rms_residual(mu: float, points) -> float:
     return math.sqrt(sse / len(points))
 
 
-def sweep(mu: ErrorDensities, l_max_km: float, steps) -> SweepTable:
+def sweep(mu: ErrorDensities, l_max_km: float, steps: int) -> SweepTable:
     """Concurrence and psi+ fidelity on a uniform length grid 0..l_max_km.
 
     ``steps`` is the number of grid intervals, so the table has steps + 1

@@ -327,7 +327,7 @@ def compose(first: PauliProbs, second: PauliProbs) -> PauliProbs:
     return _probabilities(PauliProbs, _convolve(first, second))
 
 
-def iterate(p: PauliProbs, n) -> PauliProbs:
+def iterate(p: PauliProbs, n: int) -> PauliProbs:
     """N-fold concatenation of a channel with itself, via the closed form.
 
     Computes the three decay factors raised to the n-th power and maps them
@@ -351,7 +351,7 @@ def iterate(p: PauliProbs, n) -> PauliProbs:
     return _probabilities(PauliProbs, _hadamard(*_decay_factors(p, n)))
 
 
-def iterate_bruteforce(p: PauliProbs, n) -> PauliProbs:
+def iterate_bruteforce(p: PauliProbs, n: int) -> PauliProbs:
     """N-fold concatenation by repeated composition; the oracle for `iterate`.
 
     Left-folds `compose` n times starting from the identity channel.  Capped
@@ -367,7 +367,7 @@ def iterate_bruteforce(p: PauliProbs, n) -> PauliProbs:
     return PauliProbs(*acc)
 
 
-def decay_factors(p: PauliProbs, n=1) -> Lambdas:
+def decay_factors(p: PauliProbs, n: int = 1) -> Lambdas:
     """Decay factors of the n-fold concatenation of `p`.
 
     lambda_i = (1 - 2 p_j - 2 p_k)^n for the two flip indices j, k != i,

@@ -234,7 +234,7 @@ def cmd_estimate_mu(args) -> Report:
     else:
         raise ValidationError("provide --qber with --length, or --input CSV")
     per_point = [
-        {"qber": p.qber, "total_length_km": p.total_length_km, "mu": analysis._finite_estimate(p)}
+        {"qber": p.qber, "total_length_km": p.total_length_km, "mu": analysis.estimate_mu(p)}
         for p in points
     ]
     mu_fit, rms = analysis.fit_mu(points)

@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import math
@@ -779,6 +780,20 @@ class TestPackageSurface:
         assert len(set(names)) == len(names)
         assert set(eprlink.__all__) == set(names)
         assert eprlink.__all__ == sorted(names)
+
+    def test_the_benchmark_looks_up_only_public_names(self):
+        # perfbench/workloads.py maps each attribute to (span, eprlink name)
+        # in `_LIB_NAMES`; it is parsed here, not imported.  A name gone from
+        # the package would stop every benchmark run that looks it up.
+        source = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        table = next(
+            node.value
+            for node in ast.parse(source.read_text(encoding="utf-8")).body
+            if isinstance(node, ast.Assign)
+            and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["_LIB_NAMES"]
+        )
+        names = {entry.elts[1].value for entry in table.values}
+        assert names and names <= set(eprlink.__all__)
 
     def test_readme_quickstart_runs_as_written(self, capsys):
         # A public name that the README's "Library quickstart" uses and that

@@ -227,13 +227,6 @@ def test_reports_the_sampled_arm_lengths(l1, l2, segments_per_km, sampled):
     assert (est.geometry.l1_km, est.geometry.l2_km) == sampled
 
 
-def test_rejects_bad_counts():
-    with pytest.raises(ValidationError):
-        monte_carlo_transmit(DEPOL, GEOM, segments_per_km=0, samples=10, seed=0)
-    with pytest.raises(ValidationError):
-        monte_carlo_transmit(DEPOL, GEOM, segments_per_km=10, samples=0, seed=0)
-
-
 @pytest.mark.parametrize(
     "seed",
     [-1, -(2**63), -(3 * 2**64) + 5, 2**64, 2**64 + 7, 717897987691852588770249, 2**200],
@@ -474,12 +467,6 @@ def test_concurrent_callers_get_sequential_tallies():
         thread.join(timeout=60.0)
         assert not thread.is_alive()
     assert results == sequential
-
-
-@pytest.mark.parametrize("seed", [1.5, 1.0, "1", None, float("nan"), b"1"])
-def test_rejects_non_integer_seeds(seed):
-    with pytest.raises(ValidationError, match="seed must be an integer"):
-        monte_carlo_transmit(DEPOL, GEOM, segments_per_km=10, samples=10, seed=seed)
 
 
 @pytest.mark.parametrize("seed", [True, np.int64(-3), np.uint64(2**64 - 1)])

@@ -5,9 +5,13 @@ with equal fields, hashable, built by position or by keyword, and survives
 pickle and deepcopy.  Every route that builds one runs its check: the class,
 ``_make``, ``_replace``, pickle at every protocol, and ``copy``.  Every
 scalar input, a field or a parameter, is refused with one message template
-under its own name.  A plain sequence passed for a value object takes that
-object's check and gives the same result, for every parameter of a public
-function that is annotated with a value-object class.
+under its own name, and so is every integer count with its own template.
+Each template has one table here, `SCALAR_INPUTS` and `COUNT_INPUTS`,
+checked against the public signatures: a public float or int parameter, or
+a field of a checked value object, with no row fails.  A plain sequence
+passed for a value object takes that object's check and gives the same
+result, for every parameter of a public function that is annotated with a
+value-object class.
 """
 
 import copy
@@ -184,6 +188,11 @@ def _with(build, valid, index):
 
 
 MU = ErrorDensities(0.01, 0.02, 0.03)
+CHANNEL = PauliProbs(0.7, 0.1, 0.2, 0.0)
+STATE = BellDiagonal(0.9, 0.1, 0.0, 0.0)
+DENSITIES = ErrorDensities(0.011, 0.0, 1.0)
+GEOMETRY = LinkGeometry(1.0, 2.5)
+HUGE = 10**5000  # past sys.get_int_max_str_digits(): repr refuses it
 NOT_NEGATIVE = (">= 0", (-5e-324, -1.0))
 POSITIVE = ("> 0", (0.0, -0.0, -5e-324))
 # Just past the 1e-12 tolerance that the probabilities admit.
@@ -223,9 +232,16 @@ SCALAR_INPUTS = [
         NOT_NEGATIVE,
     ),
     ("sweep.l_max_km", _with(sweep, (MU, 10.0, 4), 1), "l_max_km", POSITIVE),
+    ("SweepTable.length_km", lambda v: SweepTable([(v, 1.0, 1.0)]), "length_km", NOT_NEGATIVE),
+    ("SweepTable.concurrence", lambda v: SweepTable([(0.0, v, 1.0)]), "concurrence", UNIT),
     ("SweepTable.fidelity", lambda v: SweepTable([(0.0, 1.0, v)]), "fidelity", UNIT),
 ]
-NOT_FINITE = [math.nan, math.inf, -math.inf, 10**400, -(10**400), "1"]
+NOT_FINITE = [math.nan, math.inf, -math.inf, 10**400, -(10**400), "1", HUGE]
+
+
+def _in_message(value):
+    # repr, or what `channel._shown` prints for an int that repr refuses.
+    return "an integer of 16610 bits" if value in (HUGE, -HUGE) else repr(value)
 
 
 @pytest.mark.parametrize(
@@ -235,7 +251,7 @@ def test_every_scalar_input_has_one_message_template(build, name, bound):
     for value in NOT_FINITE:
         with pytest.raises(ValidationError) as info:
             build(value)
-        assert str(info.value) == f"{name} must be a finite number, got {value!r}"
+        assert str(info.value) == f"{name} must be a finite number, got {_in_message(value)}"
     shown, outside = bound
     for value in outside:
         with pytest.raises(ValidationError) as info:
@@ -243,10 +259,62 @@ def test_every_scalar_input_has_one_message_template(build, name, bound):
         assert str(info.value) == f"{name} must be {shown}, got {value!r}"
 
 
-CHANNEL = PauliProbs(0.7, 0.1, 0.2, 0.0)
-STATE = BellDiagonal(0.9, 0.1, 0.0, 0.0)
-DENSITIES = ErrorDensities(0.011, 0.0, 1.0)
-GEOMETRY = LinkGeometry(1.0, 2.5)
+# A valid monte_carlo_transmit call by position.
+SAMPLED = (MU, GEOMETRY, 100, 50, 1)
+# Every public count input: (id, call with the input in place, its name in
+# the message, the least value it takes, or None for any integer).
+COUNT_INPUTS = [
+    *(
+        (f"{f.__name__}.n", _with(f, (CHANNEL, 3), 1), "segment count", 0)
+        for f in (iterate, iterate_bruteforce, decay_factors)
+    ),
+    ("sweep.steps", _with(sweep, (MU, 10.0, 4), 2), "steps", 2),
+    *(
+        (f"monte_carlo_transmit.{name}", _with(monte_carlo_transmit, SAMPLED, i), name, least)
+        for i, name, least in ((2, "segments_per_km", 1), (3, "samples", 1), (4, "seed", None))
+    ),
+]
+NOT_INTEGERS = [2.5, 1.0, math.nan, "1", None, b"1"]
+
+
+@pytest.mark.parametrize(
+    "build, name, least", [case[1:] for case in COUNT_INPUTS], ids=[c[0] for c in COUNT_INPUTS]
+)
+def test_every_count_input_has_one_message_template(build, name, least):
+    for value in NOT_INTEGERS:
+        with pytest.raises(ValidationError) as info:
+            build(value)
+        assert str(info.value) == f"{name} must be an integer, got {value!r}"
+    for value in () if least is None else (least - 1, -HUGE):
+        with pytest.raises(ValidationError) as info:
+            build(value)
+        assert str(info.value) == f"{name} must be >= {least}, got {_in_message(value)}"
+
+
+# Public inputs that take neither template, each with its reason.
+EXEMPT = {"validate_density_matrix.dim": "a matrix shape, not a count"}
+# Public tuple classes with no check of their own: McEstimate is built only
+# from checked parts, and SweepRow is a plain named tuple that SweepTable checks.
+UNCHECKED_CLASSES = {McEstimate, SweepRow}
+
+
+def test_the_two_tables_name_every_public_scalar_and_count():
+    scalars, counts = set(), set()
+    for name in eprlink.__all__:
+        obj = getattr(eprlink, name)
+        if inspect.isfunction(obj):
+            for param in inspect.signature(obj, eval_str=True).parameters.values():
+                if param.annotation is float:
+                    scalars.add(f"{name}.{param.name}")
+                elif param.annotation is int:
+                    counts.add(f"{name}.{param.name}")
+        elif isinstance(obj, type) and issubclass(obj, tuple) and obj not in UNCHECKED_CLASSES:
+            fields = SweepRow._fields if obj is SweepTable else obj._fields
+            scalars.update(f"{name}.{field}" for field in fields)
+    assert set(EXEMPT) <= scalars | counts
+    assert sorted(scalars - set(EXEMPT)) == sorted(case[0] for case in SCALAR_INPUTS)
+    assert sorted(counts - set(EXEMPT)) == sorted(case[0] for case in COUNT_INPUTS)
+
 
 # Every public function with a parameter annotated with a value-object class,
 # and a valid call of it by keyword.  Each value object in the call is passed
