@@ -237,6 +237,8 @@ SCALAR_INPUTS = [
     ("SweepTable.fidelity", lambda v: SweepTable([(0.0, 1.0, v)]), "fidelity", UNIT),
 ]
 NOT_FINITE = [math.nan, math.inf, -math.inf, 10**400, -(10**400), "1", HUGE]
+# pytest's own id would print every digit of an int, or fail past the repr limit.
+LABELS = {10**400: "10**400", -(10**400): "-10**400", HUGE: "10**5000", -HUGE: "-10**5000"}
 
 
 def _in_message(value):
@@ -244,19 +246,28 @@ def _in_message(value):
     return "an integer of 16610 bits" if value in (HUGE, -HUGE) else repr(value)
 
 
-@pytest.mark.parametrize(
-    "build, name, bound", [case[1:] for case in SCALAR_INPUTS], ids=[c[0] for c in SCALAR_INPUTS]
-)
-def test_every_scalar_input_has_one_message_template(build, name, bound):
-    for value in NOT_FINITE:
-        with pytest.raises(ValidationError) as info:
-            build(value)
-        assert str(info.value) == f"{name} must be a finite number, got {_in_message(value)}"
+def _cases(table, refusals):
+    # One case per input and value, so that each failing pair is reported.
+    return [
+        pytest.param(build, value, message, id=f"{case_id}-{LABELS.get(value) or repr(value)}")
+        for case_id, build, *template in table
+        for value, message in refusals(*template)
+    ]
+
+
+def _scalar_refusals(name, bound):
     shown, outside = bound
+    for value in NOT_FINITE:
+        yield value, f"{name} must be a finite number, got {_in_message(value)}"
     for value in outside:
-        with pytest.raises(ValidationError) as info:
-            build(value)
-        assert str(info.value) == f"{name} must be {shown}, got {value!r}"
+        yield value, f"{name} must be {shown}, got {value!r}"
+
+
+@pytest.mark.parametrize("build, value, message", _cases(SCALAR_INPUTS, _scalar_refusals))
+def test_every_scalar_input_has_one_message_template(build, value, message):
+    with pytest.raises(ValidationError) as info:
+        build(value)
+    assert str(info.value) == message
 
 
 # A valid monte_carlo_transmit call by position.
@@ -277,18 +288,18 @@ COUNT_INPUTS = [
 NOT_INTEGERS = [2.5, 1.0, math.nan, "1", None, b"1"]
 
 
-@pytest.mark.parametrize(
-    "build, name, least", [case[1:] for case in COUNT_INPUTS], ids=[c[0] for c in COUNT_INPUTS]
-)
-def test_every_count_input_has_one_message_template(build, name, least):
+def _count_refusals(name, least):
     for value in NOT_INTEGERS:
-        with pytest.raises(ValidationError) as info:
-            build(value)
-        assert str(info.value) == f"{name} must be an integer, got {value!r}"
+        yield value, f"{name} must be an integer, got {value!r}"
     for value in () if least is None else (least - 1, -HUGE):
-        with pytest.raises(ValidationError) as info:
-            build(value)
-        assert str(info.value) == f"{name} must be >= {least}, got {_in_message(value)}"
+        yield value, f"{name} must be >= {least}, got {_in_message(value)}"
+
+
+@pytest.mark.parametrize("build, value, message", _cases(COUNT_INPUTS, _count_refusals))
+def test_every_count_input_has_one_message_template(build, value, message):
+    with pytest.raises(ValidationError) as info:
+        build(value)
+    assert str(info.value) == message
 
 
 # Public inputs that take neither template, each with its reason.
