@@ -70,9 +70,10 @@ def validate_density_matrix(rho, dim: int = 4) -> np.ndarray:
 
     Returns the Hermitian part 0.5 (rho + rho^H) as a fresh complex128
     array.  The eigenvalue floor separates float noise from genuinely
-    unphysical inputs.  Anything but a finite dim x dim array of numbers
-    raises `ValidationError` too.
+    unphysical inputs.  A ``dim`` that is not an integer >= 1, or anything
+    but a finite dim x dim array of numbers, raises `ValidationError` too.
     """
+    dim = _as_count(dim, "dim", minimum=1)
     try:
         m = np.asarray(rho, dtype=np.complex128)
     except (TypeError, ValueError, OverflowError):  # ragged, not numbers, an int past float
@@ -187,8 +188,6 @@ _K1 = np.uint64(0xBF58476D1CE4E5B9)
 _K2 = np.uint64(0x94D049BB133111EB)
 _MASK64 = (1 << 64) - 1
 _PASS = 1 << 16  # entries of each array of one sampler pass, at most
-# A piece of m segments keeps m * -log(1 - p) below this, so (1 - p)**m stays normal.
-_LOG_MASS = 500.0
 
 
 def _uniforms(keys):
@@ -202,28 +201,30 @@ def _uniforms(keys):
     return keys
 
 
-def _binomial_cdf(m, p) -> np.ndarray:
-    """P(X <= k) of X ~ Binomial(m, p) for k = 0, 1, ..., as integers of 2**-53.
+def _binomial_cdf(m, p):
+    """Start k0 of X ~ Binomial(m, p) and its CDF from there, in integers of 2**-53.
 
-    The pmf f_k runs by its ratio r_k = f_(k+1)/f_k from (1 - p)**m.  Since
-    r_k falls with k, the mass from k on is at most f_k / (1 - r_k) once
-    r_k < 1; the table ends where that is below 2**-53, or at k = m, and its
-    last entry is 2**53, so no u < 2**53 passes it.
+    Returns ``(k0, table)``, ``table[i]`` = P(X <= k0 + i), where
+    k0 = max(0, int(mp - sqrt(84 mp))): by the Chernoff bound, less than
+    e**-42 < 2**-60 of the mass lies below it.  The pmf f_k runs by its ratio
+    r_k = f_(k+1)/f_k from f = 1 at k0, and the sums are divided by their
+    total, so nothing underflows.  Since r_k falls with k, the mass from k on
+    is at most f_k / (1 - r_k) once r_k < 1; the table ends where that is
+    below 2**-53 of the sum so far, or at k = m, and its last entry is 2**53.
     """
+    mean = m * p
+    k0 = max(0, int(mean - math.sqrt(84.0 * mean)))
     ratio = p / (1.0 - p)
-    f = math.exp(m * math.log1p(-p))
-    cdf, total = [], 0.0
-    for k in range(m + 1):
+    f, total, sums = 1.0, 0.0, []
+    for k in range(k0, m + 1):
         r = (m - k) / (k + 1) * ratio
-        if r < 1.0 and f < (1.0 - r) * 2.0**-53:
-            cdf.append(1 << 53)
+        if r < 1.0 and f < (1.0 - r) * 2.0**-53 * total:
             break
         total += f
-        cdf.append(min(round(total * 2.0**53), 1 << 53))  # round() ties to even, as np.rint
+        sums.append(total)
         f *= r
-    else:
-        cdf[-1] = 1 << 53
-    return np.array(cdf, dtype=np.uint64)
+    # round() ties to even, as np.rint; the last sum over the total is 1 exactly
+    return k0, np.array([round(s / total * 2.0**53) for s in sums], dtype=np.uint64)
 
 
 def _fold_tally(seed, samples, n, t1, t2, t3) -> np.ndarray:
@@ -238,16 +239,14 @@ def _fold_tally(seed, samples, n, t1, t2, t3) -> np.ndarray:
         return np.array([samples, 0, 0, 0], dtype=np.int64)
     # K ~ Binomial(n, p), or n - K past t3 = 1/2, so that p <= 1/2
     p = t3 if t3 <= 0.5 else 1.0 - t3
-    decay = -math.log1p(-p)
-    piece = n if decay * n <= _LOG_MASS else max(1, int(_LOG_MASS / decay))
-    pieces, rest = divmod(n, piece)
-    full, part = _binomial_cdf(piece, p), _binomial_cdf(rest, p) if rest else None
-    cols = pieces + (rest > 0)
+    k0, table = _binomial_cdf(n, p)
+    # at t3 <= 1/2 a draw below idle has no event and is not searched (none, if k0 > 0)
+    idle = table[0] if k0 == 0 else np.uint64(0)
     # event type 1 below c1, 2 below c2, 3 otherwise; u < t is u < ceil(t * 2**53)
     c1, c2 = (np.uint64(math.ceil(t / t3 * 2.0**53)) for t in (t1, t2))
     base = np.uint64(seed * _K0 & _MASK64)
     # rows * n < 2**64, so a pass's event total is a uint64
-    rows = max(1, min(_PASS // cols, _MASK64 // n))
+    rows = max(1, min(_PASS, _MASK64 // n))
     tally = np.zeros(4, dtype=np.int64)
     for lo in range(0, samples, rows):
         row = np.arange(lo, min(samples, lo + rows), dtype=np.uint64)
@@ -255,22 +254,11 @@ def _fold_tally(seed, samples, n, t1, t2, t3) -> np.ndarray:
         row += base
         keys = step = kind = None  # free the previous pass's events before this pass's
         u = _uniforms(row.copy())
-        if cols == 1 and t3 <= 0.5:
-            # one piece and t3 <= 1/2: column 0 is the count, so a draw below
-            # full[0] is an idle sample and only the others are searched
-            busy = (u >= full[0]).nonzero()[0]
-            count = full.searchsorted(u[busy], "right").view(np.uint64)
+        if t3 <= 0.5:
+            busy = (u >= idle).nonzero()[0]
+            count = table.searchsorted(u[busy], "right").view(np.uint64) + np.uint64(k0)
         else:
-            # every sample's count: column 0, a full piece as pieces >= 1, and the rest
-            count = full.searchsorted(u, "right").astype(np.uint64)
-            for j0 in range(1, cols, _PASS):
-                j = np.arange(j0, min(cols, j0 + _PASS), dtype=np.uint64)
-                u = _uniforms(row[:, None] + j * _K2)
-                whole = min(pieces - j0, u.shape[1])  # columns of full pieces
-                count += full.searchsorted(u[:, :whole], "right").sum(axis=1, dtype=np.uint64)
-                if whole < u.shape[1]:
-                    count += part.searchsorted(u[:, whole], "right").astype(np.uint64)
-            count = np.uint64(n) - count if t3 > 0.5 else count
+            count = np.uint64(n - k0) - table.searchsorted(u, "right").view(np.uint64)
             busy = count.nonzero()[0]
             count = count[busy]
         u = None  # the count draws, freed before the events' arrays
@@ -333,25 +321,26 @@ def monte_carlo_transmit(
     commutative, so the fold is the XOR of those K types, whichever segments
     erred, on either arm.  A sample costs O(1 + n t3) draws, not O(n).
 
-    K comes by inversion of a Binomial table in integers of 2**-53, which
-    ends where less than 2**-53 of the mass is left; past t3 = 1/2 it is n
-    minus a Binomial(n, 1 - t3) draw.  The segments are cut into pieces of
-    at most 500 expected events, whose counts add, so no table entry
-    underflows.  The law is thus exact up to the 2**-53 step of the uniforms
-    and the rounding of the table's float recurrence.
+    K comes by inversion of one Binomial table in integers of 2**-53.  It
+    starts where less than 2**-60 of the mass lies below (a Chernoff bound)
+    and ends where less than 2**-53 is left, and its pmf runs from 1 at the
+    start, so no entry underflows however many events a sample holds; past
+    t3 = 1/2, K is n minus a Binomial(n, 1 - t3) draw.  The law is thus
+    exact up to the 2**-53 step of the uniforms, the 2**-60 below the table
+    and the rounding of its float recurrence.
 
     Each draw is the splitmix64 finalizer z of a 64-bit key, as
     u = (z >> 11) * 2**-53.  Sample i's keys are seed*K0 + i*K1 + j*K2
-    (mod 2**64): its count draws take columns j = 0, 1, ..., and the type
-    of its e-th event column j = -1 - e.  A draw depends only on its key, so
+    (mod 2**64): its count draw takes column j = 0, and the type of its
+    e-th event column j = -1 - e.  A draw depends only on its key, so
     a seed fixes the tallies on any host and numpy version (no
     ``numpy.random``), however a call is cut into passes; ``seed`` is any
     integer, taken mod 2**64.  Work runs in passes whose arrays hold at most
     2**16 entries each, so memory does not grow with the number of samples
     or of events in one.  Only the samples with events are folded, by XOR
     reductions over their runs of event types; the others count as fold 0,
-    and with one piece and t3 <= 1/2 a draw below the table's first entry
-    marks a sample as idle without a search.  No state outlives a call.
+    and at t3 <= 1/2 a draw below the first entry of a table from 0 events
+    marks a sample as idle, unsearched.  No state outlives a call.
 
     Raises
     ------

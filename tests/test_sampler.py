@@ -265,13 +265,7 @@ def test_negative_seed_is_wrapped():
     ],
     ids=["quarter", "asymmetric", "past-half", "one-type", "all-err", "empty-arm", "dense"],
 )
-@pytest.mark.parametrize("log_mass", [oracle._LOG_MASS, 0.3], ids=["one-piece", "pieces"])
-def test_tallies_match_the_discrete_model(
-    monkeypatch, mu, geom, segments_per_km, samples, log_mass
-):
-    # A small _LOG_MASS cuts the segments into pieces of a fraction of an
-    # event each, whose counts add.
-    monkeypatch.setattr(oracle, "_LOG_MASS", log_mass)
+def test_tallies_match_the_discrete_model(mu, geom, segments_per_km, samples):
     want = discrete_reference(mu, geom, segments_per_km)
     got = [tallies(mu, geom, segments_per_km, samples, seed) for seed in SEEDS]
     assert_tallies_follow(want, got, samples)
@@ -340,54 +334,85 @@ def test_only_the_total_segment_count_matters():
 
 @pytest.mark.parametrize(
     "m, p",
-    [(0, 0.3), (1, 0.5), (7, 0.2), (300, 0.5), (978, 0.4), (20_000, 0.01), (10**6, 1e-7)],
+    [
+        (0, 0.3),
+        (1, 0.5),
+        (7, 0.2),
+        (300, 0.5),
+        (978, 0.4),
+        (20_000, 0.01),
+        (10**5, 0.01),  # k0 = 710
+        (10**6, 1e-7),
+    ],
 )
 def test_binomial_table_matches_the_exact_pmf(m, p):
-    table = oracle._binomial_cdf(m, p)
+    k0, table = oracle._binomial_cdf(m, p)
     assert table.dtype == np.uint64 and table[-1] == 2**53
-    assert len(table) <= m + 1 and (np.diff(table.astype(np.int64)) >= 0).all()
+    assert k0 + len(table) <= m + 1 and (np.diff(table.astype(np.int64)) >= 0).all()
     # it ends in the tail, not where a float sum of the pmf would reach 1
-    assert len(table) <= m * p + 10 * math.sqrt(m * p * (1 - p)) + 20
+    assert len(table) <= 20 * math.sqrt(m * p * (1 - p)) + 20
     with mpmath.workdps(40):
-        q = 1 - mpmath.mpf(p)
-        cdf = mpmath.mpf(0)
-        for k, entry in enumerate(table[:-1].tolist()):
-            cdf += mpmath.binomial(m, k) * mpmath.mpf(p) ** k * q ** (m - k)
+        prob = mpmath.mpf(p)
+
+        def pmf(k):
+            return mpmath.binomial(m, k) * prob**k * (1 - prob) ** (m - k)
+
+        cdf = mpmath.fsum(pmf(k) for k in range(k0))
+        assert cdf < mpmath.mpf(2) ** -60  # the mass the table leaves out below k0
+        for k, entry in enumerate(table.tolist(), start=k0):
+            cdf += pmf(k)
             assert abs(entry * 2.0**-53 - float(cdf)) < 1e-13, (k, entry)
         # the last entry takes the tail, less than 2**-53 of the mass
-        assert 1 - cdf < 2.0**-53 + 1e-13 or len(table) == m + 1
+        assert 1 - cdf < 2.0**-53 or k == m
 
 
 @pytest.mark.parametrize("m, p", [(2**63, 5e-324), (10, 0.0), (2**64 - 1, 0.0)])
 def test_binomial_table_without_mass_past_0(m, p):
-    assert oracle._binomial_cdf(m, p).tolist() == [2**53, 2**53]
+    k0, table = oracle._binomial_cdf(m, p)
+    assert (k0, table.tolist()) == (0, [2**53])
 
 
-def test_binomial_table_of_many_segments_ends_in_its_tail():
-    # mean 110 over 2**40 segments: a walk towards m would never end
-    assert len(oracle._binomial_cdf(2**40, 1e-10)) < 250
+@pytest.mark.parametrize("p", [1e-10, 1e-4], ids=["mean-110", "mean-1.1e8"])
+def test_binomial_table_of_many_segments_ends_in_its_tail(p):
+    # 2**40 segments: a walk from 0 or towards m would never end
+    m = 2**40
+    k0, table = oracle._binomial_cdf(m, p)
+    assert len(table) <= 20 * math.sqrt(m * p * (1 - p)) + 20 and table[-1] == 2**53
+    # The median of a Binomial is floor(mp) or ceil(mp).
+    median = k0 + int(table.searchsorted(np.uint64(2**52)))
+    assert math.floor(m * p) <= median <= math.ceil(m * p)
 
 
-# Tallies of oracle._fold_tally, pinned: (seed, samples, n, t1, t2, t3, _LOG_MASS) -> tallies.
-# A _LOG_MASS of 0.3 cuts the segments into pieces of a fraction of an event
-# each, so a sample draws its count from many pieces.
+# Tallies of oracle._fold_tally, pinned: (seed, samples, n, t1, t2, t3) -> tallies.
 PINNED_STREAM = [
-    # one piece, under one event a sample; samples 0 and 299 are idle
-    ((2, 300, 40, 0.002, 0.004, 0.006, 500.0), [250, 16, 16, 18]),
-    ((3, 300, 50, 0.01, 0.02, 0.03, 0.3), [103, 67, 75, 55]),  # 6 pieces a sample
-    ((-8, 3, 300, 0.3, 0.6, 0.9, 0.3), [1, 0, 1, 1]),  # 150 pieces and 270 events a sample
-    ((2**64 - 5, 257, 30, 0.05, 0.1, 0.2, 0.3), [52, 81, 64, 60]),
-    ((2, 100, 25, 0.2, 0.5, 1.0, 500.0), [24, 24, 26, 26]),  # t3 = 1: every segment errs
-    ((5, 40, 12, 0.1, 0.4, 1.0, 0.3), [12, 11, 6, 11]),
-    ((0, 50, 2**64 - 1, 0.0, 0.0, 5e-324, 500.0), [50, 0, 0, 0]),
-    ((3**50, 100, 60, 0.3, 0.55, 0.7, 500.0), [21, 28, 24, 27]),  # t3 past 1/2
-    ((-(2**63), 400, 200, 0.01, 0.015, 0.02, 500.0), [108, 100, 94, 98]),
-    # one piece in which no sample is idle: 3 to 17 events a sample
-    ((7, 100, 1000, 0.003, 0.006, 0.01, 500.0), [29, 21, 33, 17]),
-    # t3 = 1/2 and the next float up: one piece either way, of 9 to 21 events a sample
-    ((11, 100, 30, 0.1, 0.3, 0.5, 500.0), [22, 27, 22, 29]),
-    ((11, 100, 30, 0.1, 0.3, math.nextafter(0.5, 1), 500.0), [31, 27, 22, 20]),
+    # under one event a sample; samples 0 and 299 are idle
+    ((2, 300, 40, 0.002, 0.004, 0.006), [250, 16, 16, 18]),
+    ((2, 100, 25, 0.2, 0.5, 1.0), [24, 24, 26, 26]),  # t3 = 1: every segment errs
+    ((5, 40, 12, 0.1, 0.4, 1.0), [12, 11, 6, 11]),
+    ((0, 50, 2**64 - 1, 0.0, 0.0, 5e-324), [50, 0, 0, 0]),
+    ((3**50, 100, 60, 0.3, 0.55, 0.7), [21, 28, 24, 27]),  # t3 past 1/2
+    ((-(2**63), 400, 200, 0.01, 0.015, 0.02), [108, 100, 94, 98]),
+    # no sample is idle: 3 to 17 events a sample
+    ((7, 100, 1000, 0.003, 0.006, 0.01), [29, 21, 33, 17]),
+    # t3 = 1/2 and the next float up: 9 to 21 events a sample either way
+    ((11, 100, 30, 0.1, 0.3, 0.5), [22, 27, 22, 29]),
+    ((11, 100, 30, 0.1, 0.3, math.nextafter(0.5, 1)), [31, 27, 22, 20]),
+    # tables that start past 0 events: k0 = 8 and 19
+    ((3, 300, 2000, 0.01, 0.02, 0.05), [77, 70, 72, 81]),
+    ((-8, 30, 1200, 0.3, 0.6, 0.9), [9, 5, 8, 8]),
+    # 600 and 750 expected events a sample, k0 = 375 and 499
+    ((2**64 - 5, 40, 20000, 0.01, 0.02, 0.03), [14, 9, 6, 11]),
+    ((9, 20, 3000, 0.25, 0.5, 0.75), [3, 5, 7, 5]),
 ]
+
+
+def test_the_pinned_stream_takes_every_count_branch():
+    # a table from k0 = 0 and from k0 > 0, each at t3 <= 1/2 and past it
+    branches = {
+        (oracle._binomial_cdf(n, min(t3, 1.0 - t3))[0] > 0, t3 > 0.5)
+        for (_, _, n, _, _, t3), _ in PINNED_STREAM
+    }
+    assert branches == {(False, False), (False, True), (True, False), (True, True)}
 
 
 @pytest.mark.parametrize("size", [oracle._PASS, 1, 3, 64])
@@ -396,8 +421,7 @@ def test_tallies_match_the_pinned_stream(monkeypatch, size):
     # size of 1, 3 or 64, samples, count draws and events all span passes,
     # and a sample's events span slices.
     monkeypatch.setattr(oracle, "_PASS", size)
-    for (*config, log_mass), want in PINNED_STREAM:
-        monkeypatch.setattr(oracle, "_LOG_MASS", log_mass)
+    for config, want in PINNED_STREAM:
         assert oracle._fold_tally(*config).tolist() == want, config
 
 
@@ -416,10 +440,10 @@ def test_memory_does_not_grow_with_sample_width():
     # At t3 = 1 a sample has one event per segment.
     tracemalloc = pytest.importorskip("tracemalloc")
 
-    def peak(samples, events):
+    def peak(samples, n, thresholds=(0.2, 0.5, 1.0)):
         tracemalloc.start()
         try:
-            oracle._fold_tally(4, samples, events, 0.2, 0.5, 1.0)
+            oracle._fold_tally(4, samples, n, *thresholds)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -433,6 +457,9 @@ def test_memory_does_not_grow_with_sample_width():
     one_pass, passes = peak(size, 4), peak(4 * size, 4)
     assert passes <= one_pass + 4096, (one_pass, passes)
     assert passes < 12 * size * 8
+    # One sample of 10**6 expected events: its count table holds about 17,000
+    # entries, and its events span 16 slices.
+    assert peak(1, 10**7, (0.03, 0.06, 0.1)) < 8 * size * 8
 
 
 def test_sampling_never_loads_numpy_random():

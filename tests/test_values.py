@@ -60,6 +60,7 @@ from eprlink import (
     threshold_generic,
     transmit,
     transmit_at_length,
+    validate_density_matrix,
 )
 
 ROWS = (SweepRow(0.0, 1.0, 1.0), SweepRow(10.0, 0.5, 0.75))
@@ -284,6 +285,12 @@ COUNT_INPUTS = [
         (f"monte_carlo_transmit.{name}", _with(monte_carlo_transmit, SAMPLED, i), name, least)
         for i, name, least in ((2, "segments_per_km", 1), (3, "samples", 1), (4, "seed", None))
     ),
+    (
+        "validate_density_matrix.dim",
+        _with(validate_density_matrix, (bell_state("phi+"), 4), 1),
+        "dim",
+        1,
+    ),
 ]
 NOT_INTEGERS = [2.5, 1.0, math.nan, "1", None, b"1"]
 
@@ -303,7 +310,7 @@ def test_every_count_input_has_one_message_template(build, value, message):
 
 
 # Public inputs that take neither template, each with its reason.
-EXEMPT = {"validate_density_matrix.dim": "a matrix shape, not a count"}
+EXEMPT = {}
 # Public tuple classes with no check of their own: McEstimate is built only
 # from checked parts, and SweepRow is a plain named tuple that SweepTable checks.
 UNCHECKED_CLASSES = {McEstimate, SweepRow}
