@@ -26,12 +26,9 @@ __version__ = "0.1.0"
 _ORACLE_NAMES = frozenset(
     {
         "McEstimate",
-        "PAULI",
-        "apply_single_qubit_pauli",
         "apply_two_sided",
         "bell_diagonal_project",
         "bell_state",
-        "bell_vector",
         "monte_carlo_transmit",
         "validate_density_matrix",
         "wootters_concurrence",

@@ -111,23 +111,24 @@ class SweepTable(_Value, namedtuple("SweepTable", "rows")):
 
     def __new__(cls, rows):
         try:
-            rows = tuple(rows)
             fields = [(length, conc, fidelity) for length, conc, fidelity in rows]
         except (TypeError, ValueError):  # not iterable, or a row that is not a triple
             raise ValidationError(
                 "sweep rows must be a sequence of (length_km, concurrence, fidelity) triples"
             ) from None
+        checked = []
         prev_length, prev_conc = -math.inf, math.inf
         for length, conc, fidelity in fields:
             length = _real(length, "length_km", 0.0)
             conc = _real(conc, "concurrence", 0.0, 1.0)
-            _real(fidelity, "fidelity", 0.0, 1.0)
+            fidelity = _real(fidelity, "fidelity", 0.0, 1.0)
             if length <= prev_length:
                 raise ValidationError("sweep lengths must be strictly increasing")
             if conc > prev_conc + 1e-12:
                 raise ValidationError("sweep concurrence must be non-increasing")
             prev_length, prev_conc = length, conc
-        return tuple.__new__(cls, (rows,))
+            checked.append(SweepRow(length, conc, fidelity))
+        return tuple.__new__(cls, (tuple(checked),))
 
 
 def threshold_depolarizing(mu: float) -> ThresholdResult:

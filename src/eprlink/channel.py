@@ -229,10 +229,6 @@ class PauliProbs(_Probabilities, namedtuple("PauliProbs", "p0 p1 p2 p3")):
     __slots__ = ()
     _kind = "channel"
 
-    @classmethod
-    def identity(cls) -> "PauliProbs":
-        return cls(1.0, 0.0, 0.0, 0.0)
-
 
 class ErrorDensities(_NonNegative, namedtuple("ErrorDensities", "mu1 mu2 mu3")):
     """Per-kilometre error rates (mu1, mu2, mu3) for the x, y, z flips, in 1/km."""

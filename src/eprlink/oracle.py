@@ -2,7 +2,7 @@
 
 Everything here works on dense complex matrices: one density-matrix check
 that hands on the state's Hermitian part, one ``einsum`` Kraus sum for the
-one- and two-qubit Pauli channels, the Bell basis as one matrix, the general
+two-qubit Pauli channels, the Bell basis as one matrix, the general
 Wootters concurrence by LAPACK eigensolves (``numpy.linalg.eigh``), and a
 Monte Carlo sampler that draws each sample's segment errors as an event
 count and event types instead of evaluating the closed form.
@@ -26,7 +26,7 @@ from .errors import DomainError, ValidationError
 __all__ = sorted(_ORACLE_NAMES)
 
 # I, sigma_x, sigma_y, sigma_z
-PAULI = np.array(
+_PAULI = np.array(
     [
         [[1, 0], [0, 1]],
         [[0, 1], [1, 0]],
@@ -37,9 +37,9 @@ PAULI = np.array(
 )
 
 # All 16 two-qubit Pauli products sigma_k (x) sigma_l, flattened k*4 + l.
-_PAULI2 = np.array([np.kron(PAULI[k], PAULI[l]) for k in range(4) for l in range(4)])
+_PAULI2 = np.array([np.kron(_PAULI[k], _PAULI[l]) for k in range(4) for l in range(4)])
 
-_SIGMA_YY = np.kron(PAULI[2], PAULI[2]).real  # entries are real (+-1)
+_SIGMA_YY = np.kron(_PAULI[2], _PAULI[2]).real  # entries are real (+-1)
 
 # Bell vectors psi+- = (|00> +- |11>)/sqrt2 and phi+- = (|01> +- |10>)/sqrt2 in the
 # product basis, one per row in BELL_LABELS order, the order of (a, b, c, d).
@@ -52,34 +52,28 @@ _TRACE_TOL = 1e-12
 _EIG_FLOOR = -1e-10
 
 
-def bell_vector(kind: str) -> np.ndarray:
-    """State vector of the requested Bell state; kind in {psi+, psi-, phi+, phi-}."""
+def bell_state(kind: str) -> np.ndarray:
+    """Rank-1 density matrix (projector) of the Bell state kind in {psi+, psi-, phi+, phi-}."""
     if kind not in BELL_LABELS:
         raise ValidationError(f"unknown Bell state {kind!r}; expected one of {BELL_LABELS}")
-    return _BELL[BELL_LABELS.index(kind)].copy()
-
-
-def bell_state(kind: str) -> np.ndarray:
-    """Rank-1 density matrix (projector) of the requested Bell state."""
-    v = bell_vector(kind)
+    v = _BELL[BELL_LABELS.index(kind)]
     return np.outer(v, v.conj())
 
 
-def validate_density_matrix(rho, dim: int = 4) -> np.ndarray:
+def validate_density_matrix(rho) -> np.ndarray:
     """Check Hermiticity (1e-12), unit trace (1e-12) and spectrum >= -1e-10.
 
     Returns the Hermitian part 0.5 (rho + rho^H) as a fresh complex128
     array.  The eigenvalue floor separates float noise from genuinely
-    unphysical inputs.  A ``dim`` that is not an integer >= 1, or anything
-    but a finite dim x dim array of numbers, raises `ValidationError` too.
+    unphysical inputs.  Anything but a finite 4x4 array of numbers raises
+    `ValidationError` too.
     """
-    dim = _as_count(dim, "dim", minimum=1)
     try:
         m = np.asarray(rho, dtype=np.complex128)
     except (TypeError, ValueError, OverflowError):  # ragged, not numbers, an int past float
-        raise ValidationError(f"density matrix must be a {dim}x{dim} array of numbers") from None
-    if m.shape != (dim, dim):
-        raise ValidationError(f"density matrix must be {dim}x{dim}, got shape {m.shape}")
+        raise ValidationError("density matrix must be a 4x4 array of numbers") from None
+    if m.shape != (4, 4):
+        raise ValidationError(f"density matrix must be 4x4, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValidationError("density matrix has non-finite entries")
     adjoint = m.conj().T
@@ -95,20 +89,6 @@ def validate_density_matrix(rho, dim: int = 4) -> np.ndarray:
     return rho
 
 
-def _kraus(weights, ops, rho) -> np.ndarray:
-    # sum_k weights_k ops_k rho ops_k in one contraction
-    return np.einsum("k,kij,jl,klm->im", weights, ops, rho, ops)
-
-
-def apply_single_qubit_pauli(p: PauliProbs, rho) -> np.ndarray:
-    """Kraus sum sum_k p_k sigma_k rho sigma_k on a single-qubit density matrix.
-
-    A plain sequence ``p`` is checked as `PauliProbs`.
-    """
-    p = p if type(p) is PauliProbs else PauliProbs(*p)
-    return _kraus(p, PAULI, validate_density_matrix(rho, dim=2))
-
-
 def apply_two_sided(r: PauliProbs, s: PauliProbs, rho) -> np.ndarray:
     """Kraus sum sum_kl r_k s_l (sigma_k (x) sigma_l) rho (sigma_k (x) sigma_l).
 
@@ -118,7 +98,9 @@ def apply_two_sided(r: PauliProbs, s: PauliProbs, rho) -> np.ndarray:
     """
     r = r if type(r) is PauliProbs else PauliProbs(*r)
     s = s if type(s) is PauliProbs else PauliProbs(*s)
-    return _kraus(np.outer(r, s).ravel(), _PAULI2, validate_density_matrix(rho, dim=4))
+    rho = validate_density_matrix(rho)
+    # the 16 weights r_k s_l against _PAULI2's products in one contraction
+    return np.einsum("k,kij,jl,klm->im", np.outer(r, s).ravel(), _PAULI2, rho, _PAULI2)
 
 
 def wootters_concurrence(rho) -> float:
@@ -136,7 +118,7 @@ def wootters_concurrence(rho) -> float:
     from r_1.  No cross-check against this function can be tighter than
     about 1e-7.
     """
-    rho = validate_density_matrix(rho, dim=4)
+    rho = validate_density_matrix(rho)
     # rho~ is a signed permutation of conj(rho), so it is exactly Hermitian and
     # unitarily similar to conj(rho), whose spectrum passed the -1e-10 floor:
     # no PSD check can fire, and float noise below 0 is clamped before the root.
@@ -157,7 +139,7 @@ def bell_diagonal_project(rho) -> tuple[BellDiagonal, float]:
     rho minus its Bell-diagonal part (zero for any two-sided Pauli-channel
     output on a Bell state).
     """
-    rho = validate_density_matrix(rho, dim=4)
+    rho = validate_density_matrix(rho)
     # <B_i| rho |B_j>: a unitary change of basis, so it keeps the Frobenius norm
     in_bell = _BELL.conj() @ rho @ _BELL.T
     weights = in_bell.diagonal().real

@@ -108,7 +108,7 @@ def _constructed(cls, values):
 
 @pytest.fixture
 def full_checks(monkeypatch):
-    """The values that miss the in-frame fast path of `_distribution_check` and
+    """The values that miss the in-frame fast path of `_probabilities` and
     reach `channel._validate_distribution`, which still runs."""
     calls = []
     validate = channel._validate_distribution
@@ -212,7 +212,7 @@ class TestUnitDistributionPredicate:
 class TestCompose:
     def test_identity_channel(self):
         p = random_probs()
-        assert_close4(compose(PauliProbs.identity(), p), p, tol=0.0)
+        assert_close4(compose(PauliProbs(1.0, 0.0, 0.0, 0.0), p), p, tol=0.0)
 
     def test_hand_value(self):
         p = PauliProbs(0.7, 0.3, 0.0, 0.0)

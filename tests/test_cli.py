@@ -741,14 +741,12 @@ class TestLazyNumpy:
             "assert 'numpy' in sys.modules\n"
         )
 
-    def test_pauli_and_bell_labels_join_the_surface(self):
+    def test_bell_labels_join_the_surface(self):
         self.python(
             "import sys\n"
             "import eprlink\n"
             "assert eprlink.BELL_LABELS == ('psi+', 'psi-', 'phi+', 'phi-')\n"
             "assert 'numpy' not in sys.modules\n"
-            "assert eprlink.PAULI.shape == (4, 2, 2)\n"
-            "assert eprlink.PAULI is eprlink.oracle.PAULI\n"
         )
 
     def test_star_import(self):

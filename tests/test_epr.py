@@ -73,12 +73,12 @@ class TestLinkGeometry:
 
 class TestTransmit:
     def test_noiseless(self):
-        ident = PauliProbs.identity()
+        ident = PauliProbs(1.0, 0.0, 0.0, 0.0)
         assert transmit(ident, ident).as_tuple() == (1.0, 0.0, 0.0, 0.0)
 
     def test_single_bit_flip_gives_phi_plus(self):
         flip = PauliProbs(0.0, 1.0, 0.0, 0.0)
-        assert transmit(flip, PauliProbs.identity()).as_tuple() == (0.0, 0.0, 1.0, 0.0)
+        assert transmit(flip, PauliProbs(1.0, 0.0, 0.0, 0.0)).as_tuple() == (0.0, 0.0, 1.0, 0.0)
 
     def test_normalized(self):
         for _ in range(100):

@@ -406,12 +406,15 @@ PINNED_STREAM = [
 ]
 
 
+def _k0(config):
+    # the count that the call's Binomial table starts at
+    _, _, n, _, _, t3 = config
+    return oracle._binomial_cdf(n, min(t3, 1.0 - t3))[0]
+
+
 def test_the_pinned_stream_takes_every_count_branch():
     # a table from k0 = 0 and from k0 > 0, each at t3 <= 1/2 and past it
-    branches = {
-        (oracle._binomial_cdf(n, min(t3, 1.0 - t3))[0] > 0, t3 > 0.5)
-        for (_, _, n, _, _, t3), _ in PINNED_STREAM
-    }
+    branches = {(_k0(config) > 0, config[5] > 0.5) for config, _ in PINNED_STREAM}
     assert branches == {(False, False), (False, True), (True, False), (True, True)}
 
 
@@ -419,10 +422,14 @@ def test_the_pinned_stream_takes_every_count_branch():
 def test_tallies_match_the_pinned_stream(monkeypatch, size):
     # A seed fixes the tallies, however a call is cut into passes: at a pass
     # size of 1, 3 or 64, samples, count draws and events all span passes,
-    # and a sample's events span slices.
+    # and a sample's events span slices.  At a pass size of 1 only the tables
+    # from k0 = 0 run, as k0 > 0 takes most of its time: k0 is one per-call
+    # constant added to every count, and the other sizes check it with events
+    # that span slices.
     monkeypatch.setattr(oracle, "_PASS", size)
     for config, want in PINNED_STREAM:
-        assert oracle._fold_tally(*config).tolist() == want, config
+        if size > 1 or _k0(config) == 0:
+            assert oracle._fold_tally(*config).tolist() == want, config
 
 
 def test_no_runtime_warnings():

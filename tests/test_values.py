@@ -23,6 +23,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import eprlink
@@ -39,7 +40,6 @@ from eprlink import (
     SweepTable,
     ThresholdResult,
     ValidationError,
-    apply_single_qubit_pauli,
     apply_two_sided,
     at_length,
     bell_state,
@@ -60,7 +60,6 @@ from eprlink import (
     threshold_generic,
     transmit,
     transmit_at_length,
-    validate_density_matrix,
 )
 
 ROWS = (SweepRow(0.0, 1.0, 1.0), SweepRow(10.0, 0.5, 0.75))
@@ -133,7 +132,11 @@ def test_value_object_contract(cls, fields, shown):
     name = next(iter(fields))
     with pytest.raises(AttributeError):
         setattr(value, name, fields[name])
-    assert getattr(value, name) is fields[name]
+    if cls is SweepTable:  # the rows are rebuilt as SweepRows of the checked floats
+        assert value.rows == fields[name]
+        assert all(type(row) is SweepRow for row in value.rows)
+    else:
+        assert getattr(value, name) is fields[name]
 
     for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
         assert type(copied) is cls
@@ -194,15 +197,20 @@ STATE = BellDiagonal(0.9, 0.1, 0.0, 0.0)
 DENSITIES = ErrorDensities(0.011, 0.0, 1.0)
 GEOMETRY = LinkGeometry(1.0, 2.5)
 HUGE = 10**5000  # past sys.get_int_max_str_digits(): repr refuses it
-NOT_NEGATIVE = (">= 0", (-5e-324, -1.0))
-POSITIVE = ("> 0", (0.0, -0.0, -5e-324))
-# Just past the 1e-12 tolerance that the probabilities admit.
-PROBABILITY = ("in [0, 1]", (-2e-12, 1.0 + 2e-12))
-UNIT = ("in [0, 1]", (-5e-324, math.nextafter(1.0, 2.0)))
-UNBOUNDED = (None, ())
+# Each bound: (as the message shows it, values just outside it, values it takes).
+TAKEN = (0, True, 7, 2**1023, np.float64(0.5), -0.0, 5e-324)
+NOT_NEGATIVE = (">= 0", (-5e-324, -1.0), TAKEN)
+POSITIVE = ("> 0", (0.0, -0.0, -5e-324), (True, 7, 2**1023, np.float64(0.5), 5e-324))
+# A qber at or past the 0.75 floor is a DomainError.
+QBER = (">= 0", (-5e-324, -1.0), (0, np.float64(0.5), -0.0, 5e-324))
+# Just past the 1e-12 tolerance that the probabilities admit.  A distribution
+# takes a field only together with the others, summing to 1.
+PROBABILITY = ("in [0, 1]", (-2e-12, 1.0 + 2e-12), ())
+UNIT = ("in [0, 1]", (-5e-324, math.nextafter(1.0, 2.0)), (0, True, np.float64(0.5), -0.0, 5e-324))
+UNBOUNDED = (None, (), TAKEN)
 
 # Every public scalar input: (id, call with the input in place, its name in
-# the message, (the bound, values just outside it)).
+# the message, its bound).
 SCALAR_INPUTS = [
     *(
         (f"{cls.__name__}.{field}", _with(cls, valid, i), f"{kind}{field}", bound)
@@ -215,7 +223,7 @@ SCALAR_INPUTS = [
         )
         for i, field in enumerate(cls._fields)
     ),
-    ("MeasurementPoint.qber", _with(MeasurementPoint, (0.1, 1.0), 0), "qber", NOT_NEGATIVE),
+    ("MeasurementPoint.qber", _with(MeasurementPoint, (0.1, 1.0), 0), "qber", QBER),
     (
         "MeasurementPoint.total_length_km",
         _with(MeasurementPoint, (0.1, 1.0), 1),
@@ -239,7 +247,13 @@ SCALAR_INPUTS = [
 ]
 NOT_FINITE = [math.nan, math.inf, -math.inf, 10**400, -(10**400), "1", HUGE]
 # pytest's own id would print every digit of an int, or fail past the repr limit.
-LABELS = {10**400: "10**400", -(10**400): "-10**400", HUGE: "10**5000", -HUGE: "-10**5000"}
+LABELS = {
+    10**400: "10**400",
+    -(10**400): "-10**400",
+    HUGE: "10**5000",
+    -HUGE: "-10**5000",
+    2**1023: "2**1023",
+}
 
 
 def _in_message(value):
@@ -257,7 +271,7 @@ def _cases(table, refusals):
 
 
 def _scalar_refusals(name, bound):
-    shown, outside = bound
+    shown, outside, _ = bound
     for value in NOT_FINITE:
         yield value, f"{name} must be a finite number, got {_in_message(value)}"
     for value in outside:
@@ -269,6 +283,26 @@ def test_every_scalar_input_has_one_message_template(build, value, message):
     with pytest.raises(ValidationError) as info:
         build(value)
     assert str(info.value) == message
+
+
+# The scalar rows that build a checked value object; the two distributions'
+# bound lists no value.
+VALUE_NAMES = {cls.__name__ for cls, _, _ in CASES}
+STORED_INPUTS = [row for row in SCALAR_INPUTS if row[0].split(".")[0] in VALUE_NAMES]
+
+
+def _taken(name, bound):
+    # Each value the bound takes, with the field that stores it.
+    return ((value, name) for value in bound[2])
+
+
+@pytest.mark.parametrize("build, value, field", _cases(STORED_INPUTS, _taken))
+def test_every_value_object_stores_the_float_it_checked(build, value, field):
+    made = build(value)
+    hash(made)  # raises if a field is stored mutable
+    stored = getattr(made.rows[0] if type(made) is SweepTable else made, field)
+    assert type(stored) is float
+    assert stored.hex() == float(value).hex()
 
 
 # A valid monte_carlo_transmit call by position.
@@ -284,12 +318,6 @@ COUNT_INPUTS = [
     *(
         (f"monte_carlo_transmit.{name}", _with(monte_carlo_transmit, SAMPLED, i), name, least)
         for i, name, least in ((2, "segments_per_km", 1), (3, "samples", 1), (4, "seed", None))
-    ),
-    (
-        "validate_density_matrix.dim",
-        _with(validate_density_matrix, (bell_state("phi+"), 4), 1),
-        "dim",
-        1,
     ),
 ]
 NOT_INTEGERS = [2.5, 1.0, math.nan, "1", None, b"1"]
@@ -352,7 +380,6 @@ LOOK_ALIKES = [
     (threshold_generic, {"mu": DENSITIES}),
     (estimate_mu, {"point": MeasurementPoint(0.02, 1.0)}),
     (sweep, {"mu": DENSITIES, "l_max_km": 200.0, "steps": 120}),
-    (apply_single_qubit_pauli, {"p": CHANNEL, "rho": [[0.75, 0.25j], [-0.25j, 0.25]]}),
     (
         apply_two_sided,
         {"r": CHANNEL, "s": PauliProbs(1.0, 0.0, 0.0, 0.0), "rho": bell_state("phi-")},
@@ -472,34 +499,26 @@ def test_fit_mu_takes_plain_pairs_among_its_points():
     assert str(info.value) == "qber must be >= 0, got -0.1"
 
 
-def test_importing_the_cli_loads_no_code_generation_modules():
+@pytest.mark.parametrize(
+    "flags, heavy",
+    [
+        ((), ("dataclasses", "inspect", "ast", "dis", "tokenize")),
+        # -S: a site .pth file (certifi's, for one) may import typing on its own.
+        (("-S",), ("typing", "dataclasses", "inspect", "ast", "dis", "tokenize")),
+    ],
+    ids=["site", "no-site"],
+)
+def test_importing_the_cli_loads_no_heavy_modules(flags, heavy):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     probe = (
         "import sys\n"
         "import eprlink.cli\n"
-        "heavy = ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize')\n"
+        f"heavy = {heavy!r}\n"
         "print(' '.join(m for m in heavy if m in sys.modules))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
-
-
-def test_importing_the_cli_without_site_loads_no_typing():
-    # -S: a site .pth file (certifi's, for one) may import typing on its own.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    probe = (
-        "import sys\n"
-        "import eprlink.cli\n"
-        "heavy = ('typing', 'dataclasses', 'inspect', 'ast', 'dis', 'tokenize')\n"
-        "print(' '.join(m for m in heavy if m in sys.modules))\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, *flags, "-c", probe], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
