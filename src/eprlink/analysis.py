@@ -169,10 +169,10 @@ def threshold_generic(mu: ErrorDensities) -> ThresholdResult:
     every finite length (single-flip regime): never-vanishes.  Otherwise the
     densities are scaled by the power of two at their largest, so no decay
     rate can overflow; `DomainError` if that sends two positive densities to
-    fewer than two (a ratio past about 2**1074).  The unclamped concurrence
-    (strictly decreasing) is bracketed by doubling from just inside the
-    length where Jensen's bound x + y + z >= 3 exp(mean rate * L) reaches 1,
-    and `_bisect` narrows it to adjacent floats; the upper end, the
+    fewer than two (a ratio past about 2**1074).  `_bisect` brackets the
+    unclamped concurrence (strictly decreasing) from just inside the length
+    where Jensen's bound x + y + z >= 3 exp(mean rate * L) reaches 1, doubling
+    its upper end, and narrows it to adjacent floats; the upper end, the
     first float where the criterion is <= 0, is returned.  Past 2**1023 km
     the result is never-vanishes, as for the closed forms, which it matches
     to a few ulps.  A plain sequence ``mu`` is checked as `ErrorDensities`.
@@ -190,20 +190,14 @@ def threshold_generic(mu: ErrorDensities) -> ThresholdResult:
     # Jensen: x + y + z >= 3 exp(mean rate * L), so the criterion is positive
     # below ln 3 / -(mean rate).  lo sits 2**-40 relative inside that bound,
     # where the criterion is at least ln 3 * 2**-40 ~ 1e-12, against ~1e-16 of
-    # rounding in lo and in the criterion: f_lo > 0 with no fallback to 0.
+    # rounding in lo and in the criterion: f(lo) > 0 with no fallback to 0.
     # The scaled densities sum to [0.5, 3), so lo lies in (0.27, 1.65]; the
     # rates that carry the largest density are <= -1, so the doubling ends by
-    # 2**10 units.  The criterion rounds monotonically in L, so the float
-    # returned does not depend on where the bracket starts.
+    # 2**10 units, far below `_bisect`'s cap.  The criterion rounds
+    # monotonically in L, so the float returned does not depend on where the
+    # bracket starts.  It is bound to its rates, with no wrapper frame.
     lo = _JENSEN_START / -(rates[0] + rates[1] + rates[2])
-    hi = 2.0 * lo
-    f_lo = _raw_concurrence(rates, lo)
-    f_hi = _raw_concurrence(rates, hi)
-    while f_hi > 0.0:
-        lo, hi, f_lo = hi, 2.0 * hi, f_hi
-        f_hi = _raw_concurrence(rates, hi)
-    # The criterion bound to its rates, with no wrapper frame; it falls, positive at lo.
-    hi = _bisect(MethodType(_raw_concurrence, rates), lo, hi, f_lo, f_hi)[1]
+    hi = _bisect(MethodType(_raw_concurrence, rates), lo, 2.0 * lo, "the threshold")[1]
     # 2**1023 km in scaled units; for e > 0 it passes the float range, and hi
     # cannot reach it.
     if e <= 0 and hi > math.ldexp(_MAX_THRESHOLD_KM, e):
@@ -280,39 +274,43 @@ def fit_mu(points) -> tuple[float, float]:
         return total
 
     # Every residual is negative below every per-point estimate and positive
-    # above them all, so the critical points lie between.  Where rounding (a
-    # logarithm that is 0 below qber ~1.1e-16) leaves an end's slope on the
-    # wrong side, that end widens by powers of two: lo to 0 at worst, where
-    # the slope is -6 sum(qber L) <= 0, and hi to the largest float.
+    # above them all, so the critical points lie between, where the slope
+    # rises: positive at the greatest.  Where rounding (a logarithm that is 0
+    # below qber ~1.1e-16) leaves an end's slope on the wrong side, `_bisect`
+    # widens it: the least to 0 at worst, where the slope is -6 sum(qber L) <= 0.
     estimates = sorted(map(_estimate, points))
-    lo, hi = estimates[0], estimates[-1]
-    f_lo, f_hi = derivative(lo), derivative(hi)
-    while f_lo > 0.0:
-        hi, f_hi, lo = lo, f_lo, 0.5 * lo
-        f_lo = derivative(lo)
-    while not f_hi > 0.0:
-        if hi == _FLOAT_MAX:
-            # At 5e-324 km, say, every term underflows to 0 at every mu.
-            raise NumericError("could not bracket the least-squares optimum")
-        lo, f_lo, hi = hi, f_hi, min(2.0 * hi, _FLOAT_MAX) or 5e-324
-        f_hi = derivative(hi)
-    # The derivative rises through its sign change: positive at hi.
-    hi, lo = _bisect(derivative, hi, lo, f_hi, f_lo)
+    hi, lo = _bisect(derivative, estimates[-1], estimates[0], "the least-squares optimum")
     # 0.5 * (lo + hi); above 1 the halves are exact, and their sum rounds as
     # that does but cannot overflow.
     mu = 0.5 * (lo + hi) if hi <= 1.0 else 0.5 * lo + 0.5 * hi
     return mu, _rms_residual(mu, points)
 
 
-def _bisect(f, pos, neg, f_pos, f_neg):
-    # Narrows [pos, neg] (either end the larger, both of one sign), with
-    # f_pos = f(pos) > 0.0 >= f_neg = f(neg), to adjacent floats; a point x
-    # replaces pos where f(x) > 0.0, else neg, so 0.0 and nan go with neg.
-    # Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971): x is the secant
+def _bisect(f, pos, neg, what):
+    # Narrows a sign change of f, f(pos) > 0.0 >= f(neg), to adjacent floats,
+    # returned as (pos, neg), either end the larger.  First an end on the
+    # wrong side, neg first, hands its place to the other end and steps away
+    # from it (so it must be >= 0): down by halving, up by doubling to at most
+    # the largest float (5e-324 from 0); on equal ends neg steps down.  It
+    # raises NumericError "could not bracket <what>" at 0 or the largest float.
+    f_pos, f_neg = f(pos), f(neg)
+    up = neg > pos
+    while f_neg > 0.0:
+        if neg == (_FLOAT_MAX if up else 0.0):
+            raise NumericError(f"could not bracket {what}")
+        pos, f_pos, neg = neg, f_neg, (min(2.0 * neg, _FLOAT_MAX) or 5e-324) if up else 0.5 * neg
+        f_neg = f(neg)
+    while not f_pos > 0.0:
+        if pos == (0.0 if up else _FLOAT_MAX):
+            raise NumericError(f"could not bracket {what}")
+        neg, f_neg, pos = pos, f_pos, 0.5 * pos if up else (min(2.0 * pos, _FLOAT_MAX) or 5e-324)
+        f_pos = f(pos)
+    # Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971): x replaces pos
+    # where f(x) > 0.0, else neg, so 0.0 and nan go with neg.  x is the secant
     # point from the end of smaller |f| (the next float where it rounds onto
     # that end), and an end kept twice in a row has its stored f halved.  x is
     # the midpoint where the secant is nan, and whenever two steps have not
-    # halved the bracket, so no input takes more than three evaluations per
+    # halved the bracket, so no bracket takes more than three evaluations per
     # step of plain bisection, plus three.  Summed halves keep mid finite.
     wide = wider = math.inf
     kept = 0

@@ -27,6 +27,7 @@ from eprlink import (
     threshold_generic,
     transmit_at_length,
 )
+from eprlink import analysis
 from eprlink.analysis import _bisect
 from eprlink.channel import _decays, _hadamard
 from eprlink.epr import BellDiagonal, _decay_rates, _raw_concurrence
@@ -421,6 +422,13 @@ class TestThresholdGeneric:
             threshold_generic(mu)
         assert str(info.value) == f"error densities {named} /km are too far apart"
 
+    def test_criterion_that_never_falls_raises_instead_of_hanging(self, monkeypatch):
+        # The upper end doubles up to the largest float, about 1024 steps, and
+        # stops there: an unbounded doubling loop never returns.
+        monkeypatch.setattr(analysis, "_raw_concurrence", lambda rates, length: 1.0)
+        with pytest.raises(NumericError, match="^could not bracket the threshold$"):
+            threshold_generic(ErrorDensities(0.01, 0.02, 0.0))
+
     def test_subnormal_density_that_scales_is_kept(self):
         # 1e-320 scaled by 2**-1 is still positive: two densities remain.
         mu = ErrorDensities(1.0, 1e-320, 0.0)
@@ -656,6 +664,20 @@ _ADVERSARIAL_CRITERIA = {
         lambda x: 1.0 if x < 1e308 else 0.0, -1.7e308, 1.7e308
     ),
     "infinite ends": (lambda x: math.inf if x < 3.0 else -math.inf, 0.0, 8.0),
+    # An end on the wrong side of the root, neg or pos, falling and rising.
+    "falling, neg short of the root": (lambda x: math.exp(-x) - 1e-5, 0.0, 1.0),
+    "falling, pos past the root": (lambda x: math.exp(-x) - 1e-5, 50.0, 100.0),
+    "rising, neg past the root": (lambda x: x**4 - 1.0, 1e10, 2.0),
+    "rising, pos short of the root": (lambda x: x**4 - 1.0, 0.25, 0.0),
+}
+
+# Criteria with no sign change, each from ends one step short of 0 or of the
+# largest float on the side where its wrong end steps.
+_NO_SIGN_CHANGE = {
+    "positive, rising, neg to 0": (lambda x: 1.0, 1e-323, 5e-324),
+    "positive, falling, neg to the largest float": (lambda x: 1.0, 2.0**1022, 2.0**1023),
+    "nonpositive, rising, pos to the largest float": (lambda x: 0.0, 2.0**1023, 2.0**1022),
+    "nonpositive, falling, pos to 0": (lambda x: -1.0, 5e-324, 1e-323),
 }
 
 
@@ -672,7 +694,7 @@ def _bounded_bisect(f, pos, neg):
         assert len(calls) <= bound, f"more than {bound} evaluations"
         return f(x)
 
-    return _bisect(counted, pos, neg, f(pos), f(neg))
+    return _bisect(counted, pos, neg, "a root")
 
 
 class TestBisect:
@@ -688,19 +710,34 @@ class TestBisect:
     @pytest.mark.parametrize(
         "name, ends",
         [
+            # The secant point is nan: the midpoint is taken.
             ("step onto 0.0 across the float range", (9.999999999999998e307, 1e308)),
             ("infinite ends", (2.9999999999999996, 3.0)),
+            # A start with an end on the wrong side ends at the valid start's floats.
+            ("falling", (11.512925464970227, 11.512925464970229)),
+            ("falling, neg short of the root", (11.512925464970227, 11.512925464970229)),
+            ("falling, pos past the root", (11.512925464970227, 11.512925464970229)),
+            ("rising", (1.0000000000000002, 1.0)),
+            ("rising, neg past the root", (1.0000000000000002, 1.0)),
+            ("rising, pos short of the root", (1.0000000000000002, 1.0)),
+            # No sign change: the wrong end stops at 0 or the largest float.
+            *((name, None) for name in _NO_SIGN_CHANGE),
         ],
     )
-    def test_nan_secant_point_takes_the_midpoint(self, name, ends):
-        assert _bounded_bisect(*_ADVERSARIAL_CRITERIA[name]) == ends
+    def test_ends(self, name, ends):
+        if ends is None:
+            with pytest.raises(NumericError, match="^could not bracket a root$"):
+                _bounded_bisect(*_NO_SIGN_CHANGE[name])
+        else:
+            assert _bounded_bisect(*_ADVERSARIAL_CRITERIA[name]) == ends
 
     def test_smooth_criteria_take_a_fifth_of_bisection_steps(self):
-        # Without the Illinois halving the logarithm takes 477 steps, not 96.
+        # Without the Illinois halving the logarithm takes 477 steps, not 96,
+        # after the evaluations of its two ends.
         for name in ("", ", concave", ", logarithmic"):
             f, pos, neg = _ADVERSARIAL_CRITERIA["whole float range" + name]
             calls = []
-            _bisect(lambda x: calls.append(x) or f(x), pos, neg, f(pos), f(neg))
+            _bisect(lambda x: calls.append(x) or f(x), pos, neg, "a root")
             assert 5 * len(calls) < _plain_bisection_evaluations(f, pos, neg), name
 
 
