@@ -12,6 +12,7 @@ positive semidefinite up to float noise).
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from collections import namedtuple
@@ -19,7 +20,15 @@ from collections import namedtuple
 import numpy as np
 
 from . import _ORACLE_NAMES
-from .channel import ErrorDensities, PauliProbs, _as_count, _as_int, _shown, _Value
+from .channel import (
+    ErrorDensities,
+    PauliProbs,
+    _as_count,
+    _as_int,
+    _probabilities,
+    _shown,
+    _Value,
+)
 from .epr import BELL_LABELS, BellDiagonal, LinkGeometry, _bell_order
 from .errors import DomainError, ValidationError
 
@@ -170,6 +179,7 @@ _K1 = np.uint64(0xBF58476D1CE4E5B9)
 _K2 = np.uint64(0x94D049BB133111EB)
 _MASK64 = (1 << 64) - 1
 _PASS = 1 << 16  # entries of each array of one sampler pass, at most
+_PLANS = 16  # link configs whose count plans `_count_plan` keeps
 
 
 def _uniforms(keys):
@@ -209,6 +219,32 @@ def _binomial_cdf(m, p):
     return k0, np.array([round(s / total * 2.0**53) for s in sums], dtype=np.uint64)
 
 
+@functools.lru_cache(maxsize=_PLANS)
+def _count_plan(n, t1, t2, t3):
+    """The per-config constants of `_fold_tally`: ``(k0, table, idle, c1, c2)``.
+
+    ``(k0, table)`` is `_binomial_cdf` of K ~ Binomial(n, p), p = min(t3,
+    1 - t3), with the table made read-only, since every call of the config
+    shares it.  At t3 <= 1/2 a draw below ``idle`` has no event and is not
+    searched (none is, if k0 > 0).  An event has type 1 below ``c1``, 2 below
+    ``c2`` and 3 otherwise, as u < t is u < ceil(t * 2**53).
+
+    The `_PLANS` most recently used configs are kept, so repeated calls of
+    one config build its table once; calls from several threads may share a
+    plan, as nothing writes to it.  A table holds about 18 sigma uint64 entries, sigma**2 =
+    np(1 - p), under 2**16 up to about 10**7 expected events a sample, so the
+    cache holds at most `_PLANS` times the largest table of one call: 8 MB
+    up to that size, and about half a kilobyte a plan at a few events a
+    sample.
+    """
+    p = t3 if t3 <= 0.5 else 1.0 - t3
+    k0, table = _binomial_cdf(n, p)
+    table.flags.writeable = False
+    idle = table[0] if k0 == 0 else np.uint64(0)
+    c1, c2 = (np.uint64(math.ceil(t / t3 * 2.0**53)) for t in (t1, t2))
+    return k0, table, idle, c1, c2
+
+
 def _fold_tally(seed, samples, n, t1, t2, t3) -> np.ndarray:
     """Samples by the XOR fold of the error indices of their ``n`` segments.
 
@@ -219,13 +255,7 @@ def _fold_tally(seed, samples, n, t1, t2, t3) -> np.ndarray:
     """
     if n == 0 or t3 == 0.0:
         return np.array([samples, 0, 0, 0], dtype=np.int64)
-    # K ~ Binomial(n, p), or n - K past t3 = 1/2, so that p <= 1/2
-    p = t3 if t3 <= 0.5 else 1.0 - t3
-    k0, table = _binomial_cdf(n, p)
-    # at t3 <= 1/2 a draw below idle has no event and is not searched (none, if k0 > 0)
-    idle = table[0] if k0 == 0 else np.uint64(0)
-    # event type 1 below c1, 2 below c2, 3 otherwise; u < t is u < ceil(t * 2**53)
-    c1, c2 = (np.uint64(math.ceil(t / t3 * 2.0**53)) for t in (t1, t2))
+    k0, table, idle, c1, c2 = _count_plan(n, t1, t2, t3)
     base = np.uint64(seed * _K0 & _MASK64)
     # rows * n < 2**64, so a pass's event total is a uint64
     rows = max(1, min(_PASS, _MASK64 // n))
@@ -238,7 +268,9 @@ def _fold_tally(seed, samples, n, t1, t2, t3) -> np.ndarray:
         u = _uniforms(row.copy())
         if t3 <= 0.5:
             busy = (u >= idle).nonzero()[0]
-            count = table.searchsorted(u[busy], "right").view(np.uint64) + np.uint64(k0)
+            count = table.searchsorted(u[busy], "right").view(np.uint64)
+            if k0:
+                count += np.uint64(k0)
         else:
             count = np.uint64(n - k0) - table.searchsorted(u, "right").view(np.uint64)
             busy = count.nonzero()[0]
@@ -322,7 +354,11 @@ def monte_carlo_transmit(
     or of events in one.  Only the samples with events are folded, by XOR
     reductions over their runs of event types; the others count as fold 0,
     and at t3 <= 1/2 a draw below the first entry of a table from 0 events
-    marks a sample as idle, unsearched.  No state outlives a call.
+    marks a sample as idle, unsearched.  The table and the type thresholds
+    of a link config (n, t1, t2, t3) are its count plan, which a bounded
+    cache keeps for the 16 most recently used configs, read-only, so that
+    calls of one config, also from several threads, share it; nothing else
+    outlives a call.
 
     Raises
     ------
@@ -384,13 +420,17 @@ def monte_carlo_transmit(
                 f"arm length {length!r} km rounds to 0 segments at "
                 f"{segments_per_km} segments/km; increase segments_per_km"
             )
-    counts = _fold_tally(seed, samples, n1 + n2, t1, t2, t3).tolist()
+    f0, f1, f2, f3 = _fold_tally(seed, samples, n1 + n2, t1, t2, t3).tolist()
     # Tallies of the folded index k XOR l, in Bell order as in epr.transmit.
-    freq = _bell_order(count / samples for count in counts)
-    errors = tuple(math.sqrt(f * (1.0 - f) / samples) for f in freq)
+    a, b, c, d = freq = _bell_order((f0 / samples, f1 / samples, f2 / samples, f3 / samples))
     return McEstimate(
-        bell_diagonal=BellDiagonal(*freq),
-        samples=samples,
-        standard_errors=errors,
-        geometry=LinkGeometry(n1 / segments_per_km, n2 / segments_per_km),
+        _probabilities(BellDiagonal, freq),
+        samples,
+        (
+            math.sqrt(a * (1.0 - a) / samples),
+            math.sqrt(b * (1.0 - b) / samples),
+            math.sqrt(c * (1.0 - c) / samples),
+            math.sqrt(d * (1.0 - d) / samples),
+        ),
+        LinkGeometry(n1 / segments_per_km, n2 / segments_per_km),
     )

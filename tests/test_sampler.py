@@ -418,18 +418,35 @@ def test_the_pinned_stream_takes_every_count_branch():
     assert branches == {(False, False), (False, True), (True, False), (True, True)}
 
 
+def test_cached_count_plans_are_fresh_read_only_and_bounded():
+    for config, _ in PINNED_STREAM:
+        plan, fresh = oracle._count_plan(*config[2:]), oracle._count_plan.__wrapped__(*config[2:])
+        assert [type(x) for x in plan] == [type(x) for x in fresh], config
+        assert plan[0] == fresh[0] and plan[2:] == fresh[2:], config
+        assert plan[1].dtype == fresh[1].dtype and np.array_equal(plan[1], fresh[1]), config
+        with pytest.raises(ValueError, match="read-only"):
+            plan[1][0] = 0
+    # the least recently used plans are dropped past the bound
+    for n in range(1, oracle._PLANS + 5):
+        oracle._fold_tally(0, 10, n, 0.1, 0.2, 0.3)
+    assert oracle._count_plan.cache_info().currsize == oracle._PLANS
+
+
 @pytest.mark.parametrize("size", [oracle._PASS, 1, 3, 64])
 def test_tallies_match_the_pinned_stream(monkeypatch, size):
     # A seed fixes the tallies, however a call is cut into passes: at a pass
     # size of 1, 3 or 64, samples, count draws and events all span passes,
     # and a sample's events span slices.  At a pass size of 1 only the tables
-    # from k0 = 0 run, as k0 > 0 takes most of its time: k0 is one per-call
+    # from k0 = 0 run, as k0 > 0 takes most of its time: k0 is one per-config
     # constant added to every count, and the other sizes check it with events
-    # that span slices.
+    # that span slices.  Each pin runs with its plan built, then cached.
     monkeypatch.setattr(oracle, "_PASS", size)
     for config, want in PINNED_STREAM:
         if size > 1 or _k0(config) == 0:
+            oracle._count_plan.cache_clear()
             assert oracle._fold_tally(*config).tolist() == want, config
+            assert oracle._fold_tally(*config).tolist() == want, config
+            assert oracle._count_plan.cache_info().hits == 1, config
 
 
 def test_no_runtime_warnings():
@@ -487,19 +504,31 @@ def test_sampling_never_loads_numpy_random():
 
 
 def test_concurrent_callers_get_sequential_tallies():
-    configs = [(5, 30_000, 220, 0.01, 0.02, 0.03), (6, 20_000, 307, 0.02, 0.2, 0.5)]
+    # the last two callers share one link config, and so its plan, from a cold cache
+    configs = [
+        (5, 30_000, 220, 0.01, 0.02, 0.03),
+        (6, 20_000, 307, 0.02, 0.2, 0.5),
+        (7, 20_000, 1000, 0.001, 0.003, 0.004),
+        (8, 20_000, 1000, 0.001, 0.003, 0.004),
+    ]
     sequential = [oracle._fold_tally(*c).tolist() for c in configs]
-    results = [None, None]
+    oracle._count_plan.cache_clear()
+    results = [None] * len(configs)
 
     def call(k):
         results[k] = oracle._fold_tally(*configs[k]).tolist()
 
-    threads = [threading.Thread(target=call, args=(k,)) for k in range(2)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=60.0)
-        assert not thread.is_alive()
+    threads = [threading.Thread(target=call, args=(k,)) for k in range(len(configs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, also inside a plan's build
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
     assert results == sequential
 
 
