@@ -30,7 +30,10 @@ Four probabilities (`PauliProbs`, `epr.BellDiagonal`) share one check,
 scalar field or parameter goes through `_real`, which raises "{name} must
 be a finite number, got {value}" or "{name} must be >= 0 | > 0 | in [0, 1],
 got {value}" under the name the signature spells ("channel p0" and "Bell
-weight a" for the probabilities).
+weight a" for the probabilities).  Every integer count goes through
+`_as_count`, which raises "{name} must be an integer, got {value}", and
+refuses a count at both its least and its greatest value with "{name} must
+be >= {minimum}, got {value}" or "{name} must be <= {maximum}, got {value}".
 """
 
 from __future__ import annotations
@@ -293,10 +296,14 @@ def _as_int(n, what: str) -> int:
         raise ValidationError(f"{what} must be an integer, got {n!r}") from exc
 
 
-def _as_count(n, what: str, minimum: int = 0) -> int:
+def _as_count(n, what: str, minimum: int = 0, maximum=None) -> int:
+    # An int bound is printed exactly, a float one with :g as `_real` does.
     n = _as_int(n, what)
     if n < minimum:
         raise ValidationError(f"{what} must be >= {minimum}, got {_shown(n)}")
+    if maximum is not None and n > maximum:
+        shown = f"{maximum:g}" if type(maximum) is float else maximum
+        raise ValidationError(f"{what} must be <= {shown}, got {_shown(n)}")
     return n
 
 
@@ -353,9 +360,7 @@ def iterate_bruteforce(p: PauliProbs, n: int) -> PauliProbs:
     Left-folds `compose` n times starting from the identity channel.  Capped
     at 1e9 segments to stay desk-scale; use `iterate` beyond that.
     """
-    n = _as_count(n, "segment count")
-    if n > _BRUTEFORCE_CAP:
-        raise ValidationError(f"brute-force segment count capped at {_BRUTEFORCE_CAP}, got {n}")
+    n = _as_count(n, "segment count", maximum=_BRUTEFORCE_CAP)
     p = p if type(p) is PauliProbs else PauliProbs(*p)
     acc = (1.0, 0.0, 0.0, 0.0)
     for _ in range(n):

@@ -26,7 +26,6 @@ from .channel import (
     _as_count,
     _as_int,
     _probabilities,
-    _shown,
     _Value,
 )
 from .epr import BELL_LABELS, BellDiagonal, LinkGeometry, _bell_order
@@ -365,12 +364,12 @@ def monte_carlo_transmit(
     ValidationError
         If a plain sequence ``mu`` or ``geom`` fails the check of
         `ErrorDensities` or `LinkGeometry`; if ``seed`` is not an integer
-        (``operator.index`` fails); if ``samples`` is 2**63 or more; if
-        ``segments_per_km`` is past the largest float; if an arm has a
-        positive length that rounds to zero segments, i.e. it is no longer
-        than half a segment and would be sampled as noiseless; or if the
-        two arms hold 2**64 or more segments, since a sample's event count,
-        up to n1 + n2, is a 64-bit unsigned integer.
+        (``operator.index`` fails); if ``samples`` is not one in
+        [1, 2**63 - 1] or ``segments_per_km`` one in [1, largest float]; if
+        an arm has a positive length that rounds to zero segments, i.e. it
+        is no longer than half a segment and would be sampled as noiseless;
+        or if the two arms hold 2**64 or more segments, since a sample's
+        event count, up to n1 + n2, is a 64-bit unsigned integer.
     DomainError
         If ``sum(mu) / segments_per_km`` exceeds 1, i.e. the discretization
         is too coarse for the requested error densities, or if ``sum(mu)``
@@ -378,15 +377,10 @@ def monte_carlo_transmit(
     """
     mu = mu if type(mu) is ErrorDensities else ErrorDensities(*mu)
     geom = geom if type(geom) is LinkGeometry else LinkGeometry(*geom)
-    segments_per_km = _as_count(segments_per_km, "segments_per_km", minimum=1)
-    if segments_per_km > sys.float_info.max:
-        # 1/segments_per_km and L * segments_per_km take it as a float
-        raise ValidationError(
-            f"segments_per_km must be at most {sys.float_info.max:.4g}, the largest float"
-        )
-    samples = _as_count(samples, "samples", minimum=1)
-    if samples >= 1 << 63:  # the tallies are int64
-        raise ValidationError(f"samples must be < 2**63, got {_shown(samples)}")
+    # 1/segments_per_km and L * segments_per_km take it as a float; the
+    # tallies are int64.
+    segments_per_km = _as_count(segments_per_km, "segments_per_km", 1, sys.float_info.max)
+    samples = _as_count(samples, "samples", 1, (1 << 63) - 1)
     seed = _as_int(seed, "seed")
     delta = 1.0 / segments_per_km
     t1 = mu.mu1 * delta

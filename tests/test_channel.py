@@ -265,10 +265,6 @@ class TestIterate:
             m, n = rng.integers(0, 21, 2)
             assert_close4(iterate(p, m + n), compose(iterate(p, m), iterate(p, n)))
 
-    def test_bruteforce_cap(self):
-        with pytest.raises(ValidationError, match="capped"):
-            iterate_bruteforce(random_probs(), 10**9 + 1)
-
     def test_bruteforce_single_segment(self):
         p = random_probs()
         assert_close4(iterate_bruteforce(p, 1), p, tol=0.0)

@@ -5,10 +5,11 @@ with equal fields, hashable, built by position or by keyword, and survives
 pickle and deepcopy.  Every route that builds one runs its check: the class,
 ``_make``, ``_replace``, pickle at every protocol, and ``copy``.  Every
 scalar input, a field or a parameter, is refused with one message template
-under its own name, and so is every integer count with its own template.
-Each template has one table here, `SCALAR_INPUTS` and `COUNT_INPUTS`,
-checked against the public signatures: a public float or int parameter, or
-a field of a checked value object, with no row fails.  A plain sequence
+under its own name, and so is every integer count with its own template,
+that of `channel._as_count`, past its least and its greatest value.  Each
+template has one table here, `SCALAR_INPUTS` and `COUNT_INPUTS`, checked
+against the public signatures: a public float or int parameter, or a field
+of a checked value object, with no row fails.  A plain sequence
 passed for a value object takes that object's check and gives the same
 result, for every parameter of a public function that is annotated with a
 value-object class.
@@ -253,6 +254,7 @@ LABELS = {
     HUGE: "10**5000",
     -HUGE: "-10**5000",
     2**1023: "2**1023",
+    int(sys.float_info.max) + 1: "int(float_max)+1",
 }
 
 
@@ -308,26 +310,33 @@ def test_every_value_object_stores_the_float_it_checked(build, value, field):
 # A valid monte_carlo_transmit call by position.
 SAMPLED = (MU, GEOMETRY, 100, 50, 1)
 # Every public count input: (id, call with the input in place, its name in
-# the message, the least value it takes, or None for any integer).
+# the message, the least and the greatest value it takes, None for no bound).
 COUNT_INPUTS = [
     *(
-        (f"{f.__name__}.n", _with(f, (CHANNEL, 3), 1), "segment count", 0)
-        for f in (iterate, iterate_bruteforce, decay_factors)
+        (f"{f.__name__}.n", _with(f, (CHANNEL, 3), 1), "segment count", 0, most)
+        for f, most in ((iterate, None), (iterate_bruteforce, 10**9), (decay_factors, None))
     ),
-    ("sweep.steps", _with(sweep, (MU, 10.0, 4), 2), "steps", 2),
+    ("sweep.steps", _with(sweep, (MU, 10.0, 4), 2), "steps", 2, None),
     *(
-        (f"monte_carlo_transmit.{name}", _with(monte_carlo_transmit, SAMPLED, i), name, least)
-        for i, name, least in ((2, "segments_per_km", 1), (3, "samples", 1), (4, "seed", None))
+        (f"monte_carlo_transmit.{name}", _with(monte_carlo_transmit, SAMPLED, i), name, *bounds)
+        for i, name, bounds in (
+            (2, "segments_per_km", (1, sys.float_info.max)),
+            (3, "samples", (1, 2**63 - 1)),
+            (4, "seed", (None, None)),
+        )
     ),
 ]
 NOT_INTEGERS = [2.5, 1.0, math.nan, "1", None, b"1"]
 
 
-def _count_refusals(name, least):
+def _count_refusals(name, least, most):
     for value in NOT_INTEGERS:
         yield value, f"{name} must be an integer, got {value!r}"
     for value in () if least is None else (least - 1, -HUGE):
         yield value, f"{name} must be >= {least}, got {_in_message(value)}"
+    shown = f"{most:g}" if type(most) is float else most
+    for value in () if most is None else (int(most) + 1, HUGE):
+        yield value, f"{name} must be <= {shown}, got {_in_message(value)}"
 
 
 @pytest.mark.parametrize("build, value, message", _cases(COUNT_INPUTS, _count_refusals))
