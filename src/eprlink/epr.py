@@ -113,16 +113,15 @@ def concurrence(state: BellDiagonal) -> float:
     """Concurrence of a Bell-diagonal state: max(0, 2 max(a,b,c,d) - 1).
 
     Zero for separable states, 1 for a pure Bell state; positive exactly when
-    one weight exceeds 1/2.  Clamped to [0, 1] to absorb float overshoot.
+    one weight exceeds 1/2.  Never above 1: a `BellDiagonal` weight is at most
+    1.0, and 2.0 * 1.0 - 1.0 is 1.0 exactly.
     A plain sequence ``state`` is checked as `BellDiagonal`.
     """
     state = state if type(state) is BellDiagonal else BellDiagonal(*state)
-    # min(1, max(0, conc)), written out: max keeps 0.0 unless conc > 0 (so
-    # -0.0 and nan give 0.0), and min keeps conc only below 1.
+    # max(0, conc), written out: 0.0 unless conc > 0 (nan gives 0.0).  `>=`
+    # would return the same floats, as 2.0 * max - 1.0 is +0.0 where it is 0.
     conc = 2.0 * max(state) - 1.0
-    if conc > 0.0:
-        return conc if conc < 1.0 else 1.0
-    return 0.0
+    return conc if conc > 0.0 else 0.0
 
 
 def fidelity_psi_plus(state: BellDiagonal) -> float:

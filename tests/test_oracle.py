@@ -101,6 +101,12 @@ class TestBellStates:
         with pytest.raises(ValidationError):
             bell_state("psi")
 
+    def test_unknown_kind_message(self):
+        want = "unknown Bell state 'psi'; expected one of ('psi+', 'psi-', 'phi+', 'phi-')"
+        with pytest.raises(ValidationError) as info:
+            bell_state("psi")
+        assert str(info.value) == want
+
     def test_vectors_match_the_definitions(self):
         for kind in BELL_KINDS:
             v = REFERENCE_BELL[kind]
@@ -146,6 +152,16 @@ class TestWoottersConcurrence:
     def test_maximally_entangled(self):
         for kind in BELL_KINDS:
             assert abs(wootters_concurrence(bell_state(kind)) - 1.0) < 1e-9
+
+    def test_rounding_never_takes_it_past_1(self):
+        # r_1 - r_2 - r_3 - r_4 can round past 1 on a locally rotated Bell
+        # state (up to 1 + 1e-15 on a few of these, with one BLAS build); the
+        # clamp holds it at 1.
+        gen = np.random.default_rng(20261021)
+        for i in range(400):
+            z = gen.normal(size=(2, 2, 2)) + 1j * gen.normal(size=(2, 2, 2))
+            u = np.kron(np.linalg.qr(z[0])[0], np.linalg.qr(z[1])[0])
+            assert wootters_concurrence(u @ bell_state(BELL_KINDS[i % 4]) @ u.conj().T) <= 1.0, i
 
     def test_product_state(self):
         rho = np.zeros((4, 4), dtype=complex)
@@ -220,6 +236,16 @@ class TestValidation:
         rho = np.diag([1.1, -0.1, 0.0, 0.0]).astype(complex)
         with pytest.raises(ValidationError, match="eigenvalue"):
             validate_density_matrix(rho)
+
+    def test_tolerances_end_where_documented(self):
+        # A Hermiticity defect of 1e-12 and an eigenvalue of -1e-10 pass; a
+        # trace 1e-9 off does not.
+        rho = (np.eye(4) / 4).astype(complex)
+        rho[0, 1] = 1e-12
+        validate_density_matrix(rho)
+        validate_density_matrix(np.diag([-1e-10, 0.5, 0.5, 1e-10]).astype(complex))
+        with pytest.raises(ValidationError, match="trace"):
+            validate_density_matrix(np.eye(4) * (0.25 + 1e-9))
 
     def test_accepts_valid_state(self):
         weights = rng.dirichlet([1.0] * 4)

@@ -402,6 +402,24 @@ def _k0(config):
     return oracle._binomial_cdf(n, min(t3, 1.0 - t3))[0]
 
 
+def test_a_table_past_0_events_has_no_idle_draw():
+    # k0 = 1 here: every sample has an event, so no draw may count as idle.
+    k0, _, idle, _, _ = oracle._count_plan(870, 0.02, 0.05, 0.1)
+    assert (k0, idle) == (1, 0)
+
+
+def test_uniforms_are_the_splitmix64_finalizer():
+    # Written out in Python ints: the pinned tallies see only the top bits of
+    # a uniform, so a changed shift can leave every one of them in place.
+    def finalizer(z):
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & (2**64 - 1)
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & (2**64 - 1)
+        return (z ^ (z >> 31)) >> 11
+
+    keys = [0, 1, 2**32 + 7, 0x9E3779B97F4A7C15, 2**64 - 1]
+    assert oracle._uniforms(np.array(keys, dtype=np.uint64)).tolist() == list(map(finalizer, keys))
+
+
 def test_the_pinned_stream_takes_every_count_branch():
     # a table from k0 = 0 and from k0 > 0, each at t3 <= 1/2 and past it
     branches = {(_k0(config) > 0, config[5] > 0.5) for config, _ in PINNED_STREAM}
