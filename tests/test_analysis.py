@@ -1,5 +1,6 @@
 import math
 import sys
+import time
 
 import mpmath
 import numpy as np
@@ -17,6 +18,7 @@ from eprlink import (
     SweepTable,
     ValidationError,
     concurrence,
+    concurrence_vs_length,
     estimate_mu,
     fit_mu,
     sweep,
@@ -197,6 +199,16 @@ class TestThresholdDepolarizing:
         assert math.isclose(got.length_km, math.log(3.0) / 0.032, rel_tol=1e-15)
         assert 34.0 <= got.length_km <= 34.7
 
+    def test_unit_solving(self):
+        assert threshold_depolarizing(math.log(3.0) / 4.0).length_km == pytest.approx(
+            1.0, abs=1e-12
+        )
+
+    def test_zero_rate_never_vanishes(self):
+        result = threshold_depolarizing(0.0)
+        assert not result.is_finite
+        assert result.kind == "never-vanishes"
+
     def test_densities_past_4_5e307_have_subnormal_thresholds(self):
         # 4 mu and 2 mu overflow here; the thresholds are about 2.7e-309 km.
         with mpmath.workdps(50):
@@ -208,12 +220,29 @@ class TestThresholdDepolarizing:
                 for mu in (4.6e307, 1e308, 1.7976931348623157e308):
                     assert _ulps(closed(mu).length_km, constant / mu) <= 1.0, (closed, mu)
 
+    def test_concurrence_vanishes_at_threshold(self):
+        for mu in (0.002, 0.008, 0.05):
+            th = threshold_depolarizing(mu).length_km
+            densities = ErrorDensities(mu, mu, mu)
+            assert concurrence_vs_length(densities, th * (1.0 - 1e-6)) > 0.0
+            assert concurrence_vs_length(densities, th) <= 1e-12
+
 
 class TestThresholdDoubleFlip:
     def test_reference_rate(self):
         got = threshold_double_flip(8e-3)
         assert math.isclose(got.length_km, math.log(1.0 + math.sqrt(2.0)) / 0.016, rel_tol=1e-15)
         assert math.isclose(got.length_km, 55.0858, rel_tol=1e-4)
+
+    def test_defining_equation(self):
+        for mu in (0.004, 0.008, 0.03):
+            th = threshold_double_flip(mu).length_km
+            x = math.exp(-2.0 * mu * th)
+            assert abs(x * x + 2.0 * x - 1.0) < 1e-12
+
+    def test_outlives_depolarizing(self):
+        for mu in rng.uniform(1e-4, 0.2, 20):
+            assert threshold_double_flip(mu).length_km > threshold_depolarizing(mu).length_km
 
     def test_zero_rate_never_vanishes(self):
         result = threshold_double_flip(0.0)
@@ -222,6 +251,66 @@ class TestThresholdDoubleFlip:
 
 
 class TestThresholdGeneric:
+    def test_single_flip_never_vanishes(self):
+        assert not threshold_generic(ErrorDensities(0.008, 0.0, 0.0)).is_finite
+        assert not threshold_generic(ErrorDensities(0.0, 0.1, 0.0)).is_finite
+        assert not threshold_generic(ErrorDensities(0.0, 0.0, 0.0)).is_finite
+
+    def test_matches_depolarizing_closed_form(self):
+        for mu in (0.002, 0.008, 0.05):
+            got = threshold_generic(ErrorDensities(mu, mu, mu)).length_km
+            assert abs(got - threshold_depolarizing(mu).length_km) < 1e-9
+
+    def test_matches_double_flip_closed_form(self):
+        for mu in (0.002, 0.008, 0.05):
+            got = threshold_generic(ErrorDensities(mu, mu, 0.0)).length_km
+            assert abs(got - threshold_double_flip(mu).length_km) < 1e-9
+
+    def test_brackets_the_root(self):
+        for _ in range(50):
+            values = rng.uniform(1e-3, 0.05, 3)
+            if rng.random() < 0.5:
+                values[rng.integers(0, 3)] = 0.0
+            mu = ErrorDensities(*values)
+            result = threshold_generic(mu)
+            assert result.is_finite
+            assert concurrence_vs_length(mu, result.length_km - 1e-6) > 0.0
+            assert concurrence_vs_length(mu, result.length_km) <= 1e-12
+
+    def test_matches_closed_forms_over_float_range(self):
+        # Float spacing exceeds the 1e-10 km tolerance above ~1e6 km; the
+        # bisection must still stop, and the bracket must reach 1e29 km.
+        for mu in np.logspace(-30.0, 3.0, 67):
+            mu = float(mu)
+            for densities, closed in (
+                (ErrorDensities(mu, mu, mu), threshold_depolarizing),
+                (ErrorDensities(mu, mu, 0.0), threshold_double_flip),
+                (ErrorDensities(0.0, mu, mu), threshold_double_flip),
+            ):
+                start = time.perf_counter()
+                got = threshold_generic(densities).length_km
+                assert time.perf_counter() - start < 1.0
+                want = closed(mu).length_km
+                assert abs(got - want) <= max(1e-10, 1e-12 * want)
+
+    def test_matches_closed_forms_at_subnormal_densities(self):
+        # ln(3)/(4 mu) passes the bisection's 2**1023 km reach near mu = 3e-309
+        # and overflows below ~1e-309; there both routes answer never-vanishes.
+        grid = np.concatenate(
+            [np.geomspace(5e-324, 1e-290, 800), np.linspace(1e-309, 8e-309, 36)]
+        )
+        for mu in map(float, grid):
+            for densities, closed in (
+                (ErrorDensities(mu, mu, mu), threshold_depolarizing),
+                (ErrorDensities(mu, mu, 0.0), threshold_double_flip),
+            ):
+                got = threshold_generic(densities).length_km
+                want = closed(mu).length_km
+                if want is None:
+                    assert got is None, mu
+                else:
+                    assert got is not None and abs(got - want) <= 1e-12 * want, mu
+
     def test_matches_mpmath_bisection(self):
         # Generic triples, density ratio up to 1e30, scaled over 1e-270..1e300
         # /km, some with one density 0.
@@ -244,6 +333,32 @@ class TestThresholdGeneric:
                 rates, math.nextafter(t, 0.0)
             ), mu
 
+    def test_low_density_terminates(self):
+        got = threshold_generic(ErrorDensities(1e-9, 1e-9, 1e-9)).length_km
+        assert math.isclose(got, threshold_depolarizing(1e-9).length_km, rel_tol=1e-12)
+
+    @given(
+        st.floats(min_value=5e-324, max_value=1.7e308),
+        st.sampled_from(
+            [
+                ((1, 1, 1), threshold_depolarizing),
+                ((1, 1, 0), threshold_double_flip),
+                ((1, 0, 1), threshold_double_flip),
+                ((0, 1, 1), threshold_double_flip),
+            ]
+        ),
+    )
+    def test_symmetric_patterns_match_closed_forms(self, m, pattern):
+        axes, closed = pattern
+        got = threshold_generic(ErrorDensities(*(m * a for a in axes))).length_km
+        want = closed(m).length_km
+        if got is None or want is None:
+            # Both never-vanish, or they fall either side of the 2**1023 km reach.
+            reach = 2.0**1023
+            assert got == want or _ulps(reach, got or want) <= 4.0, m
+        else:
+            assert _ulps(want, got) <= 4.0, m
+
     @pytest.mark.parametrize(
         "densities",
         [
@@ -257,6 +372,10 @@ class TestThresholdGeneric:
         mu = ErrorDensities(*densities)
         got = threshold_generic(mu).length_km
         assert _ulps(got, _mp_threshold(mu, got)) <= 4.0
+
+    def test_smallest_densities_never_vanish(self):
+        # The threshold, ln(3) / (4 * 5e-324) km, is past the 2**1023 km reach.
+        assert not threshold_generic(ErrorDensities(5e-324, 5e-324, 5e-324)).is_finite
 
     def test_threshold_of_exactly_2_1023_km_is_finite(self):
         mu = ErrorDensities(*(k * 5e-324 for k in (618463736733781, 618463736733794, 618463736733805)))
@@ -307,6 +426,13 @@ class TestThresholdGeneric:
             threshold_generic(mu)
         assert str(info.value) == f"error densities {named} /km are too far apart"
 
+    def test_criterion_that_never_falls_raises_instead_of_hanging(self, monkeypatch):
+        # The upper end doubles up to the largest float, about 1024 steps, and
+        # stops there: an unbounded doubling loop never returns.
+        monkeypatch.setattr(analysis, "_raw_concurrence", lambda rates, length: 1.0)
+        with pytest.raises(NumericError, match="^could not bracket the threshold$"):
+            threshold_generic(ErrorDensities(0.01, 0.02, 0.0))
+
     def test_bracket_starts_near_the_root(self, monkeypatch):
         # The bracket starts just inside Jensen's bound, a few evaluations from
         # the root: these 300 triples per pattern take 1530 (depolarizing) and
@@ -338,6 +464,36 @@ class TestThresholdGeneric:
 
 
 class TestEstimateMu:
+    def test_drift_observation(self):
+        mu = estimate_mu(MeasurementPoint(0.01, 0.4))
+        assert 8.3e-3 <= mu <= 8.5e-3
+
+    def test_qber_observation(self):
+        mu = estimate_mu(MeasurementPoint(0.043, 1.45))
+        assert 1.00e-2 <= mu <= 1.04e-2
+
+    def test_zero_qber(self):
+        assert estimate_mu(MeasurementPoint(0.0, 5.0)) == 0.0
+
+    @pytest.mark.parametrize("qber", [0.0, 1e-20, 5e-324])
+    @pytest.mark.parametrize("length", [1.0, 5e-324, 1e308])
+    def test_zero_estimate_is_positive_zero(self, qber, length):
+        # -ln(1) / 4 / L is -0.0; the estimate, and the fit of that one point, is 0.0
+        point = MeasurementPoint(qber, length)
+        assert estimate_mu(point).hex() == "0x0.0p+0"
+        assert fit_mu([point])[0].hex() == "0x0.0p+0"
+
+    def test_round_trips_the_forward_model(self):
+        # 4 mu L capped at 10: beyond that the qber sits within 1e-5 of the
+        # 0.75 floor and the 1 - q cancellation alone costs more than 1e-12
+        for _ in range(100):
+            mu = rng.uniform(1e-4, 0.1)
+            exponent = rng.uniform(0.004, 10.0)
+            length = exponent / (4.0 * mu)
+            qber = 0.75 * (1.0 - math.exp(-exponent))
+            recovered = estimate_mu(MeasurementPoint(qber, length))
+            assert math.isclose(recovered, mu, rel_tol=1e-12)
+
     def test_estimate_of_exactly_the_largest_float_is_returned(self):
         point = MeasurementPoint(0.5999999999999999, 2.2381988911547e-309)
         assert estimate_mu(point) == sys.float_info.max
@@ -354,11 +510,60 @@ class TestEstimateMu:
         assert got > 0.0
         assert abs(got - want) <= 1e-12 * want
 
+    def test_unchanged_where_4l_is_finite(self):
+        # the overflow-safe division rounds exactly as -ln(...) / (4 L) does
+        gen = np.random.default_rng(20261018)
+        for _ in range(2000):
+            qber = float(gen.choice([gen.uniform(0.0, 0.75), 10.0 ** gen.uniform(-320.0, -0.2)]))
+            length = float(10.0 ** gen.uniform(-323.0, math.log10(4.4e307)))
+            if length == 0.0:
+                continue
+            point = MeasurementPoint(qber, length)
+            # + 0.0 turns the -0.0 of a logarithm that rounds to 0 into 0.0
+            direct = -math.log((3.0 - 4.0 * qber) / 3.0) / (4.0 * length) + 0.0
+            if math.isinf(direct):
+                with pytest.raises(DomainError, match="implied error density overflows"):
+                    estimate_mu(point)
+            else:
+                assert estimate_mu(point).hex() == direct.hex()
+
 
 class TestFitMu:
     def test_empty_input(self):
         with pytest.raises(ValidationError, match="^at least one measurement point is required$"):
             fit_mu([])
+
+    def test_single_point_reduces_to_estimate(self):
+        point = MeasurementPoint(0.01, 0.4)
+        mu, rms = fit_mu([point])
+        assert mu == estimate_mu(point)
+        assert rms < 1e-12
+
+    def test_recovers_noiseless_synthetic_data(self):
+        true_mu = 0.01
+        points = [
+            MeasurementPoint(0.75 * (1.0 - math.exp(-4.0 * true_mu * length)), length)
+            for length in (1.0, 5.0, 10.0, 20.0)
+        ]
+        mu, rms = fit_mu(points)
+        assert abs(mu - true_mu) < 1e-9
+        assert rms < 1e-12
+
+    def test_fit_bracketed_by_per_point_estimates(self):
+        points = [MeasurementPoint(0.01, 0.4), MeasurementPoint(0.043, 1.45)]
+        mu, _ = fit_mu(points)
+        lo, hi = sorted(estimate_mu(p) for p in points)
+        assert lo <= mu <= hi
+
+    def test_points_beyond_decay_underflow(self):
+        # exp(-4 mu L) underflows at the first bracket end, mu = 1/km
+        true_mu = 1e-3
+        points = [
+            MeasurementPoint(0.75 * (1.0 - math.exp(-4.0 * true_mu * length)), length)
+            for length in (200.0, 300.0, 400.0)
+        ]
+        mu, _ = fit_mu(points)
+        assert math.isclose(mu, true_mu, rel_tol=1e-9)
 
     # Campaigns whose fit is not the reference's: eight moved 2 to 124 ulps
     # inside the slope's band of noisy signs, and 417 to the other local
@@ -393,6 +598,62 @@ class TestFitMu:
             if [mu.hex(), rms.hex()] != [v.hex() for v in _reference_fit_mu(points)]:
                 moved.append(i)
         assert tuple(moved) == self._MOVED_FROM_REFERENCE
+
+    def test_single_point_past_the_float_range_raises(self):
+        # estimate_mu and fit_mu raise as the CLI does
+        point = MeasurementPoint(0.7499999999, 1e-320)
+        for call in (estimate_mu, lambda p: fit_mu([p])):
+            with pytest.raises(DomainError) as info:
+                call(point)
+            assert str(info.value) == (
+                "implied error density overflows: qber 0.7499999999 at 1e-320 km"
+                " needs more than 1.798e+308 /km"
+            )
+
+    def test_densities_where_4_mu_overflows(self):
+        # mu = 6.8e307 /km, past ~4.5e307, where 4 mu overflows and mu L does not
+        point = MeasurementPoint(0.7, 1e-308)
+        assert fit_mu([point]) == (estimate_mu(point), 0.0)
+        mu, rms = fit_mu([point, point])
+        assert math.isclose(mu, estimate_mu(point), rel_tol=1e-12)
+        assert rms < 1e-12
+
+    def test_all_zero_qber(self):
+        mu, rms = fit_mu([MeasurementPoint(0.0, 1.0), MeasurementPoint(0.0, 2.0)])
+        assert mu == 0.0 and rms == 0.0
+
+    def test_estimates_that_round_to_zero_bracket_the_optimum(self):
+        # log((3 - 4e-20) / 3) rounds to 0, so each estimate is 0.0.  The
+        # optimum, near 1e-20 / (3e308) /km, underflows: the slope is
+        # negative at 0 and positive at 5e-324, whose midpoint rounds to 0.0.
+        point = MeasurementPoint(1e-20, 1e308)
+        assert estimate_mu(point) == 0.0
+        mu, rms = fit_mu([point, point])
+        assert (mu.hex(), rms) == ("0x0.0p+0", 1e-20)
+
+    def test_slope_that_underflows_everywhere_raises_without_cycling(self):
+        # At 5e-324 km, mu L < 9e-16 for every float mu, so |model - qber| <
+        # 3e-15, and each slope term 6 (model - qber) L decay underflows to
+        # +-0: the slope has no sign change in [0, largest float], and no
+        # bracket exists.  The upper end doubles from 5e-324 to the largest
+        # float, each mu once, and then the fit raises.
+        seen = []
+
+        def record(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "derivative":
+                seen.append(frame.f_locals["mu"])
+
+        point = MeasurementPoint(1e-20, 5e-324)
+        sys.setprofile(record)
+        try:
+            with pytest.raises(NumericError, match="could not bracket the least-squares optimum"):
+                fit_mu([point, point])
+        finally:
+            sys.setprofile(None)
+        assert seen[:2] == [0.0, 0.0]
+        assert seen[2:] == sorted(set(seen[2:]))
+        assert seen[-1] == sys.float_info.max
+        assert len(seen) <= 2 + 1074 + 1024 + 1
 
 
 def _plain_bisection_evaluations(f, pos, neg):
@@ -468,6 +729,15 @@ def _bounded_bisect(f, pos, neg):
 
 class TestBisect:
     @pytest.mark.parametrize(
+        "f, pos, neg", list(_ADVERSARIAL_CRITERIA.values()), ids=list(_ADVERSARIAL_CRITERIA)
+    )
+    def test_contract_on_adversarial_criteria(self, f, pos, neg):
+        p, n = _bounded_bisect(f, pos, neg)
+        assert math.nextafter(min(p, n), math.inf) == max(p, n)
+        assert (p > n) == (pos > neg)
+        assert f(p) > 0.0 and not f(n) > 0.0
+
+    @pytest.mark.parametrize(
         "name, ends",
         [
             # The secant point is nan: the midpoint is taken.
@@ -490,6 +760,15 @@ class TestBisect:
                 _bounded_bisect(*_NO_SIGN_CHANGE[name])
         else:
             assert _bounded_bisect(*_ADVERSARIAL_CRITERIA[name]) == ends
+
+    def test_smooth_criteria_take_a_fifth_of_bisection_steps(self):
+        # Without the Illinois halving the logarithm takes 477 steps, not 96,
+        # after the evaluations of its two ends.
+        for name in ("", ", concave", ", logarithmic"):
+            f, pos, neg = _ADVERSARIAL_CRITERIA["whole float range" + name]
+            calls = []
+            _bisect(lambda x: calls.append(x) or f(x), pos, neg, "a root")
+            assert 5 * len(calls) < _plain_bisection_evaluations(f, pos, neg), name
 
 
 def _reference_sweep(mu, l_max, steps):
@@ -542,6 +821,43 @@ class TestSweep:
             for row in table.rows:
                 assert BellDiagonal(*_bell_weights(rates, row.length_km)).a == row.fidelity
 
+    @pytest.mark.parametrize(
+        "densities", [(1e308, 1e308, 1e308), (5e307, 5e307, 0.0), (0.0, 0.0, 1e308)]
+    )
+    @pytest.mark.parametrize("l_max", [60.0, 5e-324])
+    def test_overflowing_decay_rates_are_rejected(self, densities, l_max):
+        # one, two or three of the rates -2 (mu_i + mu_j) overflow to -inf,
+        # and row 0 is 0 * -inf = nan, before any grid length is compared
+        with pytest.raises(ValidationError) as info:
+            sweep(ErrorDensities(*densities), l_max, 4)
+        assert str(info.value) == "Bell weight a must be a finite number, got nan"
+
+    def test_grid_contract(self):
+        mu = ErrorDensities(0.008, 0.008, 0.008)
+        table = sweep(mu, 60.0, 120)
+        assert len(table.rows) == 121
+        first = table.rows[0]
+        assert (first.length_km, first.concurrence, first.fidelity) == (0.0, 1.0, 1.0)
+        lengths = [r.length_km for r in table.rows]
+        assert lengths == sorted(lengths)
+        assert math.isclose(lengths[-1], 60.0, rel_tol=1e-15)
+
+    def test_zero_beyond_depolarizing_threshold(self):
+        mu = 0.008
+        th = threshold_depolarizing(mu).length_km
+        table = sweep(ErrorDensities(mu, mu, mu), 60.0, 120)
+        for row in table.rows:
+            if row.length_km < th - 0.5:
+                assert row.concurrence > 0.0
+            elif row.length_km > th:
+                assert row.concurrence == 0.0
+
+    def test_non_increasing(self):
+        mu = ErrorDensities(*rng.uniform(0.001, 0.05, 3))
+        table = sweep(mu, 80.0, 200)
+        values = [r.concurrence for r in table.rows]
+        assert all(b <= a for a, b in zip(values, values[1:]))
+
     def test_rows_are_named_tuples(self):
         row = sweep(ErrorDensities(0.008, 0.008, 0.008), 60.0, 120).rows[60]
         assert SweepRow._fields == ("length_km", "concurrence", "fidelity")
@@ -556,12 +872,32 @@ class TestSweep:
         with pytest.raises(AttributeError):
             row.concurrence = 0.5
 
+    def test_lengths_that_round_together_are_rejected(self):
+        # 5e-324 * (i / 4) rounds to 0 km for i = 0, 1, 2
+        with pytest.raises(ValidationError, match="sweep lengths must be strictly increasing"):
+            sweep(ErrorDensities(0.01, 0.02, 0.03), 5e-324, 4)
+
     def test_table_rejects_rising_concurrence(self):
         rows = (SweepRow(0.0, 0.5, 0.75), SweepRow(1.0, 0.6, 0.8))
         with pytest.raises(ValidationError, match="sweep concurrence must be non-increasing"):
             SweepTable(rows)
         # A rise of the 1e-12 tolerance itself passes.
         assert SweepTable((SweepRow(0.0, 0.5, 0.75), SweepRow(1.0, 0.5 + 1e-12, 0.8))).rows[1][1] > 0.5
+
+    @pytest.mark.parametrize(
+        "rows, field",
+        [
+            ((SweepRow(0.0, 1.0, 1.0), SweepRow(math.nan, 0.5, 0.75)), "length_km"),
+            ((SweepRow(math.nan, 1.0, 1.0),), "length_km"),
+            ((SweepRow(0.0, 1.0, 1.0), SweepRow(5.0, math.nan, 0.7)), "concurrence"),
+            ((SweepRow(0.0, math.nan, 1.0),), "concurrence"),
+        ],
+    )
+    def test_table_rejects_nan(self, rows, field):
+        # Each field is checked before the rows are compared, in row 0 and after it.
+        with pytest.raises(ValidationError) as info:
+            SweepTable(rows)
+        assert str(info.value) == f"{field} must be a finite number, got nan"
 
     @pytest.mark.parametrize(
         "rows, message",
@@ -581,3 +917,45 @@ class TestSweep:
         with pytest.raises(ValidationError, match=message):
             SweepTable(rows)
 
+    def test_rows_equal_transmit_at_length_bit_for_bit(self):
+        # log-uniform densities over 1e-30..1e3 /km, plus subnormal ones;
+        # grids reach from well inside to far beyond the decay length
+        gen = np.random.default_rng(20261019)
+        mus = [ErrorDensities(*(10.0 ** gen.uniform(-30.0, 3.0, 3))) for _ in range(30)]
+        mus += [ErrorDensities(*(10.0 ** gen.uniform(-30.0, 3.0, 2)), 0.0) for _ in range(10)]
+        mus += [
+            ErrorDensities(5e-324, 5e-324, 5e-324),
+            ErrorDensities(2.2250738585072014e-308, 1e-310, 0.0),
+            ErrorDensities(1e-320, 0.0, 3e-322),
+        ]
+        for mu in mus:
+            for l_max in (min(1e308, 10.0 ** gen.uniform(-2.0, 1.0) / sum(mu.as_tuple())), 1e308):
+                steps = int(gen.integers(2, 80))
+                table = sweep(mu, l_max, steps)
+                assert len(table.rows) == steps + 1
+                for i, row in enumerate(table.rows):
+                    state = transmit_at_length(mu, LinkGeometry(row.length_km, 0.0))
+                    got = (row.length_km, row.concurrence, row.fidelity)
+                    want = (l_max * (i / steps), concurrence(state), state.a)
+                    assert [v.hex() for v in got] == [v.hex() for v in want], (mu, l_max, i)
+
+    def test_rows_with_clamped_noise_equal_transmit_at_length_bit_for_bit(self):
+        # One density, two equal ones, or three equal ones: weights that are
+        # 0 in exact arithmetic come out of the closed form as +-1e-17 noise,
+        # which BellDiagonal clamps.  The sweep keeps a without building one.
+        gen = np.random.default_rng(20261024)
+        noisy = 0
+        for _ in range(40):
+            m = float(10.0 ** gen.uniform(-4.0, 1.0))
+            for densities in ((m, 0.0, 0.0), (0.0, m, m), (m, 0.0, m), (m, m, m)):
+                mu = ErrorDensities(*densities)
+                l_max = float(10.0 ** gen.uniform(-1.0, 1.0)) / m
+                table = sweep(mu, l_max, 60)
+                for row in table.rows:
+                    weights = _bell_weights(_decay_rates(mu), row.length_km)
+                    noisy += min(weights) < 0.0
+                    state = transmit_at_length(mu, LinkGeometry(row.length_km, 0.0))
+                    got = (row.concurrence, row.fidelity)
+                    want = (concurrence(state), state.a)
+                    assert [v.hex() for v in got] == [v.hex() for v in want], (mu, row)
+        assert noisy > 500
