@@ -377,9 +377,13 @@ class TestThresholdGeneric:
         # The threshold, ln(3) / (4 * 5e-324) km, is past the 2**1023 km reach.
         assert not threshold_generic(ErrorDensities(5e-324, 5e-324, 5e-324)).is_finite
 
-    def test_threshold_of_exactly_2_1023_km_is_finite(self):
-        mu = ErrorDensities(*(k * 5e-324 for k in (618463736733781, 618463736733794, 618463736733805)))
-        assert threshold_generic(mu).length_km == 2.0**1023
+    def test_threshold_of_exactly_2_1023_km_is_finite(self, monkeypatch):
+        # Densities of 5e-324 times 618463736733781, ...794 and ...805 /km have
+        # a root of exactly 2**1023 km with glibc's libm; a stand-in solver puts
+        # the scaled root there on any libm.
+        e = math.frexp(5e-324)[1]
+        monkeypatch.setattr(analysis, "_bisect", lambda f, lo, hi, what: (lo, math.ldexp(2.0**1023, e)))
+        assert threshold_generic(ErrorDensities(5e-324, 5e-324, 5e-324)).length_km == 2.0**1023
 
     def test_bit_identical_to_reference_threshold(self):
         # Generic triples, density ratio up to 1e30, scaled over 1e-300..1e300
@@ -495,8 +499,14 @@ class TestEstimateMu:
             assert math.isclose(recovered, mu, rel_tol=1e-12)
 
     def test_estimate_of_exactly_the_largest_float_is_returned(self):
-        point = MeasurementPoint(0.5999999999999999, 2.2381988911547e-309)
-        assert estimate_mu(point) == sys.float_info.max
+        # The length is found from the logarithm as this libm rounds it, so
+        # the quotient is exactly the largest float.
+        qber = 0.7499999999
+        log = -math.log((3.0 - 4.0 * qber) / 3.0) / 4.0
+        near = log / sys.float_info.max
+        length = next(x for x in (near, math.nextafter(near, 0.0), math.nextafter(near, 1.0))
+                      if log / x == sys.float_info.max)
+        assert estimate_mu(MeasurementPoint(qber, length)) == sys.float_info.max
 
     @pytest.mark.parametrize(
         "qber, length", [(0.5, 1e308), (0.5, 4.5e307), (0.01, 1.7976931348623157e308), (0.7, 6e307)]

@@ -3,8 +3,8 @@
 Run by hand from the repository root, stdlib only, after tier-1 passes:
 
     python tools/mutate.py list [FILE ...]
-    python tools/mutate.py run --out DIR [--jobs 2] [--timeout 120] [FILE ...]
-    python tools/mutate.py report --out DIR [--protect PATTERN ...]
+    python tools/mutate.py run --out DIR [FILE ...]
+    python tools/mutate.py report --out DIR
 
 FILE names modules of ``src/eprlink`` (``epr.py``); the default is all of
 them.  ``list`` prints one line per mutant.  The operators are: swap + with -
@@ -19,18 +19,21 @@ each line of ``src/eprlink``.  Each mutant is then written into a copy and
 tier-1 is run there on the test functions that execute the mutated lines,
 or on the whole suite when the site runs at import time or no traced test
 reaches it (subprocesses are not traced).  A mutant that survives a partial
-run is run again on the whole suite.  A run past ``--timeout`` seconds is a
-hang, not a kill.  Last, every kill is confirmed by re-running its failing
-test functions with no other run in parallel; only those that fail again
-count, so contention cannot turn a wall-clock gate into a killer.  Results
-go to DIR/results.jsonl, one JSON line per mutant, and a second ``run``
-with the same DIR resumes.  Parametrized cases fold into their function.
+run is run again on the whole suite, so the selection can miss a killer (one
+that reaches the line in a subprocess or through a cache an earlier test
+filled) but never a kill.  `JOBS` runs go at once, and a run past `TIMEOUT`
+seconds is a hang, not a kill.  Last, every kill is confirmed by re-running
+its failing test functions with no other run in parallel; only those that
+fail again count, so contention cannot turn a wall-clock gate into a
+killer.  Results go to DIR/results.jsonl, one JSON line per mutant, and a
+second ``run`` with the same DIR resumes.  Parametrized cases fold into
+their function.
 
 ``report`` prints the counts, every survivor and hang, and the greedy prune:
-a test function that no pattern of `PROTECTED` or ``--protect`` matches is
-deleted when every mutant it kills is also killed by a test still kept,
-largest (in lines) first, recomputing after each deletion.  A test that
-kills nothing is kept and listed: it checks what the operators cannot reach.
+a test function that no pattern of `PROTECTED` matches is deleted when
+every mutant it kills is also killed by a test still kept, largest (in
+lines) first, recomputing after each deletion.  A test that kills nothing is
+kept and listed: it checks what the operators cannot reach.
 """
 
 from __future__ import annotations
@@ -74,6 +77,10 @@ SWAPS = {
     "AttributeError": "LookupError",
 }
 MESSAGE = "'mutated message'"
+# Suite runs at once (each in its own copy of the checkout), and the seconds
+# after which a run is a hang: a whole tier-1 run takes 12-17 s on 2 cores.
+JOBS = 2
+TIMEOUT = 120.0
 # Test functions `report` never deletes, as fnmatch patterns.
 PROTECTED = (
     # The acceptance gates, the CLI corpus, the signature-checked tables and
@@ -326,7 +333,7 @@ def run(args):
         done = {r["id"]: r for r in map(json.loads, results_path.read_text(encoding="utf-8").splitlines())}
     every = all_sites(args.files)
     todo = [s for s in every if s.id not in done]
-    works = [_copy(out, f"work{i}") for i in range(args.jobs)]
+    works = [_copy(out, f"work{i}") for i in range(JOBS)]
     free, lock = list(works), threading.Lock()
 
     def attempt(site, tests):
@@ -336,7 +343,7 @@ def run(args):
         original = path.read_text(encoding="utf-8")
         try:
             path.write_text(site.apply(original), encoding="utf-8")
-            return run_tests(work, tests, args.timeout)
+            return run_tests(work, tests, TIMEOUT)
         finally:
             path.write_text(original, encoding="utf-8")
             with lock:
@@ -353,7 +360,7 @@ def run(args):
         status = "hung" if code == "hung" else "killed" if failed else "survived" if code == 0 else f"exit {code}"
         return {"id": site.id, "status": status, "failed": failed, "selected": len(tests)}
 
-    with open(results_path, "a", encoding="utf-8") as log, ThreadPoolExecutor(args.jobs) as pool:
+    with open(results_path, "a", encoding="utf-8") as log, ThreadPoolExecutor(JOBS) as pool:
         for n, result in enumerate(pool.map(one, todo), 1):
             done[result["id"]] = result
             log.write(json.dumps(result) + "\n")
@@ -397,7 +404,7 @@ def report(args):
     print("\nkill no mutant, kept:", *sorted(set(sizes) - set(kills)), sep="\n  ")
     kept = set(kills)
     for test in sorted(kills, key=lambda t: (-sizes.get(t, 0), t)):
-        if test not in sizes or any(fnmatch.fnmatchcase(test, p) for p in PROTECTED + tuple(args.protect)):
+        if test not in sizes or any(fnmatch.fnmatchcase(test, p) for p in PROTECTED):
             continue
         if kills[test] <= set().union(*(kills[t] for t in kept if t != test)):
             kept.discard(test)
@@ -428,9 +435,6 @@ def main(argv=None):
             p.add_argument("--out", required=True, help="results directory, outside the checkout")
         if name != "report":
             p.add_argument("files", nargs="*", default=files, help="modules of src/eprlink")
-    sub.choices["run"].add_argument("--jobs", type=int, default=2)
-    sub.choices["run"].add_argument("--timeout", type=float, default=120.0, help="seconds before a run is a hang")
-    sub.choices["report"].add_argument("--protect", nargs="*", default=[], help="more fnmatch patterns never deleted")
     args = parser.parse_args(argv)
     if args.command == "list":
         for site in all_sites(args.files):
