@@ -291,14 +291,14 @@ def _bisect(f, pos, neg, what):
     # returned as (pos, neg), either end the larger.  First an end on the
     # wrong side, neg first, hands its place to the other end and steps away
     # from it (so it must be >= 0): down by halving, up by doubling to at most
-    # the largest float (5e-324 from 0); on equal ends neg steps down.  It
+    # the largest float (a pos of 0 to 5e-324); on equal ends neg steps down.  It
     # raises NumericError "could not bracket <what>" at 0 or the largest float.
     f_pos, f_neg = f(pos), f(neg)
     up = neg > pos
     while f_neg > 0.0:
         if neg == (_FLOAT_MAX if up else 0.0):
             raise NumericError(f"could not bracket {what}")
-        pos, f_pos, neg = neg, f_neg, (min(2.0 * neg, _FLOAT_MAX) or 5e-324) if up else 0.5 * neg
+        pos, f_pos, neg = neg, f_neg, min(2.0 * neg, _FLOAT_MAX) if up else 0.5 * neg
         f_neg = f(neg)
     while not f_pos > 0.0:
         if pos == (0.0 if up else _FLOAT_MAX):

@@ -256,8 +256,8 @@ def _fold_tally(seed, samples, n, t1, t2, t3) -> np.ndarray:
         return np.array([samples, 0, 0, 0], dtype=np.int64)
     k0, table, idle, c1, c2 = _count_plan(n, t1, t2, t3)
     base = np.uint64(seed * _K0 & _MASK64)
-    # rows * n < 2**64, so a pass's event total is a uint64
-    rows = max(1, min(_PASS, _MASK64 // n))
+    # rows * n < 2**64, so a pass's event total is a uint64; n < 2**64 gives rows >= 1
+    rows = min(_PASS, _MASK64 // n)
     tally = np.zeros(4, dtype=np.int64)
     for lo in range(0, samples, rows):
         row = np.arange(lo, min(samples, lo + rows), dtype=np.uint64)
