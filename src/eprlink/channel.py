@@ -327,7 +327,20 @@ def compose(first: PauliProbs, second: PauliProbs) -> PauliProbs:
     """
     first = first if type(first) is PauliProbs else PauliProbs(*first)
     second = second if type(second) is PauliProbs else PauliProbs(*second)
-    return _probabilities(PauliProbs, _convolve(first, second))
+    product = _convolve(first, second)
+    try:
+        return _probabilities(PauliProbs, product)
+    except ValidationError:
+        return _rescaled(PauliProbs, product)
+
+
+def _rescaled(cls, values):
+    # `values` divided by their sum, as a `cls`.  A product of two
+    # distributions sums to the product of their sums, so two inputs that each
+    # pass the 1e-12 check may give one that misses it; `compose` and
+    # `epr.transmit` call this only then, so a product that passes keeps its bits.
+    total = math.fsum(values)
+    return _probabilities(cls, [value / total for value in values])
 
 
 def iterate(p: PauliProbs, n: int) -> PauliProbs:

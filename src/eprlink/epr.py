@@ -31,8 +31,10 @@ from .channel import (
     _Probabilities,
     _probabilities,
     _real,
+    _rescaled,
     at_length,
 )
+from .errors import ValidationError
 
 __all__ = [
     "BellDiagonal",
@@ -80,7 +82,11 @@ def transmit(r: PauliProbs, s: PauliProbs) -> BellDiagonal:
     """
     r = r if type(r) is PauliProbs else PauliProbs(*r)
     s = s if type(s) is PauliProbs else PauliProbs(*s)
-    return _probabilities(BellDiagonal, _bell_order(_convolve(r, s)))
+    weights = _bell_order(_convolve(r, s))
+    try:
+        return _probabilities(BellDiagonal, weights)
+    except ValidationError:
+        return _rescaled(BellDiagonal, weights)
 
 
 def _bell_order(klein):

@@ -380,6 +380,10 @@ class TestCliAnswers:
              "results": {"weights": {"a": 0.0, "b": 0.0, "c": 1.0, "d": 0.0},
                          "fidelity_psi_plus": 0.0, "concurrence": 1.0,
                          "dominant_bell_state": "phi+"}}),
+        # Each arm sums to 1 + 9e-13 (accepted), their product to 1 + 1.8e-12 (rescaled).
+        "transmit-explicit-channels-each-just-past-1": (
+            ("transmit", "--r", "0.5000000000009,0.5,0,0", "--s", "0.5000000000009,0.5,0,0",
+             "--format", "csv"), None, "a,b,c,d,fidelity,concurrence\n0.5,0,0.5,0,0.5,0\n"),
         # L1 + L2 = 2e308 km overflows.
         "transmit-past-the-float-range-noiseless": (
             ("transmit", "--mu", "0,0,0", "--l1", "1e308", "--l2", "1e308", "--format", "csv"),

@@ -10,6 +10,7 @@ from eprlink import (
     PauliProbs,
     ValidationError,
     at_length,
+    compose,
     concurrence,
     concurrence_vs_length,
     dominant_bell_state,
@@ -22,14 +23,6 @@ from eprlink.channel import _convolve
 rng = np.random.default_rng(20240502)
 
 NP_NEG_INF = np.float64("-inf")
-
-
-def random_probs():
-    return PauliProbs(*rng.dirichlet([1.0] * 4))
-
-
-def weights_close(got, want, tol=1e-12):
-    assert max(abs(g - w) for g, w in zip(got.as_tuple(), want.as_tuple())) <= tol
 
 
 class TestBellDiagonal:
@@ -80,40 +73,18 @@ class TestTransmit:
         flip = PauliProbs(0.0, 1.0, 0.0, 0.0)
         assert transmit(flip, PauliProbs(1.0, 0.0, 0.0, 0.0)).as_tuple() == (0.0, 0.0, 1.0, 0.0)
 
-    def test_normalized(self):
-        for _ in range(100):
-            state = transmit(random_probs(), random_probs())
-            assert abs(sum(state.as_tuple()) - 1.0) <= 1e-12
-
-    def test_swap_symmetry(self):
-        for _ in range(100):
-            r, s = random_probs(), random_probs()
-            c1 = concurrence(transmit(r, s))
-            c2 = concurrence(transmit(s, r))
-            assert abs(c1 - c2) <= 1e-15
+    def test_pairs_accepted_one_at_a_time_compose(self):
+        # Each sums to 1 + 9e-13, inside the tolerance; the product sums to
+        # 1 + 1.8e-12, outside it, and is divided by its sum.
+        r = PauliProbs(0.5000000000009, 0.5, 0.0, 0.0)
+        assert compose(r, r).as_tuple() == (0.5, 0.5, 0.0, 0.0)
+        assert transmit(r, r).as_tuple() == (0.5, 0.0, 0.5, 0.0)
 
 
 class TestTransmitAtLength:
     def test_zero_geometry(self):
         mu = ErrorDensities(0.01, 0.02, 0.03)
         assert transmit_at_length(mu, LinkGeometry(0.0, 0.0)).as_tuple() == (1.0, 0.0, 0.0, 0.0)
-
-    def test_only_total_length_matters(self):
-        for _ in range(20):
-            mu = ErrorDensities(*rng.uniform(0.0, 0.1, 3))
-            total = rng.uniform(0.1, 40.0)
-            reference = transmit_at_length(mu, LinkGeometry(total, 0.0))
-            for frac in np.linspace(0.0, 1.0, 10):
-                split = transmit_at_length(mu, LinkGeometry(total * frac, total * (1 - frac)))
-                weights_close(split, reference)
-
-    def test_matches_per_arm_composition(self):
-        for _ in range(50):
-            mu = ErrorDensities(*rng.uniform(0.0, 0.1, 3))
-            l1, l2 = rng.uniform(0.0, 25.0, 2)
-            direct = transmit_at_length(mu, LinkGeometry(l1, l2))
-            via_arms = transmit(at_length(mu, l1), at_length(mu, l2))
-            weights_close(direct, via_arms)
 
     def test_psi_plus_dominates(self):
         for _ in range(100):
@@ -145,20 +116,6 @@ class TestConcurrence:
 class TestFidelity:
     def test_identity(self):
         assert fidelity_psi_plus(BellDiagonal(1.0, 0.0, 0.0, 0.0)) == 1.0
-
-    def test_bit_flip_channel(self):
-        mu, length = 0.008, 20.0
-        state = transmit_at_length(ErrorDensities(mu, 0.0, 0.0), LinkGeometry(length, 0.0))
-        assert math.isclose(
-            fidelity_psi_plus(state), 0.5 * (1.0 + math.exp(-2 * mu * length)), rel_tol=1e-14
-        )
-
-    def test_depolarizing_channel(self):
-        mu, length = 0.008, 20.0
-        state = transmit_at_length(ErrorDensities(mu, mu, mu), LinkGeometry(length, 0.0))
-        assert math.isclose(
-            fidelity_psi_plus(state), 0.25 * (1.0 + 3.0 * math.exp(-4 * mu * length)), rel_tol=1e-14
-        )
 
 
 class TestConcurrenceVsLength:
@@ -210,17 +167,6 @@ class TestDoubleFlip:
             e = math.exp(-2 * mu * length)
             want = 0.5 * max(0.0, e * e + 2 * e - 1.0)
             assert abs(concurrence(state) - want) <= 1e-14
-
-    def test_matches_the_closed_form(self):
-        # a = (1 + e)^2 / 4, b = (1 - e)^2 / 4, c = d = (1 - e^2) / 4 with
-        # e = exp(-2 mu L).
-        for _ in range(30):
-            mu = rng.uniform(0.001, 0.1)
-            length = rng.uniform(0.0, 60.0)
-            e = math.exp(-2.0 * mu * length)
-            cross = (1.0 - e * e) / 4.0
-            want = BellDiagonal((1.0 + e) ** 2 / 4.0, (1.0 - e) ** 2 / 4.0, cross, cross)
-            weights_close(double_flip(mu, length), want)
 
 
 class TestOneClosedForm:

@@ -5,6 +5,7 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+from conftest import HANG_S
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("mutate", ROOT / "tools" / "mutate.py")
@@ -40,3 +41,7 @@ def test_a_raise_has_three_mutants():
         "f.py:3:15:raise-class:ValidationError->" + mutate.SWAPS["ValidationError"]:
             f"raise {mutate.SWAPS['ValidationError']}(f'bad {{x}}')",
     }
+
+
+def test_a_run_allows_the_watchdog_for_each_test():
+    assert mutate.HANG_S == HANG_S

@@ -22,12 +22,13 @@ reaches it (subprocesses are not traced).  A mutant that survives a partial
 run is run again on the whole suite, so the selection can miss a killer (one
 that reaches the line in a subprocess or through a cache an earlier test
 filled) but never a kill.  `JOBS` runs go at once, and a run past `TIMEOUT`
-seconds is a hang, not a kill.  Last, every kill is confirmed by re-running
-its failing test functions with no other run in parallel; only those that
-fail again count, so contention cannot turn a wall-clock gate into a
-killer.  Results go to DIR/results.jsonl, one JSON line per mutant, and a
-second ``run`` with the same DIR resumes.  Parametrized cases fold into
-their function.
+seconds plus `HANG_S` for each test function it runs is a hang, not a kill:
+a mutant whose every test runs into the suite's watchdog is killed.  Last,
+every kill is confirmed by re-running its failing test functions with no
+other run in parallel; only those that fail again count, so contention
+cannot turn a wall-clock gate into a killer.  Results go to
+DIR/results.jsonl, one JSON line per mutant, and a second ``run`` with the
+same DIR resumes.  Parametrized cases fold into their function.
 
 ``report`` prints the counts, every survivor and hang, and the greedy prune:
 a test function that no pattern of `PROTECTED` matches is deleted when
@@ -78,9 +79,16 @@ SWAPS = {
 }
 MESSAGE = "'mutated message'"
 # Suite runs at once (each in its own copy of the checkout), and the seconds
-# after which a run is a hang: a whole tier-1 run takes 12-17 s on 2 cores.
+# a run may take besides `HANG_S` per test function: a whole tier-1 run takes
+# 12-17 s on 2 cores.
 JOBS = 2
 TIMEOUT = 120.0
+# The seconds after which tests/conftest.py's watchdog fails a test.
+HANG_S = next(
+    ast.literal_eval(node.value)
+    for node in ast.parse((ROOT / "tests" / "conftest.py").read_text(encoding="utf-8")).body
+    if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "HANG_S"
+)
 # Test functions `report` never deletes, as fnmatch patterns.
 PROTECTED = (
     # The acceptance gates, the CLI corpus, the signature-checked tables and
@@ -101,6 +109,8 @@ PROTECTED = (
     # The CLI's literal contract: every refusal's stderr and every pinned answer.
     "tests/test_cli.py::TestCliErrorMessages::*",
     "tests/test_cli.py::TestCliAnswers::*",
+    # The symbolic proofs of the closed form's identities.
+    "tests/test_proofs.py::*",
     # A route against an independent one: mpmath, brute force, the dense
     # oracle, the sampler or a reference written out in the test module.
     "tests/test_analysis.py::*mpmath*",
@@ -335,6 +345,7 @@ def run(args):
         done = {r["id"]: r for r in map(json.loads, results_path.read_text(encoding="utf-8").splitlines())}
     every = all_sites(args.files)
     todo = [s for s in every if s.id not in done]
+    every_test = test_functions()
     works = [_copy(out, f"work{i}") for i in range(JOBS)]
     free, lock = list(works), threading.Lock()
 
@@ -345,7 +356,7 @@ def run(args):
         original = path.read_text(encoding="utf-8")
         try:
             path.write_text(site.apply(original), encoding="utf-8")
-            return run_tests(work, tests, TIMEOUT)
+            return run_tests(work, tests, TIMEOUT + HANG_S * len(tests or every_test))
         finally:
             path.write_text(original, encoding="utf-8")
             with lock:
