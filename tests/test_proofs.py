@@ -18,6 +18,7 @@ from eprlink.epr import LinkGeometry
 r, s, t = (sp.symbols(f"{name}0:4", nonnegative=True) for name in "rst")
 m, m1, m2, m3, u, v = sp.symbols("m m1 m2 m3 u v", nonnegative=True)
 SUMS = {1: u, 2: v, 3: u + v}
+unchecked = tuple.__new__  # a value object built from its values, with no checks
 
 
 def same(got, want):
@@ -25,10 +26,6 @@ def same(got, want):
     diffs = [sp.sympify(g - w) for g, w in zip(got, want, strict=True)]
     diffs = [sp.expand(d.xreplace({f: sp.Rational(f) for f in d.atoms(sp.Float)})) for d in diffs]
     assert diffs == [0] * len(diffs), (got, want)
-
-
-def unchecked(cls, values):
-    return tuple.__new__(cls, values)
 
 
 @pytest.fixture
@@ -77,11 +74,12 @@ def test_compose_iterate_and_transmit(symbolic):
     same([sum(epr.transmit(p, q))], [sum(r) * sum(s)])
 
 
-def test_at_length_composes_and_two_arms_see_only_their_sum(symbolic):
+@pytest.mark.parametrize("l1, l2", [(1.0, 2.0), (2.0, 1.0)])
+def test_at_length_composes_and_two_arms_see_only_their_sum(symbolic, l1, l2):
     mu = unchecked(ErrorDensities, (m1, m2, m3))
-    arms = channel.at_length(mu, 1.0), channel.at_length(mu, 2.0)
+    arms = channel.at_length(mu, l1), channel.at_length(mu, l2)
     same(channel.at_length(mu, 3.0), channel.compose(*arms))
-    fused = epr.transmit_at_length(mu, LinkGeometry(1.0, 2.0))
+    fused = epr.transmit_at_length(mu, LinkGeometry(l1, l2))
     same(fused, epr.transmit(*arms))
     same(fused, epr._bell_order(channel.at_length(mu, 3.0)))
 
@@ -94,9 +92,13 @@ def test_at_length_composes_and_two_arms_see_only_their_sum(symbolic):
         ((0.0, m, 0.0), lambda e: [(1 + e) / 2, 0, (1 - e) / 2, 0]),
         ((0.0, 0.0, m), lambda e: [(1 + e) / 2, 0, 0, (1 - e) / 2]),
         ((m, m, 0.0), lambda e: [(1 + e) ** 2 / 4] + [(1 - e * e) / 4] * 2 + [(1 - e) ** 2 / 4]),
+        ((m, 0.0, m), lambda e: [(1 + e) ** 2 / 4, (1 - e * e) / 4, (1 - e) ** 2 / 4, (1 - e * e) / 4]),
+        ((0.0, m, m), lambda e: [(1 + e) ** 2 / 4, (1 - e) ** 2 / 4] + [(1 - e * e) / 4] * 2),
         ((m, m, m), lambda e: [(1 + 3 * e * e) / 4] + [(1 - e * e) / 4] * 3),
+        ((0.0, 0.0, 0.0), lambda e: [1, 0, 0, 0]),
     ],
-    ids=["x-flip", "y-flip", "z-flip", "double-flip", "depolarizing"],
+    ids=["x-flip", "y-flip", "z-flip", "double-flip", "xz-double-flip", "yz-double-flip",
+         "depolarizing", "noiseless"],
 )
 def test_channel_forms(symbolic, densities, form):
     # Read in Bell order, the two-arm form is the channel's over L1 + L2.
